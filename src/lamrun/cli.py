@@ -110,7 +110,7 @@ def cmd_compare(args) -> int:
     sep = "\t" if args.format == "csv" else "  "
     for name, entry in entries.items():
         per = entry.get("perLabel", {})
-        vars_count = per.get("var", 0) + per.get("var_j", 0) + per.get("var_k", 0)
+        vars_count = sum(per.get(lbl, 0) for lbl in harness.MACHINES[name].var_labels)
         peak = entry.get("peakFootprint", {})
         lines.append(sep.join(str(x) for x in [
             name, entry.get("outcome"), entry.get("length"), vars_count,
@@ -152,18 +152,11 @@ def cmd_check(args) -> int:
     else:
         print("a term or --corpus is required", file=sys.stderr)
         return EXIT_INPUT
-    checkers = {
-        "iam-jam": eq.check_iam_jam,
-        "jam-pam": eq.check_jam_pam,
-        "ham-jk": eq.check_ham_jk,
-        "weights": eq.check_weights,
-        "invariants": eq.check_invariants_suite,
-    }
+    checker = eq.CHECKERS[args.what]
     if args.what == "quadratic":
-        report = eq.check_quadratic_bound(terms, fuel)
+        report = checker(terms, fuel)
         print(json.dumps(report.to_json(), ensure_ascii=False))
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    checker = checkers[args.what]
     failures = inconclusive = 0
     for term in terms:
         report = checker(term, fuel)
@@ -214,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="run one machine, optionally tracing")
     sp.add_argument("term")
-    sp.add_argument("--machine", required=True,
-                    choices=["iam", "jam", "pam", "kam", "ham-j", "ham-k", "siam"])
+    sp.add_argument("--machine", required=True, choices=list(harness.MACHINES))
     sp.add_argument("--fuel", type=int)
     sp.add_argument("--trace", choices=["table", "jsonl", "none"], default="none")
     sp.add_argument("--out")
@@ -241,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_types)
 
     sp = sub.add_parser("check", help="machine relationship and invariant checkers")
-    sp.add_argument("what", choices=["iam-jam", "jam-pam", "ham-jk", "weights",
-                                     "quadratic", "invariants"])
+    sp.add_argument("what", choices=list(eq.CHECKERS))
     sp.add_argument("term", nargs="?")
     sp.add_argument("--corpus", help="seed,count,maxSize")
     sp.add_argument("--fuel", type=int)

@@ -7,7 +7,10 @@ being checked relate complete runs only.
 """
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Optional
 
 from . import ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
@@ -31,13 +34,58 @@ class CheckReport:
         }
 
 
-def _inconclusive(name: str, term: Term, fuel: int) -> CheckReport:
-    return CheckReport(
-        name,
-        passed=True,
-        inconclusive=True,
-        details={"term": pretty(term), "reason": f"fuel {fuel} exhausted before completion"},
-    )
+class CheckFailed(Exception):
+    """The checked statement fails; ``details`` describe the counterexample."""
+
+    def __init__(self, **details):
+        super().__init__(details)
+        self.details = details
+
+
+def checker(name: str):
+    """Turn ``fn(term, fuel) -> details`` into a checker returning a CheckReport.
+
+    ``fn`` raises CheckFailed on a counterexample; running out of fuel makes
+    the check inconclusive.  Details always start with the printed term.
+    """
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def check(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
+            details: dict = {"term": pretty(term)}
+            try:
+                details.update(fn(term, fuel))
+            except (Diverged, FuelExhausted):
+                details["reason"] = f"fuel {fuel} exhausted before completion"
+                return CheckReport(name, passed=True, details=details, inconclusive=True)
+            except CheckFailed as exc:
+                return CheckReport(name, False, {**details, **exc.details})
+            return CheckReport(name, True, details)
+
+        return check
+
+    return wrap
+
+
+def lockstep(it_a, it_b, relate) -> Counter:
+    """Step two runs together and relate every pair of reached states.
+
+    ``relate(label_a, a, label_b, b)`` returns None when the pair is related
+    and failure details otherwise; the initial pair has labels None.  Raises
+    CheckFailed at the first failure, whose ``step`` is the number of
+    transitions that reached the pair.  Returns the transition labels of ``it_a``.
+    """
+    labels: Counter = Counter()
+    for step, pair in enumerate(zip_longest(it_a, it_b)):
+        if None in pair:
+            raise CheckFailed(step=step, reason="runs ended out of sync")
+        (label_a, a), (label_b, b) = pair
+        failure = relate(label_a, a, label_b, b)
+        if failure is not None:
+            raise CheckFailed(step=step, **failure)
+        if label_a is not None:
+            labels[label_a] += 1
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +94,12 @@ def _inconclusive(name: str, term: Term, fuel: int) -> CheckReport:
 
 def project_lp(index: TermIndex, lp: tk.LoggedPosition, memo: Optional[dict] = None):
     """Truncate a global logged position to its binder-rooted, local form."""
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(lp))
-    if hit is not None:
-        return hit
-    binder, inner = index.binder_at[lp.var_path]
-    entries = [project_lp(index, p, memo) for p in tk.iterate(tk.take(lp.log, inner))]
-    out = tk.LoggedPosition(lp.var_path, binder, tk.LOCAL, tk.from_list(entries))
-    memo[id(lp)] = out
-    return out
+    memo = {} if memo is None else memo
+    if id(lp) not in memo:
+        binder, inner = index.binder_at[lp.var_path]
+        entries = [project_lp(index, p, memo) for p in tk.iterate(tk.take(lp.log, inner))]
+        memo[id(lp)] = tk.LoggedPosition(lp.var_path, binder, tk.LOCAL, tk.from_list(entries))
+    return memo[id(lp)]
 
 
 def project_jam_to_iam(index: TermIndex, s: ljam.JamState, memo: Optional[dict] = None):
@@ -70,79 +114,54 @@ def project_jam_to_iam(index: TermIndex, s: ljam.JamState, memo: Optional[dict] 
     return liam.IamState(s.pos, tape, log, s.dir)
 
 
-def check_iam_jam(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
+def fold_backtracking(iam_run, labels: Counter):
+    """The interaction run with each bt1 .. bt2 block folded into one ``jmp``.
+
+    ``labels`` counts the unfolded transitions; a run that ends inside a
+    block ends the folded run before it.
+    """
+    it = iter(iam_run)
+    for label, s in it:
+        if label is not None:
+            labels[label] += 1
+        if label == "bt1":
+            depth = 1
+            for label, s in it:
+                labels[label] += 1
+                depth += (label == "bt1") - (label == "bt2")
+                if depth == 0:
+                    break
+            else:
+                return
+            label = "jmp"
+        yield label, s
+
+
+@checker("iam-jam")
+def check_iam_jam(term: Term, fuel: int) -> dict:
     """Trace alignment: the interaction run is the projected jumping run with each
     jump expanded into a bt1 .. bt2 backtracking block."""
-    name = "iam-jam"
     index = TermIndex(term)
     memo: dict = {}
-    details: dict = {"term": pretty(term)}
-    it_i = liam.trajectory(index, fuel)
-    it_j = ljam.trajectory(index, fuel)
     eq_memo: dict = {}
-    try:
-        _, s_i = next(it_i)
-        _, s_j = next(it_j)
-        iam_steps = 0
-        iam_vars = 0
-        jam_steps = 0
-        jam_vars = 0
-        while True:
-            if not liam.state_eq(s_i, project_jam_to_iam(index, s_j, memo), eq_memo):
-                return CheckReport(name, False, {
-                    **details, "step": jam_steps,
-                    "reason": "interaction state differs from projected jumping state"})
-            nxt_j = next(it_j, None)
-            if nxt_j is None:
-                if next(it_i, None) is not None:
-                    return CheckReport(name, False, {
-                        **details, "step": jam_steps,
-                        "reason": "jumping machine finished first"})
-                break
-            label_j, s_j = nxt_j
-            jam_steps += 1
-            jam_vars += label_j == "var"
-            if label_j != "jmp":
-                nxt_i = next(it_i, None)
-                if nxt_i is None or nxt_i[0] != label_j:
-                    return CheckReport(name, False, {
-                        **details, "step": jam_steps, "expected": label_j,
-                        "actual": None if nxt_i is None else nxt_i[0]})
-                s_i = nxt_i[1]
-                iam_steps += 1
-                iam_vars += label_j == "var"
-            else:
-                depth = 0
-                first = True
-                while True:
-                    nxt_i = next(it_i, None)
-                    if nxt_i is None:
-                        return CheckReport(name, False, {
-                            **details, "step": jam_steps,
-                            "reason": "interaction run ended inside a jump expansion"})
-                    label_i, s_i = nxt_i
-                    iam_steps += 1
-                    iam_vars += label_i == "var"
-                    if first and label_i != "bt1":
-                        return CheckReport(name, False, {
-                            **details, "step": jam_steps,
-                            "reason": f"jump expansion started with {label_i}"})
-                    first = False
-                    if label_i == "bt1":
-                        depth += 1
-                    elif label_i == "bt2":
-                        depth -= 1
-                        if depth == 0:
-                            break
-    except FuelExhausted:
-        return _inconclusive(name, term, fuel)
+
+    def relate(label_j, s_j, label_i, s_i):
+        if label_i != label_j:
+            return {"expected": label_j, "actual": label_i}
+        if not liam.state_eq(s_i, project_jam_to_iam(index, s_j, memo), eq_memo):
+            return {"reason": "interaction state differs from projected jumping state"}
+        return None
+
+    iam_labels: Counter = Counter()
+    jam_labels = lockstep(ljam.trajectory(index, fuel),
+                          fold_backtracking(liam.trajectory(index, fuel), iam_labels), relate)
+    iam_steps, jam_steps = sum(iam_labels.values()), sum(jam_labels.values())
+    iam_vars, jam_vars = iam_labels["var"], jam_labels["var"]
     if not (jam_steps <= iam_steps and jam_vars <= iam_vars):
-        return CheckReport(name, False, {
-            **details, "reason": "length or var-count inequality violated",
-            "jam": jam_steps, "iam": iam_steps})
-    details.update(iam_length=iam_steps, jam_length=jam_steps,
-                   iam_vars=iam_vars, jam_vars=jam_vars)
-    return CheckReport(name, True, details)
+        raise CheckFailed(reason="length or var-count inequality violated",
+                          jam=jam_steps, iam=iam_steps)
+    return {"iam_length": iam_steps, "jam_length": jam_steps,
+            "iam_vars": iam_vars, "jam_vars": jam_vars}
 
 
 # ---------------------------------------------------------------------------
@@ -182,53 +201,30 @@ def _tapes_match(jam_tape, pam_tape) -> bool:
     return a is None and b is None
 
 
-def check_jam_pam(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    name = "jam-pam"
+@checker("jam-pam")
+def check_jam_pam(term: Term, fuel: int) -> dict:
     index = TermIndex(term)
-    details: dict = {"term": pretty(term)}
     memo: dict = {}
-    it_j = ljam.trajectory(index, fuel)
-    it_p = lpam.trajectory(index, fuel)
-    step_no = 0
-    try:
-        while True:
-            nxt_j = next(it_j, None)
-            nxt_p = next(it_p, None)
-            if (nxt_j is None) != (nxt_p is None):
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "reason": "one machine finished first"})
-            if nxt_j is None:
-                break
-            label_j, s_j = nxt_j
-            label_p, s_p = nxt_p
-            if label_j != label_p:
-                return CheckReport(name, False, {
-                    **details, "step": step_no,
-                    "jam": label_j, "pam": label_p})
-            if s_j.pos != s_p.pos or s_j.dir != s_p.dir:
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "reason": "positions or directions differ"})
-            if not _tapes_match(s_j.tape, s_p.tape):
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "reason": "tapes differ"})
-            if not log_matches_history(s_j.log, s_p.history, s_p.index, memo):
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "reason": "log/history relation fails"})
-            if s_j.dir == ljam.UP:
-                lp = next(
-                    (x for x in tk.iterate(s_j.tape) if not isinstance(x, tk.Marker)), None
-                )
-                if lp is not None and not log_matches_history(
-                    lp.log, s_p.history, len(s_p.history), memo
-                ):
-                    return CheckReport(name, False, {
-                        **details, "step": step_no,
-                        "reason": "tape position log does not match full history"})
-            step_no += 1
-    except FuelExhausted:
-        return _inconclusive(name, term, fuel)
-    details["length"] = step_no - 1
-    return CheckReport(name, True, details)
+
+    def relate(label_j, s_j, label_p, s_p):
+        if label_j != label_p:
+            return {"jam": label_j, "pam": label_p}
+        if s_j.pos != s_p.pos or s_j.dir != s_p.dir:
+            return {"reason": "positions or directions differ"}
+        if not _tapes_match(s_j.tape, s_p.tape):
+            return {"reason": "tapes differ"}
+        if not log_matches_history(s_j.log, s_p.history, s_p.index, memo):
+            return {"reason": "log/history relation fails"}
+        if s_j.dir == ljam.UP:
+            lp = next((x for x in tk.iterate(s_j.tape) if not isinstance(x, tk.Marker)), None)
+            if lp is not None and not log_matches_history(
+                lp.log, s_p.history, len(s_p.history), memo
+            ):
+                return {"reason": "tape position log does not match full history"}
+        return None
+
+    labels = lockstep(ljam.trajectory(index, fuel), lpam.trajectory(index, fuel), relate)
+    return {"length": sum(labels.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +232,10 @@ def check_jam_pam(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
 
 
 def ham_cp_to_lp(cp: ham.ClosedPosition, memo: dict) -> tk.LoggedPosition:
-    hit = memo.get(id(cp))
-    if hit is not None:
-        return hit
-    entries = [ham_cp_to_lp(p, memo) for p in tk.iterate(cp.log)]
-    out = tk.LoggedPosition(cp.pos, (), tk.GLOBAL, tk.from_list(entries))
-    memo[id(cp)] = out
-    return out
+    if id(cp) not in memo:
+        entries = [ham_cp_to_lp(p, memo) for p in tk.iterate(cp.log)]
+        memo[id(cp)] = tk.LoggedPosition(cp.pos, (), tk.GLOBAL, tk.from_list(entries))
+    return memo[id(cp)]
 
 
 def ham_to_jam_state(s: ham.HamState, memo: dict) -> ljam.JamState:
@@ -255,20 +248,15 @@ def ham_to_jam_state(s: ham.HamState, memo: dict) -> ljam.JamState:
 
 
 def ham_lc_to_closure(lc: ham.LoggedClosure, memo: dict) -> kam.Closure:
-    hit = memo.get(id(lc))
-    if hit is not None:
-        return hit
-    entries = [ham_lc_to_closure(e, memo) for e in tk.iterate(lc.env)]
-    out = kam.Closure(lc.pos, tk.from_list(entries))
-    memo[id(lc)] = out
-    return out
+    if id(lc) not in memo:
+        entries = [ham_lc_to_closure(e, memo) for e in tk.iterate(lc.env)]
+        memo[id(lc)] = kam.Closure(lc.pos, tk.from_list(entries))
+    return memo[id(lc)]
 
 
 def ham_to_kam_state(s: ham.HamState, memo: dict) -> kam.KamState:
     env = tk.from_list([ham_lc_to_closure(e, memo) for e in tk.iterate(s.env)])
-    stack = tk.from_list(
-        [ham_lc_to_closure(x, memo) for x in tk.iterate(s.tape)]
-    )
+    stack = tk.from_list([ham_lc_to_closure(x, memo) for x in tk.iterate(s.tape)])
     return kam.KamState(s.pos, env, stack)
 
 
@@ -277,153 +265,95 @@ _J_LABELS = {"p1_app": "p1", "p2_abs": "p2", "var_j": "var",
 _K_LABELS = {"p1_app": "app", "p2_abs": "abs", "var_k": "var"}
 
 
-def check_ham_jk(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    name = "ham-jk"
+@checker("ham-jk")
+def check_ham_jk(term: Term, fuel: int) -> dict:
     index = TermIndex(term)
-    details: dict = {"term": pretty(term)}
     memo_j: dict = {}
     memo_k: dict = {}
     eq_j: dict = {}
     eq_k: dict = {}
-    try:
-        # J mode against the jumping machine, step for step
-        it_h = ham.trajectory(index, ham.J_MODE, fuel)
-        it_j = ljam.trajectory(index, fuel)
-        hj_len = hj_up = hj_var = 0
-        step_no = 0
-        while True:
-            nxt_h = next(it_h, None)
-            nxt_j = next(it_j, None)
-            if (nxt_h is None) != (nxt_j is None):
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "reason": "J mode ended out of sync"})
-            if nxt_h is None:
-                break
-            label_h, s_h = nxt_h
-            label_j, s_j = nxt_j
-            if label_h is not None:
-                hj_len += 1
-                hj_up += label_h in ham.UP_LABELS
-                hj_var += label_h == "var_j"
-                if _J_LABELS[label_h] != label_j:
-                    return CheckReport(name, False, {
-                        **details, "step": step_no, "ham": label_h, "jam": label_j})
-            if not ljam.state_eq(ham_to_jam_state(s_h, memo_j), s_j, eq_j):
-                return CheckReport(name, False, {
-                    **details, "step": step_no,
-                    "reason": "J-mode state does not erase to the jumping state"})
-            step_no += 1
-        # K mode against the Krivine machine, step for step
-        it_h = ham.trajectory(index, ham.K_MODE, fuel)
-        it_k = kam.trajectory(index, fuel)
-        hk_len = hk_var = 0
-        step_no = 0
-        while True:
-            nxt_h = next(it_h, None)
-            nxt_k = next(it_k, None)
-            if (nxt_h is None) != (nxt_k is None):
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "reason": "K mode ended out of sync"})
-            if nxt_h is None:
-                break
-            label_h, s_h = nxt_h
-            label_k, s_k = nxt_k
-            if label_h is not None:
-                hk_len += 1
-                hk_var += label_h == "var_k"
-                if _K_LABELS[label_h] != label_k:
-                    return CheckReport(name, False, {
-                        **details, "step": step_no, "ham": label_h, "kam": label_k})
-            if not kam.state_eq(ham_to_kam_state(s_h, memo_k), s_k, eq_k):
-                return CheckReport(name, False, {
-                    **details, "step": step_no,
-                    "reason": "K-mode state does not erase to the Krivine state"})
-            step_no += 1
-    except FuelExhausted:
-        return _inconclusive(name, term, fuel)
+
+    def relate_j(label_h, s_h, label_j, s_j):
+        if _J_LABELS.get(label_h) != label_j:
+            return {"ham": label_h, "jam": label_j}
+        if not liam.state_eq(ham_to_jam_state(s_h, memo_j), s_j, eq_j):
+            return {"reason": "J-mode state does not erase to the jumping state"}
+        return None
+
+    def relate_k(label_h, s_h, label_k, s_k):
+        if _K_LABELS.get(label_h) != label_k:
+            return {"ham": label_h, "kam": label_k}
+        if not kam.state_eq(ham_to_kam_state(s_h, memo_k), s_k, eq_k):
+            return {"reason": "K-mode state does not erase to the Krivine state"}
+        return None
+
+    # J mode against the jumping machine, K mode against the Krivine machine
+    labels = {}
+    for mode, other, relate in ((ham.J_MODE, ljam, relate_j), (ham.K_MODE, kam, relate_k)):
+        try:
+            labels[mode] = lockstep(ham.trajectory(index, mode, fuel),
+                                    other.trajectory(index, fuel), relate)
+        except CheckFailed as exc:
+            raise CheckFailed(mode=mode, **exc.details) from None
+    j, k = labels[ham.J_MODE], labels[ham.K_MODE]
+    hj_len, hk_len = sum(j.values()), sum(k.values())
+    hj_up = sum(j[lbl] for lbl in ham.UP_LABELS)
     if hj_len != hk_len + hj_up:
-        return CheckReport(name, False, {
-            **details, "reason": "length equation violated",
-            "jam": hj_len, "kam": hk_len, "up": hj_up})
-    if hj_var != hk_var:
-        return CheckReport(name, False, {
-            **details, "reason": "var counts differ", "jam": hj_var, "kam": hk_var})
-    details.update(jam_length=hj_len, kam_length=hk_len, up_length=hj_up, var_count=hj_var)
-    return CheckReport(name, True, details)
+        raise CheckFailed(reason="length equation violated", jam=hj_len, kam=hk_len, up=hj_up)
+    if j["var_j"] != k["var_k"]:
+        raise CheckFailed(reason="var counts differ", jam=j["var_j"], kam=k["var_k"])
+    return {"jam_length": hj_len, "kam_length": hk_len, "up_length": hj_up,
+            "var_count": j["var_j"]}
 
 
 # ---------------------------------------------------------------------------
 # Weights against run lengths; derivation machine against the interaction machine
 
 
-def check_iam_siam(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
+@checker("iam-siam")
+def check_iam_siam(term: Term, fuel: int) -> dict:
     """Observable bisimulation: same label and (subterm, direction) sequences."""
-    name = "iam-siam"
-    details: dict = {"term": pretty(term)}
-    try:
-        deriv = mt.infer_star_derivation(term, fuel)
-    except Diverged:
-        return _inconclusive(name, term, fuel)
-    index = TermIndex(term)
-    dindex = siam.DerivationIndex(deriv, term)
-    it_i = liam.trajectory(index, fuel)
-    it_s = siam.trajectory(dindex, fuel)
-    step_no = 0
-    try:
-        while True:
-            nxt_i = next(it_i, None)
-            nxt_s = next(it_s, None)
-            if (nxt_i is None) != (nxt_s is None):
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "reason": "runs ended out of sync"})
-            if nxt_i is None:
-                break
-            label_i, s_i = nxt_i
-            label_s, s_s = nxt_s
-            if label_i != label_s:
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "iam": label_i, "siam": label_s})
-            pos_s, dir_s = siam.observable(s_s)
-            if (s_i.pos, s_i.dir) != (pos_s, dir_s):
-                return CheckReport(name, False, {
-                    **details, "step": step_no, "reason": "observables differ"})
-            step_no += 1
-    except FuelExhausted:
-        return _inconclusive(name, term, fuel)
-    details["length"] = step_no - 1
-    return CheckReport(name, True, details)
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(term, fuel), term)
+
+    def relate(label_i, s_i, label_s, s_s):
+        if label_i != label_s:
+            return {"iam": label_i, "siam": label_s}
+        if (s_i.pos, s_i.dir) != siam.observable(s_s):
+            return {"reason": "observables differ"}
+        return None
+
+    labels = lockstep(liam.trajectory(TermIndex(term), fuel), siam.trajectory(dindex, fuel),
+                      relate)
+    return {"length": sum(labels.values())}
 
 
-def check_weights(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    name = "weights"
-    details: dict = {"term": pretty(term)}
-    try:
-        deriv = mt.infer_star_derivation(term, fuel)
-        problems = mt.validate(deriv, term)
-        if problems:
-            return CheckReport(name, False, {**details, "invalid": problems[:5]})
-        kam_report = kam.run(term, fuel)
-        iam_report = liam.run(term, fuel)
-        _, coverage = siam.run(deriv, term, fuel)
-    except (Diverged, FuelExhausted):
-        return _inconclusive(name, term, fuel)
+@checker("weights")
+def check_weights(term: Term, fuel: int) -> dict:
+    deriv = mt.infer_star_derivation(term, fuel)
+    problems = mt.validate(deriv, term)
+    if problems:
+        raise CheckFailed(invalid=problems[:5])
+    kam_report = kam.run(term, fuel)
+    iam_report = liam.run(term, fuel)
+    _, coverage = siam.run(deriv, term, fuel)
     w_kam = mt.weight_kam(deriv)
     w_iam = mt.weight_iam(deriv)
     stars = mt.star_count(deriv)
-    ok = (
+    details = {
+        "w_kam": w_kam, "kam_length": kam_report.length,
+        "w_iam": w_iam, "iam_length": iam_report.length,
+        "stars": stars, "siam_length": coverage.length,
+        "coverage": f"{coverage.visited}/{coverage.stars}",
+    }
+    if not (
         w_kam == kam_report.length
         and w_iam == iam_report.length
         and coverage.hamiltonian
         and coverage.length == stars - 1
         and w_iam == stars - 1
-    )
-    details.update(
-        w_kam=w_kam, kam_length=kam_report.length,
-        w_iam=w_iam, iam_length=iam_report.length,
-        stars=stars, siam_length=coverage.length,
-        coverage=f"{coverage.visited}/{coverage.stars}",
-    )
-    return CheckReport(name, ok, details)
+    ):
+        raise CheckFailed(**details)
+    return details
 
 
 def check_quadratic_bound(terms, fuel: int = DEFAULT_FUEL) -> CheckReport:
@@ -450,32 +380,25 @@ def check_quadratic_bound(terms, fuel: int = DEFAULT_FUEL) -> CheckReport:
 # Per-machine invariant sweep (debug mode plus run-level identities)
 
 
-def check_backtracking_brackets(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    name = "bt-brackets"
-    index = TermIndex(term)
+@checker("bt-brackets")
+def check_backtracking_brackets(term: Term, fuel: int) -> dict:
     stack: list = []
     prev = None
-    try:
-        for label, state in liam.trajectory(index, fuel):
-            if label == "bt1":
-                stack.append(id(state.tape.head))
-            elif label == "bt2":
-                if not stack or stack[-1] != id(prev.tape.head):
-                    return CheckReport(name, False, {
-                        "term": pretty(term),
-                        "reason": "bt2 does not exhaust the innermost pending bt1"})
-                stack.pop()
-            prev = state
-    except FuelExhausted:
-        return _inconclusive(name, term, fuel)
+    for label, state in liam.trajectory(TermIndex(term), fuel):
+        if label == "bt1":
+            stack.append(id(state.tape.head))
+        elif label == "bt2":
+            if not stack or stack[-1] != id(prev.tape.head):
+                raise CheckFailed(reason="bt2 does not exhaust the innermost pending bt1")
+            stack.pop()
+        prev = state
     if stack:
-        return CheckReport(name, False, {
-            "term": pretty(term), "reason": "unmatched bt1 at the end of the run"})
-    return CheckReport(name, True, {"term": pretty(term)})
+        raise CheckFailed(reason="unmatched bt1 at the end of the run")
+    return {}
 
 
-def check_jam_up_phases(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    name = "jam-up-phases"
+@checker("jam-up-phases")
+def check_jam_up_phases(term: Term, fuel: int) -> dict:
     index = TermIndex(term)
     size = index.size
     phase_len = 0
@@ -484,92 +407,82 @@ def check_jam_up_phases(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
     var_count = 0
     prev_dir = None
     prev_state = None
-    try:
-        for label, state in ljam.trajectory(index, fuel):
-            if label is not None:
-                var_count += label == "var"
-                if prev_dir == ljam.UP:
-                    if phase_len == 0:
-                        phase_bound = ljam.depth(prev_state) * size
-                    phase_len += 1
-                    total_up += 1
-                    if phase_len > phase_bound:
-                        return CheckReport(name, False, {
-                            "term": pretty(term),
-                            "reason": "up phase exceeds depth * size bound"})
-                else:
-                    phase_len = 0
-            prev_dir = state.dir
-            prev_state = state
-            if state.dir != ljam.UP:
+    for label, state in ljam.trajectory(index, fuel):
+        if label is not None:
+            var_count += label == "var"
+            if prev_dir == ljam.UP:
+                if phase_len == 0:
+                    phase_bound = ljam.depth(prev_state) * size
+                phase_len += 1
+                total_up += 1
+                if phase_len > phase_bound:
+                    raise CheckFailed(reason="up phase exceeds depth * size bound")
+            else:
                 phase_len = 0
-    except FuelExhausted:
-        return _inconclusive(name, term, fuel)
+        prev_dir = state.dir
+        prev_state = state
+        if state.dir != ljam.UP:
+            phase_len = 0
     if total_up > var_count * var_count * size:
-        return CheckReport(name, False, {
-            "term": pretty(term), "reason": "total up length exceeds vars^2 * size"})
-    return CheckReport(name, True, {"term": pretty(term), "up": total_up, "vars": var_count})
+        raise CheckFailed(reason="total up length exceeds vars^2 * size")
+    return {"up": total_up, "vars": var_count}
 
 
-def check_siam_bideterminism(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    name = "siam-bidet"
-    try:
-        deriv = mt.infer_star_derivation(term, fuel)
-    except Diverged:
-        return _inconclusive(name, term, fuel)
-    dindex = siam.DerivationIndex(deriv, term)
+@checker("siam-bidet")
+def check_siam_bideterminism(term: Term, fuel: int) -> dict:
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(term, fuel), term)
     prev = None
-    prev_label = None
-    try:
-        for label, state in siam.trajectory(dindex, fuel):
-            if prev is not None:
-                back = siam.step_back(dindex, state)
-                if back is None:
-                    return CheckReport(name, False, {
-                        "term": pretty(term), "reason": "reached state has no predecessor"})
-                blabel, bstate = back
-                if blabel != label or siam.occurrence(dindex, bstate) != siam.occurrence(
-                    dindex, prev
-                ) or bstate.dir != prev.dir:
-                    return CheckReport(name, False, {
-                        "term": pretty(term), "reason": "inverse step disagrees"})
-            prev = state
-            prev_label = label
-    except FuelExhausted:
-        return _inconclusive(name, term, fuel)
-    return CheckReport(name, True, {"term": pretty(term)})
+    for label, state in siam.trajectory(dindex, fuel):
+        if prev is not None:
+            back = siam.step_back(dindex, state)
+            if back is None:
+                raise CheckFailed(reason="reached state has no predecessor")
+            blabel, bstate = back
+            if blabel != label or siam.occurrence(dindex, bstate) != siam.occurrence(
+                dindex, prev
+            ) or bstate.dir != prev.dir:
+                raise CheckFailed(reason="inverse step disagrees")
+        prev = state
+    return {}
 
 
-def check_invariants_suite(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
+@checker("invariants")
+def check_invariants_suite(term: Term, fuel: int) -> dict:
     """Debug-mode per-step invariants for every machine plus run-level identities."""
-    name = "invariants"
-    details: dict = {"term": pretty(term)}
     try:
-        iam_report = liam.run(term, fuel, debug=True)
+        liam.run(term, fuel, debug=True)
         jam_report = ljam.run(term, fuel, debug=True)
         pam_report = lpam.run(term, fuel, debug=True)
         kam_report = kam.run(term, fuel, debug=True)
         ham.run(term, ham.J_MODE, fuel, debug=True)
         ham.run(term, ham.K_MODE, fuel, debug=True)
-    except FuelExhausted:
-        return _inconclusive(name, term, fuel)
     except AssertionError as exc:
-        return CheckReport(name, False, {**details, "violated": str(exc)})
+        raise CheckFailed(violated=str(exc)) from None
     beta = len(whnf_trace(term, fuel))
     abs_count = kam_report.per_label.get("abs", 0)
     var_count = kam_report.per_label.get("var", 0)
     if kam_report.length != var_count + 2 * abs_count:
-        return CheckReport(name, False, {**details, "reason": "Krivine length identity fails"})
+        raise CheckFailed(reason="Krivine length identity fails")
     if abs_count != beta:
-        return CheckReport(name, False, {
-            **details, "reason": "abs transitions differ from reduction steps"})
+        raise CheckFailed(reason="abs transitions differ from reduction steps")
     for sub in (
         check_backtracking_brackets(term, fuel),
         check_jam_up_phases(term, fuel),
         check_siam_bideterminism(term, fuel),
     ):
         if not sub.passed:
-            return CheckReport(name, False, {**details, "sub": sub.name, **sub.details})
+            raise CheckFailed(sub=sub.name, **sub.details)
     if jam_report.length != pam_report.length:
-        return CheckReport(name, False, {**details, "reason": "jam/pam lengths differ"})
-    return CheckReport(name, True, details)
+        raise CheckFailed(reason="jam/pam lengths differ")
+    return {}
+
+
+# the checker registry: name -> checker of one term ("quadratic" takes a corpus)
+CHECKERS: dict = {
+    "iam-jam": check_iam_jam,
+    "jam-pam": check_jam_pam,
+    "ham-jk": check_ham_jk,
+    "weights": check_weights,
+    "quadratic": check_quadratic_bound,
+    "invariants": check_invariants_suite,
+}

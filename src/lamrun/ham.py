@@ -12,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import tokens as tk
+from . import reporting, tokens as tk
 from .liam import DOWN, UP
-from .reporting import FINAL, FuelExhausted, Next, Stuck, StuckError, drive
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, path_str
+from .ljam import UP_LABELS
+from .reporting import FINAL, Machine, Next, Stuck
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, as_index, path_str
 
 J_MODE = "j"
 K_MODE = "k"
 
-UP_LABELS = ("p3", "p4", "arg", "jmp")
 
-
+@tk.nests("env", "log")
 @dataclass(frozen=True, eq=False)
 class LoggedClosure:
     pos: tuple
@@ -30,6 +30,7 @@ class LoggedClosure:
     log: Optional[tk.Cell]  # list of ClosedPosition
 
 
+@tk.nests("log", "env")
 @dataclass(frozen=True, eq=False)
 class ClosedPosition:
     pos: tuple
@@ -141,27 +142,13 @@ def make_snapshot(mode: str):
 
 
 def state_footprint(s: HamState) -> tk.SpaceFootprint:
-    seen = set()
-    stack = [s.log, s.env, s.tape]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, tk.Cell):
-            if id(x) in seen:
-                continue
-            seen.add(id(x))
-            stack.append(x.tail)
-            stack.append(x.head)
-        elif isinstance(x, (LoggedClosure, ClosedPosition)):
-            stack.append(x.log)
-            stack.append(x.env)
-    top = tk.length(s.log) + tk.length(s.tape)
-    return tk.SpaceFootprint(top, 0, len(seen))
+    return tk.SpaceFootprint(tk.length(s.log) + tk.length(s.tape), 0,
+                             tk.deep_cells(s.log, s.env, s.tape))
 
 
-def check_invariants(index: TermIndex, s: HamState, ctx: dict = None):
-    if ctx is None:
-        ctx = {"visited": set(), "verified": set()}
-    visited, verified = ctx["visited"], ctx["verified"]
+def check_invariants(index: TermIndex, s: HamState, per_label: dict, ctx: dict):
+    visited = ctx.setdefault("visited", set())
+    verified = ctx.setdefault("verified", set())
     visited.add(_shape_key(s.pos, s.log, s.env))
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
     cps = sum(1 for item in tk.iterate(s.tape) if isinstance(item, ClosedPosition))
@@ -211,46 +198,24 @@ def _shape_key(pos, log, env):
 
 def run(term_or_index, mode: str, fuel: int = DEFAULT_FUEL, trace: bool = False,
         debug: bool = False, allow_fuel: bool = False):
-    if mode not in (J_MODE, K_MODE):
+    if mode not in MODES:
         raise ValueError(f"mode must be {J_MODE!r} or {K_MODE!r}")
-    index = term_or_index if isinstance(term_or_index, TermIndex) else TermIndex(term_or_index)
-    if debug:
-        ctx = {"visited": set(), "verified": set()}
-        check = lambda s, n, c: check_invariants(index, s, ctx)  # noqa: E731
-    else:
-        check = None
-    report = drive(
-        f"ham-{mode}",
-        index,
-        initial(index),
-        lambda idx, s: step_mode(idx, s, mode),
-        make_snapshot(mode),
-        state_footprint,
-        lambda s: s.dir,
-        lambda s: s.pos,
-        fuel,
-        trace=trace,
-        check_fn=check,
-        var_labels=("var_j", "var_k"),
-    )
-    if report.outcome == "fuel" and not allow_fuel:
-        raise FuelExhausted(fuel)
-    if mode == J_MODE:
-        report.up_length = sum(report.per_label.get(lbl, 0) for lbl in UP_LABELS)
-    return report
+    return reporting.run(MODES[mode], as_index(term_or_index), fuel, trace, debug, allow_fuel)
 
 
 def trajectory(index: TermIndex, mode: str, fuel: int = DEFAULT_FUEL):
-    s = initial(index)
-    yield None, s
-    for _ in range(fuel):
-        result = step_mode(index, s, mode)
-        if isinstance(result, Stuck):
-            raise StuckError(result.reason)
-        if not isinstance(result, Next):
-            return
-        s = result.state
-        yield result.label, s
-    result = step_mode(index, s, mode)
-    if isinstance(result, Next):
-        raise FuelExhausted(fuel)
+    return reporting.trajectory(MODES[mode], index, fuel)
+
+
+def _machine(mode: str, up_labels: tuple) -> Machine:
+    return Machine(
+        f"ham-{mode}", initial, lambda: lambda index, s: step_mode(index, s, mode),
+        make_snapshot(mode), state_footprint,
+        launch=lambda term, fuel, **kw: run(term, mode, fuel, **kw),
+        var_labels=("var_j", "var_k"),
+        up_labels=up_labels,
+        invariants=check_invariants,
+    )
+
+
+MODES = {J_MODE: _machine(J_MODE, UP_LABELS), K_MODE: _machine(K_MODE, ())}

@@ -20,22 +20,20 @@ from .syntax import (
 
 IDENTITY = Lam("x", Var(0, "x"))
 
-MACHINES: dict = {
-    "iam": lambda t, fuel, **kw: liam.run(t, fuel, **kw),
-    "jam": lambda t, fuel, **kw: ljam.run(t, fuel, **kw),
-    "pam": lambda t, fuel, **kw: lpam.run(t, fuel, **kw),
-    "kam": lambda t, fuel, **kw: kam.run(t, fuel, **kw),
-    "ham-j": lambda t, fuel, **kw: ham.run(t, ham.J_MODE, fuel, **kw),
-    "ham-k": lambda t, fuel, **kw: ham.run(t, ham.K_MODE, fuel, **kw),
-}
+# the machine registry: name -> Machine
+MACHINES: dict = {m.name: m for m in (
+    liam.MACHINE,
+    ljam.MACHINE,
+    lpam.MACHINE,
+    kam.MACHINE,
+    ham.MODES[ham.J_MODE],
+    ham.MODES[ham.K_MODE],
+    siam.MACHINE,
+)}
 
 
 def run_machine(name: str, term: Term, fuel: int = DEFAULT_FUEL, **kw):
-    if name == "siam":
-        deriv = mt.infer_star_derivation(term, fuel)
-        report, _ = siam.run(deriv, term, fuel, **kw)
-        return report
-    return MACHINES[name](term, fuel, **kw)
+    return MACHINES[name].launch(term, fuel, **kw)
 
 
 def family_tn(n: int) -> Term:
@@ -148,11 +146,19 @@ def compare(
     """Run the requested machines on one term; fuel exhaustion is recorded, not fatal."""
     names = machines or ["iam", "jam", "pam", "kam"]
     row: dict = {"term": pretty(term), "size": term_size(term), "machines": {}}
+    deriv = None  # the ★ derivation, inferred once for SIAM and the weights
+    if with_types or "siam" in names:
+        try:
+            deriv = mt.infer_star_derivation(term, fuel)
+        except Diverged:
+            pass
     for name in names:
         started = time.perf_counter()
-        try:
+        if name != "siam":
             report = run_machine(name, term, fuel, allow_fuel=True)
-        except Diverged:
+        elif deriv is not None:
+            report, _ = siam.run(deriv, term, fuel, allow_fuel=True)
+        else:
             row["machines"][name] = {"outcome": "fuel"}
             continue
         entry = report.to_json()
@@ -160,13 +166,9 @@ def compare(
         entry["wallMs"] = round((time.perf_counter() - started) * 1000, 3)
         row["machines"][name] = entry
     if with_types:
-        try:
-            deriv = mt.infer_star_derivation(term, fuel)
-            row["weights"] = {
-                "w_kam": mt.weight_kam(deriv),
-                "w_iam": mt.weight_iam(deriv),
-                "stars": mt.star_count(deriv),
-            }
-        except Diverged:
-            row["weights"] = None
+        row["weights"] = None if deriv is None else {
+            "w_kam": mt.weight_kam(deriv),
+            "w_iam": mt.weight_iam(deriv),
+            "stars": mt.star_count(deriv),
+        }
     return row

@@ -9,13 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import tokens as tk
-from .reporting import FINAL, FuelExhausted, Next, Stuck, StuckError, drive
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, Var, path_str
-
-MACHINE = "kam"
+from . import reporting, tokens as tk
+from .reporting import FINAL, Machine, Next, Stuck
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, Var, as_index, path_str
 
 
+@tk.nests("env")
 @dataclass(frozen=True, eq=False)
 class Closure:
     pos: tuple
@@ -61,23 +60,8 @@ def snapshot(index: TermIndex, s: KamState) -> dict:
 
 def state_footprint(s: KamState) -> tk.SpaceFootprint:
     # top-level entries of both structures; closures have no markers
-    seen = set()
-    stack = [s.env, s.stack]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, tk.Cell):
-            if id(x) in seen:
-                continue
-            seen.add(id(x))
-            stack.append(x.tail)
-            stack.append(x.head)
-        elif isinstance(x, Closure):
-            stack.append(x.env)
-    return tk.SpaceFootprint(tk.length(s.env) + tk.length(s.stack), 0, len(seen))
-
-
-def state_key(index: TermIndex, s: KamState):
-    return (s.pos, str(snapshot(index, s)))
+    return tk.SpaceFootprint(tk.length(s.env) + tk.length(s.stack), 0,
+                             tk.deep_cells(s.env, s.stack))
 
 
 def closure_equal(a: Closure, b: Closure, memo: dict) -> bool:
@@ -121,9 +105,8 @@ def _max_free(node, depth: int = 0) -> int:
     return max(_max_free(node.fun, depth), _max_free(node.arg, depth))
 
 
-def check_invariants(index: TermIndex, s: KamState, verified: set = None):
-    if verified is None:
-        verified = set()
+def check_invariants(index: TermIndex, s: KamState, per_label: dict, ctx: dict):
+    verified = ctx.setdefault("verified", set())
     assert _env_closes(index, s.pos, s.env), "state environment does not close the focus"
     for c in tk.iterate(s.stack):
         _check_closure(index, c, verified)
@@ -133,42 +116,18 @@ def check_invariants(index: TermIndex, s: KamState, verified: set = None):
 
 def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,
         allow_fuel: bool = False):
-    index = term_or_index if isinstance(term_or_index, TermIndex) else TermIndex(term_or_index)
-    if debug:
-        verified: set = set()
-        check = lambda s, n, c: check_invariants(index, s, verified)  # noqa: E731
-    else:
-        check = None
-    report = drive(
-        MACHINE,
-        index,
-        initial(index),
-        step,
-        snapshot,
-        state_footprint,
-        lambda s: "down",
-        lambda s: s.pos,
-        fuel,
-        trace=trace,
-        check_fn=check,
-    )
-    if report.outcome == "fuel" and not allow_fuel:
-        raise FuelExhausted(fuel)
+    report = reporting.run(MACHINE, as_index(term_or_index), fuel, trace, debug, allow_fuel)
     report.beta_count = report.per_label.get("abs", 0)
     return report
 
 
 def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):
-    s = initial(index)
-    yield None, s
-    for _ in range(fuel):
-        result = step(index, s)
-        if isinstance(result, Stuck):
-            raise StuckError(result.reason)
-        if not isinstance(result, Next):
-            return
-        s = result.state
-        yield result.label, s
-    result = step(index, s)
-    if isinstance(result, Next):
-        raise FuelExhausted(fuel)
+    return reporting.trajectory(MACHINE, index, fuel)
+
+
+MACHINE = Machine(
+    "kam", initial, lambda: step, snapshot, state_footprint,
+    launch=lambda term, fuel, **kw: run(term, fuel, **kw),
+    dir=lambda s: "down",
+    invariants=check_invariants,
+)

@@ -11,14 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import tokens as tk
-from .reporting import FINAL, FuelExhausted, Next, Stuck, StuckError, drive
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, Var
+from . import reporting, tokens as tk
+from .reporting import FINAL, Machine, Next, Stuck
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, Var, as_index
 
 DOWN = "down"
 UP = "up"
-
-MACHINE = "iam"
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +132,8 @@ def state_footprint(s: IamState) -> tk.SpaceFootprint:
     return tk.footprint(s.log, s.tape)
 
 
-def state_key(index: TermIndex, s: IamState):
-    return (s.pos, s.dir, str(tk.tape_to_json(s.tape)), str(tk.log_to_json(s.log)))
-
-
-def state_eq(a: IamState, b: IamState, memo: dict) -> bool:
+def state_eq(a, b, memo: dict) -> bool:
+    """Equal positions, directions and tokens; for both token-passing machines' states."""
     return (
         a.pos == b.pos
         and a.dir == b.dir
@@ -159,10 +154,9 @@ def _check_lp(index: TermIndex, lp: tk.LoggedPosition, verified: set):
     verified.add(lp)
 
 
-def check_invariants(index: TermIndex, s: IamState, verified: set = None):
+def check_invariants(index: TermIndex, s: IamState, per_label: dict, ctx: dict):
     """Position-and-log plus tape-and-direction invariants, checked recursively."""
-    if verified is None:
-        verified = set()
+    verified = ctx.setdefault("verified", set())
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
     lp_on_tape = sum(1 for item in tk.iterate(s.tape) if not isinstance(item, tk.Marker))
     expected = DOWN if lp_on_tape % 2 == 0 else UP
@@ -176,42 +170,15 @@ def check_invariants(index: TermIndex, s: IamState, verified: set = None):
 
 def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,
         allow_fuel: bool = False):
-    index = term_or_index if isinstance(term_or_index, TermIndex) else TermIndex(term_or_index)
-    if debug:
-        verified: set = set()
-        check = lambda s, n, c: check_invariants(index, s, verified)  # noqa: E731
-    else:
-        check = None
-    report = drive(
-        MACHINE,
-        index,
-        initial(index),
-        step,
-        snapshot,
-        state_footprint,
-        lambda s: s.dir,
-        lambda s: s.pos,
-        fuel,
-        trace=trace,
-        check_fn=check,
-    )
-    if report.outcome == "fuel" and not allow_fuel:
-        raise FuelExhausted(fuel)
-    return report
+    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, debug, allow_fuel)
 
 
 def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):
-    """Yield ``(label, state)`` pairs starting with ``(None, initial)``; ends at final."""
-    s = initial(index)
-    yield None, s
-    for _ in range(fuel):
-        result = step(index, s)
-        if isinstance(result, Stuck):
-            raise StuckError(result.reason)
-        if not isinstance(result, Next):
-            return
-        s = result.state
-        yield result.label, s
-    result = step(index, s)
-    if isinstance(result, Next):
-        raise FuelExhausted(fuel)
+    return reporting.trajectory(MACHINE, index, fuel)
+
+
+MACHINE = Machine(
+    "iam", initial, lambda: step, snapshot, state_footprint,
+    launch=lambda term, fuel, **kw: run(term, fuel, **kw),
+    invariants=check_invariants,
+)

@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import tokens as tk
+from . import reporting, tokens as tk
 from .liam import DOWN, UP
-from .reporting import FINAL, FuelExhausted, Next, Stuck, StuckError, drive
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex
-
-MACHINE = "jam"
+from .reporting import FINAL, Machine, Next, Stuck
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, as_index
 
 UP_LABELS = ("p3", "p4", "arg", "jmp")
 
@@ -69,16 +67,21 @@ def step(index: TermIndex, s: JamState):
     return Next("jmp", JamState(p.var_path, s.tape, p.log, UP))
 
 
-def depth_of(item) -> int:
-    """Depth of a tape, log, or logged position: nesting of the head entry."""
+def depth_of(item, memo: Optional[dict] = None) -> int:
+    """Depth of a tape, log, or logged position: nesting of the head entry.
+
+    ``memo`` caches the depths of logged positions: logs nest deeply but
+    are DAGs.
+    """
+    if isinstance(item, tk.Cell):
+        item = next((x for x in tk.iterate(item) if not isinstance(x, tk.Marker)), None)
     if item is None:
         return 0
-    if isinstance(item, tk.Cell):
-        for x in tk.iterate(item):
-            if not isinstance(x, tk.Marker):
-                return depth_of(x)
-        return 0
-    return 1 + depth_of(item.log)
+    memo = {} if memo is None else memo
+    hit = memo.get(item)
+    if hit is None:
+        hit = memo[item] = 1 + depth_of(item.log, memo)
+    return hit
 
 
 def depth(s: JamState) -> int:
@@ -91,19 +94,6 @@ def snapshot(index: TermIndex, s: JamState) -> dict:
 
 def state_footprint(s: JamState) -> tk.SpaceFootprint:
     return tk.footprint(s.log, s.tape)
-
-
-def state_key(index: TermIndex, s: JamState):
-    return (s.pos, s.dir, str(tk.tape_to_json(s.tape)), str(tk.log_to_json(s.log)))
-
-
-def state_eq(a: JamState, b: JamState, memo: dict) -> bool:
-    return (
-        a.pos == b.pos
-        and a.dir == b.dir
-        and tk.tape_equal(a.tape, b.tape, memo)
-        and tk.log_equal(a.log, b.log, memo)
-    )
 
 
 def _check_lp(index: TermIndex, lp: tk.LoggedPosition, verified: set):
@@ -119,27 +109,9 @@ def _check_lp(index: TermIndex, lp: tk.LoggedPosition, verified: set):
     verified.add(lp)
 
 
-def _depth_memo(item, memo: dict) -> int:
-    """depth_of with sharing-aware caching; logs nest deeply but are DAGs."""
-    if item is None:
-        return 0
-    if isinstance(item, tk.Cell):
-        for x in tk.iterate(item):
-            if not isinstance(x, tk.Marker):
-                return _depth_memo(x, memo)
-        return 0
-    hit = memo.get(item)
-    if hit is None:
-        hit = 1 + _depth_memo(item.log, memo)
-        memo[item] = hit
-    return hit
-
-
-def check_invariants(index: TermIndex, s: JamState, per_label=None, ctx: dict = None):
-    if ctx is None:
-        ctx = {"verified": set(), "depths": {}}
-    verified = ctx["verified"]
-    depths = ctx["depths"]
+def check_invariants(index: TermIndex, s: JamState, per_label: dict, ctx: dict):
+    verified = ctx.setdefault("verified", set())
+    depths = ctx.setdefault("depths", {})
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
     lp_on_tape = sum(1 for item in tk.iterate(s.tape) if not isinstance(item, tk.Marker))
     if s.dir == DOWN:
@@ -151,55 +123,27 @@ def check_invariants(index: TermIndex, s: JamState, per_label=None, ctx: dict = 
             _check_lp(index, item, verified)
     for lp in tk.iterate(s.log):
         _check_lp(index, lp, verified)
-    if per_label is not None:
-        var_count = per_label.get("var", 0)
-        d = _depth_memo(s.tape if s.dir == UP else s.log, depths)
-        assert d == var_count, "state depth differs from the var-transition count"
-        for item in tk.iterate(s.tape):
-            if not isinstance(item, tk.Marker):
-                assert d >= _depth_memo(item, depths)
-        for lp in tk.iterate(s.log):
-            assert d >= _depth_memo(lp, depths)
+    d = depth_of(s.tape if s.dir == UP else s.log, depths)
+    assert d == per_label.get("var", 0), "state depth differs from the var-transition count"
+    for item in tk.iterate(s.tape):
+        if not isinstance(item, tk.Marker):
+            assert d >= depth_of(item, depths)
+    for lp in tk.iterate(s.log):
+        assert d >= depth_of(lp, depths)
 
 
 def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,
         allow_fuel: bool = False):
-    index = term_or_index if isinstance(term_or_index, TermIndex) else TermIndex(term_or_index)
-    if debug:
-        ctx = {"verified": set(), "depths": {}}
-        check = lambda s, n, c: check_invariants(index, s, c, ctx)  # noqa: E731
-    else:
-        check = None
-    report = drive(
-        MACHINE,
-        index,
-        initial(index),
-        step,
-        snapshot,
-        state_footprint,
-        lambda s: s.dir,
-        lambda s: s.pos,
-        fuel,
-        trace=trace,
-        check_fn=check,
-    )
-    if report.outcome == "fuel" and not allow_fuel:
-        raise FuelExhausted(fuel)
-    report.up_length = sum(report.per_label.get(lbl, 0) for lbl in UP_LABELS)
-    return report
+    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, debug, allow_fuel)
 
 
 def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):
-    s = initial(index)
-    yield None, s
-    for _ in range(fuel):
-        result = step(index, s)
-        if isinstance(result, Stuck):
-            raise StuckError(result.reason)
-        if not isinstance(result, Next):
-            return
-        s = result.state
-        yield result.label, s
-    result = step(index, s)
-    if isinstance(result, Next):
-        raise FuelExhausted(fuel)
+    return reporting.trajectory(MACHINE, index, fuel)
+
+
+MACHINE = Machine(
+    "jam", initial, lambda: step, snapshot, state_footprint,
+    launch=lambda term, fuel, **kw: run(term, fuel, **kw),
+    up_labels=UP_LABELS,
+    invariants=check_invariants,
+)

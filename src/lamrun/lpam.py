@@ -10,14 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import tokens as tk
+from . import reporting, tokens as tk
 from .liam import DOWN, UP
-from .reporting import FINAL, FuelExhausted, Next, Stuck, StuckError, drive
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, path_str
-
-MACHINE = "pam"
-
-UP_LABELS = ("p3", "p4", "arg", "jmp")
+from .ljam import UP_LABELS
+from .reporting import FINAL, Machine, Next, Stuck
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, as_index, path_str
 
 
 class UndefinedLookup(Exception):
@@ -65,16 +62,6 @@ def phi_pow(h: History, i: int, n: int) -> int:
     for _ in range(n):
         k = phi(h, k)
     return k
-
-
-def history_depth_at(h: History, i: int, n: int) -> bool:
-    """True when the first n iterates of phi at i stay strictly positive."""
-    k = i
-    for _ in range(n):
-        if k <= 0:
-            return False
-        k = phi(h, k)
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,32 +124,14 @@ def snapshot(index: TermIndex, s: PamState) -> dict:
 
 
 def state_footprint(s: PamState) -> tk.SpaceFootprint:
-    markers = positions = 0
-    for item in tk.iterate(s.tape):
-        if isinstance(item, tk.Marker):
-            markers += 1
-        else:
-            positions += 1
-    seen = set()
-    cell = s.history.cells
-    while cell is not None and id(cell) not in seen:
-        seen.add(id(cell))
-        cell = cell.tail
-    cell = s.tape
-    while cell is not None and id(cell) not in seen:
-        seen.add(id(cell))
-        cell = cell.tail
-    return tk.SpaceFootprint(positions + len(s.history), markers, len(seen))
+    markers = sum(1 for item in tk.iterate(s.tape) if isinstance(item, tk.Marker))
+    positions = tk.length(s.tape) - markers
+    return tk.SpaceFootprint(positions + len(s.history), markers,
+                             tk.deep_cells(s.history.cells, s.tape))
 
 
-def state_key(index: TermIndex, s: PamState):
-    return (s.pos, s.dir, s.index, str(snapshot(index, s)))
-
-
-def check_invariants(index: TermIndex, s: PamState, ctx: dict = None):
-    if ctx is None:
-        ctx = {"entries": []}
-    entries = ctx["entries"]  # history entries, oldest first; append-only cache
+def check_invariants(index: TermIndex, s: PamState, per_label: dict, ctx: dict):
+    entries = ctx.setdefault("entries", [])  # history entries, oldest first; append-only cache
     new = len(s.history) - len(entries)
     if new:
         fresh = []
@@ -199,42 +168,16 @@ def check_invariants(index: TermIndex, s: PamState, ctx: dict = None):
 
 def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,
         allow_fuel: bool = False):
-    index = term_or_index if isinstance(term_or_index, TermIndex) else TermIndex(term_or_index)
-    if debug:
-        ctx = {"entries": []}
-        check = lambda s, n, c: check_invariants(index, s, ctx)  # noqa: E731
-    else:
-        check = None
-    report = drive(
-        MACHINE,
-        index,
-        initial(index),
-        step,
-        snapshot,
-        state_footprint,
-        lambda s: s.dir,
-        lambda s: s.pos,
-        fuel,
-        trace=trace,
-        check_fn=check,
-    )
-    if report.outcome == "fuel" and not allow_fuel:
-        raise FuelExhausted(fuel)
-    report.up_length = sum(report.per_label.get(lbl, 0) for lbl in UP_LABELS)
-    return report
+    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, debug, allow_fuel)
 
 
 def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):
-    s = initial(index)
-    yield None, s
-    for _ in range(fuel):
-        result = step(index, s)
-        if isinstance(result, Stuck):
-            raise StuckError(result.reason)
-        if not isinstance(result, Next):
-            return
-        s = result.state
-        yield result.label, s
-    result = step(index, s)
-    if isinstance(result, Next):
-        raise FuelExhausted(fuel)
+    return reporting.trajectory(MACHINE, index, fuel)
+
+
+MACHINE = Machine(
+    "pam", initial, lambda: step, snapshot, state_footprint,
+    launch=lambda term, fuel, **kw: run(term, fuel, **kw),
+    up_labels=UP_LABELS,
+    invariants=check_invariants,
+)

@@ -90,10 +90,6 @@ class ExpansionMismatch(Exception):
     pass
 
 
-class NotStarDerivation(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Derivations
 
@@ -130,10 +126,6 @@ class DApp:
 Derivation = Union[DVar, DLamStar, DLam, DApp]
 
 
-def make_lam(term_pos, domain, body) -> DLam:
-    return DLam(term_pos, domain, body, Arrow(domain, body.rh_type))
-
-
 def children(node) -> tuple:
     if isinstance(node, DLam):
         return (node.body,)
@@ -149,10 +141,6 @@ def iter_nodes(root):
         node = stack.pop()
         yield node
         stack.extend(reversed(children(node)))
-
-
-def node_count(root) -> int:
-    return sum(1 for _ in iter_nodes(root))
 
 
 def star_count(root) -> int:
@@ -188,16 +176,23 @@ def _merge_env(*envs) -> dict:
     return out
 
 
-def compute_env(node) -> dict:
-    """Map de Bruijn index -> sequence of types, in left-to-right axiom order."""
+def compute_env(node, check_domain=None) -> dict:
+    """Map de Bruijn index -> sequence of types, in left-to-right axiom order.
+
+    ``check_domain(lam, bound)``, when given, sees every abstraction with the
+    types of its bound variable's axioms.
+    """
     if isinstance(node, DVar):
         return {node.db_index: (node.rh_type,)}
     if isinstance(node, DLamStar):
         return {}
     if isinstance(node, DLam):
-        inner = compute_env(node.body)
+        inner = compute_env(node.body, check_domain)
+        if check_domain is not None:
+            check_domain(node, inner.get(0, ()))
         return {k - 1: v for k, v in inner.items() if k > 0}
-    return _merge_env(compute_env(node.left), *(compute_env(r) for r in node.rights))
+    return _merge_env(compute_env(node.left, check_domain),
+                      *(compute_env(r, check_domain) for r in node.rights))
 
 
 def validate(root, subject: Term) -> list:
@@ -208,20 +203,9 @@ def validate(root, subject: Term) -> list:
     def note(node, msg):
         problems.append(f"{path_str(node.term_pos) or '·'}: {msg}")
 
-    def env_of(node) -> dict:
-        if isinstance(node, DVar):
-            return {node.db_index: (node.rh_type,)}
-        if isinstance(node, DLamStar):
-            return {}
-        if isinstance(node, DLam):
-            inner = env_of(node.body)
-            bound = inner.get(0, ())
-            if tuple(bound) != tuple(node.domain):
-                note(node, "domain differs from the bound variable's axiom sequence")
-            return {k - 1: v for k, v in inner.items() if k > 0}
-        left_env = env_of(node.left)
-        right_envs = [env_of(r) for r in node.rights]
-        return _merge_env(left_env, *right_envs)
+    def check_domain(node, bound):
+        if tuple(bound) != tuple(node.domain):
+            note(node, "domain differs from the bound variable's axiom sequence")
 
     for node in iter_nodes(root):
         if id(node) in seen_ids:
@@ -268,7 +252,7 @@ def validate(root, subject: Term) -> list:
                             note(node, f"right premise {i + 1} type differs from domain entry")
                 if node.rh_type != lt.target:
                     note(node, "conclusion type is not the arrow target")
-    if env_of(root):
+    if compute_env(root, check_domain):
         problems.append("closed subject with a non-empty type environment")
     return problems
 
@@ -277,20 +261,26 @@ def validate(root, subject: Term) -> list:
 # Construction by expansion along weak head reduction
 
 
-def _relocate(node, old_base: Path, new_base: Path):
-    cut = len(old_base)
+def _relocate(node, cut: int, new_base: Path, occ=frozenset(), deltas=None):
+    """Copy of ``node`` with the first ``cut`` steps of every position replaced
+    by ``new_base``.  Subderivations at positions in ``occ`` are cut out into
+    ``deltas`` and replaced by axioms on the variable bound just above ``node``.
+    """
 
-    def go(n):
+    def go(n, depth):
         pos = new_base + n.term_pos[cut:]
+        if occ and n.term_pos in occ:
+            deltas.append(n)
+            return DVar(pos, depth, n.rh_type)
         if isinstance(n, DVar):
             return DVar(pos, n.db_index, n.rh_type)
         if isinstance(n, DLamStar):
             return DLamStar(pos)
         if isinstance(n, DLam):
-            return DLam(pos, n.domain, go(n.body), n.rh_type)
-        return DApp(pos, go(n.left), tuple(go(r) for r in n.rights), n.rh_type)
+            return DLam(pos, n.domain, go(n.body, depth + 1), n.rh_type)
+        return DApp(pos, go(n.left, depth), tuple(go(r, depth) for r in n.rights), n.rh_type)
 
-    return go(node)
+    return go(node, 0)
 
 
 def _expand(step, deriv):
@@ -311,30 +301,11 @@ def _expand(step, deriv):
     base = (FUN,) * h
     if head.term_pos != base:
         raise ExpansionMismatch("head subderivation is not at the head position")
-    occ = set(step.substituted_occurrences)
     deltas: list = []
-    new_base = base + (FUN, BODY)
-    cut = len(base)
-
-    def rebuild(n, depth):
-        if n.term_pos in occ:
-            deltas.append(n)
-            return DVar(new_base + n.term_pos[cut:], depth, n.rh_type)
-        pos = new_base + n.term_pos[cut:]
-        if isinstance(n, DVar):
-            return DVar(pos, n.db_index, n.rh_type)
-        if isinstance(n, DLamStar):
-            return DLamStar(pos)
-        if isinstance(n, DLam):
-            return DLam(pos, n.domain, rebuild(n.body, depth + 1), n.rh_type)
-        return DApp(
-            pos, rebuild(n.left, depth), tuple(rebuild(r, depth) for r in n.rights), n.rh_type
-        )
-
-    body = rebuild(head, 0)
+    body = _relocate(head, h, base + (FUN, BODY), set(step.substituted_occurrences), deltas)
     domain = tuple(d.rh_type for d in deltas)
     lam_node = DLam(base + (FUN,), domain, body, Arrow(domain, head.rh_type))
-    rights = tuple(_relocate(d, d.term_pos, base + (ARG,)) for d in deltas)
+    rights = tuple(_relocate(d, len(d.term_pos), base + (ARG,)) for d in deltas)
     result: Derivation = DApp(base, lam_node, rights, head.rh_type)
     for sp in reversed(spine):
         result = DApp(sp.term_pos, result, sp.rights, sp.rh_type)

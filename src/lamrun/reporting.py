@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
-from .syntax import path_str, pretty, resolve
+from .syntax import DEFAULT_FUEL, path_str, pretty, resolve
 from .tokens import SpaceFootprint
 
 
@@ -39,6 +40,28 @@ class FuelExhausted(Exception):
 
 
 @dataclass(frozen=True)
+class Machine:
+    """One machine as the shared run loop, trajectory and registries see it.
+
+    ``step`` returns the step function as its module binds it when a run
+    starts, and ``launch`` calls the module's ``run``: a profiler that
+    rebinds those module attributes sees every call.
+    """
+
+    name: str
+    initial: Callable  # index -> state
+    step: Callable  # () -> ((index, state) -> Next | Final | Stuck)
+    snapshot: Callable  # (index, state) -> token JSON
+    footprint: Callable  # state -> SpaceFootprint
+    launch: Callable  # (term, fuel, **run options) -> RunReport
+    dir: Callable = attrgetter("dir")
+    pos: Callable = attrgetter("pos")
+    var_labels: tuple = ("var",)
+    up_labels: tuple = ()  # when given, reports carry their count as upLength
+    invariants: Optional[Callable] = None  # debug check (index, state, per_label, ctx)
+
+
+@dataclass(frozen=True)
 class TraceEvent:
     step: int
     machine: str
@@ -60,11 +83,7 @@ class TraceEvent:
             "subterm": self.subterm_pretty,
             "token": self.token,
             "cost": self.cost,
-            "footprint": {
-                "lp": self.footprint.lp_count,
-                "markers": self.footprint.marker_count,
-                "deepCells": self.footprint.deep_cells,
-            },
+            "footprint": self.footprint.to_json(),
         }
 
 
@@ -93,11 +112,7 @@ class RunReport:
             "perLabel": dict(self.per_label),
             "varCostSum": self.var_cost_sum,
             "ramCostBound": self.ram_cost_bound,
-            "peakFootprint": {
-                "lp": self.peak.lp_count,
-                "markers": self.peak.marker_count,
-                "deepCells": self.peak.deep_cells,
-            },
+            "peakFootprint": self.peak.to_json(),
             "peakMarkerLp": self.peak_marker_lp,
         }
         if self.beta_count is not None:
@@ -108,26 +123,28 @@ class RunReport:
 
 
 def drive(
-    machine: str,
+    name: str,
     index,
     state,
     step_fn: Callable,
     snapshot_fn: Callable,
     footprint_fn: Callable,
-    state_dir_fn: Callable,
-    state_pos_fn: Callable,
+    machine: Machine,
     fuel: int,
     trace: bool = False,
     check_fn: Optional[Callable] = None,
-    var_labels=("var",),
 ):
     """Iterate ``step_fn`` from ``state``; aggregate counters, peaks, optional trace.
 
-    Returns the report in all cases; ``outcome`` says whether a final state was
-    reached.  ``check_fn`` (debug mode) is called on every reached state and may
-    raise.  The footprint is sampled at every state, including the initial one,
-    since peaks occur mid-run.
+    ``machine`` gives the direction and position accessors and the variable
+    labels; its name and the step, snapshot and footprint functions come
+    apart from it so that a profiler can wrap them.  Returns the report in
+    all cases; ``outcome`` says whether a final state was reached.
+    ``check_fn(state, per_label)`` is called on every reached state and may
+    raise.  The footprint is sampled at every state, including the initial
+    one, since peaks occur mid-run.
     """
+    state_dir_fn, state_pos_fn, var_labels = machine.dir, machine.pos, machine.var_labels
     per_label: dict = {}
     events: Optional[list] = [] if trace else None
     var_cost = 0
@@ -152,7 +169,7 @@ def drive(
         events.append(
             TraceEvent(
                 step=len(events),
-                machine=machine,
+                machine=name,
                 label=label,
                 dir=state_dir_fn(s),
                 subterm_path=path_str(pos),
@@ -164,7 +181,7 @@ def drive(
         )
 
     if check_fn is not None:
-        check_fn(state, steps, per_label)
+        check_fn(state, per_label)
     fp = sample(state)
     if trace:
         record("init", 0, state, fp)
@@ -176,7 +193,7 @@ def drive(
             outcome = "final"
             break
         if isinstance(result, Stuck):
-            raise StuckError(f"{machine} stuck: {result.reason}")
+            raise StuckError(f"{name} stuck: {result.reason}")
         if steps >= fuel:
             break
         state = result.state
@@ -185,14 +202,14 @@ def drive(
         if result.label in var_labels:
             var_cost += result.cost
         if check_fn is not None:
-            check_fn(state, steps, per_label)
+            check_fn(state, per_label)
         fp = sample(state)
         if trace:
             record(result.label, result.cost, state, fp)
 
     var_count = sum(per_label.get(lbl, 0) for lbl in var_labels)
     return RunReport(
-        machine=machine,
+        machine=name,
         term=pretty(index.root),
         outcome=outcome,
         length=steps,
@@ -204,3 +221,40 @@ def drive(
         events=tuple(events) if trace else None,
         final_state=state,
     )
+
+
+def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, trace: bool = False,
+        debug: bool = False, allow_fuel: bool = False, check: Optional[Callable] = None):
+    """Run ``machine`` on ``index`` to a final state or until ``fuel`` steps.
+
+    ``debug`` checks the machine's invariants at every state unless a
+    ``check(state, per_label)`` is given; fuel exhaustion raises unless
+    ``allow_fuel``.
+    """
+    if check is None and debug and machine.invariants is not None:
+        ctx: dict = {}
+        check = lambda s, per_label: machine.invariants(index, s, per_label, ctx)  # noqa: E731
+    report = drive(machine.name, index, machine.initial(index), machine.step(),
+                   machine.snapshot, machine.footprint, machine, fuel, trace, check)
+    if report.outcome == "fuel" and not allow_fuel:
+        raise FuelExhausted(fuel)
+    if machine.up_labels:
+        report.up_length = sum(report.per_label.get(lbl, 0) for lbl in machine.up_labels)
+    return report
+
+
+def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
+    """Yield ``(label, state)`` pairs starting with ``(None, initial)``; ends at final."""
+    step = machine.step()
+    s = machine.initial(index)
+    yield None, s
+    for _ in range(fuel):
+        result = step(index, s)
+        if isinstance(result, Stuck):
+            raise StuckError(result.reason)
+        if not isinstance(result, Next):
+            return
+        s = result.state
+        yield result.label, s
+    if isinstance(step(index, s), Next):
+        raise FuelExhausted(fuel)

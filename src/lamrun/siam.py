@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, Star, star_count
-from .reporting import FINAL, FuelExhausted, Next, Stuck, StuckError, drive
+from .reporting import FINAL, Machine, Next, Stuck
 from .syntax import DEFAULT_FUEL, Term, term_size
+from .tokens import SpaceFootprint
 
 TO_LEAVES = "up"
 TO_ROOT = "down"
-
-MACHINE = "siam"
 
 TARGET = 0  # type-path step into an arrow target; positive i enters domain entry i
 
@@ -197,49 +197,28 @@ def run(deriv_or_index, subject: Term = None, fuel: int = DEFAULT_FUEL, trace: b
     seen: set = set()
     repeated = 0
 
-    def check(s, steps, per_label):
+    def visit(s, per_label):
         nonlocal repeated
         if debug:
             check_state(index, s)
         occ = occurrence(index, s)
-        if occ in seen:
-            repeated += 1
+        repeated += occ in seen
         seen.add(occ)
 
-    from .tokens import SpaceFootprint
-
-    report = drive(
-        MACHINE,
-        index,
-        initial(index),
-        step,
-        snapshot,
-        lambda s: SpaceFootprint(0, 0, 0),
-        lambda s: observable(s)[1],
-        lambda s: s.node.term_pos,
-        fuel,
-        trace=trace,
-        check_fn=check,
-    )
-    if report.outcome == "fuel" and not allow_fuel:
-        raise FuelExhausted(fuel)
-    coverage = CoverageReport(
-        stars=index.stars, visited=len(seen), repeated=repeated, length=report.length
-    )
-    return report, coverage
+    report = reporting.run(MACHINE, index, fuel, trace, allow_fuel=allow_fuel, check=visit)
+    return report, CoverageReport(index.stars, len(seen), repeated, report.length)
 
 
 def trajectory(index: DerivationIndex, fuel: int = DEFAULT_FUEL):
-    s = initial(index)
-    yield None, s
-    for _ in range(fuel):
-        result = step(index, s)
-        if isinstance(result, Stuck):
-            raise StuckError(result.reason)
-        if not isinstance(result, Next):
-            return
-        s = result.state
-        yield result.label, s
-    result = step(index, s)
-    if isinstance(result, Next):
-        raise FuelExhausted(fuel)
+    return reporting.trajectory(MACHINE, index, fuel)
+
+
+NO_TOKEN = SpaceFootprint(0, 0, 0)
+
+MACHINE = Machine(
+    "siam", initial, lambda: step, snapshot, lambda s: NO_TOKEN,
+    # on the term's ★ derivation; Diverged when it has none within fuel
+    launch=lambda term, fuel, **kw: run(mt.infer_star_derivation(term, fuel), term, fuel, **kw)[0],
+    dir=lambda s: observable(s)[1],
+    pos=lambda s: s.node.term_pos,
+)

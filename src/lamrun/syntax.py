@@ -82,106 +82,95 @@ Term = Union[Var, Lam, App]
 # Parsing
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\\|λ)|(\.)|(\()|(\))|([A-Za-z][A-Za-z0-9_']*))")
+_TOKEN_RE = re.compile(r"[\\λ.()]|[A-Za-z][A-Za-z0-9_']*")
+# a character no token holds: neither space nor a token's, or an identifier's
+# non-initial character that does not follow an identifier character
+_BAD_CHAR_RE = re.compile(r"[^\s\\λ.()A-Za-z0-9_']|(?<![A-Za-z0-9_'])[0-9_']")
+_TOKEN_KINDS = {"\\": "lambda", "λ": "lambda", ".": "dot", "(": "lparen", ")": "rparen",
+                "": "eof"}
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos and not text[pos:].strip():
-            break
-        if m is None:
-            raise LamSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastindex is None:
-            break
-        kind = m.lastindex
-        if kind == 1:
-            tokens.append(("lambda", m.group(1), m.start(1)))
-        elif kind == 2:
-            tokens.append(("dot", ".", m.start(2)))
-        elif kind == 3:
-            tokens.append(("lparen", "(", m.start(3)))
-        elif kind == 4:
-            tokens.append(("rparen", ")", m.start(4)))
-        else:
-            tokens.append(("ident", m.group(5), m.start(5)))
-        pos = m.end()
-    rest = text[pos:].strip()
-    if rest:
-        raise LamSyntaxError(f"unexpected character {rest[0]!r}", pos + text[pos:].index(rest[0]))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _parse(text: str, free) -> Term:
+    """De Bruijn term of ``term ::= λ ident+ . term | atom+ [λ ident+ . term]``,
+    ``atom ::= ident | ( term )``, where a lambda extends to the end of its
+    group and ``free(name)`` gives the term of an identifier that no binder
+    in scope binds.
 
+    Iterative, so that nesting depth is not limited by the Python stack, with
+    the errors of recursive descent.  As if names were resolved after
+    parsing, a syntax error takes precedence over the first error of ``free``.
+    """
+    bad = _BAD_CHAR_RE.search(text)
+    if bad is not None:
+        raise LamSyntaxError(f"unexpected character {bad[0]!r}", bad.start())
+    toks = _TOKEN_RE.findall(text) + [""]
+    kinds = [_TOKEN_KINDS.get(t, "ident") for t in toks]
+    at = 0
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+    def fail(message):  # offsets are only needed for the message
+        offsets = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+        raise LamSyntaxError(message, offsets[at])
 
-    def peek(self):
-        return self.tokens[self.i]
+    bound: list = []  # binder names in scope, innermost last
+    # open groups, innermost last: [is a parenthesis, binder names, atoms];
+    # a lambda's body is a group that ends with the one around it
+    groups: list = [[False, (), []]]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise LamSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse_term(self):
-        if self.peek()[0] == "lambda":
-            return self.parse_lambda()
-        return self.parse_app()
-
-    def parse_lambda(self):
-        self.expect("lambda")
-        names = []
-        while self.peek()[0] == "ident":
-            names.append(self.next()[1])
-        if not names:
-            tok = self.peek()
-            raise LamSyntaxError("expected at least one binder after lambda", tok[2])
-        self.expect("dot")
-        body = self.parse_term()
-        for name in reversed(names):
-            body = ("lam", name, body)
-        return body
-
-    def parse_app(self):
-        atoms = [self.parse_atom()]
-        while self.peek()[0] in ("ident", "lparen", "lambda"):
-            if self.peek()[0] == "lambda":
-                # a lambda extends to the end of the enclosing group
-                atoms.append(self.parse_lambda())
-                break
-            atoms.append(self.parse_atom())
-        term = atoms[0]
+    def close():
+        """Pop the innermost group and return its term."""
+        _, names, atoms = groups.pop()
+        if not atoms:
+            fail(f"unexpected token {toks[at]!r}")
+        value = atoms[0]
         for a in atoms[1:]:
-            term = ("app", term, a)
-        return term
+            value = App(value, a)
+        for name in reversed(names):
+            value = Lam(name, value)
+        if names:
+            del bound[-len(names):]
+        return value
 
-    def parse_atom(self):
-        tok = self.next()
-        if tok[0] == "ident":
-            return ("var", tok[1])
-        if tok[0] == "lparen":
-            t = self.parse_term()
-            self.expect("rparen")
-            return t
-        raise LamSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
-
-
-def _parse_named(text: str):
-    parser = _Parser(_tokenize(text))
-    term = parser.parse_term()
-    parser.expect("eof")
-    return term
+    name_error = None
+    while True:
+        kind = kinds[at]
+        if kind == "ident":
+            name = value = toks[at]
+            for i, b in enumerate(reversed(bound)):
+                if b == name:
+                    value = Var(i, name)
+                    break
+            else:
+                try:
+                    value = free(name)
+                except LamError as exc:
+                    name_error = name_error or exc
+            groups[-1][2].append(value)
+        elif kind == "lparen":
+            groups.append([True, (), []])
+        elif kind == "lambda":
+            start = at = at + 1
+            while kinds[at] == "ident":
+                at += 1
+            if at == start:
+                fail("expected at least one binder after lambda")
+            if kinds[at] != "dot":
+                fail(f"expected dot, found {toks[at]!r}")
+            bound.extend(toks[start:at])
+            groups.append([False, toks[start:at], []])
+        else:  # a ")", the end, or a misplaced "."
+            while groups[-1][1]:  # a lambda's body ends with the group around it
+                value = close()
+                groups[-1][2].append(value)
+            expected = "rparen" if groups[-1][0] else "eof"
+            value = close()
+            if kind != expected:
+                fail(f"expected {expected}, found {toks[at]!r}")
+            if kind == "eof":
+                if name_error is not None:
+                    raise name_error
+                return value
+            groups[-1][2].append(value)
+        at += 1
 
 
 def parse(text: str, definitions: Optional[Mapping[str, str]] = None) -> Term:
@@ -191,30 +180,19 @@ def parse(text: str, definitions: Optional[Mapping[str, str]] = None) -> Term:
     behaves exactly like its expansion; lambda binders shadow definitions.
     """
     defs = dict(definitions or {})
-    named_cache: dict = {}
+    expanded: dict = {}  # definition name -> its closed de Bruijn term
 
-    def named_def(name, stack):
-        if name in stack:
-            raise DefinitionCycle(list(stack) + [name])
-        if name not in named_cache:
-            named_cache[name] = _parse_named(defs[name])
-        return named_cache[name]
-
-    def convert(node, bound, stack):
-        kind = node[0]
-        if kind == "var":
-            name = node[1]
-            for i, b in enumerate(reversed(bound)):
-                if b == name:
-                    return Var(i, name)
-            if name in defs:
-                return convert(named_def(name, stack), (), stack + (name,))
+    def definition(name, active):
+        if name not in defs:
             raise UnboundIdentifier(name)
-        if kind == "lam":
-            return Lam(node[1], convert(node[2], bound + (node[1],), stack))
-        return App(convert(node[1], bound, stack), convert(node[2], bound, stack))
+        if name in active:
+            raise DefinitionCycle(list(active) + [name])
+        if name not in expanded:
+            inner = active + (name,)
+            expanded[name] = _parse(defs[name], lambda n: definition(n, inner))
+        return expanded[name]
 
-    return convert(_parse_named(text), (), ())
+    return _parse(text, lambda name: definition(name, ()))
 
 
 def load_definitions(text: str) -> dict:
@@ -239,51 +217,60 @@ def load_definitions(text: str) -> dict:
 # Printing
 
 
+def _render(term: Term, hole: Optional[Path] = None, canonical: bool = False) -> str:
+    """The one printer: display names, or binders renamed by depth; the
+    subterm at ``hole`` prints as ⟨·⟩.  Iterative, so depth is not limited by
+    the Python stack."""
+    path = hole or ()
+    n = len(path)
+    out: list = []
+    # pieces still to emit, or (subterm, context, binder depth, k), where k is
+    # the length of the prefix of ``hole`` its path matches, or -1
+    stack: list = [(term, "top", 0, -1 if hole is None else 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, ctx, depth, k = item
+        while True:  # down the body/function spine; arguments wait on the stack
+            if k == n:
+                out.append("⟨·⟩")
+                break
+            if isinstance(t, Var):
+                out.append(f"v{depth - 1 - t.index}" if canonical else t.name)
+                break
+            if isinstance(t, Lam):
+                if ctx != "top":
+                    out.append("(")
+                    stack.append(")")
+                out.append(("\\" + f"v{depth}" if canonical else "λ" + t.name) + ".")
+                k = k + 1 if 0 <= k < n and path[k] == BODY else -1
+                t, ctx, depth = t.body, "top", depth + 1
+            else:
+                if ctx == "arg":
+                    out.append("(")
+                    stack.append(")")
+                stack.append((t.arg, "arg", depth, k + 1 if 0 <= k < n and path[k] == ARG else -1))
+                stack.append(" ")
+                k = k + 1 if 0 <= k < n and path[k] == FUN else -1
+                t, ctx = t.fun, "fun"
+    return "".join(out)
+
+
 def pretty(term: Term) -> str:
     """Display printer using the carried names (may shadow; for traces only)."""
-
-    def go(t, ctx):
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Lam):
-            s = "λ" + t.name + "." + go(t.body, "top")
-            return "(" + s + ")" if ctx in ("fun", "arg") else s
-        s = go(t.fun, "fun") + " " + go(t.arg, "arg")
-        return "(" + s + ")" if ctx == "arg" else s
-
-    return go(term, "top")
+    return _render(term)
 
 
 def pretty_with_hole(root: Term, hole: Path) -> str:
     """Print ``root`` with the subterm at ``hole`` replaced by ⟨·⟩."""
-
-    def go(t, path, ctx):
-        if path == hole:
-            return "⟨·⟩"
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Lam):
-            s = "λ" + t.name + "." + go(t.body, path + (BODY,), "top")
-            return "(" + s + ")" if ctx in ("fun", "arg") else s
-        s = go(t.fun, path + (FUN,), "fun") + " " + go(t.arg, path + (ARG,), "arg")
-        return "(" + s + ")" if ctx == "arg" else s
-
-    return go(root, (), "top")
+    return _render(root, hole=hole)
 
 
 def canonical_pretty(term: Term) -> str:
     """Collision-free printer (binders renamed by depth); reparses to the same skeleton."""
-
-    def go(t, depth, ctx):
-        if isinstance(t, Var):
-            return f"v{depth - 1 - t.index}"
-        if isinstance(t, Lam):
-            s = "\\" + f"v{depth}" + "." + go(t.body, depth + 1, "top")
-            return "(" + s + ")" if ctx in ("fun", "arg") else s
-        s = go(t.fun, depth, "fun") + " " + go(t.arg, depth, "arg")
-        return "(" + s + ")" if ctx == "arg" else s
-
-    return go(term, 0, "top")
+    return _render(term, canonical=True)
 
 
 def path_str(path: Path) -> str:
@@ -305,11 +292,15 @@ def parse_path(text: str) -> Path:
 
 
 def term_size(term: Term) -> int:
-    if isinstance(term, Var):
-        return 1
-    if isinstance(term, Lam):
-        return 1 + term_size(term.body)
-    return 1 + term_size(term.fun) + term_size(term.arg)
+    size, stack = 0, [term]
+    while stack:
+        t = stack.pop()
+        size += 1
+        if isinstance(t, App):
+            stack += (t.fun, t.arg)
+        elif isinstance(t, Lam):
+            stack.append(t.body)
+    return size
 
 
 def skeleton(term: Term) -> tuple:
@@ -322,11 +313,16 @@ def skeleton(term: Term) -> tuple:
 
 
 def is_closed(term: Term, depth: int = 0) -> bool:
-    if isinstance(term, Var):
-        return term.index < depth
-    if isinstance(term, Lam):
-        return is_closed(term.body, depth + 1)
-    return is_closed(term.fun, depth) and is_closed(term.arg, depth)
+    stack = [(term, depth)]
+    while stack:
+        t, d = stack.pop()
+        if isinstance(t, App):
+            stack += ((t.fun, d), (t.arg, d))
+        elif isinstance(t, Lam):
+            stack.append((t.body, d + 1))
+        elif t.index >= d:
+            return False
+    return True
 
 
 def positions(term: Term) -> Iterator[tuple]:
@@ -405,6 +401,10 @@ class TermIndex:
             else:
                 stack.append((path + (FUN,), node.fun, level, lams))
                 stack.append((path + (ARG,), node.arg, level + 1, lams))
+
+
+def as_index(term_or_index) -> TermIndex:
+    return term_or_index if isinstance(term_or_index, TermIndex) else TermIndex(term_or_index)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +489,3 @@ def whnf_trace(t: Term, fuel: int = DEFAULT_FUEL):
     if whnf_step(current) is None:
         return steps
     raise Diverged(fuel)
-
-
-def beta_count(t: Term, fuel: int = DEFAULT_FUEL) -> int:
-    return len(whnf_trace(t, fuel))

@@ -43,18 +43,6 @@ def length(xs: Optional[Cell]) -> int:
     return 0 if xs is None else xs.length
 
 
-def head(xs: Optional[Cell]):
-    if xs is None:
-        raise IndexError("empty list")
-    return xs.head
-
-
-def tail(xs: Optional[Cell]) -> Optional[Cell]:
-    if xs is None:
-        raise IndexError("empty list")
-    return xs.tail
-
-
 def iterate(xs: Optional[Cell]) -> Iterator:
     cell = xs
     while cell is not None:
@@ -72,10 +60,7 @@ def take(xs: Optional[Cell], n: int) -> Optional[Cell]:
             raise IndexError("take past end of list")
         items.append(cell.head)
         cell = cell.tail
-    out = None
-    for item in reversed(items):
-        out = Cell(item, out)
-    return out
+    return from_list(items)
 
 
 def drop(xs: Optional[Cell], n: int) -> Optional[Cell]:
@@ -88,13 +73,13 @@ def drop(xs: Optional[Cell], n: int) -> Optional[Cell]:
 
 
 def concat(xs: Optional[Cell], ys: Optional[Cell]) -> Optional[Cell]:
-    if xs is None:
-        return ys
-    return Cell(xs.head, concat(xs.tail, ys))
+    """``xs`` followed by ``ys``; copies the cells of ``xs`` and shares ``ys``."""
+    return ys if xs is None else from_list(iterate(xs), ys)
 
 
-def from_list(items) -> Optional[Cell]:
-    out = None
+def from_list(items, tail: Optional[Cell] = None) -> Optional[Cell]:
+    """The list of ``items`` followed by ``tail``."""
+    out = tail
     for item in reversed(list(items)):
         out = Cell(item, out)
     return out
@@ -105,14 +90,24 @@ def to_list(xs: Optional[Cell]) -> list:
 
 
 def nth(xs: Optional[Cell], n: int):
-    cell = xs
-    for _ in range(n):
-        if cell is None:
-            raise IndexError("nth past end of list")
-        cell = cell.tail
+    cell = drop(xs, n)
     if cell is None:
         raise IndexError("nth past end of list")
     return cell.head
+
+
+# item type -> names of its attributes that hold lists, for ``deep_cells``
+NESTED_LISTS: dict = {}
+
+
+def nests(*attrs: str):
+    """Class decorator: instances hold token lists in ``attrs``."""
+
+    def register(cls):
+        NESTED_LISTS[cls] = attrs
+        return cls
+
+    return register
 
 
 @dataclass(frozen=True)
@@ -127,6 +122,7 @@ LOCAL = "local"
 GLOBAL = "global"
 
 
+@nests("log")
 @dataclass(frozen=True, eq=False)
 class LoggedPosition:
     var_path: Path
@@ -141,25 +137,25 @@ class SpaceFootprint:
     marker_count: int
     deep_cells: int
 
+    def to_json(self) -> dict:
+        return {"lp": self.lp_count, "markers": self.marker_count, "deepCells": self.deep_cells}
 
-def _deep_cells(roots) -> int:
+
+def deep_cells(*roots: Optional[Cell]) -> int:
+    """Distinct cells reachable from the lists ``roots``, through the lists
+    held by their items (see ``nests``); a shared cell counts once."""
     seen = set()
-    stack = list(roots)
-    while stack:
-        x = stack.pop()
-        if x is None:
-            continue
-        if isinstance(x, Cell):
-            if id(x) in seen:
-                continue
-            seen.add(id(x))
-            stack.append(x.tail)
-            stack.append(x.head)
-        else:
-            for attr in ("log", "env"):
-                inner = getattr(x, attr, None)
-                if isinstance(inner, Cell):
-                    stack.append(inner)
+    pending = list(roots)
+    nested = NESTED_LISTS.get
+    while pending:
+        cell = pending.pop()
+        while cell is not None and cell not in seen:
+            seen.add(cell)
+            attrs = nested(type(cell.head))
+            if attrs is not None:
+                for attr in attrs:
+                    pending.append(getattr(cell.head, attr))
+            cell = cell.tail
     return len(seen)
 
 
@@ -172,7 +168,7 @@ def footprint(log: Optional[Cell], tape: Optional[Cell]) -> SpaceFootprint:
             markers += 1
         else:
             lp += 1
-    return SpaceFootprint(lp, markers, _deep_cells([log, tape]))
+    return SpaceFootprint(lp, markers, deep_cells(log, tape))
 
 
 # ---------------------------------------------------------------------------

@@ -122,3 +122,13 @@ def test_run_writes_out_file(tmp_path, capsys, defs_file):
                  "--defs", defs_file, "--fuel", "100", "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 6  # init + 4 transitions + report
+
+
+def test_parse_deep_identity_chain(capsys):
+    depth = 10_000
+    text = "\\z.z"
+    for _ in range(depth):
+        text = f"(\\x.x) ({text})"
+    assert main(["parse", text]) == 0
+    out = capsys.readouterr().out
+    assert f"size: {3 * depth + 2}" in out and "closed: True" in out

@@ -1,4 +1,9 @@
-from lamrun import equivalence as eq, liam, ljam, tokens as tk
+from dataclasses import replace
+
+import pytest
+
+from lamrun import equivalence as eq, ham, liam, ljam, lpam, siam, tokens as tk
+from lamrun.reporting import Next
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 
@@ -87,3 +92,49 @@ def test_inconclusive_on_divergence(omega):
 def test_invariants_suite(running_example, duplication_example):
     assert eq.check_invariants_suite(running_example, 1000).passed
     assert eq.check_invariants_suite(duplication_example, 1000).passed
+
+
+# ---------------------------------------------------------------------------
+# Each checker reports a corrupted transition
+
+
+def corrupt(monkeypatch, module, attr, at, mode=None, label=None, pos=None):
+    """Rebind ``module.attr`` (a step function) so that its transition number
+    ``at`` gets ``label`` or lands on ``pos``; ``mode`` limits it to one mode."""
+    original = getattr(module, attr)
+    seen = 0
+
+    def step(index, s, *args):
+        nonlocal seen
+        result = original(index, s, *args)
+        if mode is None or args == (mode,):
+            seen += 1
+            if seen == at:
+                state = result.state if pos is None else replace(result.state, pos=pos)
+                return Next(label or result.label, state, result.cost)
+        return result
+
+    monkeypatch.setattr(module, attr, step)
+
+
+@pytest.mark.parametrize("check,module,attr,mode,change,expected", [
+    (eq.check_iam_jam, liam, "step", None, {"label": "bogus"}, {"actual": "bogus"}),
+    (eq.check_iam_jam, ljam, "step", None, {"pos": ()},
+     {"reason": "interaction state differs from projected jumping state"}),
+    (eq.check_jam_pam, lpam, "step", None, {"label": "bogus"}, {"pam": "bogus"}),
+    (eq.check_jam_pam, lpam, "step", None, {"pos": ()},
+     {"reason": "positions or directions differ"}),
+    (eq.check_ham_jk, ham, "step_mode", ham.J_MODE, {"label": "bogus"},
+     {"mode": ham.J_MODE, "ham": "bogus"}),
+    (eq.check_ham_jk, ham, "step_mode", ham.K_MODE, {"pos": ()},
+     {"mode": ham.K_MODE, "reason": "K-mode state does not erase to the Krivine state"}),
+    (eq.check_iam_siam, siam, "step", None, {"label": "bogus"}, {"siam": "bogus"}),
+    (eq.check_iam_siam, liam, "step", None, {"pos": ()}, {"reason": "observables differ"}),
+])
+def test_checkers_report_a_corrupted_transition(monkeypatch, running_example, check, module,
+                                                attr, mode, change, expected):
+    corrupt(monkeypatch, module, attr, 3, mode, **change)
+    report = check(running_example, 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details["step"] == 3
+    assert expected.items() <= report.details.items()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lamrun import harness, liam, ljam
+from lamrun import harness, liam, ljam, multitypes as mt
 from lamrun.syntax import App, is_closed, parse, skeleton, term_size
 
 
@@ -104,3 +104,21 @@ def test_exponential_family_runs():
     row = harness.compare(t, 10**5)
     assert row["machines"]["iam"]["length"] == 60
     assert row["machines"]["kam"]["length"] == 12
+
+
+def test_compare_infers_the_derivation_once(monkeypatch, running_example, omega):
+    calls = []
+    infer = mt.infer_star_derivation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return infer(*args, **kwargs)
+
+    monkeypatch.setattr(mt, "infer_star_derivation", counted)
+    row = harness.compare(running_example, 1000, machines=["iam", "siam"], with_types=True)
+    assert len(calls) == 1
+    assert row["machines"]["siam"]["length"] == 18 and row["weights"]["w_iam"] == 18
+    calls.clear()
+    row = harness.compare(omega, 50, machines=["kam", "siam"], with_types=True)
+    assert len(calls) == 1
+    assert row["machines"]["siam"] == {"outcome": "fuel"} and row["weights"] is None

@@ -104,3 +104,9 @@ def test_serialization_shape():
     assert doc["flavor"] == "local"
     assert doc["log"][0]["var"] == "Arg"
     assert tk.tape_to_json(tk.from_list([tk.MARKER, a]))[0] == "p"
+
+
+def test_concat_long_list():
+    # one Python frame per cell would exceed any default recursion limit
+    xs = tk.concat(tk.from_list(range(50_000)), None)
+    assert tk.length(xs) == 50_000 and tk.nth(xs, 49_999) == 49_999
