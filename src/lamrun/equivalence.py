@@ -11,7 +11,6 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Optional
 
 from . import ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
 from .reporting import FuelExhausted
@@ -92,26 +91,22 @@ def lockstep(it_a, it_b, relate) -> Counter:
 # Jumping machine -> interaction machine projection
 
 
-def project_lp(index: TermIndex, lp: tk.LoggedPosition, memo: Optional[dict] = None):
-    """Truncate a global logged position to its binder-rooted, local form."""
-    memo = {} if memo is None else memo
-    if id(lp) not in memo:
-        binder, inner = index.binder_at[lp.var_path]
-        entries = [project_lp(index, p, memo) for p in tk.iterate(tk.take(lp.log, inner))]
-        memo[id(lp)] = tk.LoggedPosition(lp.var_path, binder, tk.LOCAL, tk.from_list(entries))
-    return memo[id(lp)]
+def iam_jam_items(index: TermIndex):
+    """The rule relating the interaction machine's token items to the jumping
+    machine's (see ``tokens.related``): a local logged position to the global
+    one of the same occurrence, when it is scoped at the binder and its log
+    is the first ``inner`` entries of the global log; a marker to a marker."""
 
+    def rule(x, y):
+        if isinstance(x, tk.Marker) or isinstance(y, tk.Marker):
+            return () if x == y else None
+        binder, inner = index.binder_at[y.var_path]
+        if (x.var_path == y.var_path and x.scope_path == binder and x.flavor == tk.LOCAL
+                and tk.length(x.log) == inner):
+            return ((x.log, y.log),)
+        return None
 
-def project_jam_to_iam(index: TermIndex, s: ljam.JamState, memo: Optional[dict] = None):
-    if memo is None:
-        memo = {}
-
-    def item(x):
-        return x if isinstance(x, tk.Marker) else project_lp(index, x, memo)
-
-    tape = tk.from_list([item(x) for x in tk.iterate(s.tape)])
-    log = tk.from_list([project_lp(index, p, memo) for p in tk.iterate(s.log)])
-    return liam.IamState(s.pos, tape, log, s.dir)
+    return rule
 
 
 def fold_backtracking(iam_run, labels: Counter):
@@ -142,13 +137,13 @@ def check_iam_jam(term: Term, fuel: int) -> dict:
     """Trace alignment: the interaction run is the projected jumping run with each
     jump expanded into a bt1 .. bt2 backtracking block."""
     index = TermIndex(term)
+    items = iam_jam_items(index)
     memo: dict = {}
-    eq_memo: dict = {}
 
     def relate(label_j, s_j, label_i, s_i):
         if label_i != label_j:
             return {"expected": label_j, "actual": label_i}
-        if not liam.state_eq(s_i, project_jam_to_iam(index, s_j, memo), eq_memo):
+        if not liam.states_related(s_i, s_j, items, memo):
             return {"reason": "interaction state differs from projected jumping state"}
         return None
 
@@ -168,39 +163,6 @@ def check_iam_jam(term: Term, fuel: int) -> dict:
 # Jumping machine <-> pointer machine strong bisimulation
 
 
-def log_matches_history(log, hist: lpam.History, i: int, memo: dict) -> bool:
-    key = (id(log), i)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if log is None:
-        out = i == 0
-    elif i < 1 or i > len(hist):
-        out = False
-    else:
-        lp = log.head
-        pos, j = hist.entry(i)
-        out = (
-            lp.var_path == pos
-            and log_matches_history(log.tail, hist, j, memo)
-            and log_matches_history(lp.log, hist, i - 1, memo)
-        )
-    memo[key] = out
-    return out
-
-
-def _tapes_match(jam_tape, pam_tape) -> bool:
-    a, b = jam_tape, pam_tape
-    while a is not None and b is not None:
-        x, y = a.head, b.head
-        if isinstance(x, tk.Marker) != isinstance(y, tk.Marker):
-            return False
-        if not isinstance(x, tk.Marker) and x.var_path != y:
-            return False
-        a, b = a.tail, b.tail
-    return a is None and b is None
-
-
 @checker("jam-pam")
 def check_jam_pam(term: Term, fuel: int) -> dict:
     index = TermIndex(term)
@@ -211,15 +173,30 @@ def check_jam_pam(term: Term, fuel: int) -> dict:
             return {"jam": label_j, "pam": label_p}
         if s_j.pos != s_p.pos or s_j.dir != s_p.dir:
             return {"reason": "positions or directions differ"}
-        if not _tapes_match(s_j.tape, s_p.tape):
+        hist = s_p.history
+
+        def rule(x, y):
+            if isinstance(x, tk.Marker):
+                return () if isinstance(y, tk.Marker) else None
+            if isinstance(x, tk.LoggedPosition):  # against a plain position
+                return () if x.var_path == y else None
+            # a history index against a log: the log's entries follow the
+            # lookup chain from the index, each entry's log the chain below it
+            if y is None:
+                return () if x == 0 else None
+            if not 1 <= x <= len(hist):
+                return None
+            pos, j = hist.entry(x)
+            return ((j, y.tail), (x - 1, y.head.log)) if y.head.var_path == pos else None
+
+        if tk.length(s_j.tape) != tk.length(s_p.tape) or not tk.related(
+                ((s_j.tape, s_p.tape),), rule, memo):
             return {"reason": "tapes differ"}
-        if not log_matches_history(s_j.log, s_p.history, s_p.index, memo):
+        if not tk.related(((s_p.index, s_j.log),), rule, memo):
             return {"reason": "log/history relation fails"}
         if s_j.dir == ljam.UP:
             lp = next((x for x in tk.iterate(s_j.tape) if not isinstance(x, tk.Marker)), None)
-            if lp is not None and not log_matches_history(
-                lp.log, s_p.history, len(s_p.history), memo
-            ):
+            if lp is not None and not tk.related(((len(hist), lp.log),), rule, memo):
                 return {"reason": "tape position log does not match full history"}
         return None
 
@@ -231,33 +208,23 @@ def check_jam_pam(term: Term, fuel: int) -> dict:
 # Entangled machine against its two projections
 
 
-def ham_cp_to_lp(cp: ham.ClosedPosition, memo: dict) -> tk.LoggedPosition:
-    if id(cp) not in memo:
-        entries = [ham_cp_to_lp(p, memo) for p in tk.iterate(cp.log)]
-        memo[id(cp)] = tk.LoggedPosition(cp.pos, (), tk.GLOBAL, tk.from_list(entries))
-    return memo[id(cp)]
+def ham_jam_items(x, y):
+    """The rule relating the entangled machine's token items to the jumping
+    machine's: a closed position to the global logged position with its
+    position and log, a logged closure to a marker."""
+    if isinstance(x, ham.LoggedClosure):
+        return () if isinstance(y, tk.Marker) else None
+    if (isinstance(y, tk.LoggedPosition) and x.pos == y.var_path and y.scope_path == ()
+            and y.flavor == tk.GLOBAL and tk.length(x.log) == tk.length(y.log)):
+        return ((x.log, y.log),)
+    return None
 
 
-def ham_to_jam_state(s: ham.HamState, memo: dict) -> ljam.JamState:
-    def item(x):
-        return tk.MARKER if isinstance(x, ham.LoggedClosure) else ham_cp_to_lp(x, memo)
-
-    tape = tk.from_list([item(x) for x in tk.iterate(s.tape)])
-    log = tk.from_list([ham_cp_to_lp(p, memo) for p in tk.iterate(s.log)])
-    return ljam.JamState(s.pos, tape, log, s.dir)
-
-
-def ham_lc_to_closure(lc: ham.LoggedClosure, memo: dict) -> kam.Closure:
-    if id(lc) not in memo:
-        entries = [ham_lc_to_closure(e, memo) for e in tk.iterate(lc.env)]
-        memo[id(lc)] = kam.Closure(lc.pos, tk.from_list(entries))
-    return memo[id(lc)]
-
-
-def ham_to_kam_state(s: ham.HamState, memo: dict) -> kam.KamState:
-    env = tk.from_list([ham_lc_to_closure(e, memo) for e in tk.iterate(s.env)])
-    stack = tk.from_list([ham_lc_to_closure(x, memo) for x in tk.iterate(s.tape)])
-    return kam.KamState(s.pos, env, stack)
+def ham_kam_items(x, y):
+    """The rule relating a logged closure to the closure with its position and environment."""
+    if x.pos == y.pos and tk.length(x.env) == tk.length(y.env):
+        return ((x.env, y.env),)
+    return None
 
 
 _J_LABELS = {"p1_app": "p1", "p2_abs": "p2", "var_j": "var",
@@ -270,20 +237,21 @@ def check_ham_jk(term: Term, fuel: int) -> dict:
     index = TermIndex(term)
     memo_j: dict = {}
     memo_k: dict = {}
-    eq_j: dict = {}
-    eq_k: dict = {}
 
     def relate_j(label_h, s_h, label_j, s_j):
         if _J_LABELS.get(label_h) != label_j:
             return {"ham": label_h, "jam": label_j}
-        if not liam.state_eq(ham_to_jam_state(s_h, memo_j), s_j, eq_j):
+        if not liam.states_related(s_h, s_j, ham_jam_items, memo_j):
             return {"reason": "J-mode state does not erase to the jumping state"}
         return None
 
     def relate_k(label_h, s_h, label_k, s_k):
         if _K_LABELS.get(label_h) != label_k:
             return {"ham": label_h, "kam": label_k}
-        if not kam.state_eq(ham_to_kam_state(s_h, memo_k), s_k, eq_k):
+        if not (s_h.pos == s_k.pos and tk.length(s_h.env) == tk.length(s_k.env)
+                and tk.length(s_h.tape) == tk.length(s_k.stack)
+                and tk.related(((s_h.env, s_k.env), (s_h.tape, s_k.stack)),
+                               ham_kam_items, memo_k)):
             return {"reason": "K-mode state does not erase to the Krivine state"}
         return None
 
@@ -386,9 +354,9 @@ def check_backtracking_brackets(term: Term, fuel: int) -> dict:
     prev = None
     for label, state in liam.trajectory(TermIndex(term), fuel):
         if label == "bt1":
-            stack.append(id(state.tape.head))
+            stack.append(state.tape.head)
         elif label == "bt2":
-            if not stack or stack[-1] != id(prev.tape.head):
+            if not stack or stack[-1] is not prev.tape.head:
                 raise CheckFailed(reason="bt2 does not exhaust the innermost pending bt1")
             stack.pop()
         prev = state
@@ -482,6 +450,7 @@ CHECKERS: dict = {
     "iam-jam": check_iam_jam,
     "jam-pam": check_jam_pam,
     "ham-jk": check_ham_jk,
+    "iam-siam": check_iam_siam,
     "weights": check_weights,
     "quadratic": check_quadratic_bound,
     "invariants": check_invariants_suite,

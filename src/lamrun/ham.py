@@ -157,39 +157,18 @@ def check_invariants(index: TermIndex, s: HamState, per_label: dict, ctx: dict):
     else:
         assert cps == 1, "up state without exactly one closed position on the tape"
 
-    def walk_lc(lc: LoggedClosure):
-        if lc in verified:
-            return
-        assert index.level_at[lc.pos] == tk.length(lc.log) + 1
-        sibling = lc.pos[:-1] + (FUN,)
-        assert _shape_key(sibling, lc.log, lc.env) in visited, (
-            "logged closure does not record a visited state"
-        )
-        for cp in tk.iterate(lc.log):
-            walk_cp(cp)
-        for inner in tk.iterate(lc.env):
-            walk_lc(inner)
-        verified.add(lc)
-
-    def walk_cp(cp: ClosedPosition):
-        if cp in verified:
-            return
-        assert index.level_at[cp.pos] == tk.length(cp.log)
-        assert _shape_key(cp.pos, cp.log, cp.env) in visited, (
-            "closed position does not record a visited state"
-        )
-        for inner in tk.iterate(cp.log):
-            walk_cp(inner)
-        for lc in tk.iterate(cp.env):
-            walk_lc(lc)
-        verified.add(cp)
-
-    for item in tk.iterate(s.tape):
-        (walk_lc if isinstance(item, LoggedClosure) else walk_cp)(item)
-    for cp in tk.iterate(s.log):
-        walk_cp(cp)
-    for lc in tk.iterate(s.env):
-        walk_lc(lc)
+    # each logged closure and closed position records a state the run visited
+    for x in tk.new_items(verified, s.tape, s.log, s.env):
+        if isinstance(x, LoggedClosure):
+            assert index.level_at[x.pos] == tk.length(x.log) + 1
+            assert _shape_key(x.pos[:-1] + (FUN,), x.log, x.env) in visited, (
+                "logged closure does not record a visited state"
+            )
+        else:
+            assert index.level_at[x.pos] == tk.length(x.log)
+            assert _shape_key(x.pos, x.log, x.env) in visited, (
+                "closed position does not record a visited state"
+            )
 
 
 def _shape_key(pos, log, env):

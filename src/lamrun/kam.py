@@ -64,54 +64,28 @@ def state_footprint(s: KamState) -> tk.SpaceFootprint:
                              tk.deep_cells(s.env, s.stack))
 
 
-def closure_equal(a: Closure, b: Closure, memo: dict) -> bool:
-    if a is b:
-        return True
-    key = (a, b)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = a.pos == b.pos and tk.list_equal(a.env, b.env, closure_equal, memo)
-    memo[key] = out
+def _max_free(index: TermIndex) -> dict:
+    """The largest free de Bruijn index under each position (negative when
+    the subterm is closed), children first: ``node_at`` lists parents first."""
+    out: dict = {}
+    for pos in reversed(index.node_at):
+        node = index.node_at[pos]
+        if isinstance(node, Var):
+            out[pos] = node.index
+        elif isinstance(node, Lam):
+            out[pos] = out[pos + (BODY,)] - 1
+        else:
+            out[pos] = max(out[pos + (FUN,)], out[pos + (ARG,)])
     return out
 
 
-def state_eq(a: KamState, b: KamState, memo: dict) -> bool:
-    return (
-        a.pos == b.pos
-        and tk.list_equal(a.env, b.env, closure_equal, memo)
-        and tk.list_equal(a.stack, b.stack, closure_equal, memo)
-    )
-
-
-def _check_closure(index: TermIndex, c: Closure, verified: set):
-    if c in verified:
-        return
-    assert _env_closes(index, c.pos, c.env), "closure environment does not close its subterm"
-    for inner in tk.iterate(c.env):
-        _check_closure(index, inner, verified)
-    verified.add(c)
-
-
-def _env_closes(index: TermIndex, pos, env) -> bool:
-    return tk.length(env) >= _max_free(index.node_at[pos]) + 1
-
-
-def _max_free(node, depth: int = 0) -> int:
-    if isinstance(node, Var):
-        return node.index - depth
-    if isinstance(node, Lam):
-        return _max_free(node.body, depth + 1)
-    return max(_max_free(node.fun, depth), _max_free(node.arg, depth))
-
-
 def check_invariants(index: TermIndex, s: KamState, per_label: dict, ctx: dict):
-    verified = ctx.setdefault("verified", set())
-    assert _env_closes(index, s.pos, s.env), "state environment does not close the focus"
-    for c in tk.iterate(s.stack):
-        _check_closure(index, c, verified)
-    for c in tk.iterate(s.env):
-        _check_closure(index, c, verified)
+    if not ctx:
+        ctx.update(verified=set(), max_free=_max_free(index))
+    verified, max_free = ctx["verified"], ctx["max_free"]
+    assert tk.length(s.env) > max_free[s.pos], "state environment does not close the focus"
+    for c in tk.new_items(verified, s.stack, s.env):
+        assert tk.length(c.env) > max_free[c.pos], "closure environment does not close its subterm"
 
 
 def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,

@@ -132,40 +132,38 @@ def state_footprint(s: IamState) -> tk.SpaceFootprint:
     return tk.footprint(s.log, s.tape)
 
 
-def state_eq(a, b, memo: dict) -> bool:
-    """Equal positions, directions and tokens; for both token-passing machines' states."""
+def states_related(a, b, rule, memo: dict) -> bool:
+    """Same position and direction, and tapes and logs of equal lengths whose
+    items ``rule`` relates (see ``tokens.related``); for any states with a
+    position, a direction, a tape and a log."""
     return (
         a.pos == b.pos
         and a.dir == b.dir
-        and tk.tape_equal(a.tape, b.tape, memo)
-        and tk.log_equal(a.log, b.log, memo)
+        and tk.length(a.tape) == tk.length(b.tape)
+        and tk.length(a.log) == tk.length(b.log)
+        and tk.related(((a.tape, b.tape), (a.log, b.log)), rule, memo)
     )
 
 
-def _check_lp(index: TermIndex, lp: tk.LoggedPosition, verified: set):
-    if lp in verified:  # immutable, so one check per object suffices
-        return
-    assert lp.flavor == tk.LOCAL, "interaction machine carries local logged positions"
-    binder, inner = index.binder_at[lp.var_path]
-    assert binder == lp.scope_path, "logged position scope is not the binder"
-    assert tk.length(lp.log) == inner, "logged position log length differs from its inner level"
-    for nested in tk.iterate(lp.log):
-        _check_lp(index, nested, verified)
-    verified.add(lp)
+def state_eq(a, b, memo: dict) -> bool:
+    """Equal positions, directions and tokens; for both token-passing machines' states."""
+    return states_related(a, b, tk.same_item, memo)
 
 
 def check_invariants(index: TermIndex, s: IamState, per_label: dict, ctx: dict):
-    """Position-and-log plus tape-and-direction invariants, checked recursively."""
+    """Position-and-log plus tape-and-direction invariants, and those of every
+    logged position the token holds, however deeply nested."""
     verified = ctx.setdefault("verified", set())
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
     lp_on_tape = sum(1 for item in tk.iterate(s.tape) if not isinstance(item, tk.Marker))
     expected = DOWN if lp_on_tape % 2 == 0 else UP
     assert s.dir == expected, "direction does not match tape parity"
-    for item in tk.iterate(s.tape):
-        if not isinstance(item, tk.Marker):
-            _check_lp(index, item, verified)
-    for lp in tk.iterate(s.log):
-        _check_lp(index, lp, verified)
+    for lp in tk.new_items(verified, s.tape, s.log):  # immutable: one check per object
+        assert lp.flavor == tk.LOCAL, "interaction machine carries local logged positions"
+        binder, inner = index.binder_at[lp.var_path]
+        assert binder == lp.scope_path, "logged position scope is not the binder"
+        assert tk.length(lp.log) == inner, (
+            "logged position log length differs from its inner level")
 
 
 def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,

@@ -73,15 +73,21 @@ def depth_of(item, memo: Optional[dict] = None) -> int:
     ``memo`` caches the depths of logged positions: logs nest deeply but
     are DAGs.
     """
-    if isinstance(item, tk.Cell):
-        item = next((x for x in tk.iterate(item) if not isinstance(x, tk.Marker)), None)
-    if item is None:
-        return 0
     memo = {} if memo is None else memo
-    hit = memo.get(item)
-    if hit is None:
-        hit = memo[item] = 1 + depth_of(item.log, memo)
-    return hit
+    if item in memo:
+        return memo[item]
+    chain = []  # logged positions, each one level deeper than the next
+    while item is not None and item not in memo:
+        if isinstance(item, tk.Cell):
+            item = next((x for x in tk.iterate(item) if not isinstance(x, tk.Marker)), None)
+        else:
+            chain.append(item)
+            item = item.log
+    depth = memo.get(item, 0)
+    for lp in reversed(chain):
+        depth += 1
+        memo[lp] = depth
+    return depth
 
 
 def depth(s: JamState) -> int:
@@ -96,19 +102,6 @@ def state_footprint(s: JamState) -> tk.SpaceFootprint:
     return tk.footprint(s.log, s.tape)
 
 
-def _check_lp(index: TermIndex, lp: tk.LoggedPosition, verified: set):
-    if lp in verified:
-        return
-    assert lp.flavor == tk.GLOBAL, "jumping machine carries global logged positions"
-    assert lp.scope_path == (), "global logged positions are rooted at the top"
-    assert tk.length(lp.log) == index.level_at[lp.var_path], (
-        "global logged position stores a log shorter than its level"
-    )
-    for nested in tk.iterate(lp.log):
-        _check_lp(index, nested, verified)
-    verified.add(lp)
-
-
 def check_invariants(index: TermIndex, s: JamState, per_label: dict, ctx: dict):
     verified = ctx.setdefault("verified", set())
     depths = ctx.setdefault("depths", {})
@@ -118,11 +111,12 @@ def check_invariants(index: TermIndex, s: JamState, per_label: dict, ctx: dict):
         assert lp_on_tape == 0, "down state with logged positions on the tape"
     else:
         assert lp_on_tape == 1, "up state without exactly one logged position on the tape"
-    for item in tk.iterate(s.tape):
-        if not isinstance(item, tk.Marker):
-            _check_lp(index, item, verified)
-    for lp in tk.iterate(s.log):
-        _check_lp(index, lp, verified)
+    for lp in tk.new_items(verified, s.tape, s.log):
+        assert lp.flavor == tk.GLOBAL, "jumping machine carries global logged positions"
+        assert lp.scope_path == (), "global logged positions are rooted at the top"
+        assert tk.length(lp.log) == index.level_at[lp.var_path], (
+            "global logged position stores a log shorter than its level"
+        )
     d = depth_of(s.tape if s.dir == UP else s.log, depths)
     assert d == per_label.get("var", 0), "state depth differs from the var-transition count"
     for item in tk.iterate(s.tape):

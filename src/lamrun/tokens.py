@@ -159,6 +159,21 @@ def deep_cells(*roots: Optional[Cell]) -> int:
     return len(seen)
 
 
+def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
+    """The items reachable from the lists ``roots`` through the lists they hold
+    (see ``nests``; markers hold none and are skipped) that are not in
+    ``seen``; each is added to ``seen`` as it is yielded."""
+    pending = [item for root in roots for item in iterate(root) if item not in seen]
+    while pending:
+        item = pending.pop()
+        attrs = NESTED_LISTS.get(type(item))
+        if attrs is not None and item not in seen:
+            seen.add(item)
+            yield item
+            for attr in attrs:
+                pending.extend(iterate(getattr(item, attr)))
+
+
 def footprint(log: Optional[Cell], tape: Optional[Cell]) -> SpaceFootprint:
     """Top-level size of a token: each logged position counts 1, nesting aside."""
     lp = length(log)
@@ -172,67 +187,60 @@ def footprint(log: Optional[Cell], tape: Optional[Cell]) -> SpaceFootprint:
 
 
 # ---------------------------------------------------------------------------
-# Structural equality with sharing
+# Relating tokens
 #
-# Tokens are DAGs: logs are shared wholesale, so naive structural comparison
-# (or serialization) unfolds them exponentially.  These helpers memoize on
-# object pairs; identity semantics of the frozen eq=False dataclasses make the
-# pairs themselves usable as dictionary keys.
+# Tokens are DAGs that nest as deep as the run is long: a naive structural
+# walk unfolds their sharing exponentially and recurses once per level.
 
 
-def list_equal(a: Optional[Cell], b: Optional[Cell], item_eq, memo: dict) -> bool:
-    pending = []
-    result = True
-    while True:
-        if a is b:
-            break
-        if a is None or b is None or a.length != b.length:
-            result = False
-            break
-        hit = memo.get((a, b))
-        if hit is not None:
-            result = hit
-            break
-        pending.append((a, b))
-        if not item_eq(a.head, b.head, memo):
-            result = False
-            break
-        a, b = a.tail, b.tail
-    for key in pending:
-        memo[key] = result
-    return result
+def related(pairs, rule, memo: dict) -> bool:
+    """Whether every pair ``(a, b)`` of ``pairs`` is related.
+
+    Two lists are related when each entry of ``a`` is related to the entry of
+    ``b`` at the same place: ``b`` may be longer, so callers that need equal
+    lengths compare them first.  Two items (anything but a list) are related
+    when ``rule(a, b)`` returns pairs that are all related; it returns None
+    when they are not.  A worklist replaces recursion, and ``memo`` keeps the
+    pairs found related across calls, keyed by the objects themselves.
+    """
+    added = []  # taken back out of ``memo`` if some pair is not related
+    pending = list(pairs)
+    ok = True
+    while ok and pending:
+        a, b = pending.pop()
+        if a is None or type(a) is Cell:  # two lists: pair their entries
+            while a is not None and (a, b) not in memo:
+                if type(b) is not Cell:
+                    ok = False
+                    break
+                memo[a, b] = True
+                added.append((a, b))
+                pending.append((a.head, b.head))
+                a, b = a.tail, b.tail
+        elif (a, b) not in memo:
+            memo[a, b] = True
+            added.append((a, b))
+            more = rule(a, b)
+            if more is None:
+                ok = False
+            else:
+                pending.extend(more)
+    if not ok:
+        for key in added:
+            del memo[key]
+    return ok
 
 
-def lp_equal(a, b, memo: dict) -> bool:
-    if a is b:
-        return True
-    key = (a, b)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = (
-        a.var_path == b.var_path
-        and a.scope_path == b.scope_path
-        and a.flavor == b.flavor
-        and list_equal(a.log, b.log, lp_equal, memo)
-    )
-    memo[key] = out
-    return out
-
-
-def tape_item_equal(a, b, memo: dict) -> bool:
-    am, bm = isinstance(a, Marker), isinstance(b, Marker)
-    if am or bm:
-        return am and bm
-    return lp_equal(a, b, memo)
-
-
-def tape_equal(a: Optional[Cell], b: Optional[Cell], memo: dict) -> bool:
-    return list_equal(a, b, tape_item_equal, memo)
-
-
-def log_equal(a: Optional[Cell], b: Optional[Cell], memo: dict) -> bool:
-    return list_equal(a, b, lp_equal, memo)
+def same_item(x, y):
+    """The rule of equality for ``related``: tape items equal field by field."""
+    if x is y:
+        return ()
+    if isinstance(x, Marker) or isinstance(y, Marker):
+        return () if x == y else None
+    if (x.var_path == y.var_path and x.scope_path == y.scope_path and x.flavor == y.flavor
+            and length(x.log) == length(y.log)):
+        return ((x.log, y.log),)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,13 @@ def test_check_single_term(capsys, defs_file):
     assert doc["passed"] is True
 
 
+def test_check_iam_siam(capsys, defs_file):
+    assert main(["check", "iam-siam", "(\\y.\\x.x y) I I",
+                 "--defs", defs_file, "--fuel", "1000"]) == 0
+    doc = json.loads(capsys.readouterr().out.strip())
+    assert doc["passed"] is True and doc["details"]["length"] == 18
+
+
 def test_check_corpus(capsys):
     assert main(["check", "quadratic", "--corpus", "5,20,25", "--fuel", "100000"]) == 0
 

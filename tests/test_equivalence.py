@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -9,31 +10,38 @@ from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 def test_project_initial_states(running_example):
     index = TermIndex(running_example)
-    projected = eq.project_jam_to_iam(index, ljam.initial(index))
-    assert liam.state_eq(projected, liam.initial(index), {})
+    assert liam.states_related(liam.initial(index), ljam.initial(index),
+                               eq.iam_jam_items(index), {})
 
 
 def test_project_global_position(running_example):
-    # the saved global head-variable query becomes the binder-rooted local one
+    # the saved global head-variable query relates to the binder-rooted local one
     index = TermIndex(running_example)
     px = tk.LoggedPosition((FUN, FUN, BODY, BODY, FUN), (), tk.GLOBAL, None)
-    local = eq.project_lp(index, px)
-    assert local.var_path == (FUN, FUN, BODY, BODY, FUN)
-    assert local.scope_path == (FUN, FUN, BODY)
-    assert local.flavor == tk.LOCAL and local.log is None
+    local = tk.LoggedPosition((FUN, FUN, BODY, BODY, FUN), (FUN, FUN, BODY), tk.LOCAL, None)
+    items = eq.iam_jam_items(index)
+    assert tk.related([(local, px)], items, {})
+    assert not tk.related([(replace(local, scope_path=()), px)], items, {})
+    assert not tk.related([(replace(local, flavor=tk.GLOBAL), px)], items, {})
 
 
 def test_project_truncates_log_to_inner_level(running_example):
     index = TermIndex(running_example)
     px = tk.LoggedPosition((FUN, FUN, BODY, BODY, FUN), (), tk.GLOBAL, None)
     pz = tk.LoggedPosition((ARG, BODY), (), tk.GLOBAL, tk.cons(px, None))
-    py = tk.LoggedPosition((FUN, FUN, BODY, BODY, A_ := ARG), (), tk.GLOBAL,
-                           tk.cons(pz, None))
-    local = eq.project_lp(index, py)
-    # the occurrence sits one argument under its binder: one log entry kept
-    assert tk.length(local.log) == 1
-    assert local.log.head.var_path == (ARG, BODY)
-    assert local.log.head.flavor == tk.LOCAL
+    py = tk.LoggedPosition((FUN, FUN, BODY, BODY, ARG), (), tk.GLOBAL,
+                           tk.cons(pz, tk.cons(pz, None)))
+    # the occurrence sits one argument under its binder: one log entry kept,
+    # and none of the entry's own log, whose occurrence is at its binder's level
+    local_px = tk.LoggedPosition(px.var_path, (FUN, FUN, BODY), tk.LOCAL, None)
+    local_pz = tk.LoggedPosition((ARG, BODY), (ARG,), tk.LOCAL, None)
+    local_py = tk.LoggedPosition(py.var_path, (FUN, FUN), tk.LOCAL, tk.cons(local_pz, None))
+    items = eq.iam_jam_items(index)
+    assert tk.related([(local_py, py)], items, {})
+    for log in (None, tk.cons(local_pz, tk.cons(local_pz, None))):
+        assert not tk.related([(replace(local_py, log=log), py)], items, {})
+    untruncated = replace(local_pz, log=tk.cons(local_px, None))
+    assert not tk.related([(replace(local_py, log=tk.cons(untruncated, None)), py)], items, {})
 
 
 def test_check_iam_jam(running_example, duplication_example, corpus):
@@ -58,6 +66,21 @@ def test_check_ham_jk(running_example, corpus):
     assert eq.check_ham_jk(parse("\\x.x"), 10).passed
     for term in corpus:
         assert eq.check_ham_jk(term, 10**6).passed
+
+
+@pytest.mark.parametrize("check", [eq.check_iam_jam, eq.check_ham_jk])
+def test_checkers_relate_deep_chains_in_little_memory(check):
+    # I (I (... (λz.z))) 400 deep: no per-step copy of the other machine's token
+    depth = 400
+    term = parse("(\\x.x) (" * depth + "\\z.z" + ")" * depth)
+    tracemalloc.start()
+    try:
+        report = check(term, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and not report.inconclusive
+    assert peak < 16 * 2**20
 
 
 def test_check_weights(running_example, corpus):

@@ -1,8 +1,8 @@
 import pytest
 
-from lamrun import kam
+from lamrun import kam, tokens as tk
 from lamrun.reporting import FuelExhausted
-from lamrun.syntax import ARG, FUN, TermIndex, parse, whnf_trace
+from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse, whnf_trace
 
 
 def test_identity_final():
@@ -58,6 +58,16 @@ def test_env_persistence(running_example):
 def test_debug_mode(running_example, duplication_example):
     for term in (running_example, duplication_example):
         kam.run(term, 100, debug=True)
+
+
+def test_debug_mode_flags_an_environment_that_does_not_close(running_example):
+    index = TermIndex(running_example)
+    y = (FUN, FUN, BODY, BODY, ARG)  # y, bound two λs up
+    short = kam.Closure(y, tk.cons(kam.Closure((ARG,), None), None))
+    with pytest.raises(AssertionError, match="state environment"):
+        kam.check_invariants(index, kam.KamState(y, short.env, None), {}, {})
+    with pytest.raises(AssertionError, match="closure environment"):
+        kam.check_invariants(index, kam.KamState((ARG,), None, tk.cons(short, None)), {}, {})
 
 
 def test_fuel(omega):

@@ -52,6 +52,15 @@ def test_depth_equals_var_count(running_example, corpus):
             assert ljam.depth(state) == vars_seen
 
 
+def test_depth_of_deeply_nested_log():
+    log = None
+    for _ in range(30_000):
+        log = tk.cons(tk.LoggedPosition((FUN,), (), tk.GLOBAL, log), None)
+    memo = {}
+    assert ljam.depth_of(log, memo) == 30_000
+    assert ljam.depth_of(log.head.log, memo) == 29_999
+
+
 def test_debug_invariants(running_example, duplication_example):
     for term in (running_example, duplication_example):
         ljam.run(term, 100, debug=True)

@@ -90,10 +90,27 @@ def test_lp_equal_on_shared_structures():
     a = lp((FUN,), log=tk.cons(inner, tk.nil))
     b = lp((FUN,), log=tk.cons(lp((ARG,)), tk.nil))
     c = lp((FUN,), log=tk.cons(lp((BODY,)), tk.nil))
-    assert tk.lp_equal(a, b, memo)
-    assert not tk.lp_equal(a, c, memo)
-    assert tk.tape_equal(tk.from_list([tk.MARKER, a]), tk.from_list([tk.MARKER, b]), memo)
-    assert not tk.tape_equal(tk.from_list([a]), tk.from_list([tk.MARKER]), memo)
+    shared = lp((FUN,), log=a.log)
+    assert tk.related([(a, b)], tk.same_item, memo)
+    assert tk.related([(a, shared)], tk.same_item, memo)
+    assert not tk.related([(a, c)], tk.same_item, memo)
+    assert tk.related([(tk.from_list([tk.MARKER, a]), tk.from_list([tk.MARKER, b]))],
+                      tk.same_item, memo)
+    assert not tk.related([(tk.from_list([a]), tk.from_list([tk.MARKER]))], tk.same_item, memo)
+
+
+def test_related_deeply_nested_logs():
+    # each log holds one position whose log nests one level deeper: one
+    # Python frame per level would exceed any default recursion limit
+    def nested(depth):
+        log = None
+        for _ in range(depth):
+            log = tk.cons(lp((FUN,), log=log), None)
+        return log
+
+    a, b = nested(30_000), nested(30_000)
+    assert tk.related([(a, b)], tk.same_item, {})
+    assert not tk.related([(a, nested(29_999))], tk.same_item, {})
 
 
 def test_serialization_shape():
