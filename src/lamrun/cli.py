@@ -96,6 +96,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _var_count(name: str, entry: dict) -> int:
+    """The variable transitions of one machine's entry in a comparison row."""
+    per = entry.get("perLabel", {})
+    return sum(per.get(lbl, 0) for lbl in harness.MACHINES[name].var_labels)
+
+
 def cmd_compare(args) -> int:
     term = _read_term_arg(args.term, args.defs)
     fuel = _default_fuel(args)
@@ -109,11 +115,9 @@ def cmd_compare(args) -> int:
     lines = ["\t".join(headers) if args.format == "csv" else "  ".join(headers)]
     sep = "\t" if args.format == "csv" else "  "
     for name, entry in entries.items():
-        per = entry.get("perLabel", {})
-        vars_count = sum(per.get(lbl, 0) for lbl in harness.MACHINES[name].var_labels)
         peak = entry.get("peakFootprint", {})
         lines.append(sep.join(str(x) for x in [
-            name, entry.get("outcome"), entry.get("length"), vars_count,
+            name, entry.get("outcome"), entry.get("length"), _var_count(name, entry),
             entry.get("ramCostBound"), peak.get("lp"), peak.get("markers")]))
     if "weights" in row and row["weights"]:
         lines.append(f"weights{sep}w_kam={row['weights']['w_kam']}"
@@ -185,9 +189,8 @@ def cmd_bench(args) -> int:
         print("family,machine,length,vars,peakLp,peakMarkers")
         for label, row in rows:
             for name, entry in row["machines"].items():
-                per = entry.get("perLabel", {})
                 peak = entry.get("peakFootprint", {})
-                print(f"{label},{name},{entry.get('length')},{per.get('var', 0)},"
+                print(f"{label},{name},{entry.get('length')},{_var_count(name, entry)},"
                       f"{peak.get('lp')},{peak.get('markers')}")
     else:
         for label, row in rows:

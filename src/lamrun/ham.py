@@ -141,9 +141,9 @@ def make_snapshot(mode: str):
     return snapshot
 
 
-def state_footprint(s: HamState) -> tk.SpaceFootprint:
+def state_footprint(s: HamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
     return tk.SpaceFootprint(tk.length(s.log) + tk.length(s.tape), 0,
-                             tk.deep_cells(s.log, s.env, s.tape))
+                             tk.deep_cells(s.log, s.env, s.tape, reach=reach))
 
 
 def check_invariants(index: TermIndex, s: HamState, per_label: dict, ctx: dict):

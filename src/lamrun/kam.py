@@ -58,10 +58,10 @@ def snapshot(index: TermIndex, s: KamState) -> dict:
     }
 
 
-def state_footprint(s: KamState) -> tk.SpaceFootprint:
+def state_footprint(s: KamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
     # top-level entries of both structures; closures have no markers
     return tk.SpaceFootprint(tk.length(s.env) + tk.length(s.stack), 0,
-                             tk.deep_cells(s.env, s.stack))
+                             tk.deep_cells(s.env, s.stack, reach=reach))
 
 
 def _max_free(index: TermIndex) -> dict:

@@ -128,8 +128,8 @@ def snapshot(index: TermIndex, s: IamState) -> dict:
     }
 
 
-def state_footprint(s: IamState) -> tk.SpaceFootprint:
-    return tk.footprint(s.log, s.tape)
+def state_footprint(s: IamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
+    return tk.footprint(s.log, s.tape, reach)
 
 
 def states_related(a, b, rule, memo: dict) -> bool:

@@ -98,8 +98,8 @@ def snapshot(index: TermIndex, s: JamState) -> dict:
     return {"tape": tk.tape_to_json(s.tape), "log": tk.log_to_json(s.log)}
 
 
-def state_footprint(s: JamState) -> tk.SpaceFootprint:
-    return tk.footprint(s.log, s.tape)
+def state_footprint(s: JamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
+    return tk.footprint(s.log, s.tape, reach)
 
 
 def check_invariants(index: TermIndex, s: JamState, per_label: dict, ctx: dict):

@@ -22,29 +22,38 @@ class UndefinedLookup(Exception):
 
 
 class History:
-    """Persistent append-only history; cells shared between versions."""
+    """Persistent append-only history; cells shared between versions.
 
-    __slots__ = ("cells",)
+    ``array`` holds the entries oldest first, and a version sees its first
+    ``len(self)``.  The versions that extend one another share it, so a run
+    appends in place and looks up in O(1); extending an older version copies
+    the part it sees.
+    """
 
-    def __init__(self, cells: Optional[tk.Cell] = None):
+    __slots__ = ("cells", "array")
+
+    def __init__(self, cells: Optional[tk.Cell] = None, array: Optional[list] = None):
         self.cells = cells  # newest first
+        self.array = list(reversed(tk.to_list(cells))) if array is None else array
 
     def __len__(self) -> int:
-        return tk.length(self.cells)
+        return 0 if self.cells is None else self.cells.length
 
     def append(self, pos, idx) -> "History":
-        return History(tk.cons((pos, idx), self.cells))
+        n = len(self)
+        array = self.array if len(self.array) == n else self.array[:n]
+        array.append((pos, idx))
+        return History(tk.cons((pos, idx), self.cells), array)
 
     def entry(self, k: int):
         """1-based; entry 1 is the oldest."""
-        n = len(self)
-        if k < 1 or k > n:
-            raise UndefinedLookup(f"history entry {k} of {n}")
-        return tk.nth(self.cells, n - k)
+        if 0 < k <= len(self):
+            return self.array[k - 1]
+        raise UndefinedLookup(f"history entry {k} of {len(self)}")
 
     def entries(self) -> list:
         """Oldest first."""
-        return list(reversed(tk.to_list(self.cells)))
+        return self.array[:len(self)]
 
     def to_json(self) -> list:
         return [{"pos": path_str(p), "idx": i} for (p, i) in self.entries()]
@@ -123,23 +132,17 @@ def snapshot(index: TermIndex, s: PamState) -> dict:
     return {"history": s.history.to_json(), "index": s.index, "tape": tape}
 
 
-def state_footprint(s: PamState) -> tk.SpaceFootprint:
-    markers = sum(1 for item in tk.iterate(s.tape) if isinstance(item, tk.Marker))
+def state_footprint(s: PamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
+    markers = tk.markers(s.tape)
     positions = tk.length(s.tape) - markers
     return tk.SpaceFootprint(positions + len(s.history), markers,
-                             tk.deep_cells(s.history.cells, s.tape))
+                             tk.deep_cells(s.history.cells, s.tape, reach=reach))
 
 
 def check_invariants(index: TermIndex, s: PamState, per_label: dict, ctx: dict):
     entries = ctx.setdefault("entries", [])  # history entries, oldest first; append-only cache
     new = len(s.history) - len(entries)
-    if new:
-        fresh = []
-        cell = s.history.cells
-        for _ in range(new):
-            fresh.append(cell.head)
-            cell = cell.tail
-        entries.extend(reversed(fresh))
+    entries.extend(s.history.array[len(entries):len(s.history)])
 
     def depth_ok(i: int, m: int) -> bool:
         k = i

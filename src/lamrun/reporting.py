@@ -6,7 +6,7 @@ from operator import attrgetter
 from typing import Callable, Optional
 
 from .syntax import DEFAULT_FUEL, path_str, pretty, resolve
-from .tokens import SpaceFootprint
+from .tokens import Reach, SpaceFootprint
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class Machine:
     initial: Callable  # index -> state
     step: Callable  # () -> ((index, state) -> Next | Final | Stuck)
     snapshot: Callable  # (index, state) -> token JSON
-    footprint: Callable  # state -> SpaceFootprint
+    footprint: Callable  # (state, Reach) -> SpaceFootprint
     launch: Callable  # (term, fuel, **run options) -> RunReport
     dir: Callable = attrgetter("dir")
     pos: Callable = attrgetter("pos")
@@ -142,7 +142,8 @@ def drive(
     all cases; ``outcome`` says whether a final state was reached.
     ``check_fn(state, per_label)`` is called on every reached state and may
     raise.  The footprint is sampled at every state, including the initial
-    one, since peaks occur mid-run.
+    one, since peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
+    ``tokens.Reach`` per run, which it moves from state to state.
     """
     state_dir_fn, state_pos_fn, var_labels = machine.dir, machine.pos, machine.var_labels
     per_label: dict = {}
@@ -151,10 +152,11 @@ def drive(
     peak_lp = peak_markers = peak_cells = 0
     peak_marker_lp = 0
     steps = 0
+    reach = Reach()
 
     def sample(s):
         nonlocal peak_lp, peak_markers, peak_cells, peak_marker_lp
-        fp = footprint_fn(s)
+        fp = footprint_fn(s, reach)
         peak_lp = max(peak_lp, fp.lp_count)
         peak_cells = max(peak_cells, fp.deep_cells)
         if fp.marker_count > peak_markers:

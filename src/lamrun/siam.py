@@ -215,8 +215,13 @@ def trajectory(index: DerivationIndex, fuel: int = DEFAULT_FUEL):
 
 NO_TOKEN = SpaceFootprint(0, 0, 0)
 
+
+def state_footprint(s: SiamState, reach=None) -> SpaceFootprint:
+    return NO_TOKEN  # the state is a position in the derivation: no token
+
+
 MACHINE = Machine(
-    "siam", initial, lambda: step, snapshot, lambda s: NO_TOKEN,
+    "siam", initial, lambda: step, snapshot, state_footprint,
     # on the term's ★ derivation; Diverged when it has none within fuel
     launch=lambda term, fuel, **kw: run(mt.infer_star_derivation(term, fuel), term, fuel, **kw)[0],
     dir=lambda s: observable(s)[1],

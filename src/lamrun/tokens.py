@@ -2,25 +2,34 @@
 
 Logs and tapes are cons lists: extending one never copies it, so captured
 logs stay valid and sharing is observable (``deep_cells`` counts each cell
-once).  A logged position is a variable occurrence plus the log that led
-there; the ``local`` flavor stores the binder-rooted view, the ``global``
-flavor stores the absolute position with the whole log.
+once).  Each cell knows its list's length and marker count, and a ``Reach``
+follows the reachable cells of a run from state to state.  A logged position
+is a variable occurrence plus the log that led there; the ``local`` flavor
+stores the binder-rooted view, the ``global`` flavor stores the absolute
+position with the whole log.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Any, Iterator, Optional
 
 from .syntax import Path, path_str
 
 
 class Cell:
-    __slots__ = ("head", "tail", "length")
+    __slots__ = ("head", "tail", "length", "markers")
 
     def __init__(self, head, tail: Optional["Cell"]):
         self.head = head
         self.tail = tail
-        self.length = 1 + (tail.length if tail is not None else 0)
+        marker = 1 if type(head) is Marker else 0
+        if tail is None:
+            self.length = 1
+            self.markers = marker
+        else:
+            self.length = tail.length + 1
+            self.markers = tail.markers + marker
 
     def __iter__(self):
         cell = self
@@ -41,6 +50,11 @@ def cons(head, tail: Optional[Cell]) -> Cell:
 
 def length(xs: Optional[Cell]) -> int:
     return 0 if xs is None else xs.length
+
+
+def markers(xs: Optional[Cell]) -> int:
+    """How many entries of ``xs`` are markers."""
+    return 0 if xs is None else xs.markers
 
 
 def iterate(xs: Optional[Cell]) -> Iterator:
@@ -141,22 +155,67 @@ class SpaceFootprint:
         return {"lp": self.lp_count, "markers": self.marker_count, "deepCells": self.deep_cells}
 
 
-def deep_cells(*roots: Optional[Cell]) -> int:
+class Reach:
+    """The cells reachable from some roots, kept up to date as the roots move.
+
+    ``refs`` maps each reachable cell to its references: from the roots, from
+    the cell whose tail it is, and from the items that hold it (see ``nests``).
+    Lists are immutable and acyclic, so a cell is reachable exactly while its
+    count is positive, and moving the roots costs time in proportion to the
+    cells that become reachable or unreachable.
+    """
+
+    __slots__ = ("refs", "roots")
+
+    def __init__(self):
+        self.refs: dict = {}
+        self.roots: tuple = ()
+
+    def update(self, *roots: Optional[Cell]) -> int:
+        """Make ``roots`` the roots; returns how many cells they reach."""
+        refs = self.refs
+        nested = NESTED_LISTS.get
+        grown, shrunk = [], []
+        for new, old in zip_longest(roots, self.roots):
+            if new is not old:
+                if new is not None:
+                    grown.append(new)
+                if old is not None:
+                    shrunk.append(old)
+        self.roots = roots
+        while grown:  # count the new references first: a moved cell stays
+            cell = grown.pop()
+            while cell is not None:
+                count = refs.get(cell, 0)
+                refs[cell] = count + 1
+                if count:
+                    break
+                attrs = nested(type(cell.head))
+                if attrs is not None:
+                    for attr in attrs:
+                        grown.append(getattr(cell.head, attr))
+                cell = cell.tail
+        while shrunk:
+            cell = shrunk.pop()
+            while cell is not None:
+                count = refs[cell] - 1
+                if count:
+                    refs[cell] = count
+                    break
+                del refs[cell]
+                attrs = nested(type(cell.head))
+                if attrs is not None:
+                    for attr in attrs:
+                        shrunk.append(getattr(cell.head, attr))
+                cell = cell.tail
+        return len(refs)
+
+
+def deep_cells(*roots: Optional[Cell], reach: Optional[Reach] = None) -> int:
     """Distinct cells reachable from the lists ``roots``, through the lists
-    held by their items (see ``nests``); a shared cell counts once."""
-    seen = set()
-    pending = list(roots)
-    nested = NESTED_LISTS.get
-    while pending:
-        cell = pending.pop()
-        while cell is not None and cell not in seen:
-            seen.add(cell)
-            attrs = nested(type(cell.head))
-            if attrs is not None:
-                for attr in attrs:
-                    pending.append(getattr(cell.head, attr))
-            cell = cell.tail
-    return len(seen)
+    held by their items (see ``nests``); a shared cell counts once.  Given a
+    ``reach``, it moves to ``roots`` and counts only what changed since."""
+    return (Reach() if reach is None else reach).update(*roots)
 
 
 def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
@@ -174,16 +233,12 @@ def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
                 pending.extend(iterate(getattr(item, attr)))
 
 
-def footprint(log: Optional[Cell], tape: Optional[Cell]) -> SpaceFootprint:
+def footprint(log: Optional[Cell], tape: Optional[Cell],
+              reach: Optional[Reach] = None) -> SpaceFootprint:
     """Top-level size of a token: each logged position counts 1, nesting aside."""
-    lp = length(log)
-    markers = 0
-    for item in iterate(tape):
-        if isinstance(item, Marker):
-            markers += 1
-        else:
-            lp += 1
-    return SpaceFootprint(lp, markers, deep_cells(log, tape))
+    marker_count = markers(tape)
+    return SpaceFootprint(length(log) + length(tape) - marker_count, marker_count,
+                          deep_cells(log, tape, reach=reach))
 
 
 # ---------------------------------------------------------------------------

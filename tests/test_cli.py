@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lamrun import harness
 from lamrun.cli import main
 
 DEFS = "I = \\z.z;\n"
@@ -98,6 +99,20 @@ def test_bench_family(capsys):
     out = capsys.readouterr().out
     assert out.startswith("family,machine,length")
     assert "t_4,iam,28" in out
+
+
+def test_bench_csv_counts_every_variable_label(monkeypatch, capsys):
+    # HAM labels its variable transitions var_j and var_k, not var
+    compare = harness.compare
+    monkeypatch.setattr(harness, "compare",
+                        lambda term, fuel: compare(term, fuel, ["iam", "ham-j", "ham-k"]))
+    assert main(["bench", "--family", "tn", "--range", "3..3", "--format", "csv"]) == 0
+    rows = {line.split(",")[1]: line.split(",") for line in
+            capsys.readouterr().out.splitlines()[1:]}
+    ham = harness.run_machine("ham-j", harness.family_tn(3))
+    assert int(rows["ham-j"][3]) == ham.per_label.get("var_j", 0) + ham.per_label.get("var_k", 0) > 0
+    assert int(rows["ham-k"][3]) > 0
+    assert int(rows["iam"][3]) == harness.run_machine("iam", harness.family_tn(3)).per_label["var"]
 
 
 def test_env_fuel(monkeypatch, capsys):

@@ -1,0 +1,100 @@
+"""The footprint a run records at each state equals one counted anew.
+
+Runs keep ``deepCells`` up to date by reference counts and read marker counts
+off the cells; the reference here walks every token anew at every state and
+scans its tape.
+"""
+from dataclasses import replace
+
+import pytest
+
+from lamrun import harness, reporting, tokens as tk
+from lamrun.ham import ClosedPosition, LoggedClosure
+from lamrun.kam import Closure
+from lamrun.syntax import TermIndex, parse
+
+# item type -> attributes holding lists, written out apart from ``tokens.nests``
+HOLDS = {
+    tk.LoggedPosition: ("log",),
+    Closure: ("env",),
+    LoggedClosure: ("env", "log"),
+    ClosedPosition: ("log", "env"),
+}
+
+
+def reference_cells(*roots):
+    seen = set()
+    pending = list(roots)
+    while pending:
+        cell = pending.pop()
+        while cell is not None and cell not in seen:
+            seen.add(cell)
+            pending.extend(getattr(cell.head, attr) for attr in HOLDS.get(type(cell.head), ()))
+            cell = cell.tail
+    return len(seen)
+
+
+def scan(xs):
+    """(entries, markers) of a list."""
+    items = list(tk.iterate(xs))
+    return len(items), sum(isinstance(item, tk.Marker) for item in items)
+
+
+def reference_footprint(name, s):
+    if name in ("iam", "jam", "pam"):
+        log = s.history.cells if name == "pam" else s.log
+        tape, markers = scan(s.tape)
+        return scan(log)[0] + tape - markers, markers, reference_cells(log, s.tape)
+    if name == "kam":
+        return scan(s.env)[0] + scan(s.stack)[0], 0, reference_cells(s.env, s.stack)
+    return scan(s.log)[0] + scan(s.tape)[0], 0, reference_cells(s.log, s.env, s.tape)
+
+
+TOKEN_MACHINES = ("iam", "jam", "pam", "kam", "ham-j", "ham-k")
+
+
+def church_ii(n):
+    return parse("(\\f.\\x." + "f (" * n + "x" + ")" * n + ") I I", {"I": "\\z.z"})
+
+
+def assert_exact(term, trace=False):
+    """Every footprint each token machine's run samples, against the reference;
+    with ``trace``, also those its trace events carry."""
+    index = TermIndex(term)
+    for name in TOKEN_MACHINES:
+        machine = harness.MACHINES[name]
+        sampled = []
+
+        def record(s, reach):
+            fp = machine.footprint(s, reach)
+            sampled.append((s, fp))
+            return fp
+
+        report = reporting.run(replace(machine, footprint=record), index, trace=trace)
+        assert len(sampled) == report.length + 1
+        for step, (s, fp) in enumerate(sampled):
+            assert type(fp.marker_count) is int
+            assert (fp.lp_count, fp.marker_count, fp.deep_cells) == reference_footprint(name, s), (
+                name, step)
+        assert report.peak.deep_cells == max(fp.deep_cells for _, fp in sampled)
+        if trace:
+            assert [e.footprint for e in report.events] == [fp for _, fp in sampled]
+
+
+@pytest.mark.parametrize("term", [harness.family_tn(n) for n in range(1, 9)]
+                         + [harness.family_rkh(k, h) for k in (1, 2, 3) for h in (1, 3)]
+                         + [church_ii(40)],
+                         ids=[f"t_{n}" for n in range(1, 9)]
+                         + [f"r({k},{h})" for k in (1, 2, 3) for h in (1, 3)] + ["c_40 I I"])
+def test_recorded_footprints_are_exact(term):
+    assert_exact(term)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_traced_footprints_are_exact(n):
+    assert_exact(harness.family_tn(n), trace=True)
+
+
+def test_recorded_footprints_are_exact_on_the_corpus(corpus):
+    for term in corpus:
+        assert_exact(term)

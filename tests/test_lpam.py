@@ -35,6 +35,22 @@ def test_history_is_persistent():
     assert h1.to_json() == [{"pos": "Fun", "idx": 0}]
 
 
+def test_history_extends_an_older_version():
+    h1 = History().append((FUN,), 0)
+    h2 = h1.append((ARG,), 1)
+    h3 = h1.append((BODY,), 1)  # h1 extended a second time
+    h4 = h2.append((FUN,), 2)
+    assert h1.entries() == [((FUN,), 0)]
+    assert h2.entries() == [((FUN,), 0), ((ARG,), 1)]
+    assert h3.entries() == [((FUN,), 0), ((BODY,), 1)]
+    assert h4.entries() == [((FUN,), 0), ((ARG,), 1), ((FUN,), 2)]
+    assert (h2.entry(2), h3.entry(2), h4.entry(3)) == (((ARG,), 1), ((BODY,), 1), ((FUN,), 2))
+    with pytest.raises(UndefinedLookup):
+        h3.entry(3)
+    assert [h.entries() for h in (h2, h3)] == [list(reversed(tk.to_list(h.cells)))
+                                               for h in (h2, h3)]
+
+
 def test_var_keeps_index_at_level_zero(running_example):
     index = TermIndex(running_example)
     s = lpam.PamState((FUN, FUN, BODY, BODY, FUN), History(), 0,

@@ -127,3 +127,48 @@ def test_concat_long_list():
     # one Python frame per cell would exceed any default recursion limit
     xs = tk.concat(tk.from_list(range(50_000)), None)
     assert tk.length(xs) == 50_000 and tk.nth(xs, 49_999) == 49_999
+
+
+ITEMS = st.sampled_from([tk.MARKER, tk.Marker(), lp((FUN,)), "p", 0])
+OPS = st.tuples(st.sampled_from(["cons", "from_list", "concat", "take", "drop"]),
+                st.integers(0, 20), st.integers(0, 20), st.lists(ITEMS, max_size=4))
+
+
+@given(st.lists(ITEMS, max_size=6), st.lists(OPS, max_size=12))
+def test_marker_counts_match_a_scan(start, ops):
+    lists = [tk.nil, tk.from_list(start)]
+    for op, i, j, items in ops:
+        xs, ys = lists[i % len(lists)], lists[j % len(lists)]
+        if op == "cons":
+            lists.append(tk.cons(items[0] if items else tk.MARKER, xs))
+        elif op == "from_list":
+            lists.append(tk.from_list(items, xs))
+        elif op == "concat":
+            lists.append(tk.concat(xs, ys))
+        elif op == "take":
+            lists.append(tk.take(xs, j % (tk.length(xs) + 1)))
+        else:
+            lists.append(tk.drop(xs, j % (tk.length(xs) + 1)))
+    for xs in lists:
+        while xs is not None:  # every suffix is a list too
+            assert type(xs.markers) is int
+            assert xs.markers == sum(isinstance(x, tk.Marker) for x in tk.iterate(xs))
+            xs = xs.tail
+    assert tk.markers(tk.nil) == 0
+
+
+def test_reach_follows_moving_roots():
+    shared = tk.from_list([lp((ARG,)), tk.MARKER])
+    a = tk.cons(lp((FUN,), log=shared), shared)  # shared as its tail and in its item's log
+    b = tk.cons(tk.MARKER, shared)
+    reach = tk.Reach()
+    assert reach.update(a, b) == 4 == tk.deep_cells(a, b)
+    assert reach.refs[shared] == 3
+    assert reach.update(a, None) == 3  # dropping b releases b's own cell only
+    assert b not in reach.refs and reach.refs[shared] == 2
+    assert reach.update(None, None) == 0 and reach.refs == {}
+    assert reach.update(b, a) == 4  # cells released above come back
+    assert reach.refs[shared] == 3 and reach.refs[shared.tail] == 1
+    assert reach.update(a, a) == 3 and reach.refs[a] == 2  # one root twice
+    assert reach.update(a) == 3 and reach.refs[a] == 1  # fewer roots than before
+    assert reach.update(a, b, tk.from_list([tk.MARKER])) == 5
