@@ -11,15 +11,25 @@ subderivation and are skipped, as the type system demands.  Arguments of head
 redexes are closed, so the cut subderivations carry no type environment and
 the domain order of the new abstraction is exactly the axiom order.
 
+The expansion is shared: while it runs, judgements carry no position, so a
+step touches only what it changes.  The copies of ``w`` are found by following
+their paths, relative to the head, as a trie; only the judgements on those
+paths and on the head spine are rebuilt, every other subderivation is kept,
+and the cut subderivations move into the new application as they are.  The
+absolute ``term_pos`` of every judgement is assigned once, by a final
+iterative pass that releases the position-free tree as it goes.
+
 Two weight assignments decorate derivations; both are plain per-node sums.
 One charges 1 per variable, abstraction, and application rule and predicts
 Krivine machine run lengths; the other charges the number of ★ occurrences in
-the node's right-hand type and predicts interaction machine run lengths.
+the node's right-hand type and predicts interaction machine run lengths.  An
+arrow type counts its ★ occurrences once, when it is built, so both weights
+are linear in the number of judgements.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .syntax import (
@@ -38,7 +48,8 @@ from .syntax import (
     whnf_trace,
 )
 
-# derivation trees grow with the reduction length; plain recursion needs headroom
+# the derivation walks are iterative, but the token serialisers
+# (tokens.lp_to_json, kam.closure_to_json, ham.cp_to_json) still recurse
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 
@@ -55,6 +66,11 @@ STAR = Star()
 class Arrow:
     domain: tuple  # tuple of linear types, order-significant
     target: "LinearType"
+    # ★ occurrences, counted once at construction; not part of equality
+    stars: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stars", star_norm(self.domain) + star_norm(self.target))
 
 
 LinearType = Union[Star, Arrow]
@@ -62,22 +78,9 @@ LinearType = Union[Star, Arrow]
 
 def star_norm(ty) -> int:
     """Number of ★ occurrences in a linear type or sequence (tuple) of them."""
-    memo: dict = {}
-
-    def go(x):
-        if isinstance(x, Star):
-            return 1
-        r = memo.get(id(x))
-        if r is not None:
-            return r
-        if isinstance(x, tuple):
-            r = sum(go(e) for e in x)
-        else:
-            r = go(x.domain) + go(x.target)
-        memo[id(x)] = r
-        return r
-
-    return go(ty)
+    if isinstance(ty, tuple):
+        return sum(map(star_norm, ty))
+    return 1 if isinstance(ty, Star) else ty.stars
 
 
 def type_str(ty) -> str:
@@ -182,17 +185,28 @@ def compute_env(node, check_domain=None) -> dict:
     ``check_domain(lam, bound)``, when given, sees every abstraction with the
     types of its bound variable's axioms.
     """
-    if isinstance(node, DVar):
-        return {node.db_index: (node.rh_type,)}
-    if isinstance(node, DLamStar):
-        return {}
-    if isinstance(node, DLam):
-        inner = compute_env(node.body, check_domain)
-        if check_domain is not None:
-            check_domain(node, inner.get(0, ()))
-        return {k - 1: v for k, v in inner.items() if k > 0}
-    return _merge_env(compute_env(node.left, check_domain),
-                      *(compute_env(r, check_domain) for r in node.rights))
+    done: list = []  # environments of finished subderivations, in leaf order
+    todo: list = [(node, False)]
+    while todo:
+        n, premises_done = todo.pop()
+        if isinstance(n, DVar):
+            done.append({n.db_index: (n.rh_type,)})
+        elif isinstance(n, DLamStar):
+            done.append({})
+        elif not premises_done:
+            todo.append((n, True))
+            todo.extend((c, False) for c in reversed(children(n)))
+        elif isinstance(n, DLam):
+            inner = done.pop()
+            if check_domain is not None:
+                check_domain(n, inner.get(0, ()))
+            done.append({k - 1: v for k, v in inner.items() if k > 0})
+        else:
+            k = 1 + len(n.rights)
+            envs = done[-k:]
+            del done[-k:]
+            done.append(_merge_env(*envs))
+    return done[0]
 
 
 def validate(root, subject: Term) -> list:
@@ -261,64 +275,133 @@ def validate(root, subject: Term) -> list:
 # Construction by expansion along weak head reduction
 
 
-def _relocate(node, cut: int, new_base: Path, occ=frozenset(), deltas=None):
-    """Copy of ``node`` with the first ``cut`` steps of every position replaced
-    by ``new_base``.  Subderivations at positions in ``occ`` are cut out into
-    ``deltas`` and replaced by axioms on the variable bound just above ``node``.
+# While a derivation is built, its judgements are tuples without a position:
+# (_VAR, type, de Bruijn index), (_STAR, ★), (_LAM, type, domain, body) and
+# (_APP, type, left, rights).  _PLACE_LAM and _PLACE_APP mark, in _place, a
+# judgement whose premises are placed: (_PLACE_LAM, type, domain) and
+# (_PLACE_APP, type, number of right premises).
+_VAR, _STAR, _LAM, _APP, _PLACE_LAM, _PLACE_APP = range(6)
+_STAR_RULE = (_STAR, STAR)
+_REBUILD = object()  # work-list mark: reassemble a judgement from its new premises
+
+
+def _cut(head, trie) -> tuple:
+    """``head`` with the subderivations at the leaves of ``trie`` (nested
+    dicts of path steps, a leaf is empty) replaced by axioms on the variable
+    bound just above ``head``; also the cut subderivations, in leaf order.
+
+    Only the judgements on the trie's paths are rebuilt.  A path into an
+    untyped region ends at a star rule, with nothing cut.
     """
-
-    def go(n, depth):
-        pos = new_base + n.term_pos[cut:]
-        if occ and n.term_pos in occ:
-            deltas.append(n)
-            return DVar(pos, depth, n.rh_type)
-        if isinstance(n, DVar):
-            return DVar(pos, n.db_index, n.rh_type)
-        if isinstance(n, DLamStar):
-            return DLamStar(pos)
-        if isinstance(n, DLam):
-            return DLam(pos, n.domain, go(n.body, depth + 1), n.rh_type)
-        return DApp(pos, go(n.left, depth), tuple(go(r, depth) for r in n.rights), n.rh_type)
-
-    return go(node, 0)
+    cut: list = []
+    done: list = []  # rebuilt premises, in leaf order
+    todo: list = [(head, trie, 0)]  # judgement, its subtrie or a mark, binder depth
+    while todo:
+        node, sub, depth = todo.pop()
+        if sub is _REBUILD:
+            if node[0] == _LAM:
+                done.append((_LAM, node[1], node[2], done.pop()))
+            else:
+                k = 1 + len(node[3])
+                premises = done[-k:]
+                del done[-k:]
+                done.append((_APP, node[1], premises[0], tuple(premises[1:])))
+        elif sub is None:
+            done.append(node)
+        elif not sub:
+            cut.append(node)
+            done.append((_VAR, node[1], depth))
+        elif node[0] == _APP:
+            todo.append((node, _REBUILD, depth))
+            arg = sub.get(ARG)
+            todo.extend((r, arg, depth) for r in reversed(node[3]))
+            todo.append((node[2], sub.get(FUN), depth))
+        elif node[0] == _LAM:
+            todo.append((node, _REBUILD, depth))
+            todo.append((node[3], sub.get(BODY), depth + 1))
+        else:
+            done.append(node)
+    return done[0], cut
 
 
 def _expand(step, deriv):
-    """Undo one weak head step on the derivation of ``step.after``."""
+    """Undo one weak head step on the position-free derivation of ``step.after``."""
     node = step.before
     h = 0
     while isinstance(node.fun, App):
         node = node.fun
         h += 1
     spine = []
-    current = deriv
+    head = deriv
     for _ in range(h):
-        if not isinstance(current, DApp):
+        if head[0] != _APP:
             raise ExpansionMismatch("derivation spine shorter than the redex spine")
-        spine.append(current)
-        current = current.left
-    head = current
-    base = (FUN,) * h
-    if head.term_pos != base:
-        raise ExpansionMismatch("head subderivation is not at the head position")
-    deltas: list = []
-    body = _relocate(head, h, base + (FUN, BODY), set(step.substituted_occurrences), deltas)
-    domain = tuple(d.rh_type for d in deltas)
-    lam_node = DLam(base + (FUN,), domain, body, Arrow(domain, head.rh_type))
-    rights = tuple(_relocate(d, len(d.term_pos), base + (ARG,)) for d in deltas)
-    result: Derivation = DApp(base, lam_node, rights, head.rh_type)
+        spine.append(head)
+        head = head[2]
+    if step.substituted_occurrences:
+        trie: dict = {}
+        for occ in step.substituted_occurrences:
+            sub = trie
+            for s in occ[h:]:
+                sub = sub.setdefault(s, {})
+        body, cut = _cut(head, trie)
+    else:
+        body, cut = head, []
+    domain = tuple(d[1] for d in cut)
+    lam = (_LAM, Arrow(domain, head[1]), domain, body)
+    result = (_APP, head[1], lam, tuple(cut))
     for sp in reversed(spine):
-        result = DApp(sp.term_pos, result, sp.rights, sp.rh_type)
+        result = (_APP, sp[1], result, sp[3])
     return result
+
+
+def _place(root) -> Derivation:
+    """The derivation with absolute positions, built premises first.
+
+    A position-free judgement is dropped as soon as its premises are queued,
+    so the two trees do not coexist in full.  The right premises of one
+    application share one path tuple.
+    """
+    done: list = []
+    todo: list = [(root, ())]
+    del root
+    while todo:
+        node, pos = todo.pop()
+        kind = node[0]
+        if kind == _VAR:
+            done.append(DVar(pos, node[2], node[1]))
+        elif kind == _STAR:
+            done.append(DLamStar(pos))
+        elif kind == _LAM:
+            todo.append(((_PLACE_LAM, node[1], node[2]), pos))
+            todo.append((node[3], pos + (BODY,)))
+        elif kind == _APP:
+            todo.append(((_PLACE_APP, node[1], len(node[3])), pos))
+            arg_pos = pos + (ARG,)
+            todo.extend((r, arg_pos) for r in reversed(node[3]))
+            todo.append((node[2], pos + (FUN,)))
+        elif kind == _PLACE_LAM:
+            done.append(DLam(pos, node[2], done.pop(), node[1]))
+        else:
+            k = 1 + node[2]
+            premises = done[-k:]
+            del done[-k:]
+            done.append(DApp(pos, premises[0], tuple(premises[1:]), node[1]))
+    return done[0]
+
+
+def _build(steps: list):
+    """Position-free derivation of ``steps[0].before : ★``, undoing the weak
+    head reduction ``steps`` from its end; empties ``steps``."""
+    deriv = _STAR_RULE
+    while steps:  # popping releases each step's terms once it is undone
+        deriv = _expand(steps.pop(), deriv)
+    return deriv
 
 
 def infer_star_derivation(term: Term, fuel: int = DEFAULT_FUEL):
     """Derivation of ``term : ★``; raises Diverged when there is no whnf in fuel."""
-    steps = whnf_trace(term, fuel)
-    deriv: Derivation = DLamStar(())
-    for step in reversed(steps):
-        deriv = _expand(step, deriv)
-    return deriv
+    return _place(_build(whnf_trace(term, fuel)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +409,12 @@ def infer_star_derivation(term: Term, fuel: int = DEFAULT_FUEL):
 
 
 def derivation_to_json(root) -> dict:
-    def go(n):
-        out = {
-            "pos": path_str(n.term_pos),
-            "type": type_str(n.rh_type),
-        }
+    doc: dict = {}
+    todo: list = [(root, doc)]  # judgement, its still empty document
+    while todo:
+        n, out = todo.pop()
+        out["pos"] = path_str(n.term_pos)
+        out["type"] = type_str(n.rh_type)
         if isinstance(n, DVar):
             out["rule"] = "var"
             out["index"] = n.db_index
@@ -339,23 +423,23 @@ def derivation_to_json(root) -> dict:
         elif isinstance(n, DLam):
             out["rule"] = "lam"
             out["domain"] = [type_str(t) for t in n.domain]
-            out["body"] = go(n.body)
+            out["body"] = body = {}
+            todo.append((n.body, body))
         else:
             out["rule"] = "app"
-            out["left"] = go(n.left)
-            out["rights"] = [go(r) for r in n.rights]
-        return out
-
-    return go(root)
+            out["left"] = left = {}
+            out["rights"] = rights = [{} for _ in n.rights]
+            todo.extend(zip(n.rights, rights))
+            todo.append((n.left, left))
+    return doc
 
 
 def derivation_pretty(root, subject: Term) -> str:
     """Indented inference-tree rendering, premises above their rule."""
     lines: list = []
-
-    def go(n, depth):
-        for child in children(n):
-            go(child, depth + 1)
+    todo: list = [(root, 0)]
+    while todo:  # conclusion first, then its premises from the last one
+        n, depth = todo.pop()
         term, _ = resolve(subject, n.term_pos)
         rule = {DVar: "var", DLamStar: "λ★", DLam: "λ", DApp: "@"}[type(n)]
         lines.append(
@@ -363,6 +447,5 @@ def derivation_pretty(root, subject: Term) -> str:
             + f"[{rule}] ⊢ {pretty(term)} : {type_str(n.rh_type)}"
             + (f"   (at {path_str(n.term_pos) or '·'})")
         )
-
-    go(root, 0)
-    return "\n".join(reversed(lines))
+        todo.extend((child, depth + 1) for child in children(n))
+    return "\n".join(lines)

@@ -305,11 +305,24 @@ def term_size(term: Term) -> int:
 
 def skeleton(term: Term) -> tuple:
     """Name-erased shape; equal skeletons mean alpha-equivalent terms."""
-    if isinstance(term, Var):
-        return ("v", term.index)
-    if isinstance(term, Lam):
-        return ("l", skeleton(term.body))
-    return ("a", skeleton(term.fun), skeleton(term.arg))
+    done: list = []  # shapes of finished subterms, function before argument
+    todo: list = [(term, False)]
+    while todo:
+        t, children_done = todo.pop()
+        if isinstance(t, Var):
+            done.append(("v", t.index))
+        elif not children_done:
+            todo.append((t, True))
+            if isinstance(t, Lam):
+                todo.append((t.body, False))
+            else:
+                todo += ((t.arg, False), (t.fun, False))
+        elif isinstance(t, Lam):
+            done.append(("l", done.pop()))
+        else:
+            arg = done.pop()
+            done.append(("a", done.pop(), arg))
+    return done[0]
 
 
 def is_closed(term: Term, depth: int = 0) -> bool:
@@ -419,39 +432,52 @@ class ReductionStep:
     substituted_occurrences: tuple  # paths in `after` holding copies of the argument
 
 
-def substitute_closed(body: Term, arg: Term) -> Term:
-    """Substitute closed ``arg`` for the outermost bound variable of ``body``."""
+_REBUILD = object()  # work-list mark: reassemble a subterm from its new children
 
-    def go(t, depth):
+
+def _contract(body: Term, arg: Term, prefix: Path):
+    """``body`` with closed ``arg`` substituted for the variable bound just
+    outside it, and the paths, under ``prefix``, of the copies of ``arg``.
+
+    One iterative walk does both.  Its path is one list, copied into a tuple
+    only at an occurrence; a subterm the substitution leaves unchanged is kept.
+    """
+    occ: list = []
+    path = list(prefix)
+    done: list = []  # rebuilt subterms, function before argument
+    # subterm or a mark, binder depth, length of its parent's path, step into it
+    todo: list = [(body, 0, len(path), None)]
+    while todo:
+        t, depth, at, step = todo.pop()
+        if step is _REBUILD:
+            if isinstance(t, Lam):
+                b = done.pop()
+                done.append(t if b is t.body else Lam(t.name, b))
+            else:
+                a = done.pop()
+                f = done.pop()
+                done.append(t if f is t.fun and a is t.arg else App(f, a))
+            continue
+        del path[at:]
+        if step is not None:
+            path.append(step)
         if isinstance(t, Var):
             if t.index == depth:
-                return arg
-            if t.index > depth:
-                return Var(t.index - 1, t.name)
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.name, go(t.body, depth + 1))
-        return App(go(t.fun, depth), go(t.arg, depth))
-
-    return go(body, 0)
-
-
-def bound_var_paths(body: Term) -> list:
-    """Paths in ``body`` of the occurrences bound by the abstraction around it."""
-    out = []
-
-    def go(t, path, depth):
-        if isinstance(t, Var):
-            if t.index == depth:
-                out.append(path)
+                occ.append(tuple(path))
+                done.append(arg)
+            elif t.index > depth:
+                done.append(Var(t.index - 1, t.name))
+            else:
+                done.append(t)
         elif isinstance(t, Lam):
-            go(t.body, path + (BODY,), depth + 1)
+            todo.append((t, depth, at, _REBUILD))
+            todo.append((t.body, depth + 1, len(path), BODY))
         else:
-            go(t.fun, path + (FUN,), depth)
-            go(t.arg, path + (ARG,), depth)
-
-    go(body, (), 0)
-    return out
+            here = len(path)
+            todo.append((t, depth, at, _REBUILD))
+            todo.append((t.arg, depth, here, ARG))
+            todo.append((t.fun, depth, here, FUN))
+    return done[0], tuple(occ)
 
 
 def whnf_step(t: Term) -> Optional[ReductionStep]:
@@ -464,15 +490,9 @@ def whnf_step(t: Term) -> Optional[ReductionStep]:
         node = node.fun
     if not isinstance(node.fun, Lam):
         raise NotClosed("head variable reached the top level; term is open")
-    h = len(spine)
-    redex: App = node
-    lam: Lam = node.fun
-    new_head = substitute_closed(lam.body, redex.arg)
-    after = new_head
+    after, occ = _contract(node.fun.body, node.arg, (FUN,) * len(spine))
     for app in reversed(spine):
         after = App(after, app.arg)
-    prefix = (FUN,) * h
-    occ = tuple(prefix + p for p in bound_var_paths(lam.body))
     return ReductionStep(before=t, after=after, redex_path=(), substituted_occurrences=occ)
 
 

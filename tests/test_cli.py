@@ -146,11 +146,23 @@ def test_run_writes_out_file(tmp_path, capsys, defs_file):
     assert len(lines) == 6  # init + 4 transitions + report
 
 
-def test_parse_deep_identity_chain(capsys):
-    depth = 10_000
+def identity_chain(depth: int) -> str:
+    """``(λx.x) ((λx.x) (… (λz.z)))`` with ``depth`` applied identities."""
     text = "\\z.z"
     for _ in range(depth):
         text = f"(\\x.x) ({text})"
+    return text
+
+
+def test_parse_deep_identity_chain(capsys):
+    depth = 10_000
+    text = identity_chain(depth)
     assert main(["parse", text]) == 0
     out = capsys.readouterr().out
     assert f"size: {3 * depth + 2}" in out and "closed: True" in out
+
+
+def test_types_weights_on_a_deep_identity_chain(capsys):
+    assert main(["types", identity_chain(1000), "--weights"]) == 0
+    out = capsys.readouterr().out
+    assert "w_kam: 3000\n" in out and "w_iam: 4000\n" in out and "stars: 4001\n" in out

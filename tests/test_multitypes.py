@@ -1,5 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, strategies as st
+
+import lamrun
 from lamrun import kam, liam, multitypes as mt
 from lamrun.syntax import Diverged, parse
 from lamrun.multitypes import (
@@ -28,9 +35,47 @@ def test_star_norm_examples():
 
 def test_star_norm_on_shared_types():
     t = Arrow((STAR,), STAR)
-    for _ in range(12):
+    for _ in range(200):
         t = Arrow((t,), t)
-    assert star_norm(t) == 2 ** 13
+    count = star_norm(t)  # outside the assert: a failure report would print t, 2^200 long
+    assert count == 2 ** 201
+
+
+@st.composite
+def shared_types(draw):
+    """A linear type whose arrows reuse earlier ones: a DAG, not a tree."""
+    pool = [STAR]
+    for _ in range(draw(st.integers(0, 6))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
+        target = pool[draw(st.integers(0, len(pool) - 1))]
+        pool.append(Arrow(tuple(pool[i] for i in picks), target))
+    return pool[-1]
+
+
+def naive_stars(ty) -> int:
+    if ty is STAR:
+        return 1
+    return sum(naive_stars(d) for d in ty.domain) + naive_stars(ty.target)
+
+
+def unshared_copy(ty):
+    if ty is STAR:
+        return STAR
+    return Arrow(tuple(unshared_copy(d) for d in ty.domain), unshared_copy(ty.target))
+
+
+@given(shared_types(), shared_types())
+def test_cached_star_count(a, b):
+    assert star_norm(a) == naive_stars(a)
+    assert star_norm((a, b)) == naive_stars(a) + naive_stars(b)
+    copy = unshared_copy(a)
+    assert copy == a and hash(copy) == hash(a) and type_str(copy) == type_str(a)
+    if isinstance(copy, Arrow):
+        # the cached count takes no part in equality, hashing or printing
+        object.__setattr__(copy, "stars", -1)
+        assert copy == a and hash(copy) == hash(a) and type_str(copy) == type_str(a)
+        assert "stars" not in repr(copy)
+    assert (a == b) == (type_str(a) == type_str(b))
 
 
 def test_type_str():
@@ -129,3 +174,29 @@ def test_derivation_json_and_pretty(running_example):
     assert doc["rule"] == "app" and doc["type"] == "★"
     text = mt.derivation_pretty(d, running_example)
     assert "★" in text and "[λ★]" in text
+
+
+def test_derivation_walks_need_no_recursion_headroom():
+    """Inference, validation, environments and JSON output walk a 1 200-deep
+    derivation under Python's default recursion limit."""
+    script = """
+import sys
+from lamrun import multitypes as mt
+from lamrun.syntax import parse
+sys.setrecursionlimit(1000)
+text = "\\\\z.z"
+for _ in range(1200):
+    text = f"(\\\\x.x) ({text})"
+term = parse(text)
+d = mt.infer_star_derivation(term)
+assert mt.validate(d, term) == []
+assert mt.compute_env(d) == {}
+assert mt.derivation_to_json(d)["rule"] == "app"
+print(mt.weight_kam(d), mt.weight_iam(d))
+"""
+    src = str(Path(lamrun.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["3600", "4800"]

@@ -26,6 +26,7 @@ from lamrun.syntax import (
     resolve,
     skeleton,
     term_size,
+    whnf_step,
     whnf_trace,
 )
 
@@ -217,6 +218,39 @@ def test_parse_print_identity_on_corpus(corpus):
 
 def test_pretty_uses_display_names(running_example):
     assert pretty(running_example) == "(λy.λx.x y) (λz.z) (λz.z)"
+
+
+def naive_contract(body, arg, depth, path):
+    """Recursive reference: ``body`` with ``arg`` for the variable bound at
+    ``depth`` above it, and the paths of the copies, function before argument."""
+    if isinstance(body, Var):
+        if body.index == depth:
+            return arg, [path]
+        return (Var(body.index - 1, body.name) if body.index > depth else body), []
+    if isinstance(body, Lam):
+        inner, occ = naive_contract(body.body, arg, depth + 1, path + (BODY,))
+        return Lam(body.name, inner), occ
+    fun, occ_fun = naive_contract(body.fun, arg, depth, path + (FUN,))
+    argument, occ_arg = naive_contract(body.arg, arg, depth, path + (ARG,))
+    return App(fun, argument), occ_fun + occ_arg
+
+
+@given(closed_terms())
+@settings(max_examples=150, deadline=None)
+def test_whnf_step_matches_a_recursive_substitution(term):
+    step = whnf_step(term)
+    if step is None:
+        return
+    spine = []
+    redex = term
+    while isinstance(redex.fun, App):
+        spine.append(redex.arg)
+        redex = redex.fun
+    after, occ = naive_contract(redex.fun.body, redex.arg, 0, (FUN,) * len(spine))
+    for argument in reversed(spine):
+        after = App(after, argument)
+    assert step.after == after
+    assert step.substituted_occurrences == tuple(occ)
 
 
 def test_term_size(running_example):
