@@ -55,7 +55,7 @@ def _table(events, root) -> str:
             ev.dir,
             ev.subterm_pretty,
             pretty_with_hole(root, parse_path(ev.subterm_path)),
-            json.dumps(ev.token, ensure_ascii=False),
+            ev.token_json,
         ])
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
@@ -88,7 +88,7 @@ def cmd_run(args) -> int:
             print(_table(report.events, term), file=sink)
         elif args.trace == "jsonl":
             for ev in report.events:
-                print(json.dumps(ev.to_json(), ensure_ascii=False), file=sink)
+                print(ev.to_line(), file=sink)
         print(json.dumps(report.to_json(), ensure_ascii=False), file=sink)
     finally:
         if args.out:

@@ -22,6 +22,7 @@ J_MODE = "j"
 K_MODE = "k"
 
 
+@tk.encodes('{"kind": "lc", "pos": %s, "env": %s, "log": %s}', lambda lc: (path_str(lc.pos),))
 @tk.nests("env", "log")
 @dataclass(frozen=True, eq=False)
 class LoggedClosure:
@@ -30,6 +31,7 @@ class LoggedClosure:
     log: Optional[tk.Cell]  # list of ClosedPosition
 
 
+@tk.encodes('{"kind": "cp", "pos": %s, "log": %s, "env": %s}', lambda cp: (path_str(cp.pos),))
 @tk.nests("log", "env")
 @dataclass(frozen=True, eq=False)
 class ClosedPosition:
@@ -108,35 +110,11 @@ def step_mode(index: TermIndex, s: HamState, mode: str):
     return Next("jmp", HamState(cp.pos, cp.log, cp.env, s.tape, UP))
 
 
-def lc_to_json(lc: LoggedClosure) -> dict:
-    return {
-        "kind": "lc",
-        "pos": path_str(lc.pos),
-        "env": [lc_to_json(e) for e in tk.iterate(lc.env)],
-        "log": [cp_to_json(p) for p in tk.iterate(lc.log)],
-    }
-
-
-def cp_to_json(cp: ClosedPosition) -> dict:
-    return {
-        "kind": "cp",
-        "pos": path_str(cp.pos),
-        "log": [cp_to_json(p) for p in tk.iterate(cp.log)],
-        "env": [lc_to_json(e) for e in tk.iterate(cp.env)],
-    }
-
-
 def make_snapshot(mode: str):
-    def snapshot(index: TermIndex, s: HamState) -> dict:
-        return {
-            "mode": mode,
-            "log": [cp_to_json(p) for p in tk.iterate(s.log)],
-            "env": [lc_to_json(e) for e in tk.iterate(s.env)],
-            "tape": [
-                lc_to_json(it) if isinstance(it, LoggedClosure) else cp_to_json(it)
-                for it in tk.iterate(s.tape)
-            ],
-        }
+    def snapshot(index: TermIndex, s: HamState, enc: Optional[tk.Encoder] = None) -> str:
+        enc = tk.Encoder() if enc is None else enc
+        return (f'{{"mode": {tk.json_text(mode)}, "log": {enc.list(s.log)}, '
+                f'"env": {enc.list(s.env)}, "tape": {enc.list(s.tape)}}}')
 
     return snapshot
 

@@ -14,6 +14,7 @@ from .reporting import FINAL, Machine, Next, Stuck
 from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, Var, as_index, path_str
 
 
+@tk.encodes('{"pos": %s, "env": %s}', lambda c: (path_str(c.pos),))
 @tk.nests("env")
 @dataclass(frozen=True, eq=False)
 class Closure:
@@ -47,15 +48,9 @@ def step(index: TermIndex, s: KamState):
     return Next("var", KamState(clo.pos, clo.env, s.stack), cost=node.index + 1)
 
 
-def closure_to_json(c: Closure) -> dict:
-    return {"pos": path_str(c.pos), "env": [closure_to_json(e) for e in tk.iterate(c.env)]}
-
-
-def snapshot(index: TermIndex, s: KamState) -> dict:
-    return {
-        "env": [closure_to_json(c) for c in tk.iterate(s.env)],
-        "stack": [closure_to_json(c) for c in tk.iterate(s.stack)],
-    }
+def snapshot(index: TermIndex, s: KamState, enc: Optional[tk.Encoder] = None) -> str:
+    enc = tk.Encoder() if enc is None else enc
+    return f'{{"env": {enc.list(s.env)}, "stack": {enc.list(s.stack)}}}'
 
 
 def state_footprint(s: KamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:

@@ -120,12 +120,10 @@ def is_backtracking(s: IamState) -> bool:
     return s.dir == DOWN and s.tape is not None and not isinstance(s.tape.head, tk.Marker)
 
 
-def snapshot(index: TermIndex, s: IamState) -> dict:
-    return {
-        "tape": tk.tape_to_json(s.tape),
-        "log": tk.log_to_json(s.log),
-        "bt": is_backtracking(s),
-    }
+def snapshot(index: TermIndex, s: IamState, enc: Optional[tk.Encoder] = None) -> str:
+    enc = tk.Encoder() if enc is None else enc
+    bt = "true" if is_backtracking(s) else "false"
+    return f'{{"tape": {enc.list(s.tape)}, "log": {enc.list(s.log)}, "bt": {bt}}}'
 
 
 def state_footprint(s: IamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
@@ -155,7 +153,7 @@ def check_invariants(index: TermIndex, s: IamState, per_label: dict, ctx: dict):
     logged position the token holds, however deeply nested."""
     verified = ctx.setdefault("verified", set())
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
-    lp_on_tape = sum(1 for item in tk.iterate(s.tape) if not isinstance(item, tk.Marker))
+    lp_on_tape = tk.length(s.tape) - tk.markers(s.tape)
     expected = DOWN if lp_on_tape % 2 == 0 else UP
     assert s.dir == expected, "direction does not match tape parity"
     for lp in tk.new_items(verified, s.tape, s.log):  # immutable: one check per object

@@ -94,8 +94,9 @@ def depth(s: JamState) -> int:
     return depth_of(s.tape) if s.dir == UP else depth_of(s.log)
 
 
-def snapshot(index: TermIndex, s: JamState) -> dict:
-    return {"tape": tk.tape_to_json(s.tape), "log": tk.log_to_json(s.log)}
+def snapshot(index: TermIndex, s: JamState, enc: Optional[tk.Encoder] = None) -> str:
+    enc = tk.Encoder() if enc is None else enc
+    return f'{{"tape": {enc.list(s.tape)}, "log": {enc.list(s.log)}}}'
 
 
 def state_footprint(s: JamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
@@ -106,7 +107,7 @@ def check_invariants(index: TermIndex, s: JamState, per_label: dict, ctx: dict):
     verified = ctx.setdefault("verified", set())
     depths = ctx.setdefault("depths", {})
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
-    lp_on_tape = sum(1 for item in tk.iterate(s.tape) if not isinstance(item, tk.Marker))
+    lp_on_tape = tk.length(s.tape) - tk.markers(s.tape)
     if s.dir == DOWN:
         assert lp_on_tape == 0, "down state with logged positions on the tape"
     else:

@@ -55,9 +55,6 @@ class History:
         """Oldest first."""
         return self.array[:len(self)]
 
-    def to_json(self) -> list:
-        return [{"pos": path_str(p), "idx": i} for (p, i) in self.entries()]
-
 
 def phi(h: History, k: int) -> int:
     if k < 1:
@@ -125,11 +122,16 @@ def step(index: TermIndex, s: PamState):
     return Next("jmp", PamState(pos, s.history, s.index - 1, s.tape, UP))
 
 
-def snapshot(index: TermIndex, s: PamState) -> dict:
-    tape = []
-    for item in tk.iterate(s.tape):
-        tape.append("p" if isinstance(item, tk.Marker) else {"pos": path_str(item)})
-    return {"history": s.history.to_json(), "index": s.index, "tape": tape}
+# text forms of the plain tuples a PAM token holds; a tape position (a path)
+# never equals a history entry (a path and an int), so one memo holds both
+POSITION = tk.encodes('{"pos": %s}', lambda pos: (path_str(pos),))("pam position")
+ENTRY = tk.encodes('{"pos": %s, "idx": %s}', lambda e: (path_str(e[0]), e[1]))("pam entry")
+
+
+def snapshot(index: TermIndex, s: PamState, enc: Optional[tk.Encoder] = None) -> str:
+    enc = tk.Encoder() if enc is None else enc
+    return (f'{{"history": {enc.list(s.history.entries(), ENTRY)}, "index": {s.index}, '
+            f'"tape": {enc.list(s.tape, POSITION)}}}')
 
 
 def state_footprint(s: PamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
@@ -161,7 +163,7 @@ def check_invariants(index: TermIndex, s: PamState, per_label: dict, ctx: dict):
         assert depth_ok(k - 1, m), (
             "history depth below an indexed position is smaller than its level"
         )
-    positions = sum(1 for item in tk.iterate(s.tape) if not isinstance(item, tk.Marker))
+    positions = tk.length(s.tape) - tk.markers(s.tape)
     if s.dir == DOWN:
         assert s.index == len(s.history), "down state index differs from history length"
         assert positions == 0, "down state with positions on the tape"

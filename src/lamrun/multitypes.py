@@ -48,8 +48,9 @@ from .syntax import (
     whnf_trace,
 )
 
-# the derivation walks are iterative, but the token serialisers
-# (tokens.lp_to_json, kam.closure_to_json, ham.cp_to_json) still recurse
+# the derivation walks and the token encoder are iterative, but ``type_str``
+# recurses once per arrow nesting, and ``json.dumps`` of ``types --json``
+# once per level of the derivation's JSON
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 

@@ -1,12 +1,13 @@
 """Trace events, run reports, and the shared run loop driving every machine."""
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
 from .syntax import DEFAULT_FUEL, path_str, pretty, resolve
-from .tokens import Reach, SpaceFootprint
+from .tokens import Encoder, Reach, SpaceFootprint, json_text
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class Machine:
     name: str
     initial: Callable  # index -> state
     step: Callable  # () -> ((index, state) -> Next | Final | Stuck)
-    snapshot: Callable  # (index, state) -> token JSON
+    snapshot: Callable  # (index, state, Encoder) -> the token's JSON text
     footprint: Callable  # (state, Reach) -> SpaceFootprint
     launch: Callable  # (term, fuel, **run options) -> RunReport
     dir: Callable = attrgetter("dir")
@@ -69,22 +70,24 @@ class TraceEvent:
     dir: str
     subterm_path: str
     subterm_pretty: str
-    token: dict
+    token_json: str
     cost: int
     footprint: SpaceFootprint
 
-    def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "machine": self.machine,
-            "label": self.label,
-            "dir": self.dir,
-            "path": self.subterm_path,
-            "subterm": self.subterm_pretty,
-            "token": self.token,
-            "cost": self.cost,
-            "footprint": self.footprint.to_json(),
-        }
+    @property
+    def token(self):
+        """The token, parsed from its JSON text."""
+        return json.loads(self.token_json)
+
+    def to_line(self) -> str:
+        """The event as one line of a JSONL trace."""
+        fp = self.footprint
+        return (f'{{"step": {self.step}, "machine": {json_text(self.machine)}, '
+                f'"label": {json_text(self.label)}, "dir": {json_text(self.dir)}, '
+                f'"path": {json_text(self.subterm_path)}, '
+                f'"subterm": {json_text(self.subterm_pretty)}, "token": {self.token_json}, '
+                f'"cost": {self.cost}, "footprint": {{"lp": {fp.lp_count}, '
+                f'"markers": {fp.marker_count}, "deepCells": {fp.deep_cells}}}}}')
 
 
 @dataclass
@@ -138,8 +141,10 @@ def drive(
 
     ``machine`` gives the direction and position accessors and the variable
     labels; its name and the step, snapshot and footprint functions come
-    apart from it so that a profiler can wrap them.  Returns the report in
-    all cases; ``outcome`` says whether a final state was reached.
+    apart from it so that a profiler can wrap them.  A traced run writes its
+    tokens through one ``tokens.Encoder``, so each item is written once.
+    Returns the report in all cases; ``outcome`` says whether a final state
+    was reached.
     ``check_fn(state, per_label)`` is called on every reached state and may
     raise.  The footprint is sampled at every state, including the initial
     one, since peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
@@ -166,21 +171,16 @@ def drive(
             peak_marker_lp = max(peak_marker_lp, fp.lp_count)
         return fp
 
+    enc = Encoder() if trace else None
+    places: dict = {}  # position -> (path text, subterm text)
+
     def record(label, cost, s, fp):
         pos = state_pos_fn(s)
-        events.append(
-            TraceEvent(
-                step=len(events),
-                machine=name,
-                label=label,
-                dir=state_dir_fn(s),
-                subterm_path=path_str(pos),
-                subterm_pretty=pretty(resolve(index.root, pos)[0]),
-                token=snapshot_fn(index, s),
-                cost=cost,
-                footprint=fp,
-            )
-        )
+        place = places.get(pos)
+        if place is None:
+            place = places[pos] = (path_str(pos), pretty(resolve(index.root, pos)[0]))
+        events.append(TraceEvent(len(events), name, label, state_dir_fn(s), *place,
+                                 snapshot_fn(index, s, enc), cost, fp))
 
     if check_fn is not None:
         check_fn(state, per_label)

@@ -15,7 +15,7 @@ from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, Star, star_count
 from .reporting import FINAL, Machine, Next, Stuck
 from .syntax import DEFAULT_FUEL, Term, term_size
-from .tokens import SpaceFootprint
+from .tokens import SpaceFootprint, json_text
 
 TO_LEAVES = "up"
 TO_ROOT = "down"
@@ -166,8 +166,9 @@ def occurrence(index: DerivationIndex, s: SiamState):
     return (index.ordinal[id(s.node)], s.tpath)
 
 
-def snapshot(index: DerivationIndex, s: SiamState) -> dict:
-    return {"node": index.ordinal[id(s.node)], "tpath": tpath_str(s.tpath)}
+def snapshot(index: DerivationIndex, s: SiamState, enc=None) -> str:
+    """The state is a place in the derivation: no items for ``enc`` to write."""
+    return f'{{"node": {index.ordinal[id(s.node)]}, "tpath": {json_text(tpath_str(s.tpath))}}}'
 
 
 def check_state(index: DerivationIndex, s: SiamState):

@@ -10,9 +10,10 @@ position with the whole log.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Any, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .syntax import Path, path_str
 
@@ -124,6 +125,23 @@ def nests(*attrs: str):
     return register
 
 
+# item kind -> (template, fields, nested list attributes), for ``Encoder``
+TEXT_FORMS: dict = {}
+
+
+def encodes(template: str, fields: Callable):
+    """Register how items of a kind are written: ``template`` filled with the
+    JSON texts of ``fields(item)``, then with those of the lists the kind
+    nests (see ``nests``, applied first), in order.  The kind is a class, when
+    used as a class decorator, or a name given to ``Encoder.list``."""
+
+    def register(kind):
+        TEXT_FORMS[kind] = (template, fields, NESTED_LISTS.get(kind, ()))
+        return kind
+
+    return register
+
+
 @dataclass(frozen=True)
 class Marker:
     def __repr__(self):
@@ -136,6 +154,8 @@ LOCAL = "local"
 GLOBAL = "global"
 
 
+@encodes('{"var": %s, "scope": %s, "flavor": %s, "log": %s}',
+         lambda lp: (path_str(lp.var_path), path_str(lp.scope_path), lp.flavor))
 @nests("log")
 @dataclass(frozen=True, eq=False)
 class LoggedPosition:
@@ -221,16 +241,22 @@ def deep_cells(*roots: Optional[Cell], reach: Optional[Reach] = None) -> int:
 def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
     """The items reachable from the lists ``roots`` through the lists they hold
     (see ``nests``; markers hold none and are skipped) that are not in
-    ``seen``; each is added to ``seen`` as it is yielded."""
-    pending = [item for root in roots for item in iterate(root) if item not in seen]
+    ``seen``; each is added to ``seen`` as it is yielded.  The cells walked are
+    added too, and a walk stops at a cell already seen: lists are immutable,
+    so the rest of that list was walked then.  Consume the whole iterator."""
+    pending = list(roots)
     while pending:
-        item = pending.pop()
-        attrs = NESTED_LISTS.get(type(item))
-        if attrs is not None and item not in seen:
-            seen.add(item)
-            yield item
-            for attr in attrs:
-                pending.extend(iterate(getattr(item, attr)))
+        cell = pending.pop()
+        while cell is not None and cell not in seen:
+            seen.add(cell)
+            item = cell.head
+            attrs = NESTED_LISTS.get(type(item))
+            if attrs is not None and item not in seen:
+                seen.add(item)
+                yield item
+                for attr in attrs:
+                    pending.append(getattr(item, attr))
+            cell = cell.tail
 
 
 def footprint(log: Optional[Cell], tape: Optional[Cell],
@@ -301,25 +327,57 @@ def same_item(x, y):
 # ---------------------------------------------------------------------------
 # Serialization (the stable trace interface)
 
-
-def lp_to_json(lp: LoggedPosition) -> dict:
-    return {
-        "var": path_str(lp.var_path),
-        "scope": path_str(lp.scope_path),
-        "flavor": lp.flavor,
-        "log": log_to_json(lp.log),
-    }
+json_text = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(x, ensure_ascii=False)
 
 
-def log_to_json(log: Optional[Cell]) -> list:
-    return [lp_to_json(lp) for lp in iterate(log)]
+class Encoder:
+    """The JSON text of token items, each written once.
 
+    Items are immutable, so the text of one, with its lists unfolded, never
+    changes: ``memo`` keeps it by item (eq=False classes by identity, markers
+    and PAM tuples by value).  A traced run makes one encoder, so an item
+    shared from state to state is written once and later snapshots only join
+    texts.  The memo holds each item's text once, and each item is in the
+    event of the step that made it, so it stays within the trace's size.
+    """
 
-def tape_to_json(tape: Optional[Cell]) -> list:
-    out: list[Any] = []
-    for item in iterate(tape):
-        if isinstance(item, Marker):
-            out.append("p")
-        else:
-            out.append(lp_to_json(item))
-    return out
+    __slots__ = ("memo",)
+
+    def __init__(self):
+        self.memo: dict = {MARKER: '"p"'}
+
+    def list(self, items, kind=None) -> str:
+        """The JSON text of a token list (a ``Cell`` or None) or of any
+        iterable of items; ``kind``, when given, is the form of each item not
+        yet written (plain values have no class of their own in ``TEXT_FORMS``)."""
+        if items is None or type(items) is Cell:
+            items = iterate(items)
+        get, text = self.memo.get, self.text
+        return "[" + ", ".join([get(x) or text(x, kind) for x in items]) + "]"
+
+    def text(self, item, kind=None) -> str:
+        """The JSON text of one item, written as ``kind`` (its class by default)."""
+        memo = self.memo
+        if item not in memo:
+            self._fill(item, kind)
+        return memo[item]
+
+    def _fill(self, item, kind):
+        """Write ``item`` and each item its lists hold that has no text yet,
+        children first: an explicit stack, since tokens nest as deep as the
+        run is long."""
+        memo, forms = self.memo, TEXT_FORMS
+        stack = [(item, kind, False)]
+        while stack:
+            x, k, ready = stack.pop()
+            if x in memo:
+                continue
+            template, fields, attrs = forms[type(x) if k is None else k]
+            if attrs and not ready:  # its lists' items first, then itself
+                stack.append((x, k, True))
+                for attr in attrs:
+                    stack.extend((y, None, False) for y in iterate(getattr(x, attr))
+                                 if y not in memo)
+                continue
+            memo[x] = template % (*map(json_text, fields(x)),
+                                  *[self.list(getattr(x, attr)) for attr in attrs])

@@ -6,9 +6,19 @@ its argument.  Each row pins the transition label, the focused occurrence,
 the direction, and the full token.
 """
 from lamrun import ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
-from lamrun.syntax import ARG, BODY, FUN
+from lamrun.syntax import ARG, BODY, FUN, path_str
 
 F, A, B = FUN, ARG, BODY
+
+
+def lp_doc(lp):
+    """A logged position as its trace JSON, written out field by field."""
+    return {
+        "var": path_str(lp.var_path),
+        "scope": path_str(lp.scope_path),
+        "flavor": lp.flavor,
+        "log": [lp_doc(x) for x in tk.iterate(lp.log)],
+    }
 
 
 def lp_local(var, scope, log=()):
@@ -40,8 +50,8 @@ def expect_iam(rows):
             label,
             "/".join(path),
             d,
-            ["p" if x == "p" else tk.lp_to_json(x) for x in tape],
-            [tk.lp_to_json(x) for x in log],
+            ["p" if x == "p" else lp_doc(x) for x in tape],
+            [lp_doc(x) for x in log],
             bt,
         ))
     return out
@@ -88,8 +98,8 @@ def test_jam_running_example_trace(running_example):
     def row(label, path, d, tape, log):
         return (
             label, "/".join(path), d,
-            ["p" if t == "p" else tk.lp_to_json(t) for t in tape],
-            [tk.lp_to_json(x) for x in log],
+            ["p" if t == "p" else lp_doc(t) for t in tape],
+            [lp_doc(x) for x in log],
         )
 
     expected = [
@@ -219,10 +229,10 @@ def test_jam_duplication_trace(duplication_example):
     assert report.length == 11
     final = report.events[-1]
     assert final.subterm_path == "Arg"
-    assert final.token["log"] == [tk.lp_to_json(px2)]
+    assert final.token["log"] == [lp_doc(px2)]
     jmp = report.events[8]
     assert jmp.subterm_path == "Fun/Body/Fun"
-    assert jmp.token["tape"] == [tk.lp_to_json(py)]
+    assert jmp.token["tape"] == [lp_doc(py)]
     assert jmp.token["log"] == []
 
 

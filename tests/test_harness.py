@@ -93,9 +93,9 @@ def test_report_arithmetic(running_example, corpus):
 
 def test_trace_jsonl_roundtrip(running_example):
     report = liam.run(running_example, 100, trace=True)
-    lines = [json.dumps(ev.to_json()) for ev in report.events]
+    lines = [ev.to_line() for ev in report.events]
     parsed = [json.loads(line) for line in lines]
-    assert parsed == [ev.to_json() for ev in report.events]
+    assert [json.dumps(p, ensure_ascii=False) for p in parsed] == lines
     assert [p["step"] for p in parsed] == list(range(len(parsed)))
 
 

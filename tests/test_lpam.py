@@ -1,8 +1,15 @@
+import json
+
 import pytest
 
 from lamrun import lpam, tokens as tk
 from lamrun.lpam import History, UndefinedLookup, phi, phi_pow
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
+
+
+def history_json(h):
+    """The history as a PAM trace token writes it, oldest entry first."""
+    return json.loads(tk.Encoder().list(h.entries(), lpam.ENTRY))
 
 
 def test_phi_zero_power_is_identity():
@@ -32,7 +39,7 @@ def test_history_is_persistent():
     h1 = History().append((FUN,), 0)
     h2 = h1.append((ARG,), 1)
     assert len(h1) == 1 and len(h2) == 2
-    assert h1.to_json() == [{"pos": "Fun", "idx": 0}]
+    assert history_json(h1) == [{"pos": "Fun", "idx": 0}]
 
 
 def test_history_extends_an_older_version():
@@ -88,7 +95,7 @@ def test_final_history_running_example(running_example):
     report = lpam.run(running_example, 100)
     final = report.final_state
     assert final.index == 3
-    assert [e["pos"] for e in final.history.to_json()] == [
+    assert [e["pos"] for e in history_json(final.history)] == [
         "Fun/Fun/Body/Body/Fun", "Arg/Body", "Fun/Fun/Body/Body/Arg"]
 
 

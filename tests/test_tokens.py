@@ -1,3 +1,5 @@
+import json
+
 from hypothesis import given, strategies as st
 
 from lamrun import tokens as tk
@@ -78,10 +80,10 @@ def test_concat_lengths(a, b):
 
 def test_persistence_under_extension():
     captured = tk.from_list([lp((FUN,)), tk.MARKER])
-    before = tk.tape_to_json(captured)
+    before = tk.Encoder().list(captured)
     _ = tk.cons(lp((ARG,)), captured)
     _ = tk.cons(tk.MARKER, captured)
-    assert tk.tape_to_json(captured) == before
+    assert tk.Encoder().list(captured) == before
 
 
 def test_lp_equal_on_shared_structures():
@@ -115,12 +117,12 @@ def test_related_deeply_nested_logs():
 
 def test_serialization_shape():
     a = lp((FUN, BODY), scope=(FUN,), log=tk.cons(lp((ARG,)), tk.nil))
-    doc = tk.lp_to_json(a)
+    doc = json.loads(tk.Encoder().text(a))
     assert doc["var"] == "Fun/Body"
     assert doc["scope"] == "Fun"
     assert doc["flavor"] == "local"
     assert doc["log"][0]["var"] == "Arg"
-    assert tk.tape_to_json(tk.from_list([tk.MARKER, a]))[0] == "p"
+    assert json.loads(tk.Encoder().list(tk.from_list([tk.MARKER, a])))[0] == "p"
 
 
 def test_concat_long_list():

@@ -1,0 +1,240 @@
+"""The trace encoder against an independent oracle.
+
+``tokens.Encoder`` writes each token item once per run and joins the texts of
+shared items.  The oracle below is the plain recursive serialisation that
+unfolds every item again at every state, one dict per item, dumped with
+``json.dumps``.  Every JSONL line of a traced run must equal the dump of the
+oracle's event, byte for byte.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lamrun
+from lamrun import harness, ham, liam, multitypes as mt, reporting, siam, tokens as tk
+from lamrun.reporting import Next
+from lamrun.syntax import FUN, TermIndex, parse, path_str, pretty, resolve
+
+DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
+FUEL = 10**6
+
+
+# ---------------------------------------------------------------------------
+# The oracle: one dict per item, rebuilt at every state
+
+
+def lp_json(lp):
+    return {"var": path_str(lp.var_path), "scope": path_str(lp.scope_path),
+            "flavor": lp.flavor, "log": [lp_json(x) for x in tk.iterate(lp.log)]}
+
+
+def tape_json(tape):
+    return ["p" if isinstance(x, tk.Marker) else lp_json(x) for x in tk.iterate(tape)]
+
+
+def closure_json(c):
+    return {"pos": path_str(c.pos), "env": [closure_json(e) for e in tk.iterate(c.env)]}
+
+
+def lc_json(lc):
+    return {"kind": "lc", "pos": path_str(lc.pos),
+            "env": [lc_json(e) for e in tk.iterate(lc.env)],
+            "log": [cp_json(p) for p in tk.iterate(lc.log)]}
+
+
+def cp_json(cp):
+    return {"kind": "cp", "pos": path_str(cp.pos),
+            "log": [cp_json(p) for p in tk.iterate(cp.log)],
+            "env": [lc_json(e) for e in tk.iterate(cp.env)]}
+
+
+def ham_item_json(x):
+    return lc_json(x) if isinstance(x, ham.LoggedClosure) else cp_json(x)
+
+
+def ham_token(mode):
+    return lambda index, s: {"mode": mode,
+                             "log": [cp_json(p) for p in tk.iterate(s.log)],
+                             "env": [lc_json(e) for e in tk.iterate(s.env)],
+                             "tape": [ham_item_json(x) for x in tk.iterate(s.tape)]}
+
+
+TOKEN = {
+    "iam": lambda index, s: {"tape": tape_json(s.tape), "log": tape_json(s.log),
+                             "bt": liam.is_backtracking(s)},
+    "jam": lambda index, s: {"tape": tape_json(s.tape), "log": tape_json(s.log)},
+    "pam": lambda index, s: {
+        "history": [{"pos": path_str(p), "idx": i} for p, i in s.history.entries()],
+        "index": s.index,
+        "tape": ["p" if isinstance(x, tk.Marker) else {"pos": path_str(x)}
+                 for x in tk.iterate(s.tape)]},
+    "kam": lambda index, s: {"env": [closure_json(c) for c in tk.iterate(s.env)],
+                             "stack": [closure_json(c) for c in tk.iterate(s.stack)]},
+    "ham-j": ham_token("j"),
+    "ham-k": ham_token("k"),
+    "siam": lambda index, s: {"node": index.ordinal[id(s.node)],
+                              "tpath": siam.tpath_str(s.tpath)},
+}
+
+
+def machine_index(name, term):
+    if name == "siam":
+        return siam.DerivationIndex(mt.infer_star_derivation(term, FUEL), term)
+    return TermIndex(term)
+
+
+def oracle_lines(name, term):
+    """The trace of ``name`` on ``term``, from its own step loop and the oracle."""
+    machine = harness.MACHINES[name]
+    index = machine_index(name, term)
+    step = machine.step()
+    label, cost, s = "init", 0, machine.initial(index)
+    lines = []
+    while True:
+        pos = machine.pos(s)
+        event = {"step": len(lines), "machine": name, "label": label, "dir": machine.dir(s),
+                 "path": path_str(pos), "subterm": pretty(resolve(index.root, pos)[0]),
+                 "token": TOKEN[name](index, s), "cost": cost,
+                 "footprint": machine.footprint(s).to_json()}
+        lines.append(json.dumps(event, ensure_ascii=False))
+        result = step(index, s)
+        if not isinstance(result, Next):
+            return lines
+        label, cost, s = result.label, result.cost, result.state
+
+
+def traced_lines(name, term):
+    return [ev.to_line() for ev in harness.run_machine(name, term, FUEL, trace=True).events]
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+
+
+def church_ii(n):
+    return parse("(\\f.\\x." + "f (" * n + "x" + ")" * n + ") I I", DEFS)
+
+
+FAMILIES = (
+    [(f"t_{n}", harness.family_tn(n)) for n in range(1, 9)]
+    + [(f"r({k},{h})", harness.family_rkh(k, h)) for k in range(1, 4) for h in range(1, 4)]
+    + [(f"c_{n} I I", church_ii(n)) for n in range(1, 5)]
+    + [("two two I I", parse("two two I I", DEFS))]
+)
+
+ROOTS = {  # the lists a state's token is made of
+    "iam": lambda s: (s.tape, s.log),
+    "jam": lambda s: (s.tape, s.log),
+    "pam": lambda s: (s.tape,),
+    "kam": lambda s: (s.env, s.stack),
+    "ham-j": lambda s: (s.log, s.env, s.tape),
+    "ham-k": lambda s: (s.log, s.env, s.tape),
+    "siam": lambda s: (),
+}
+
+
+def unfolded(x, memo):
+    """Items in the unfolding of ``x``, a list or an item: an item counts one
+    plus the items of the lists it holds.  ``memo`` keeps the count of each
+    list cell and item, so shared structure is counted without being walked
+    again, and no text is written."""
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if y is None or y in memo:
+            stack.pop()
+            continue
+        if type(y) is tk.Cell:
+            parts = (y.head, y.tail)
+        else:
+            parts = tuple(getattr(y, a) for a in tk.NESTED_LISTS.get(type(y), ()))
+        missing = [p for p in parts if p is not None and p not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        total = sum(memo[p] for p in parts if p is not None)
+        memo[y] = total if type(y) is tk.Cell else 1 + total
+    return 0 if x is None else memo[x]
+
+
+def trace_items(name, term, cap):
+    """Items in the unfolded trace of ``name`` on ``term``; stops above ``cap``."""
+    memo: dict = {}
+    total = 0
+    for _, s in reporting.trajectory(harness.MACHINES[name], machine_index(name, term), FUEL):
+        total += sum(unfolded(root, memo) for root in ROOTS[name](s))
+        if name == "pam":
+            total += len(s.history)
+        if total > cap:
+            break
+    return total
+
+
+# The unfolded trace of a corpus term can be far too large to write: one term
+# of gen_corpus(42, 200, 40) unfolds to about 9e11 items, and no format that
+# writes each state's token out in full can ever trace it.  The oracle test
+# keeps the terms whose traces hold at most ITEM_CAP items on every machine:
+# 108 of the corpus's 132 terms.
+ITEM_CAP = 10**4
+KEPT = 108
+
+
+@pytest.fixture(scope="module")
+def small_corpus(corpus):
+    kept = [term for term in corpus
+            if all(trace_items(m, term, ITEM_CAP) <= ITEM_CAP for m in harness.MACHINES)]
+    assert (len(corpus), len(kept)) == (132, KEPT)
+    return kept
+
+
+@pytest.mark.parametrize("name", list(harness.MACHINES))
+def test_trace_lines_match_the_oracle_on_the_families(name):
+    for label, term in FAMILIES:
+        assert traced_lines(name, term) == oracle_lines(name, term), label
+
+
+@pytest.mark.parametrize("name", list(harness.MACHINES))
+def test_trace_lines_match_the_oracle_on_the_corpus(name, small_corpus):
+    for term in small_corpus:
+        assert traced_lines(name, term) == oracle_lines(name, term), pretty(term)
+
+
+def test_each_item_is_written_once_per_run():
+    shared = tk.from_list([tk.LoggedPosition((FUN,), (), tk.GLOBAL, None)])
+    a = tk.LoggedPosition((FUN, FUN), (), tk.GLOBAL, shared)
+    b = tk.LoggedPosition((FUN, FUN, FUN), (), tk.GLOBAL, shared)
+    enc = tk.Encoder()
+    text = enc.list(tk.from_list([a, tk.MARKER, b]))
+    assert json.loads(text) == tape_json(tk.from_list([a, tk.MARKER, b]))
+    assert len(enc.memo) == 4  # the marker, a, b and the item they share
+    assert enc.list(tk.from_list([b])) == "[" + enc.memo[b] + "]"
+
+
+def test_encoding_needs_no_recursion_headroom():
+    # each log holds one position whose log nests one level deeper, and each
+    # logged closure's environment holds one closure one level deeper; a
+    # chain built outside a run shares nothing, so its text is quadratic in
+    # depth: keep it small
+    script = """
+import sys
+from lamrun import ham, tokens as tk
+from lamrun.syntax import FUN
+sys.setrecursionlimit(1000)
+log = env = None
+for _ in range(1200):
+    log = tk.cons(tk.LoggedPosition((FUN,), (), tk.GLOBAL, log), None)
+    env = tk.cons(ham.LoggedClosure((FUN,), env, None), None)
+enc = tk.Encoder()
+print(enc.list(log).count('"log": ['), enc.list(env).count('"env": ['))
+"""
+    src = str(Path(lamrun.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1200", "1200"]
