@@ -8,16 +8,8 @@ the measured lengths.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from lamrun import harness, kam, liam, multitypes as mt
-
-
-@dataclass(frozen=True)
-class Config:
-    n_max: int = 12
-    type_up_to: int = 10
-    fuel: int = 10**7
 
 
 def main() -> None:
@@ -26,16 +18,15 @@ def main() -> None:
     ap.add_argument("--type-up-to", type=int, default=10)
     ap.add_argument("--fuel", type=int, default=10**7)
     args = ap.parse_args()
-    cfg = Config(args.n_max, args.type_up_to, args.fuel)
 
     print("n,iam,kam,ratio,w_iam,w_kam")
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, args.n_max + 1):
         t = harness.family_tn(n)
-        iam_len = liam.run(t, cfg.fuel).length
-        kam_len = kam.run(t, cfg.fuel).length
+        iam_len = liam.run(t, args.fuel).length
+        kam_len = kam.run(t, args.fuel).length
         ratio = iam_len / kam_len if kam_len else 0.0
-        if n <= cfg.type_up_to:
-            deriv = mt.infer_star_derivation(t, cfg.fuel)
+        if n <= args.type_up_to:
+            deriv = mt.infer_star_derivation(t, args.fuel)
             w_iam, w_kam = mt.weight_iam(deriv), mt.weight_kam(deriv)
             assert w_iam == iam_len and w_kam == kam_len
             print(f"{n},{iam_len},{kam_len},{ratio:.2f},{w_iam},{w_kam}")

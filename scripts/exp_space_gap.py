@@ -8,16 +8,8 @@ machine at max(h, k+1); both peaks carry two top-level logged positions.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from lamrun import harness, liam, ljam
-
-
-@dataclass(frozen=True)
-class Config:
-    k_max: int = 4
-    h_max: int = 4
-    fuel: int = 10**6
 
 
 def main() -> None:
@@ -26,14 +18,13 @@ def main() -> None:
     ap.add_argument("--h-max", type=int, default=4)
     ap.add_argument("--fuel", type=int, default=10**6)
     args = ap.parse_args()
-    cfg = Config(args.k_max, args.h_max, args.fuel)
 
     print("k,h,iam_peak_markers,jam_peak_markers,diff,predicted_diff")
-    for k in range(1, cfg.k_max + 1):
-        for h in range(1, cfg.h_max + 1):
+    for k in range(1, args.k_max + 1):
+        for h in range(1, args.h_max + 1):
             t = harness.family_rkh(k, h)
-            pi = liam.run(t, cfg.fuel).peak.marker_count
-            pj = ljam.run(t, cfg.fuel).peak.marker_count
+            pi = liam.run(t, args.fuel).peak.marker_count
+            pj = ljam.run(t, args.fuel).peak.marker_count
             predicted = (h + k) - max(h, k + 1)
             assert pi == h + k and pj == max(h, k + 1)
             print(f"{k},{h},{pi},{pj},{pi - pj},{predicted}")

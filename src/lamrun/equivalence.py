@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from . import ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
-from .reporting import FuelExhausted
+from . import harness, ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
+from .reporting import FuelExhausted, Machine, trajectory
 from .syntax import DEFAULT_FUEL, Diverged, Term, TermIndex, pretty, whnf_trace
 
 
@@ -345,7 +345,7 @@ def check_quadratic_bound(terms, fuel: int = DEFAULT_FUEL) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-machine invariant sweep (debug mode plus run-level identities)
+# Per-machine invariants over each trajectory, plus run-level identities
 
 
 @checker("bt-brackets")
@@ -375,12 +375,13 @@ def check_jam_up_phases(term: Term, fuel: int) -> dict:
     var_count = 0
     prev_dir = None
     prev_state = None
+    depths: dict = {}
     for label, state in ljam.trajectory(index, fuel):
         if label is not None:
             var_count += label == "var"
             if prev_dir == ljam.UP:
                 if phase_len == 0:
-                    phase_bound = ljam.depth(prev_state) * size
+                    phase_bound = ljam.depth(prev_state, depths) * size
                 phase_len += 1
                 total_up += 1
                 if phase_len > phase_bound:
@@ -401,6 +402,10 @@ def check_siam_bideterminism(term: Term, fuel: int) -> dict:
     dindex = siam.DerivationIndex(mt.infer_star_derivation(term, fuel), term)
     prev = None
     for label, state in siam.trajectory(dindex, fuel):
+        try:
+            siam.check_state(dindex, state)
+        except AssertionError as exc:
+            raise CheckFailed(violated=str(exc)) from None
         if prev is not None:
             back = siam.step_back(dindex, state)
             if back is None:
@@ -414,24 +419,33 @@ def check_siam_bideterminism(term: Term, fuel: int) -> dict:
     return {}
 
 
+def walk_invariants(machine: Machine, index: TermIndex, fuel: int) -> Counter:
+    """Check ``machine.invariants`` at every state of its run; returns the
+    transition labels.  The invariants assert, and get the labels counted so
+    far and one ``ctx`` dict for the run."""
+    labels: Counter = Counter()
+    ctx: dict = {}
+    for label, state in trajectory(machine, index, fuel):
+        if label is not None:
+            labels[label] += 1
+        machine.invariants(index, state, labels, ctx)
+    return labels
+
+
 @checker("invariants")
 def check_invariants_suite(term: Term, fuel: int) -> dict:
-    """Debug-mode per-step invariants for every machine plus run-level identities."""
+    """Per-state invariants of every machine that declares them, plus run-level identities."""
+    index = TermIndex(term)
     try:
-        liam.run(term, fuel, debug=True)
-        jam_report = ljam.run(term, fuel, debug=True)
-        pam_report = lpam.run(term, fuel, debug=True)
-        kam_report = kam.run(term, fuel, debug=True)
-        ham.run(term, ham.J_MODE, fuel, debug=True)
-        ham.run(term, ham.K_MODE, fuel, debug=True)
+        runs = {name: walk_invariants(m, index, fuel)
+                for name, m in harness.MACHINES.items() if m.invariants is not None}
     except AssertionError as exc:
         raise CheckFailed(violated=str(exc)) from None
     beta = len(whnf_trace(term, fuel))
-    abs_count = kam_report.per_label.get("abs", 0)
-    var_count = kam_report.per_label.get("var", 0)
-    if kam_report.length != var_count + 2 * abs_count:
+    kam_labels = runs["kam"]
+    if sum(kam_labels.values()) != kam_labels["var"] + 2 * kam_labels["abs"]:
         raise CheckFailed(reason="Krivine length identity fails")
-    if abs_count != beta:
+    if kam_labels["abs"] != beta:
         raise CheckFailed(reason="abs transitions differ from reduction steps")
     for sub in (
         check_backtracking_brackets(term, fuel),
@@ -440,7 +454,7 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
     ):
         if not sub.passed:
             raise CheckFailed(sub=sub.name, **sub.details)
-    if jam_report.length != pam_report.length:
+    if sum(runs["jam"].values()) != sum(runs["pam"].values()):
         raise CheckFailed(reason="jam/pam lengths differ")
     return {}
 

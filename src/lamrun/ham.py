@@ -154,10 +154,10 @@ def _shape_key(pos, log, env):
 
 
 def run(term_or_index, mode: str, fuel: int = DEFAULT_FUEL, trace: bool = False,
-        debug: bool = False, allow_fuel: bool = False):
+        allow_fuel: bool = False):
     if mode not in MODES:
         raise ValueError(f"mode must be {J_MODE!r} or {K_MODE!r}")
-    return reporting.run(MODES[mode], as_index(term_or_index), fuel, trace, debug, allow_fuel)
+    return reporting.run(MODES[mode], as_index(term_or_index), fuel, trace, allow_fuel)
 
 
 def trajectory(index: TermIndex, mode: str, fuel: int = DEFAULT_FUEL):

@@ -83,9 +83,8 @@ def check_invariants(index: TermIndex, s: KamState, per_label: dict, ctx: dict):
         assert tk.length(c.env) > max_free[c.pos], "closure environment does not close its subterm"
 
 
-def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,
-        allow_fuel: bool = False):
-    report = reporting.run(MACHINE, as_index(term_or_index), fuel, trace, debug, allow_fuel)
+def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
+    report = reporting.run(MACHINE, as_index(term_or_index), fuel, trace, allow_fuel)
     report.beta_count = report.per_label.get("abs", 0)
     return report
 

@@ -164,9 +164,8 @@ def check_invariants(index: TermIndex, s: IamState, per_label: dict, ctx: dict):
             "logged position log length differs from its inner level")
 
 
-def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,
-        allow_fuel: bool = False):
-    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, debug, allow_fuel)
+def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
+    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, allow_fuel)
 
 
 def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):

@@ -70,28 +70,26 @@ def step(index: TermIndex, s: JamState):
 def depth_of(item, memo: Optional[dict] = None) -> int:
     """Depth of a tape, log, or logged position: nesting of the head entry.
 
-    ``memo`` caches the depths of logged positions: logs nest deeply but
-    are DAGs.
+    ``memo`` caches the depths of cells and logged positions: logs nest
+    deeply but are DAGs.
     """
     memo = {} if memo is None else memo
-    if item in memo:
-        return memo[item]
-    chain = []  # logged positions, each one level deeper than the next
+    chain = []  # cells and logged positions, each as deep as the next one or one deeper
     while item is not None and item not in memo:
+        chain.append(item)
         if isinstance(item, tk.Cell):
-            item = next((x for x in tk.iterate(item) if not isinstance(x, tk.Marker)), None)
+            item = item.tail if isinstance(item.head, tk.Marker) else item.head
         else:
-            chain.append(item)
             item = item.log
-    depth = memo.get(item, 0)
-    for lp in reversed(chain):
-        depth += 1
-        memo[lp] = depth
+    depth = 0 if item is None else memo[item]
+    for x in reversed(chain):
+        depth += not isinstance(x, tk.Cell)
+        memo[x] = depth
     return depth
 
 
-def depth(s: JamState) -> int:
-    return depth_of(s.tape) if s.dir == UP else depth_of(s.log)
+def depth(s: JamState, memo: Optional[dict] = None) -> int:
+    return depth_of(s.tape if s.dir == UP else s.log, memo)
 
 
 def snapshot(index: TermIndex, s: JamState, enc: Optional[tk.Encoder] = None) -> str:
@@ -112,24 +110,20 @@ def check_invariants(index: TermIndex, s: JamState, per_label: dict, ctx: dict):
         assert lp_on_tape == 0, "down state with logged positions on the tape"
     else:
         assert lp_on_tape == 1, "up state without exactly one logged position on the tape"
+    d = depth(s, depths)
+    assert d == per_label.get("var", 0), "state depth differs from the var-transition count"
     for lp in tk.new_items(verified, s.tape, s.log):
         assert lp.flavor == tk.GLOBAL, "jumping machine carries global logged positions"
         assert lp.scope_path == (), "global logged positions are rooted at the top"
         assert tk.length(lp.log) == index.level_at[lp.var_path], (
             "global logged position stores a log shorter than its level"
         )
-    d = depth_of(s.tape if s.dir == UP else s.log, depths)
-    assert d == per_label.get("var", 0), "state depth differs from the var-transition count"
-    for item in tk.iterate(s.tape):
-        if not isinstance(item, tk.Marker):
-            assert d >= depth_of(item, depths)
-    for lp in tk.iterate(s.log):
-        assert d >= depth_of(lp, depths)
+        # d is the var count, which only grows: an item no deeper than d when first seen stays so
+        assert d >= depth_of(lp, depths), "logged position deeper than its state"
 
 
-def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,
-        allow_fuel: bool = False):
-    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, debug, allow_fuel)
+def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
+    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, allow_fuel)
 
 
 def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):

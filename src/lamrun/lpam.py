@@ -22,38 +22,38 @@ class UndefinedLookup(Exception):
 
 
 class History:
-    """Persistent append-only history; cells shared between versions.
+    """Persistent append-only history.
 
     ``array`` holds the entries oldest first, and a version sees its first
-    ``len(self)``.  The versions that extend one another share it, so a run
+    ``length``.  The versions that extend one another share it, so a run
     appends in place and looks up in O(1); extending an older version copies
     the part it sees.
     """
 
-    __slots__ = ("cells", "array")
+    __slots__ = ("array", "length")
 
-    def __init__(self, cells: Optional[tk.Cell] = None, array: Optional[list] = None):
-        self.cells = cells  # newest first
-        self.array = list(reversed(tk.to_list(cells))) if array is None else array
+    def __init__(self, array: Optional[list] = None, length: int = 0):
+        self.array = [] if array is None else array
+        self.length = length
 
     def __len__(self) -> int:
-        return 0 if self.cells is None else self.cells.length
+        return self.length
 
     def append(self, pos, idx) -> "History":
-        n = len(self)
+        n = self.length
         array = self.array if len(self.array) == n else self.array[:n]
         array.append((pos, idx))
-        return History(tk.cons((pos, idx), self.cells), array)
+        return History(array, n + 1)
 
     def entry(self, k: int):
         """1-based; entry 1 is the oldest."""
-        if 0 < k <= len(self):
+        if 0 < k <= self.length:
             return self.array[k - 1]
-        raise UndefinedLookup(f"history entry {k} of {len(self)}")
+        raise UndefinedLookup(f"history entry {k} of {self.length}")
 
     def entries(self) -> list:
         """Oldest first."""
-        return self.array[:len(self)]
+        return self.array[:self.length]
 
 
 def phi(h: History, k: int) -> int:
@@ -135,34 +135,24 @@ def snapshot(index: TermIndex, s: PamState, enc: Optional[tk.Encoder] = None) ->
 
 
 def state_footprint(s: PamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
+    # history entries and tape items are plain tuples: no list nests in another
     markers = tk.markers(s.tape)
-    positions = tk.length(s.tape) - markers
-    return tk.SpaceFootprint(positions + len(s.history), markers,
-                             tk.deep_cells(s.history.cells, s.tape, reach=reach))
+    tape = tk.length(s.tape)
+    return tk.SpaceFootprint(len(s.history) + tape - markers, markers, len(s.history) + tape)
 
 
 def check_invariants(index: TermIndex, s: PamState, per_label: dict, ctx: dict):
-    entries = ctx.setdefault("entries", [])  # history entries, oldest first; append-only cache
-    new = len(s.history) - len(entries)
-    entries.extend(s.history.array[len(entries):len(s.history)])
-
-    def depth_ok(i: int, m: int) -> bool:
-        k = i
-        for _ in range(m):
-            if k <= 0:
-                return False
-            k = entries[k - 1][1]
-        return True
-
-    n = index.level_at[s.pos]
-    assert depth_ok(s.index, n), "history depth is below the context level"
-    for k in range(len(entries) - new + 1, len(entries) + 1):
-        pos, j = entries[k - 1]
-        assert j < k, "history entry index does not point strictly below it"
-        m = index.level_at[pos]
-        assert depth_ok(k - 1, m), (
+    hops = ctx.setdefault("hops", [0])  # hops[k]: lookups the chain from index k can make
+    array = s.history.array
+    for k in range(len(hops), len(s.history) + 1):
+        pos, j = array[k - 1]
+        assert 0 <= j < k, "history entry index does not point strictly below it"
+        hops.append(1 + hops[j])
+        assert hops[k - 1] >= index.level_at[pos], (
             "history depth below an indexed position is smaller than its level"
         )
+    assert 0 <= s.index < len(hops) and hops[s.index] >= index.level_at[s.pos], (
+        "history depth is below the context level")
     positions = tk.length(s.tape) - tk.markers(s.tape)
     if s.dir == DOWN:
         assert s.index == len(s.history), "down state index differs from history length"
@@ -171,9 +161,8 @@ def check_invariants(index: TermIndex, s: PamState, per_label: dict, ctx: dict):
         assert positions == 1, "up state without exactly one position on the tape"
 
 
-def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, debug: bool = False,
-        allow_fuel: bool = False):
-    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, debug, allow_fuel)
+def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
+    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, allow_fuel)
 
 
 def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):

@@ -59,7 +59,7 @@ class Machine:
     pos: Callable = attrgetter("pos")
     var_labels: tuple = ("var",)
     up_labels: tuple = ()  # when given, reports carry their count as upLength
-    invariants: Optional[Callable] = None  # debug check (index, state, per_label, ctx)
+    invariants: Optional[Callable] = None  # (index, state, labels, ctx); asserts
 
 
 @dataclass(frozen=True)
@@ -226,16 +226,12 @@ def drive(
 
 
 def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, trace: bool = False,
-        debug: bool = False, allow_fuel: bool = False, check: Optional[Callable] = None):
+        allow_fuel: bool = False, check: Optional[Callable] = None):
     """Run ``machine`` on ``index`` to a final state or until ``fuel`` steps.
 
-    ``debug`` checks the machine's invariants at every state unless a
-    ``check(state, per_label)`` is given; fuel exhaustion raises unless
-    ``allow_fuel``.
+    ``check(state, per_label)``, when given, is called on every reached
+    state; fuel exhaustion raises unless ``allow_fuel``.
     """
-    if check is None and debug and machine.invariants is not None:
-        ctx: dict = {}
-        check = lambda s, per_label: machine.invariants(index, s, per_label, ctx)  # noqa: E731
     report = drive(machine.name, index, machine.initial(index), machine.step(),
                    machine.snapshot, machine.footprint, machine, fuel, trace, check)
     if report.outcome == "fuel" and not allow_fuel:
@@ -246,17 +242,23 @@ def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, trace: bool = False,
 
 
 def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
-    """Yield ``(label, state)`` pairs starting with ``(None, initial)``; ends at final."""
+    """Yield ``(label, state)`` pairs starting with ``(None, initial)``; ends at final.
+
+    Raises as ``drive`` does: StuckError on a stuck state, FuelExhausted when
+    ``fuel`` steps do not reach a final state.
+    """
     step = machine.step()
     s = machine.initial(index)
     yield None, s
-    for _ in range(fuel):
+    steps = 0
+    while True:
         result = step(index, s)
-        if isinstance(result, Stuck):
-            raise StuckError(result.reason)
-        if not isinstance(result, Next):
+        if isinstance(result, Final):
             return
+        if isinstance(result, Stuck):
+            raise StuckError(f"{machine.name} stuck: {result.reason}")
+        if steps == fuel:
+            raise FuelExhausted(fuel)
+        steps += 1
         s = result.state
         yield result.label, s
-    if isinstance(step(index, s), Next):
-        raise FuelExhausted(fuel)

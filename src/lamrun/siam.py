@@ -189,7 +189,7 @@ class CoverageReport:
 
 
 def run(deriv_or_index, subject: Term = None, fuel: int = DEFAULT_FUEL, trace: bool = False,
-        debug: bool = False, allow_fuel: bool = False):
+        allow_fuel: bool = False):
     """Run to the final judgement; returns ``(RunReport, CoverageReport)``."""
     if isinstance(deriv_or_index, DerivationIndex):
         index = deriv_or_index
@@ -200,8 +200,6 @@ def run(deriv_or_index, subject: Term = None, fuel: int = DEFAULT_FUEL, trace: b
 
     def visit(s, per_label):
         nonlocal repeated
-        if debug:
-            check_state(index, s)
         occ = occurrence(index, s)
         repeated += occ in seen
         seen.add(occ)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 FUN = "Fun"
 ARG = "Arg"
@@ -338,18 +338,6 @@ def is_closed(term: Term, depth: int = 0) -> bool:
     return True
 
 
-def positions(term: Term) -> Iterator[tuple]:
-    stack = [((), term)]
-    while stack:
-        path, t = stack.pop()
-        yield path, t
-        if isinstance(t, Lam):
-            stack.append((path + (BODY,), t.body))
-        elif isinstance(t, App):
-            stack.append((path + (ARG,), t.arg))
-            stack.append((path + (FUN,), t.fun))
-
-
 def resolve(root: Term, path: Path):
     """Return ``(subterm, level)`` for the occurrence at ``path``."""
     t = root
@@ -365,26 +353,6 @@ def resolve(root: Term, path: Path):
         else:
             raise InvalidPath(f"step {step} does not match node at {path_str(path)}")
     return t, level
-
-
-def binder_of(root: Term, var_path: Path):
-    """Locate the binder of the variable occurrence at ``var_path``.
-
-    Returns ``(binder_path, inner_level)`` where ``inner_level`` counts the
-    ``Arg`` steps strictly between the binder and the occurrence.
-    """
-    var, _ = resolve(root, var_path)
-    if not isinstance(var, Var):
-        raise InvalidPath("binder_of expects a variable occurrence")
-    crossed = 0
-    for i in range(len(var_path) - 1, -1, -1):
-        if var_path[i] == BODY:
-            if crossed == var.index:
-                binder_path = var_path[:i]
-                inner_level = sum(1 for s in var_path[i + 1 :] if s == ARG)
-                return binder_path, inner_level
-            crossed += 1
-    raise NotClosed(f"variable at {path_str(var_path)} has no binder")
 
 
 class TermIndex:

@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from lamrun import equivalence as eq, ham, liam, ljam, lpam, siam, tokens as tk
-from lamrun.reporting import Next
+from lamrun import equivalence as eq, ham, harness, liam, ljam, lpam, siam, tokens as tk
+from lamrun.reporting import Next, Stuck, StuckError
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 
@@ -115,6 +115,41 @@ def test_inconclusive_on_divergence(omega):
 def test_invariants_suite(running_example, duplication_example):
     assert eq.check_invariants_suite(running_example, 1000).passed
     assert eq.check_invariants_suite(duplication_example, 1000).passed
+
+
+@pytest.mark.parametrize("name", ["iam", "jam", "pam", "kam", "ham-j", "ham-k"])
+def test_invariants_suite_checks_every_registered_machine(monkeypatch, running_example, name):
+    def raises(index, s, labels, ctx):
+        raise AssertionError(f"{name} invariant")
+
+    monkeypatch.setitem(harness.MACHINES, name, replace(harness.MACHINES[name], invariants=raises))
+    report = eq.check_invariants_suite(running_example, 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details["violated"] == f"{name} invariant"
+
+
+def test_invariants_suite_checks_every_siam_state(monkeypatch, running_example):
+    def check_state(index, s):
+        raise AssertionError("siam state")
+
+    monkeypatch.setattr(siam, "check_state", check_state)
+    report = eq.check_invariants_suite(running_example, 1000)
+    assert not report.passed and not report.inconclusive
+    assert (report.details["sub"], report.details["violated"]) == ("siam-bidet", "siam state")
+
+
+def test_invariants_suite_names_a_stuck_machine(monkeypatch, running_example):
+    original = liam.step
+    seen = 0
+
+    def step(index, s):
+        nonlocal seen
+        seen += 1
+        return Stuck("corrupted") if seen == 3 else original(index, s)
+
+    monkeypatch.setattr(liam, "step", step)
+    with pytest.raises(StuckError, match="^iam stuck: corrupted$"):
+        eq.check_invariants_suite(running_example, 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def scan(xs):
 
 def reference_footprint(name, s):
     if name in ("iam", "jam", "pam"):
-        log = s.history.cells if name == "pam" else s.log
+        log = tk.from_list(s.history.entries()) if name == "pam" else s.log
         tape, markers = scan(s.tape)
         return scan(log)[0] + tape - markers, markers, reference_cells(log, s.tape)
     if name == "kam":

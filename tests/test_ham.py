@@ -1,7 +1,7 @@
 import pytest
 
 from lamrun import ham, kam, ljam
-from lamrun.equivalence import check_ham_jk
+from lamrun.equivalence import check_ham_jk, walk_invariants
 from lamrun.syntax import TermIndex, parse
 
 
@@ -51,8 +51,9 @@ def test_length_equation_on_examples(running_example, duplication_example):
 
 def test_debug_mode_checks_visited_lemma(running_example, duplication_example, corpus):
     for term in [running_example, duplication_example] + corpus[:30]:
-        ham.run(term, ham.J_MODE, 10**6, debug=True)
-        ham.run(term, ham.K_MODE, 10**6, debug=True)
+        index = TermIndex(term)
+        walk_invariants(ham.MODES[ham.J_MODE], index, 10**6)
+        walk_invariants(ham.MODES[ham.K_MODE], index, 10**6)
 
 
 def test_full_check_on_examples(running_example, duplication_example):

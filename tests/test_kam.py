@@ -1,6 +1,7 @@
 import pytest
 
 from lamrun import kam, tokens as tk
+from lamrun.equivalence import walk_invariants
 from lamrun.reporting import FuelExhausted
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse, whnf_trace
 
@@ -57,7 +58,7 @@ def test_env_persistence(running_example):
 
 def test_debug_mode(running_example, duplication_example):
     for term in (running_example, duplication_example):
-        kam.run(term, 100, debug=True)
+        walk_invariants(kam.MACHINE, TermIndex(term), 100)
 
 
 def test_debug_mode_flags_an_environment_that_does_not_close(running_example):

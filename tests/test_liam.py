@@ -1,7 +1,7 @@
 import pytest
 
 from lamrun import liam, tokens as tk
-from lamrun.equivalence import check_backtracking_brackets
+from lamrun.equivalence import check_backtracking_brackets, walk_invariants
 from lamrun.reporting import FINAL, FuelExhausted, Next
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
@@ -62,7 +62,7 @@ def test_fuel_exhaustion(omega):
 
 def test_debug_invariants_hold(running_example, duplication_example):
     for term in (running_example, duplication_example):
-        liam.run(term, 100, debug=True)
+        walk_invariants(liam.MACHINE, TermIndex(term), 100)
 
 
 def test_ram_cost_bound(running_example):

@@ -1,5 +1,5 @@
 from lamrun import ljam, tokens as tk
-from lamrun.equivalence import check_jam_up_phases
+from lamrun.equivalence import check_jam_up_phases, walk_invariants
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 
@@ -63,7 +63,7 @@ def test_depth_of_deeply_nested_log():
 
 def test_debug_invariants(running_example, duplication_example):
     for term in (running_example, duplication_example):
-        ljam.run(term, 100, debug=True)
+        walk_invariants(ljam.MACHINE, TermIndex(term), 100)
 
 
 def test_up_length_counts_up_transitions(running_example):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import lamrun
 from lamrun import kam, liam, multitypes as mt
-from lamrun.syntax import Diverged, parse
+from lamrun.syntax import FUN, Diverged, Var, parse
 from lamrun.multitypes import (
     STAR,
     Arrow,
@@ -135,6 +136,45 @@ def test_typability_iff_termination(omega, corpus):
         d = infer_star_derivation(term, 10**6)
         assert d.rh_type is STAR
         assert validate(d, term) == []
+
+
+def _broken_derivations(t):
+    """The derivation of ``t`` = (λx.x x) (λy.y) with one fault each."""
+    d = infer_star_derivation(t, 10)
+    lam, body = d.left, d.left.body
+    return {
+        "db_index": replace(d, left=replace(lam, body=replace(
+            body, left=replace(body.left, db_index=1)))),
+        "domain": replace(d, left=replace(lam, domain=lam.domain[::-1])),
+        "rights": replace(d, rights=d.rights[::-1]),
+        "axiom_on_lam": replace(d, left=replace(lam, body=replace(
+            body, rights=(replace(body.rights[0], term_pos=(FUN,)),)))),
+        "shared": replace(d, rights=(d.rights[0], d.rights[0])),
+    }
+
+
+@pytest.mark.parametrize("fault,problems", [
+    ("db_index", ["Fun/Body/Fun: axiom does not sit on a matching variable occurrence",
+                  "Fun: domain differs from the bound variable's axiom sequence",
+                  "closed subject with a non-empty type environment"]),
+    ("domain", ["Fun: conclusion type is not domain -> body type",
+                "Fun: domain differs from the bound variable's axiom sequence"]),
+    ("rights", ["·: right premise 1 type differs from domain entry",
+                "·: right premise 2 type differs from domain entry"]),
+    ("axiom_on_lam", ["Fun/Body: right premise 1 is not at the argument position",
+                      "Fun: axiom does not sit on a matching variable occurrence"]),
+    ("shared", ["·: right premise 2 type differs from domain entry",
+                "Arg: node object occurs twice in one derivation",
+                "Arg/Body: node object occurs twice in one derivation"]),
+])
+def test_validate_reports_a_broken_derivation(duplication_example, fault, problems):
+    assert validate(_broken_derivations(duplication_example)[fault],
+                    duplication_example) == problems
+
+
+def test_validate_reports_an_open_subject():
+    assert validate(DVar((), 0, STAR), Var(0, "x")) == [
+        "closed subject with a non-empty type environment"]
 
 
 def test_env_of_closed_derivation_is_empty(running_example):

@@ -14,14 +14,12 @@ from lamrun.syntax import (
     TermIndex,
     UnboundIdentifier,
     Var,
-    binder_of,
     canonical_pretty,
     is_closed,
     load_definitions,
     parse,
     parse_path,
     path_str,
-    positions,
     pretty,
     resolve,
     skeleton,
@@ -118,12 +116,13 @@ def test_resolve_invalid_path(running_example):
 
 def test_binder_of_identity():
     t = parse("\\x.x")
-    assert binder_of(t, (BODY,)) == ((), 0)
+    assert TermIndex(t).binder_at[(BODY,)] == ((), 0)
 
 
 def test_binder_of_duplication(duplication_example):
-    assert binder_of(duplication_example, (FUN, BODY, FUN)) == ((FUN,), 0)
-    assert binder_of(duplication_example, (FUN, BODY, ARG)) == ((FUN,), 1)
+    binder_at = TermIndex(duplication_example).binder_at
+    assert binder_at[(FUN, BODY, FUN)] == ((FUN,), 0)
+    assert binder_at[(FUN, BODY, ARG)] == ((FUN,), 1)
 
 
 def test_path_string_roundtrip():
@@ -134,7 +133,8 @@ def test_path_string_roundtrip():
 
 def test_level_counts_arg_steps(running_example):
     index = TermIndex(running_example)
-    for path, _ in positions(running_example):
+    assert len(index.node_at) == index.size
+    for path in index.node_at:
         assert index.level_at[path] == sum(1 for s in path if s == ARG)
 
 
