@@ -16,7 +16,7 @@ from . import reporting, tokens as tk
 from .liam import DOWN, UP
 from .ljam import UP_LABELS
 from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, as_index, path_str
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex, path_str
 
 J_MODE = "j"
 K_MODE = "k"
@@ -124,7 +124,7 @@ def state_footprint(s: HamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFo
                              tk.deep_cells(s.log, s.env, s.tape, reach=reach))
 
 
-def check_invariants(index: TermIndex, s: HamState, per_label: dict, ctx: dict):
+def check_invariants(index: TermIndex, label, s: HamState, per_label: dict, ctx: dict):
     visited = ctx.setdefault("visited", set())
     verified = ctx.setdefault("verified", set())
     visited.add(_shape_key(s.pos, s.log, s.env))
@@ -153,15 +153,11 @@ def _shape_key(pos, log, env):
     return (pos, tk.length(log), tk.length(env))
 
 
-def run(term_or_index, mode: str, fuel: int = DEFAULT_FUEL, trace: bool = False,
+def run(term: Term, mode: str, fuel: int = DEFAULT_FUEL, trace: bool = False,
         allow_fuel: bool = False):
     if mode not in MODES:
         raise ValueError(f"mode must be {J_MODE!r} or {K_MODE!r}")
-    return reporting.run(MODES[mode], as_index(term_or_index), fuel, trace, allow_fuel)
-
-
-def trajectory(index: TermIndex, mode: str, fuel: int = DEFAULT_FUEL):
-    return reporting.trajectory(MODES[mode], index, fuel)
+    return reporting.run(MODES[mode], TermIndex(term), fuel, trace, allow_fuel)
 
 
 def _machine(mode: str, up_labels: tuple) -> Machine:

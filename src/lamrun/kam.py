@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import reporting, tokens as tk
 from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, Var, as_index, path_str
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex, Var, path_str
 
 
 @tk.encodes('{"pos": %s, "env": %s}', lambda c: (path_str(c.pos),))
@@ -74,7 +74,7 @@ def _max_free(index: TermIndex) -> dict:
     return out
 
 
-def check_invariants(index: TermIndex, s: KamState, per_label: dict, ctx: dict):
+def check_invariants(index: TermIndex, label, s: KamState, per_label: dict, ctx: dict):
     if not ctx:
         ctx.update(verified=set(), max_free=_max_free(index))
     verified, max_free = ctx["verified"], ctx["max_free"]
@@ -83,14 +83,10 @@ def check_invariants(index: TermIndex, s: KamState, per_label: dict, ctx: dict):
         assert tk.length(c.env) > max_free[c.pos], "closure environment does not close its subterm"
 
 
-def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
-    report = reporting.run(MACHINE, as_index(term_or_index), fuel, trace, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
+    report = reporting.run(MACHINE, TermIndex(term), fuel, trace, allow_fuel)
     report.beta_count = report.per_label.get("abs", 0)
     return report
-
-
-def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):
-    return reporting.trajectory(MACHINE, index, fuel)
 
 
 MACHINE = Machine(

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import reporting, tokens as tk
 from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, Var, as_index
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex, Var
 
 DOWN = "down"
 UP = "up"
@@ -148,10 +148,19 @@ def state_eq(a, b, memo: dict) -> bool:
     return states_related(a, b, tk.same_item, memo)
 
 
-def check_invariants(index: TermIndex, s: IamState, per_label: dict, ctx: dict):
-    """Position-and-log plus tape-and-direction invariants, and those of every
-    logged position the token holds, however deeply nested."""
+def check_invariants(index: TermIndex, label, s: IamState, per_label: dict, ctx: dict):
+    """Position-and-log plus tape-and-direction invariants, those of every
+    logged position the token holds, however deeply nested, and well-bracketed
+    backtracking: each bt2 ends the innermost pending bt1."""
     verified = ctx.setdefault("verified", set())
+    pending = ctx.setdefault("pending", [])  # tape heads pushed by the pending bt1s
+    if label == "bt1":
+        pending.append(s.tape.head)
+    elif label == "bt2":
+        assert pending and pending[-1] is ctx["prev"].tape.head, (
+            "bt2 does not exhaust the innermost pending bt1")
+        pending.pop()
+    ctx["prev"] = s
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
     lp_on_tape = tk.length(s.tape) - tk.markers(s.tape)
     expected = DOWN if lp_on_tape % 2 == 0 else UP
@@ -164,12 +173,8 @@ def check_invariants(index: TermIndex, s: IamState, per_label: dict, ctx: dict):
             "logged position log length differs from its inner level")
 
 
-def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
-    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, allow_fuel)
-
-
-def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):
-    return reporting.trajectory(MACHINE, index, fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
+    return reporting.run(MACHINE, TermIndex(term), fuel, trace, allow_fuel)
 
 
 MACHINE = Machine(

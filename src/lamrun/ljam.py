@@ -13,7 +13,7 @@ from typing import Optional
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
 from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, as_index
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex
 
 UP_LABELS = ("p3", "p4", "arg", "jmp")
 
@@ -101,7 +101,10 @@ def state_footprint(s: JamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFo
     return tk.footprint(s.log, s.tape, reach)
 
 
-def check_invariants(index: TermIndex, s: JamState, per_label: dict, ctx: dict):
+def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx: dict):
+    """Position-and-log and tape invariants, the depth of the state and of
+    every logged position, and the length of each up phase: at most the depth
+    of the state that starts it times the size of the term."""
     verified = ctx.setdefault("verified", set())
     depths = ctx.setdefault("depths", {})
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
@@ -120,14 +123,15 @@ def check_invariants(index: TermIndex, s: JamState, per_label: dict, ctx: dict):
         )
         # d is the var count, which only grows: an item no deeper than d when first seen stays so
         assert d >= depth_of(lp, depths), "logged position deeper than its state"
+    phase = ctx.get("phase")  # [transitions, bound] while the previous state is up
+    if phase is not None:
+        phase[0] += 1
+        assert phase[0] <= phase[1], "up phase exceeds depth * size bound"
+    ctx["phase"] = (phase or [0, d * index.size]) if s.dir == UP else None
 
 
-def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
-    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, allow_fuel)
-
-
-def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):
-    return reporting.trajectory(MACHINE, index, fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
+    return reporting.run(MACHINE, TermIndex(term), fuel, trace, allow_fuel)
 
 
 MACHINE = Machine(

@@ -14,7 +14,7 @@ from . import reporting, tokens as tk
 from .liam import DOWN, UP
 from .ljam import UP_LABELS
 from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, TermIndex, as_index, path_str
+from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex, path_str
 
 
 class UndefinedLookup(Exception):
@@ -141,7 +141,7 @@ def state_footprint(s: PamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFo
     return tk.SpaceFootprint(len(s.history) + tape - markers, markers, len(s.history) + tape)
 
 
-def check_invariants(index: TermIndex, s: PamState, per_label: dict, ctx: dict):
+def check_invariants(index: TermIndex, label, s: PamState, per_label: dict, ctx: dict):
     hops = ctx.setdefault("hops", [0])  # hops[k]: lookups the chain from index k can make
     array = s.history.array
     for k in range(len(hops), len(s.history) + 1):
@@ -161,12 +161,8 @@ def check_invariants(index: TermIndex, s: PamState, per_label: dict, ctx: dict):
         assert positions == 1, "up state without exactly one position on the tape"
 
 
-def run(term_or_index, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
-    return reporting.run(MACHINE, as_index(term_or_index), fuel, trace, allow_fuel)
-
-
-def trajectory(index: TermIndex, fuel: int = DEFAULT_FUEL):
-    return reporting.trajectory(MACHINE, index, fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
+    return reporting.run(MACHINE, TermIndex(term), fuel, trace, allow_fuel)
 
 
 MACHINE = Machine(

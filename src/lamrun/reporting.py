@@ -59,7 +59,9 @@ class Machine:
     pos: Callable = attrgetter("pos")
     var_labels: tuple = ("var",)
     up_labels: tuple = ()  # when given, reports carry their count as upLength
-    invariants: Optional[Callable] = None  # (index, state, labels, ctx); asserts
+    # (index, label, state, labels, ctx); asserts.  ``label`` is the transition
+    # that reached ``state``, None at the initial state
+    invariants: Optional[Callable] = None
 
 
 @dataclass(frozen=True)

@@ -66,11 +66,11 @@ class SiamState:
 
 
 def resolve_tpath(ty, tpath):
+    """The type that ``tpath`` leads to in ``ty``; None when it leads out of ``ty``."""
     for step in tpath:
-        if step == TARGET:
-            ty = ty.target
-        else:
-            ty = ty.domain[step - 1]
+        if isinstance(ty, Star) or step > len(ty.domain):
+            return None
+        ty = ty.target if step == TARGET else ty.domain[step - 1]
     return ty
 
 
@@ -171,9 +171,20 @@ def snapshot(index: DerivationIndex, s: SiamState, enc=None) -> str:
     return f'{{"node": {index.ordinal[id(s.node)]}, "tpath": {json_text(tpath_str(s.tpath))}}}'
 
 
-def check_state(index: DerivationIndex, s: SiamState):
+def check_invariants(index: DerivationIndex, label, s: SiamState, per_label: dict, ctx: dict):
+    """The type path isolates a ★, and the machine is bi-deterministic: the
+    inverse step from each reached state gives back the transition and the
+    occurrence and direction of the state before it."""
     ty = resolve_tpath(s.node.rh_type, s.tpath)
     assert isinstance(ty, Star), "type path does not isolate a ★ occurrence"
+    if label is not None:
+        back = step_back(index, s)
+        assert back is not None, "reached state has no predecessor"
+        blabel, bstate = back
+        prev = ctx["prev"]
+        assert (blabel == label and occurrence(index, bstate) == occurrence(index, prev)
+                and bstate.dir == prev.dir), "inverse step disagrees"
+    ctx["prev"] = s
 
 
 @dataclass
@@ -208,10 +219,6 @@ def run(deriv_or_index, subject: Term = None, fuel: int = DEFAULT_FUEL, trace: b
     return report, CoverageReport(index.stars, len(seen), repeated, report.length)
 
 
-def trajectory(index: DerivationIndex, fuel: int = DEFAULT_FUEL):
-    return reporting.trajectory(MACHINE, index, fuel)
-
-
 NO_TOKEN = SpaceFootprint(0, 0, 0)
 
 
@@ -225,4 +232,5 @@ MACHINE = Machine(
     launch=lambda term, fuel, **kw: run(mt.infer_star_derivation(term, fuel), term, fuel, **kw)[0],
     dir=lambda s: observable(s)[1],
     pos=lambda s: s.node.term_pos,
+    invariants=check_invariants,
 )

@@ -384,10 +384,6 @@ class TermIndex:
                 stack.append((path + (ARG,), node.arg, level + 1, lams))
 
 
-def as_index(term_or_index) -> TermIndex:
-    return term_or_index if isinstance(term_or_index, TermIndex) else TermIndex(term_or_index)
-
-
 # ---------------------------------------------------------------------------
 # Weak head reduction
 

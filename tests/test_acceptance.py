@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import test_golden_traces as golden
 import test_siam as siam_tests
 from lamrun import equivalence as eq, harness, kam, liam, ljam, lpam, multitypes as mt, siam
+from lamrun.reporting import trajectory
 from lamrun.syntax import term_size
 
 
@@ -43,7 +44,7 @@ def test_criterion_2_siam_visit_order(running_example):
         dindex = siam.DerivationIndex(deriv, running_example)
         rows = [
             ("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir)
-            for _, s in siam.trajectory(dindex, 100)
+            for _, s in trajectory(siam.MACHINE, dindex, 100)
         ]
         assert rows == siam_tests.EXPECTED_RUNNING_ORDER
         assert len(rows) == 19

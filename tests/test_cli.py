@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from lamrun import harness
+from lamrun import harness, liam
 from lamrun.cli import main
+from lamrun.reporting import Stuck
 
 DEFS = "I = \\z.z;\n"
 
@@ -87,6 +88,17 @@ def test_check_iam_siam(capsys, defs_file):
 
 def test_check_corpus(capsys):
     assert main(["check", "quadratic", "--corpus", "5,20,25", "--fuel", "100000"]) == 0
+
+
+def test_check_corpus_goes_on_past_a_stuck_machine(monkeypatch, capsys, corpus):
+    # the corpus generator runs the interaction machine too: keep it out of the patch
+    monkeypatch.setattr(harness, "gen_corpus", lambda seed, count, max_size: corpus)
+    monkeypatch.setattr(liam, "step", lambda index, s: Stuck("corrupted"))
+    assert main(["check", "iam-jam", "--corpus", "42,200,40"]) == 1
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(docs) == 132
+    assert all(not d["passed"] and d["details"]["stuck"] == "iam stuck: corrupted"
+               for d in docs)
 
 
 def test_check_requires_input(capsys):

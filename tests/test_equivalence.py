@@ -1,10 +1,12 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from lamrun import equivalence as eq, ham, harness, liam, ljam, lpam, siam, tokens as tk
-from lamrun.reporting import Next, Stuck, StuckError
+from lamrun import equivalence as eq, ham, harness, liam, ljam, lpam, multitypes as mt, siam
+from lamrun import tokens as tk
+from lamrun.reporting import Next, Stuck, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 
@@ -117,9 +119,9 @@ def test_invariants_suite(running_example, duplication_example):
     assert eq.check_invariants_suite(duplication_example, 1000).passed
 
 
-@pytest.mark.parametrize("name", ["iam", "jam", "pam", "kam", "ham-j", "ham-k"])
+@pytest.mark.parametrize("name", ["iam", "jam", "pam", "kam", "ham-j", "ham-k", "siam"])
 def test_invariants_suite_checks_every_registered_machine(monkeypatch, running_example, name):
-    def raises(index, s, labels, ctx):
+    def raises(index, label, s, labels, ctx):
         raise AssertionError(f"{name} invariant")
 
     monkeypatch.setitem(harness.MACHINES, name, replace(harness.MACHINES[name], invariants=raises))
@@ -128,14 +130,24 @@ def test_invariants_suite_checks_every_registered_machine(monkeypatch, running_e
     assert report.details["violated"] == f"{name} invariant"
 
 
-def test_invariants_suite_checks_every_siam_state(monkeypatch, running_example):
-    def check_state(index, s):
-        raise AssertionError("siam state")
+def test_invariants_suite_walks_each_machine_once(monkeypatch, running_example):
+    walks: Counter = Counter()
+    builds = 0
+    walk, build = eq.trajectory, TermIndex.__init__
 
-    monkeypatch.setattr(siam, "check_state", check_state)
-    report = eq.check_invariants_suite(running_example, 1000)
-    assert not report.passed and not report.inconclusive
-    assert (report.details["sub"], report.details["violated"]) == ("siam-bidet", "siam state")
+    def counting_walk(machine, index, fuel):
+        walks[machine.name] += 1
+        return walk(machine, index, fuel)
+
+    def counting_build(self, term):
+        nonlocal builds
+        builds += 1
+        build(self, term)
+
+    monkeypatch.setattr(eq, "trajectory", counting_walk)
+    monkeypatch.setattr(TermIndex, "__init__", counting_build)
+    assert eq.check_invariants_suite(running_example, 1000).passed
+    assert walks == Counter(list(harness.MACHINES)) and builds == 1
 
 
 def test_invariants_suite_names_a_stuck_machine(monkeypatch, running_example):
@@ -148,8 +160,61 @@ def test_invariants_suite_names_a_stuck_machine(monkeypatch, running_example):
         return Stuck("corrupted") if seen == 3 else original(index, s)
 
     monkeypatch.setattr(liam, "step", step)
-    with pytest.raises(StuckError, match="^iam stuck: corrupted$"):
-        eq.check_invariants_suite(running_example, 1000)
+    report = eq.check_invariants_suite(running_example, 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details["stuck"] == "iam stuck: corrupted"
+
+
+def test_iam_invariants_reject_a_bt2_that_ends_no_pending_bt1(running_example):
+    index = TermIndex(running_example)
+    states = list(trajectory(liam.MACHINE, index, 1000))
+    at = next(i for i, (label, _) in enumerate(states) if label == "bt2")
+    labels = Counter(label for label, _ in states[1:at + 1])
+    for pending in ([], [tk.MARKER]):
+        ctx = {"pending": pending, "prev": states[at - 1][1]}
+        with pytest.raises(AssertionError, match="bt2 does not exhaust the innermost pending bt1"):
+            liam.check_invariants(index, "bt2", states[at][1], labels, ctx)
+
+
+def test_jam_invariants_reject_an_overlong_up_phase(running_example):
+    index = TermIndex(running_example)
+    states = list(trajectory(ljam.MACHINE, index, 1000))
+    at = next(i for i, (label, _) in enumerate(states) if label in ljam.UP_LABELS)
+    labels = Counter(label for label, _ in states[1:at + 1])
+    with pytest.raises(AssertionError, match="up phase exceeds depth \\* size bound"):
+        ljam.check_invariants(index, states[at][0], states[at][1], labels, {"phase": [0, 0]})
+
+
+def test_siam_invariants_reject_a_type_path_without_a_star(running_example):
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(running_example, 1000),
+                                  running_example)
+    left = dindex.deriv.left  # its type is an arrow
+    for node, tpath in ((left, ()), (dindex.deriv, (siam.TARGET,)),
+                        (left, (len(left.rh_type.domain) + 1,))):
+        s = siam.SiamState(node, tpath, siam.TO_LEAVES)  # an arrow, or out of the type
+        with pytest.raises(AssertionError, match="type path does not isolate a ★ occurrence"):
+            siam.check_invariants(dindex, None, s, {}, {})
+
+
+def test_invariants_suite_reports_a_disagreeing_inverse_step(monkeypatch, running_example):
+    original = siam.step_back
+
+    def step_back(index, s):
+        label, state = original(index, s)
+        return label, replace(state, dir=siam.TO_ROOT if state.dir == siam.TO_LEAVES
+                              else siam.TO_LEAVES)
+
+    monkeypatch.setattr(siam, "step_back", step_back)
+    report = eq.check_invariants_suite(running_example, 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details["violated"] == "inverse step disagrees"
+
+
+def test_invariants_suite_reports_an_unmatched_bt1(monkeypatch, running_example):
+    corrupt(monkeypatch, liam, "step", 15, label="bogus")  # the one bt2 of the run
+    report = eq.check_invariants_suite(running_example, 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details["reason"] == "unmatched bt1 at the end of the run"
 
 
 # ---------------------------------------------------------------------------

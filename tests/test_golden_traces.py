@@ -6,6 +6,7 @@ its argument.  Each row pins the transition label, the focused occurrence,
 the direction, and the full token.
 """
 from lamrun import ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
+from lamrun.reporting import trajectory
 from lamrun.syntax import ARG, BODY, FUN, path_str
 
 F, A, B = FUN, ARG, BODY
@@ -295,7 +296,7 @@ def test_pam_duplication_trace(duplication_example):
 def test_siam_duplication_trace(duplication_example):
     deriv = mt.infer_star_derivation(duplication_example, 100)
     dindex = siam.DerivationIndex(deriv, duplication_example)
-    states = [s for _, s in siam.trajectory(dindex, 100)]
+    states = [s for _, s in trajectory(siam.MACHINE, dindex, 100)]
     rows = [("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir) for s in states]
     expected = [
         ("", "·", "up"),
@@ -313,7 +314,7 @@ def test_siam_duplication_trace(duplication_example):
         ("Arg", "·", "up"),
     ]
     assert rows == expected
-    labels = [lbl for lbl, _ in siam.trajectory(dindex, 100)][1:]
+    labels = [lbl for lbl, _ in trajectory(siam.MACHINE, dindex, 100)][1:]
     assert labels == ["p1", "p2", "p1", "var", "arg", "p2", "var", "bt1", "bt2",
                       "arg", "var", "arg"]
 

@@ -2,6 +2,7 @@ import pytest
 
 from lamrun import ham, kam, ljam
 from lamrun.equivalence import check_ham_jk, walk_invariants
+from lamrun.reporting import trajectory
 from lamrun.syntax import TermIndex, parse
 
 
@@ -19,7 +20,7 @@ def test_mode_must_be_valid(running_example):
 def test_k_mode_never_goes_up(running_example, corpus):
     for term in [running_example] + corpus[:20]:
         index = TermIndex(term)
-        for label, state in ham.trajectory(index, ham.K_MODE, 10**6):
+        for label, state in trajectory(ham.MODES[ham.K_MODE], index, 10**6):
             assert state.dir == ham.DOWN
             assert label in (None, "p1_app", "p2_abs", "var_k")
 
@@ -69,7 +70,8 @@ def test_tape_lift(corpus):
     for term in corpus[:20]:
         index = TermIndex(term)
         for mode in (ham.J_MODE, ham.K_MODE):
-            base = [(lbl, s.pos, s.dir) for lbl, s in ham.trajectory(index, mode, 10**6)]
+            base = [(lbl, s.pos, s.dir)
+                    for lbl, s in trajectory(ham.MODES[mode], index, 10**6)]
             n = len(base) - 1
             suffix = ham.LoggedClosure((), tk.nil, tk.nil)
             s = ham.HamState((), tk.nil, tk.nil, tk.cons(suffix, tk.nil), ham.DOWN)

@@ -2,7 +2,7 @@ import pytest
 
 from lamrun import kam, tokens as tk
 from lamrun.equivalence import walk_invariants
-from lamrun.reporting import FuelExhausted
+from lamrun.reporting import FuelExhausted, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse, whnf_trace
 
 
@@ -50,7 +50,7 @@ def test_length_identity_and_beta(running_example, duplication_example, corpus):
 def test_env_persistence(running_example):
     index = TermIndex(running_example)
     captured = []
-    for label, state in kam.trajectory(index, 100):
+    for label, state in trajectory(kam.MACHINE, index, 100):
         captured.append((state, kam.snapshot(index, state)))
     for state, snap in captured:
         assert kam.snapshot(index, state) == snap
@@ -66,9 +66,10 @@ def test_debug_mode_flags_an_environment_that_does_not_close(running_example):
     y = (FUN, FUN, BODY, BODY, ARG)  # y, bound two λs up
     short = kam.Closure(y, tk.cons(kam.Closure((ARG,), None), None))
     with pytest.raises(AssertionError, match="state environment"):
-        kam.check_invariants(index, kam.KamState(y, short.env, None), {}, {})
+        kam.check_invariants(index, None, kam.KamState(y, short.env, None), {}, {})
     with pytest.raises(AssertionError, match="closure environment"):
-        kam.check_invariants(index, kam.KamState((ARG,), None, tk.cons(short, None)), {}, {})
+        kam.check_invariants(index, None, kam.KamState((ARG,), None, tk.cons(short, None)),
+                             {}, {})
 
 
 def test_fuel(omega):

@@ -1,8 +1,8 @@
 import pytest
 
 from lamrun import liam, tokens as tk
-from lamrun.equivalence import check_backtracking_brackets, walk_invariants
-from lamrun.reporting import FINAL, FuelExhausted, Next
+from lamrun.equivalence import walk_invariants
+from lamrun.reporting import FINAL, FuelExhausted, Next, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 
@@ -76,7 +76,7 @@ def test_bideterminism_on_examples(running_example, duplication_example):
         index = TermIndex(term)
         memo = {}
         prev = None
-        for label, state in liam.trajectory(index, 1000):
+        for label, state in trajectory(liam.MACHINE, index, 1000):
             if prev is not None:
                 back = liam.step_back(index, state)
                 assert back is not None
@@ -93,7 +93,7 @@ def test_bideterminism_on_corpus(corpus):
         index = TermIndex(term)
         memo = {}
         prev = None
-        for label, state in liam.trajectory(index, 10**6):
+        for label, state in trajectory(liam.MACHINE, index, 10**6):
             if prev is not None:
                 blabel, bstate = liam.step_back(index, state)
                 assert blabel == label and liam.state_eq(bstate, prev, memo)
@@ -109,7 +109,7 @@ def test_tape_lift(corpus):
     # appending a tape suffix preserves the label sequence of any run prefix
     for term in corpus[:25]:
         index = TermIndex(term)
-        base = [(lbl, s.pos, s.dir) for lbl, s in liam.trajectory(index, 10**6)]
+        base = [(lbl, s.pos, s.dir) for lbl, s in trajectory(liam.MACHINE, index, 10**6)]
         n = len(base) - 1
         for suffix in ([tk.MARKER], [tk.MARKER, tk.MARKER]):
             s = liam.IamState((), tk.from_list(suffix), tk.nil, liam.DOWN)
@@ -123,9 +123,9 @@ def test_tape_lift(corpus):
 
 
 def test_backtracking_well_bracketed(corpus, running_example):
-    assert check_backtracking_brackets(running_example, 1000).passed
-    for term in corpus[:50]:
-        assert check_backtracking_brackets(term, 10**6).passed
+    for term, fuel in [(running_example, 1000)] + [(t, 10**6) for t in corpus[:50]]:
+        labels = walk_invariants(liam.MACHINE, TermIndex(term), fuel)
+        assert labels["bt1"] == labels["bt2"]
 
 
 def test_bt_flag_marks_backtracking(running_example):

@@ -1,5 +1,6 @@
 from lamrun import ljam, tokens as tk
-from lamrun.equivalence import check_jam_up_phases, walk_invariants
+from lamrun.equivalence import walk_invariants
+from lamrun.reporting import trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 
@@ -47,7 +48,7 @@ def test_depth_equals_var_count(running_example, corpus):
     for term in [running_example] + corpus[:30]:
         index = TermIndex(term)
         vars_seen = 0
-        for label, state in ljam.trajectory(index, 10**6):
+        for label, state in trajectory(ljam.MACHINE, index, 10**6):
             vars_seen += label == "var"
             assert ljam.depth(state) == vars_seen
 
@@ -78,7 +79,7 @@ def test_log_sharing_keeps_var_cheap(corpus):
         index = TermIndex(term)
         prev_cells = 0
         prev = None
-        for label, state in ljam.trajectory(index, 10**6):
+        for label, state in trajectory(ljam.MACHINE, index, 10**6):
             cells = ljam.state_footprint(state).deep_cells
             if label == "var":
                 binder, inner = index.binder_at[prev.pos]
@@ -88,6 +89,7 @@ def test_log_sharing_keeps_var_cheap(corpus):
 
 
 def test_up_phase_bounds(running_example, corpus):
-    assert check_jam_up_phases(running_example, 1000).passed
-    for term in corpus[:50]:
-        assert check_jam_up_phases(term, 10**6).passed
+    for term, fuel in [(running_example, 1000)] + [(t, 10**6) for t in corpus[:50]]:
+        index = TermIndex(term)
+        labels = walk_invariants(ljam.MACHINE, index, fuel)
+        assert sum(labels[lbl] for lbl in ljam.UP_LABELS) <= labels["var"] ** 2 * index.size

@@ -1,7 +1,7 @@
 import pytest
 
 from lamrun import liam, multitypes as mt, siam
-from lamrun.reporting import Next
+from lamrun.reporting import Next, trajectory
 from lamrun.syntax import TermIndex, parse
 
 
@@ -50,7 +50,7 @@ def test_visits_every_star_once_in_order(running_example):
     dindex = siam.DerivationIndex(deriv, running_example)
     rows = [
         ("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir)
-        for _, s in siam.trajectory(dindex, 100)
+        for _, s in trajectory(siam.MACHINE, dindex, 100)
     ]
     assert rows == EXPECTED_RUNNING_ORDER
     report, coverage = siam.run(dindex, fuel=100)
@@ -70,8 +70,9 @@ def test_observable_projection_matches_interaction_machine(running_example, corp
         deriv = mt.infer_star_derivation(term, 10**6)
         dindex = siam.DerivationIndex(deriv, term)
         index = TermIndex(term)
-        siam_obs = [(lbl,) + siam.observable(s) for lbl, s in siam.trajectory(dindex, 10**6)]
-        iam_obs = [(lbl, s.pos, s.dir) for lbl, s in liam.trajectory(index, 10**6)]
+        siam_obs = [(lbl,) + siam.observable(s)
+                    for lbl, s in trajectory(siam.MACHINE, dindex, 10**6)]
+        iam_obs = [(lbl, s.pos, s.dir) for lbl, s in trajectory(liam.MACHINE, index, 10**6)]
         assert [(l, "/".join(p), d) for l, p, d in iam_obs] == [
             (l, "/".join(p), d) for l, p, d in siam_obs]
 
@@ -87,7 +88,7 @@ def test_bideterminism(running_example, duplication_example, corpus):
         deriv = mt.infer_star_derivation(term, 10**6)
         dindex = siam.DerivationIndex(deriv, term)
         prev = None
-        for label, state in siam.trajectory(dindex, 10**6):
+        for label, state in trajectory(siam.MACHINE, dindex, 10**6):
             if prev is not None:
                 back = siam.step_back(dindex, state)
                 assert back is not None
