@@ -14,7 +14,7 @@ from itertools import zip_longest
 
 from . import harness, ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
 from .reporting import FuelExhausted, Machine, StuckError, trajectory
-from .syntax import DEFAULT_FUEL, Diverged, Term, TermIndex, pretty, whnf_trace
+from .syntax import DEFAULT_FUEL, Diverged, Term, TermIndex, pretty, term_size, whnf_trace
 
 
 @dataclass
@@ -330,23 +330,25 @@ def check_weights(term: Term, fuel: int) -> dict:
 
 
 def check_quadratic_bound(terms, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    """Pointwise |K| <= |J| <= |K| + vars(J)^2 * |t| over a corpus."""
+    """Pointwise |K| <= |J| <= |K| + vars(J)^2 * |t| over a corpus; a stuck machine fails it."""
     name = "quadratic"
-    rows = []
+    checked = 0
     for term in terms:
         try:
             j = ljam.run(term, fuel)
             k = kam.run(term, fuel)
         except FuelExhausted:
             continue
-        size = TermIndex(term).size
+        except StuckError as exc:
+            return CheckReport(name, False, {"term": pretty(term), "stuck": str(exc)})
+        size = term_size(term)
         vars_j = j.per_label.get("var", 0)
         if not (k.length <= j.length <= k.length + vars_j * vars_j * size):
             return CheckReport(name, False, {
                 "term": pretty(term), "kam": k.length, "jam": j.length,
                 "vars": vars_j, "size": size})
-        rows.append((k.length, j.length))
-    return CheckReport(name, True, {"checked": len(rows)})
+        checked += 1
+    return CheckReport(name, True, {"checked": checked})
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +371,11 @@ def walk_invariants(machine: Machine, index, fuel: int) -> Counter:
 
 @checker("invariants")
 def check_invariants_suite(term: Term, fuel: int) -> dict:
-    """Per-state invariants of every machine that declares them, plus run-level identities.
+    """Per-state invariants of every registered machine, plus run-level identities.
 
     The token machines walk the term's index, the derivation machine its ★
-    derivation."""
+    derivation.  Each hopping mode makes the transitions of the machine it
+    entangles, renamed: HAM-J those of the JAM, HAM-K those of the KAM."""
     index = TermIndex(term)
 
     def index_for(name):
@@ -382,7 +385,7 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
 
     try:
         runs = {name: walk_invariants(m, index_for(name), fuel)
-                for name, m in harness.MACHINES.items() if m.invariants is not None}
+                for name, m in harness.MACHINES.items()}
     except AssertionError as exc:
         raise CheckFailed(violated=str(exc)) from None
     beta = len(whnf_trace(term, fuel))
@@ -398,6 +401,9 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
         raise CheckFailed(reason="total up length exceeds vars^2 * size")
     if sum(jam_labels.values()) != sum(runs["pam"].values()):
         raise CheckFailed(reason="jam/pam lengths differ")
+    for mode, renamed, other in (("ham-j", _J_LABELS, "jam"), ("ham-k", _K_LABELS, "kam")):
+        if Counter({renamed.get(lbl, lbl): n for lbl, n in runs[mode].items()}) != runs[other]:
+            raise CheckFailed(reason=f"{mode} transitions differ from the {other}'s")
     return {}
 
 

@@ -111,17 +111,15 @@ def step_mode(index: TermIndex, s: HamState, mode: str):
 
 
 def make_snapshot(mode: str):
-    def snapshot(index: TermIndex, s: HamState, enc: Optional[tk.Encoder] = None) -> str:
-        enc = tk.Encoder() if enc is None else enc
+    def snapshot(index: TermIndex, s: HamState, enc: tk.Encoder) -> str:
         return (f'{{"mode": {tk.json_text(mode)}, "log": {enc.list(s.log)}, '
                 f'"env": {enc.list(s.env)}, "tape": {enc.list(s.tape)}}}')
 
     return snapshot
 
 
-def state_footprint(s: HamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
-    return tk.SpaceFootprint(tk.length(s.log) + tk.length(s.tape), 0,
-                             tk.deep_cells(s.log, s.env, s.tape, reach=reach))
+def state_footprint(s: HamState, reach: tk.Reach) -> tuple:
+    return tk.length(s.log) + tk.length(s.tape), 0, reach.update(s.log, s.env, s.tape)
 
 
 def check_invariants(index: TermIndex, label, s: HamState, per_label: dict, ctx: dict):
@@ -129,7 +127,7 @@ def check_invariants(index: TermIndex, label, s: HamState, per_label: dict, ctx:
     verified = ctx.setdefault("verified", set())
     visited.add(_shape_key(s.pos, s.log, s.env))
     assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
-    cps = sum(1 for item in tk.iterate(s.tape) if isinstance(item, ClosedPosition))
+    cps = closed_count(s.tape, ctx.setdefault("closed", {}))
     if s.dir == DOWN:
         assert cps == 0, "down state with closed positions on the tape"
     else:
@@ -147,6 +145,20 @@ def check_invariants(index: TermIndex, label, s: HamState, per_label: dict, ctx:
             assert _shape_key(x.pos, x.log, x.env) in visited, (
                 "closed position does not record a visited state"
             )
+
+
+def closed_count(tape, memo: dict) -> int:
+    """How many items of ``tape`` are closed positions.  ``memo`` keeps each seen
+    cell's count, its tail's plus its head's, so only new cells are walked."""
+    chain = []
+    while tape is not None and tape not in memo:
+        chain.append(tape)
+        tape = tape.tail
+    count = memo.get(tape, 0)
+    for cell in reversed(chain):
+        count += isinstance(cell.head, ClosedPosition)
+        memo[cell] = count
+    return count
 
 
 def _shape_key(pos, log, env):

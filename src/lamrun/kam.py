@@ -48,15 +48,13 @@ def step(index: TermIndex, s: KamState):
     return Next("var", KamState(clo.pos, clo.env, s.stack), cost=node.index + 1)
 
 
-def snapshot(index: TermIndex, s: KamState, enc: Optional[tk.Encoder] = None) -> str:
-    enc = tk.Encoder() if enc is None else enc
+def snapshot(index: TermIndex, s: KamState, enc: tk.Encoder) -> str:
     return f'{{"env": {enc.list(s.env)}, "stack": {enc.list(s.stack)}}}'
 
 
-def state_footprint(s: KamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
+def state_footprint(s: KamState, reach: tk.Reach) -> tuple:
     # top-level entries of both structures; closures have no markers
-    return tk.SpaceFootprint(tk.length(s.env) + tk.length(s.stack), 0,
-                             tk.deep_cells(s.env, s.stack, reach=reach))
+    return tk.length(s.env) + tk.length(s.stack), 0, reach.update(s.env, s.stack)
 
 
 def _max_free(index: TermIndex) -> dict:

@@ -120,13 +120,12 @@ def is_backtracking(s: IamState) -> bool:
     return s.dir == DOWN and s.tape is not None and not isinstance(s.tape.head, tk.Marker)
 
 
-def snapshot(index: TermIndex, s: IamState, enc: Optional[tk.Encoder] = None) -> str:
-    enc = tk.Encoder() if enc is None else enc
+def snapshot(index: TermIndex, s: IamState, enc: tk.Encoder) -> str:
     bt = "true" if is_backtracking(s) else "false"
     return f'{{"tape": {enc.list(s.tape)}, "log": {enc.list(s.log)}, "bt": {bt}}}'
 
 
-def state_footprint(s: IamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
+def state_footprint(s, reach: tk.Reach) -> tuple:  # of an IAM or a JAM state
     return tk.footprint(s.log, s.tape, reach)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import reporting, tokens as tk
-from .liam import DOWN, UP
+from .liam import DOWN, UP, state_footprint
 from .reporting import FINAL, Machine, Next, Stuck
 from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex
 
@@ -92,13 +92,8 @@ def depth(s: JamState, memo: Optional[dict] = None) -> int:
     return depth_of(s.tape if s.dir == UP else s.log, memo)
 
 
-def snapshot(index: TermIndex, s: JamState, enc: Optional[tk.Encoder] = None) -> str:
-    enc = tk.Encoder() if enc is None else enc
+def snapshot(index: TermIndex, s: JamState, enc: tk.Encoder) -> str:
     return f'{{"tape": {enc.list(s.tape)}, "log": {enc.list(s.log)}}}'
-
-
-def state_footprint(s: JamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
-    return tk.footprint(s.log, s.tape, reach)
 
 
 def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx: dict):

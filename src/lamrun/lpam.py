@@ -128,17 +128,16 @@ POSITION = tk.encodes('{"pos": %s}', lambda pos: (path_str(pos),))("pam position
 ENTRY = tk.encodes('{"pos": %s, "idx": %s}', lambda e: (path_str(e[0]), e[1]))("pam entry")
 
 
-def snapshot(index: TermIndex, s: PamState, enc: Optional[tk.Encoder] = None) -> str:
-    enc = tk.Encoder() if enc is None else enc
+def snapshot(index: TermIndex, s: PamState, enc: tk.Encoder) -> str:
     return (f'{{"history": {enc.list(s.history.entries(), ENTRY)}, "index": {s.index}, '
             f'"tape": {enc.list(s.tape, POSITION)}}}')
 
 
-def state_footprint(s: PamState, reach: Optional[tk.Reach] = None) -> tk.SpaceFootprint:
+def state_footprint(s: PamState, reach: tk.Reach) -> tuple:
     # history entries and tape items are plain tuples: no list nests in another
     markers = tk.markers(s.tape)
     tape = tk.length(s.tape)
-    return tk.SpaceFootprint(len(s.history) + tape - markers, markers, len(s.history) + tape)
+    return len(s.history) + tape - markers, markers, len(s.history) + tape
 
 
 def check_invariants(index: TermIndex, label, s: PamState, per_label: dict, ctx: dict):

@@ -210,6 +210,22 @@ def compute_env(node, check_domain=None) -> dict:
     return done[0]
 
 
+def _premise_subterms(node, term) -> list:
+    """The premises of ``node``, which types ``term``, each with the child of ``term``
+    it types, or None when it is not at the position its rule expects (or ``term``
+    has no such child): a walk resolves only those judgements from the root."""
+    if isinstance(node, DLam):
+        pairs = ((node.body, BODY, term.body if isinstance(term, Lam) else None),)
+    elif isinstance(node, DApp):
+        fun, arg = (term.fun, term.arg) if isinstance(term, App) else (None, None)
+        pairs = ((node.left, FUN, fun), *((r, ARG, arg) for r in node.rights))
+    else:
+        return []
+    pos = node.term_pos
+    return [(p, sub if sub is not None and p.term_pos == pos + (step,) else None)
+            for p, step, sub in pairs]
+
+
 def validate(root, subject: Term) -> list:
     """Local-correctness, shape, relevance, and axiom-order problems (empty = valid)."""
     problems: list = []
@@ -222,14 +238,19 @@ def validate(root, subject: Term) -> list:
         if tuple(bound) != tuple(node.domain):
             note(node, "domain differs from the bound variable's axiom sequence")
 
-    for node in iter_nodes(root):
+    todo: list = [(root, None)]  # judgement, its subterm when its conclusion gave it
+    while todo:  # pre-order, left premise first, as ``iter_nodes``
+        node, term = todo.pop()
         if id(node) in seen_ids:
             note(node, "node object occurs twice in one derivation")
         seen_ids.add(id(node))
-        try:
-            term, _ = resolve(subject, node.term_pos)
-        except Exception as exc:  # noqa: BLE001 - reported as a problem
-            problems.append(f"{path_str(node.term_pos)}: {exc}")
+        if term is None:
+            try:
+                term, _ = resolve(subject, node.term_pos)
+            except Exception as exc:  # noqa: BLE001 - reported as a problem
+                problems.append(f"{path_str(node.term_pos)}: {exc}")
+        todo.extend(reversed(_premise_subterms(node, term)))
+        if term is None:
             continue
         if isinstance(node, DVar):
             if not isinstance(term, Var) or term.index != node.db_index:
@@ -438,15 +459,16 @@ def derivation_to_json(root) -> dict:
 def derivation_pretty(root, subject: Term) -> str:
     """Indented inference-tree rendering, premises above their rule."""
     lines: list = []
-    todo: list = [(root, 0)]
+    todo: list = [(root, 0, None)]  # judgement, depth, its subterm as in ``validate``
     while todo:  # conclusion first, then its premises from the last one
-        n, depth = todo.pop()
-        term, _ = resolve(subject, n.term_pos)
+        n, depth, term = todo.pop()
+        if term is None:
+            term, _ = resolve(subject, n.term_pos)
         rule = {DVar: "var", DLamStar: "λ★", DLam: "λ", DApp: "@"}[type(n)]
         lines.append(
             "  " * depth
             + f"[{rule}] ⊢ {pretty(term)} : {type_str(n.rh_type)}"
             + (f"   (at {path_str(n.term_pos) or '·'})")
         )
-        todo.extend((child, depth + 1) for child in children(n))
+        todo.extend((p, depth + 1, sub) for p, sub in _premise_subterms(n, term))
     return "\n".join(lines)

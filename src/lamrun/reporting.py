@@ -53,15 +53,15 @@ class Machine:
     initial: Callable  # index -> state
     step: Callable  # () -> ((index, state) -> Next | Final | Stuck)
     snapshot: Callable  # (index, state, Encoder) -> the token's JSON text
-    footprint: Callable  # (state, Reach) -> SpaceFootprint
+    footprint: Callable  # (state, Reach) -> (lp, markers, cells)
     launch: Callable  # (term, fuel, **run options) -> RunReport
+    # (index, label, state, labels, ctx); asserts.  ``label`` is the transition
+    # that reached ``state``, None at the initial state
+    invariants: Callable
     dir: Callable = attrgetter("dir")
     pos: Callable = attrgetter("pos")
     var_labels: tuple = ("var",)
     up_labels: tuple = ()  # when given, reports carry their count as upLength
-    # (index, label, state, labels, ctx); asserts.  ``label`` is the transition
-    # that reached ``state``, None at the initial state
-    invariants: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class TraceEvent:
     subterm_pretty: str
     token_json: str
     cost: int
-    footprint: SpaceFootprint
+    footprint: tuple  # (lp, markers, cells)
 
     @property
     def token(self):
@@ -83,13 +83,13 @@ class TraceEvent:
 
     def to_line(self) -> str:
         """The event as one line of a JSONL trace."""
-        fp = self.footprint
+        lp, markers, cells = self.footprint
         return (f'{{"step": {self.step}, "machine": {json_text(self.machine)}, '
                 f'"label": {json_text(self.label)}, "dir": {json_text(self.dir)}, '
                 f'"path": {json_text(self.subterm_path)}, '
                 f'"subterm": {json_text(self.subterm_pretty)}, "token": {self.token_json}, '
-                f'"cost": {self.cost}, "footprint": {{"lp": {fp.lp_count}, '
-                f'"markers": {fp.marker_count}, "deepCells": {fp.deep_cells}}}}}')
+                f'"cost": {self.cost}, "footprint": {{"lp": {lp}, '
+                f'"markers": {markers}, "deepCells": {cells}}}}}')
 
 
 @dataclass
@@ -150,48 +150,33 @@ def drive(
     ``check_fn(state, per_label)`` is called on every reached state and may
     raise.  The footprint is sampled at every state, including the initial
     one, since peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
-    ``tokens.Reach`` per run, which it moves from state to state.
+    ``tokens.Reach`` per run, which it moves from state to state, and returns
+    the counts ``(lp, markers, cells)``.
     """
     state_dir_fn, state_pos_fn, var_labels = machine.dir, machine.pos, machine.var_labels
     per_label: dict = {}
     events: Optional[list] = [] if trace else None
-    var_cost = 0
-    peak_lp = peak_markers = peak_cells = 0
-    peak_marker_lp = 0
-    steps = 0
-    reach = Reach()
-
-    def sample(s):
-        nonlocal peak_lp, peak_markers, peak_cells, peak_marker_lp
-        fp = footprint_fn(s, reach)
-        peak_lp = max(peak_lp, fp.lp_count)
-        peak_cells = max(peak_cells, fp.deep_cells)
-        if fp.marker_count > peak_markers:
-            peak_markers = fp.marker_count
-            peak_marker_lp = fp.lp_count
-        elif fp.marker_count == peak_markers:
-            peak_marker_lp = max(peak_marker_lp, fp.lp_count)
-        return fp
-
     enc = Encoder() if trace else None
     places: dict = {}  # position -> (path text, subterm text)
-
-    def record(label, cost, s, fp):
-        pos = state_pos_fn(s)
-        place = places.get(pos)
-        if place is None:
-            place = places[pos] = (path_str(pos), pretty(resolve(index.root, pos)[0]))
-        events.append(TraceEvent(len(events), name, label, state_dir_fn(s), *place,
-                                 snapshot_fn(index, s, enc), cost, fp))
-
-    if check_fn is not None:
-        check_fn(state, per_label)
-    fp = sample(state)
-    if trace:
-        record("init", 0, state, fp)
-
+    reach = Reach()
+    var_cost = steps = peak_lp = peak_cells = 0
+    peak_markers = (0, 0)  # (markers, lp): the most markers, then the most lp among them
+    label, cost = "init", 0
     outcome = "fuel"
     while True:
+        if check_fn is not None:
+            check_fn(state, per_label)
+        lp, markers, cells = fp = footprint_fn(state, reach)
+        peak_lp = max(peak_lp, lp)
+        peak_cells = max(peak_cells, cells)
+        peak_markers = max(peak_markers, (markers, lp))
+        if trace:
+            pos = state_pos_fn(state)
+            place = places.get(pos)
+            if place is None:
+                place = places[pos] = (path_str(pos), pretty(resolve(index.root, pos)[0]))
+            events.append(TraceEvent(len(events), name, label, state_dir_fn(state), *place,
+                                     snapshot_fn(index, state, enc), cost, fp))
         result = step_fn(index, state)
         if isinstance(result, Final):
             outcome = "final"
@@ -200,16 +185,11 @@ def drive(
             raise StuckError(f"{name} stuck: {result.reason}")
         if steps >= fuel:
             break
-        state = result.state
+        state, label, cost = result.state, result.label, result.cost
         steps += 1
-        per_label[result.label] = per_label.get(result.label, 0) + 1
-        if result.label in var_labels:
-            var_cost += result.cost
-        if check_fn is not None:
-            check_fn(state, per_label)
-        fp = sample(state)
-        if trace:
-            record(result.label, result.cost, state, fp)
+        per_label[label] = per_label.get(label, 0) + 1
+        if label in var_labels:
+            var_cost += cost
 
     var_count = sum(per_label.get(lbl, 0) for lbl in var_labels)
     return RunReport(
@@ -220,8 +200,8 @@ def drive(
         per_label=per_label,
         var_cost_sum=var_cost,
         ram_cost_bound=(steps - var_count) + var_count * index.size,
-        peak=SpaceFootprint(peak_lp, peak_markers, peak_cells),
-        peak_marker_lp=peak_marker_lp,
+        peak=SpaceFootprint(peak_lp, peak_markers[0], peak_cells),
+        peak_marker_lp=peak_markers[1],
         events=tuple(events) if trace else None,
         final_state=state,
     )

@@ -15,7 +15,7 @@ from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, Star, star_count
 from .reporting import FINAL, Machine, Next, Stuck
 from .syntax import DEFAULT_FUEL, Term, term_size
-from .tokens import SpaceFootprint, json_text
+from .tokens import json_text
 
 TO_LEAVES = "up"
 TO_ROOT = "down"
@@ -34,12 +34,10 @@ class DerivationIndex:
         self.axioms: dict = {}  # id(DLam) -> list of DVar, leaf order
         self.binder: dict = {}  # id(DVar) -> (DLam, 1-based ordinal)
         self.ordinal: dict = {}
-        self.nodes: list = []
         stack = [(deriv, ())]
         while stack:
             node, lams = stack.pop()
-            self.ordinal[id(node)] = len(self.nodes)
-            self.nodes.append(node)
+            self.ordinal[id(node)] = len(self.ordinal)
             if isinstance(node, DVar):
                 binder = lams[-(node.db_index + 1)]
                 entries = self.axioms.setdefault(id(binder), [])
@@ -166,7 +164,7 @@ def occurrence(index: DerivationIndex, s: SiamState):
     return (index.ordinal[id(s.node)], s.tpath)
 
 
-def snapshot(index: DerivationIndex, s: SiamState, enc=None) -> str:
+def snapshot(index: DerivationIndex, s: SiamState, enc) -> str:
     """The state is a place in the derivation: no items for ``enc`` to write."""
     return f'{{"node": {index.ordinal[id(s.node)]}, "tpath": {json_text(tpath_str(s.tpath))}}}'
 
@@ -219,10 +217,10 @@ def run(deriv_or_index, subject: Term = None, fuel: int = DEFAULT_FUEL, trace: b
     return report, CoverageReport(index.stars, len(seen), repeated, report.length)
 
 
-NO_TOKEN = SpaceFootprint(0, 0, 0)
+NO_TOKEN = (0, 0, 0)
 
 
-def state_footprint(s: SiamState, reach=None) -> SpaceFootprint:
+def state_footprint(s: SiamState, reach) -> tuple:
     return NO_TOKEN  # the state is a position in the derivation: no token
 
 

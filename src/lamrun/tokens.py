@@ -1,7 +1,7 @@
 """Persistent token structures shared by the interaction machines.
 
 Logs and tapes are cons lists: extending one never copies it, so captured
-logs stay valid and sharing is observable (``deep_cells`` counts each cell
+logs stay valid and sharing is observable (``footprint`` counts each cell
 once).  Each cell knows its list's length and marker count, and a ``Reach``
 follows the reachable cells of a run from state to state.  A logged position
 is a variable occurrence plus the log that led there; the ``local`` flavor
@@ -43,10 +43,7 @@ class Cell:
 
 
 nil = None
-
-
-def cons(head, tail: Optional[Cell]) -> Cell:
-    return Cell(head, tail)
+cons = Cell
 
 
 def length(xs: Optional[Cell]) -> int:
@@ -111,7 +108,7 @@ def nth(xs: Optional[Cell], n: int):
     return cell.head
 
 
-# item type -> names of its attributes that hold lists, for ``deep_cells``
+# item type -> names of its attributes that hold lists, for ``Reach`` and ``new_items``
 NESTED_LISTS: dict = {}
 
 
@@ -231,13 +228,6 @@ class Reach:
         return len(refs)
 
 
-def deep_cells(*roots: Optional[Cell], reach: Optional[Reach] = None) -> int:
-    """Distinct cells reachable from the lists ``roots``, through the lists
-    held by their items (see ``nests``); a shared cell counts once.  Given a
-    ``reach``, it moves to ``roots`` and counts only what changed since."""
-    return (Reach() if reach is None else reach).update(*roots)
-
-
 def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
     """The items reachable from the lists ``roots`` through the lists they hold
     (see ``nests``; markers hold none and are skipped) that are not in
@@ -259,12 +249,11 @@ def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
             cell = cell.tail
 
 
-def footprint(log: Optional[Cell], tape: Optional[Cell],
-              reach: Optional[Reach] = None) -> SpaceFootprint:
-    """Top-level size of a token: each logged position counts 1, nesting aside."""
+def footprint(log: Optional[Cell], tape: Optional[Cell], reach: Reach) -> tuple:
+    """``(lp, markers, cells)`` of a token: top-level logged positions, markers, and
+    the distinct cells it reaches, which ``reach`` counts as it moves to them."""
     marker_count = markers(tape)
-    return SpaceFootprint(length(log) + length(tape) - marker_count, marker_count,
-                          deep_cells(log, tape, reach=reach))
+    return length(log) + length(tape) - marker_count, marker_count, reach.update(log, tape)
 
 
 # ---------------------------------------------------------------------------

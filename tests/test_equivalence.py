@@ -107,6 +107,13 @@ def test_quadratic_bound(corpus):
     assert report.details["checked"] == len(terms)
 
 
+def test_quadratic_bound_fails_on_a_stuck_machine(monkeypatch, running_example):
+    monkeypatch.setattr(ljam, "step", lambda index, s: Stuck("patched"))
+    report = eq.check_quadratic_bound([running_example], 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details == {"term": "(λy.λx.x y) (λz.z) (λz.z)", "stuck": "jam stuck: patched"}
+
+
 def test_inconclusive_on_divergence(omega):
     r = eq.check_iam_jam(omega, 200)
     assert r.inconclusive and r.passed
@@ -215,6 +222,22 @@ def test_invariants_suite_reports_an_unmatched_bt1(monkeypatch, running_example)
     report = eq.check_invariants_suite(running_example, 1000)
     assert not report.passed and not report.inconclusive
     assert report.details["reason"] == "unmatched bt1 at the end of the run"
+
+
+def test_invariants_suite_sees_a_k_mode_hopping_machine_that_stops_early(
+        monkeypatch, running_example):
+    step_mode = ham.step_mode
+
+    def drop_pushed_closure(index, s, mode):
+        result = step_mode(index, s, mode)
+        if mode == ham.K_MODE and isinstance(result, Next) and result.label == "p1_app":
+            return Next("p1_app", replace(result.state, tape=s.tape), result.cost)
+        return result
+
+    monkeypatch.setattr(ham, "step_mode", drop_pushed_closure)
+    report = eq.check_invariants_suite(running_example, 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details["reason"] == "ham-k transitions differ from the kam's"
 
 
 # ---------------------------------------------------------------------------

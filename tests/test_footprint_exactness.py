@@ -73,10 +73,9 @@ def assert_exact(term, trace=False):
         report = reporting.run(replace(machine, footprint=record), index, trace=trace)
         assert len(sampled) == report.length + 1
         for step, (s, fp) in enumerate(sampled):
-            assert type(fp.marker_count) is int
-            assert (fp.lp_count, fp.marker_count, fp.deep_cells) == reference_footprint(name, s), (
-                name, step)
-        assert report.peak.deep_cells == max(fp.deep_cells for _, fp in sampled)
+            assert type(fp[1]) is int
+            assert fp == reference_footprint(name, s), (name, step)
+        assert report.peak.deep_cells == max(fp[2] for _, fp in sampled)
         if trace:
             assert [e.footprint for e in report.events] == [fp for _, fp in sampled]
 

@@ -51,9 +51,9 @@ def test_env_persistence(running_example):
     index = TermIndex(running_example)
     captured = []
     for label, state in trajectory(kam.MACHINE, index, 100):
-        captured.append((state, kam.snapshot(index, state)))
+        captured.append((state, kam.snapshot(index, state, tk.Encoder())))
     for state, snap in captured:
-        assert kam.snapshot(index, state) == snap
+        assert kam.snapshot(index, state, tk.Encoder()) == snap
 
 
 def test_debug_mode(running_example, duplication_example):

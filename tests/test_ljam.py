@@ -80,7 +80,7 @@ def test_log_sharing_keeps_var_cheap(corpus):
         prev_cells = 0
         prev = None
         for label, state in trajectory(ljam.MACHINE, index, 10**6):
-            cells = ljam.state_footprint(state).deep_cells
+            cells = ljam.state_footprint(state, tk.Reach())[2]
             if label == "var":
                 binder, inner = index.binder_at[prev.pos]
                 assert cells - prev_cells <= 2 + inner

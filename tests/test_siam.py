@@ -108,7 +108,7 @@ def test_var_bt2_roundtrip(running_example, duplication_example):
     for term in (running_example, duplication_example):
         deriv = mt.infer_star_derivation(term, 10)
         dindex = siam.DerivationIndex(deriv, term)
-        for node in dindex.nodes:
+        for node in mt.iter_nodes(deriv):
             if not isinstance(node, mt.DVar):
                 continue
             binder, i = dindex.binder[id(node)]

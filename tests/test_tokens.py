@@ -10,8 +10,13 @@ def lp(var, scope=(), flavor=tk.LOCAL, log=None):
     return tk.LoggedPosition(var, scope, flavor, log)
 
 
+def footprint(log, tape):
+    """(lp, markers, cells) of one token, counted anew."""
+    return tk.footprint(log, tape, tk.Reach())
+
+
 def test_footprint_empty():
-    assert tk.footprint(tk.nil, tk.nil) == tk.SpaceFootprint(0, 0, 0)
+    assert footprint(tk.nil, tk.nil) == (0, 0, 0)
 
 
 def test_footprint_peak_shape():
@@ -20,40 +25,37 @@ def test_footprint_peak_shape():
     p1 = lp((FUN,))
     p2 = lp((ARG,))
     tape = tk.from_list([tk.MARKER] * k + [p1, p2] + [tk.MARKER] * h)
-    fp = tk.footprint(tk.nil, tape)
-    assert (fp.lp_count, fp.marker_count) == (2, h + k)
+    assert footprint(tk.nil, tape)[:2] == (2, h + k)
 
 
 def test_footprint_counts_log_and_tape():
-    fp = tk.footprint(tk.cons(lp((FUN,)), tk.nil), tk.cons(tk.MARKER, tk.nil))
-    assert (fp.lp_count, fp.marker_count) == (1, 1)
+    assert footprint(tk.cons(lp((FUN,)), tk.nil), tk.cons(tk.MARKER, tk.nil))[:2] == (1, 1)
 
 
 def test_footprint_flavor_invariant():
     inner = lp((ARG,))
     local = lp((FUN, BODY), scope=(FUN,), flavor=tk.LOCAL, log=tk.cons(inner, tk.nil))
     glob = lp((FUN, BODY), scope=(), flavor=tk.GLOBAL, log=tk.cons(inner, tk.nil))
-    t1 = tk.footprint(tk.nil, tk.cons(local, tk.nil))
-    t2 = tk.footprint(tk.nil, tk.cons(glob, tk.nil))
-    assert (t1.lp_count, t1.marker_count) == (t2.lp_count, t2.marker_count) == (1, 0)
+    t1 = footprint(tk.nil, tk.cons(local, tk.nil))
+    t2 = footprint(tk.nil, tk.cons(glob, tk.nil))
+    assert t1[:2] == t2[:2] == (1, 0)
 
 
 def test_nesting_affects_deep_cells_only():
     shallow = lp((FUN,))
     deep = lp((FUN,), log=tk.cons(lp((ARG,)), tk.nil))
-    f1 = tk.footprint(tk.nil, tk.cons(shallow, tk.nil))
-    f2 = tk.footprint(tk.nil, tk.cons(deep, tk.nil))
-    assert (f1.lp_count, f1.marker_count) == (f2.lp_count, f2.marker_count)
-    assert f2.deep_cells > f1.deep_cells
+    f1 = footprint(tk.nil, tk.cons(shallow, tk.nil))
+    f2 = footprint(tk.nil, tk.cons(deep, tk.nil))
+    assert f1[:2] == f2[:2]
+    assert f2[2] > f1[2]
 
 
 def test_shared_cells_counted_once():
     shared = tk.cons(lp((ARG,)), tk.nil)
     a = lp((FUN,), log=shared)
     b = lp((BODY,), log=shared)
-    fp = tk.footprint(tk.nil, tk.from_list([a, b]))
     # one cell for the shared log, two for the tape spine
-    assert fp.deep_cells == 3
+    assert footprint(tk.nil, tk.from_list([a, b]))[2] == 3
 
 
 def test_cons_shares_tail():
@@ -164,7 +166,7 @@ def test_reach_follows_moving_roots():
     a = tk.cons(lp((FUN,), log=shared), shared)  # shared as its tail and in its item's log
     b = tk.cons(tk.MARKER, shared)
     reach = tk.Reach()
-    assert reach.update(a, b) == 4 == tk.deep_cells(a, b)
+    assert reach.update(a, b) == 4
     assert reach.refs[shared] == 3
     assert reach.update(a, None) == 3  # dropping b releases b's own cell only
     assert b not in reach.refs and reach.refs[shared] == 2

@@ -99,7 +99,8 @@ def oracle_lines(name, term):
         event = {"step": len(lines), "machine": name, "label": label, "dir": machine.dir(s),
                  "path": path_str(pos), "subterm": pretty(resolve(index.root, pos)[0]),
                  "token": TOKEN[name](index, s), "cost": cost,
-                 "footprint": machine.footprint(s).to_json()}
+                 "footprint": dict(zip(("lp", "markers", "deepCells"),
+                                       machine.footprint(s, tk.Reach())))}
         lines.append(json.dumps(event, ensure_ascii=False))
         result = step(index, s)
         if not isinstance(result, Next):
