@@ -28,7 +28,10 @@ EXIT_INPUT = 3
 
 
 def _read_term_arg(text: str, defs_path):
-    if text.startswith("@"):
+    """The term of an argument: its text, ``@path`` for a file's, ``-`` for stdin's."""
+    if text == "-":
+        text = sys.stdin.read()
+    elif text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
     definitions = {}
@@ -46,23 +49,12 @@ def _default_fuel(args) -> int:
 
 
 def _table(events, root) -> str:
-    headers = ["step", "label", "dir", "subterm", "context", "token"]
-    rows = []
-    for ev in events:
-        rows.append([
-            str(ev.step),
-            ev.label,
-            ev.dir,
-            ev.subterm_pretty,
-            pretty_with_hole(root, parse_path(ev.subterm_path)),
-            ev.token_json,
-        ])
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    for r in rows:
-        out.append("  ".join(r[i].ljust(widths[i]) for i in range(len(headers))))
-    return "\n".join(out)
+    rows = [["step", "label", "dir", "subterm", "context", "token"]]
+    rows += ([str(ev.step), ev.label, ev.dir, ev.subterm_pretty,
+              pretty_with_hole(root, parse_path(ev.subterm_path)), ev.token_json]
+             for ev in events)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows)
 
 
 def cmd_parse(args) -> int:

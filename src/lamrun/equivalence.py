@@ -94,22 +94,18 @@ def lockstep(it_a, it_b, relate) -> Counter:
 # Jumping machine -> interaction machine projection
 
 
-def iam_jam_items(index: TermIndex):
+def iam_jam_items(x, y):
     """The rule relating the interaction machine's token items to the jumping
     machine's (see ``tokens.related``): a local logged position to the global
     one of the same occurrence, when it is scoped at the binder and its log
     is the first ``inner`` entries of the global log; a marker to a marker."""
-
-    def rule(x, y):
-        if isinstance(x, tk.Marker) or isinstance(y, tk.Marker):
-            return () if x == y else None
-        binder, inner = index.binder_at[y.var_path]
-        if (x.var_path == y.var_path and x.scope_path == binder and x.flavor == tk.LOCAL
-                and tk.length(x.log) == inner):
-            return ((x.log, y.log),)
-        return None
-
-    return rule
+    if isinstance(x, tk.Marker) or isinstance(y, tk.Marker):
+        return () if x == y else None
+    var = y.var
+    if (x.var is var and x.scope is var.binder and x.flavor == tk.LOCAL
+            and tk.length(x.log) == var.inner):
+        return ((x.log, y.log),)
+    return None
 
 
 def fold_backtracking(iam_run, labels: Counter):
@@ -140,13 +136,12 @@ def check_iam_jam(term: Term, fuel: int) -> dict:
     """Trace alignment: the interaction run is the projected jumping run with each
     jump expanded into a bt1 .. bt2 backtracking block."""
     index = TermIndex(term)
-    items = iam_jam_items(index)
     memo: dict = {}
 
     def relate(label_j, s_j, label_i, s_i):
         if label_i != label_j:
             return {"expected": label_j, "actual": label_i}
-        if not liam.states_related(s_i, s_j, items, memo):
+        if not liam.states_related(s_i, s_j, iam_jam_items, memo):
             return {"reason": "interaction state differs from projected jumping state"}
         return None
 
@@ -175,7 +170,7 @@ def check_jam_pam(term: Term, fuel: int) -> dict:
     def relate(label_j, s_j, label_p, s_p):
         if label_j != label_p:
             return {"jam": label_j, "pam": label_p}
-        if s_j.pos != s_p.pos or s_j.dir != s_p.dir:
+        if s_j.node is not s_p.node or s_j.dir != s_p.dir:
             return {"reason": "positions or directions differ"}
         hist = s_p.history
 
@@ -183,15 +178,15 @@ def check_jam_pam(term: Term, fuel: int) -> dict:
             if isinstance(x, tk.Marker):
                 return () if isinstance(y, tk.Marker) else None
             if isinstance(x, tk.LoggedPosition):  # against a plain position
-                return () if x.var_path == y else None
+                return () if x.var is y else None
             # a history index against a log: the log's entries follow the
             # lookup chain from the index, each entry's log the chain below it
             if y is None:
                 return () if x == 0 else None
             if not 1 <= x <= len(hist):
                 return None
-            pos, j = hist.entry(x)
-            return ((j, y.tail), (x - 1, y.head.log)) if y.head.var_path == pos else None
+            var, j = hist.entry(x)
+            return ((j, y.tail), (x - 1, y.head.log)) if y.head.var is var else None
 
         if tk.length(s_j.tape) != tk.length(s_p.tape) or not tk.related(
                 ((s_j.tape, s_p.tape),), rule, memo):
@@ -219,7 +214,7 @@ def ham_jam_items(x, y):
     position and log, a logged closure to a marker."""
     if isinstance(x, ham.LoggedClosure):
         return () if isinstance(y, tk.Marker) else None
-    if (isinstance(y, tk.LoggedPosition) and x.pos == y.var_path and y.scope_path == ()
+    if (isinstance(y, tk.LoggedPosition) and x.node is y.var and y.scope.parent is None
             and y.flavor == tk.GLOBAL and tk.length(x.log) == tk.length(y.log)):
         return ((x.log, y.log),)
     return None
@@ -227,7 +222,7 @@ def ham_jam_items(x, y):
 
 def ham_kam_items(x, y):
     """The rule relating a logged closure to the closure with its position and environment."""
-    if x.pos == y.pos and tk.length(x.env) == tk.length(y.env):
+    if x.node is y.node and tk.length(x.env) == tk.length(y.env):
         return ((x.env, y.env),)
     return None
 
@@ -253,7 +248,7 @@ def check_ham_jk(term: Term, fuel: int) -> dict:
     def relate_k(label_h, s_h, label_k, s_k):
         if _K_LABELS.get(label_h) != label_k:
             return {"ham": label_h, "kam": label_k}
-        if not (s_h.pos == s_k.pos and tk.length(s_h.env) == tk.length(s_k.env)
+        if not (s_h.node is s_k.node and tk.length(s_h.env) == tk.length(s_k.env)
                 and tk.length(s_h.tape) == tk.length(s_k.stack)
                 and tk.related(((s_h.env, s_k.env), (s_h.tape, s_k.stack)),
                                ham_kam_items, memo_k)):
@@ -355,18 +350,18 @@ def check_quadratic_bound(terms, fuel: int = DEFAULT_FUEL) -> CheckReport:
 # Per-machine invariants over each trajectory, plus run-level identities
 
 
-def walk_invariants(machine: Machine, index, fuel: int) -> Counter:
+def walk_invariants(machine: Machine, index, fuel: int):
     """Check ``machine.invariants`` at every state of its run; returns the
-    transition labels.  The invariants assert, and get the label of the
-    transition that reached the state (None at the initial state), the labels
-    counted so far and one ``ctx`` dict for the run."""
+    transition labels and the final state.  The invariants assert, and get
+    the label of the transition that reached the state (None at the initial
+    state), the labels counted so far and one ``ctx`` dict for the run."""
     labels: Counter = Counter()
     ctx: dict = {}
     for label, state in trajectory(machine, index, fuel):
         if label is not None:
             labels[label] += 1
         machine.invariants(index, label, state, labels, ctx)
-    return labels
+    return labels, state
 
 
 @checker("invariants")
@@ -374,8 +369,10 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
     """Per-state invariants of every registered machine, plus run-level identities.
 
     The token machines walk the term's index, the derivation machine its ★
-    derivation.  Each hopping mode makes the transitions of the machine it
-    entangles, renamed: HAM-J those of the JAM, HAM-K those of the KAM."""
+    derivation, and all end on one subterm: the token machines on one node,
+    the derivation machine on a judgement about it.  Each hopping mode makes
+    the transitions of the machine it entangles, renamed: HAM-J those of the
+    JAM, HAM-K those of the KAM."""
     index = TermIndex(term)
 
     def index_for(name):
@@ -384,10 +381,11 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
         return siam.DerivationIndex(mt.infer_star_derivation(term, fuel), term)
 
     try:
-        runs = {name: walk_invariants(m, index_for(name), fuel)
-                for name, m in harness.MACHINES.items()}
+        walks = {name: walk_invariants(m, index_for(name), fuel)
+                 for name, m in harness.MACHINES.items()}
     except AssertionError as exc:
         raise CheckFailed(violated=str(exc)) from None
+    runs = {name: labels for name, (labels, _) in walks.items()}
     beta = len(whnf_trace(term, fuel))
     kam_labels = runs["kam"]
     if sum(kam_labels.values()) != kam_labels["var"] + 2 * kam_labels["abs"]:
@@ -404,6 +402,9 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
     for mode, renamed, other in (("ham-j", _J_LABELS, "jam"), ("ham-k", _K_LABELS, "kam")):
         if Counter({renamed.get(lbl, lbl): n for lbl, n in runs[mode].items()}) != runs[other]:
             raise CheckFailed(reason=f"{mode} transitions differ from the {other}'s")
+    ends = [state for name, (_, state) in walks.items() if name != siam.MACHINE.name]
+    if any(s.node is not ends[0].node for s in ends) or ends[0].pos != walks["siam"][1].pos:
+        raise CheckFailed(reason="the machines end on different subterms")
     return {}
 
 

@@ -15,34 +15,34 @@ from typing import Optional
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
 from .ljam import UP_LABELS
-from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex, path_str
+from .reporting import FINAL, Machine, Next, NodeState, Stuck
+from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 J_MODE = "j"
 K_MODE = "k"
 
 
-@tk.encodes('{"kind": "lc", "pos": %s, "env": %s, "log": %s}', lambda lc: (path_str(lc.pos),))
+@tk.encodes('{"kind": "lc", "pos": %s, "env": %s, "log": %s}', lambda x: (path_str(x.node.path),))
 @tk.nests("env", "log")
 @dataclass(frozen=True, eq=False)
 class LoggedClosure:
-    pos: tuple
+    node: Node  # an argument
     env: Optional[tk.Cell]  # list of LoggedClosure
     log: Optional[tk.Cell]  # list of ClosedPosition
 
 
-@tk.encodes('{"kind": "cp", "pos": %s, "log": %s, "env": %s}', lambda cp: (path_str(cp.pos),))
+@tk.encodes('{"kind": "cp", "pos": %s, "log": %s, "env": %s}', lambda x: (path_str(x.node.path),))
 @tk.nests("log", "env")
 @dataclass(frozen=True, eq=False)
 class ClosedPosition:
-    pos: tuple
+    node: Node  # a variable occurrence
     log: Optional[tk.Cell]
     env: Optional[tk.Cell]
 
 
 @dataclass(frozen=True, eq=False)
-class HamState:
-    pos: tuple
+class HamState(NodeState):
+    node: Node
     log: Optional[tk.Cell]
     env: Optional[tk.Cell]
     tape: Optional[tk.Cell]  # LoggedClosure / ClosedPosition items
@@ -50,56 +50,50 @@ class HamState:
 
 
 def initial(index: TermIndex) -> HamState:
-    return HamState((), tk.nil, tk.nil, tk.nil, DOWN)
+    return HamState(index.top, tk.nil, tk.nil, tk.nil, DOWN)
 
 
 def step_mode(index: TermIndex, s: HamState, mode: str):
+    n = s.node
     if s.dir == DOWN:
-        node = index.node_at[s.pos]
-        if isinstance(node, App):
-            lc = LoggedClosure(s.pos + (ARG,), s.env, s.log)
-            return Next("p1_app", HamState(s.pos + (FUN,), s.log, s.env,
-                                           tk.cons(lc, s.tape), DOWN))
-        if isinstance(node, Lam):
+        t = n.term
+        if isinstance(t, App):
+            lc = LoggedClosure(n.arg, s.env, s.log)
+            return Next("p1_app", HamState(n.fun, s.log, s.env, tk.cons(lc, s.tape), DOWN))
+        if isinstance(t, Lam):
             if s.tape is None:
                 return FINAL
             item = s.tape.head
             if isinstance(item, LoggedClosure):
-                return Next("p2_abs", HamState(s.pos + (BODY,), s.log,
-                                               tk.cons(item, s.env), s.tape.tail, DOWN))
+                return Next("p2_abs", HamState(n.body, s.log, tk.cons(item, s.env),
+                                               s.tape.tail, DOWN))
             return Stuck("down state with a closed position on the tape")
-        i = node.index
+        i = t.index
         if tk.length(s.env) <= i:
             return Stuck("environment does not close the focused variable")
+        cp = ClosedPosition(n, s.log, s.env)
         if mode == J_MODE:
-            binder, inner = index.binder_at[s.pos]
-            cp = ClosedPosition(s.pos, s.log, s.env)
             return Next(
                 "var_j",
-                HamState(binder, tk.drop(s.log, inner), tk.drop(s.env, i + 1),
+                HamState(n.binder, tk.drop(s.log, n.inner), tk.drop(s.env, i + 1),
                          tk.cons(cp, s.tape), UP),
-                cost=inner,
+                cost=n.inner,
             )
         lc = tk.nth(s.env, i)
-        cp = ClosedPosition(s.pos, s.log, s.env)
-        return Next(
-            "var_k",
-            HamState(lc.pos, tk.cons(cp, lc.log), lc.env, s.tape, DOWN),
-            cost=i + 1,
-        )
-    if not s.pos:
+        return Next("var_k", HamState(lc.node, tk.cons(cp, lc.log), lc.env, s.tape, DOWN),
+                    cost=i + 1)
+    side, parent = n.side, n.parent
+    if side is None:
         return Stuck("up state at the root of a closed term")
-    parent = s.pos[:-1]
-    last = s.pos[-1]
-    if last == FUN:
+    if side == FUN:
         if s.tape is None:
             return Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, LoggedClosure):
             return Next("p3", HamState(parent, s.log, s.env, s.tape.tail, UP))
-        return Next("arg", HamState(parent + (ARG,), tk.cons(item, s.log), s.env,
+        return Next("arg", HamState(parent.arg, tk.cons(item, s.log), s.env,
                                     s.tape.tail, DOWN))
-    if last == BODY:
+    if side == BODY:
         if s.env is None:
             return Stuck("up state leaving a body with an empty environment")
         return Next("p4", HamState(parent, s.log, s.env.tail,
@@ -107,7 +101,7 @@ def step_mode(index: TermIndex, s: HamState, mode: str):
     if s.log is None:
         return Stuck("up state in argument position with empty log")
     cp = s.log.head
-    return Next("jmp", HamState(cp.pos, cp.log, cp.env, s.tape, UP))
+    return Next("jmp", HamState(cp.node, cp.log, cp.env, s.tape, UP))
 
 
 def make_snapshot(mode: str):
@@ -125,8 +119,8 @@ def state_footprint(s: HamState, reach: tk.Reach) -> tuple:
 def check_invariants(index: TermIndex, label, s: HamState, per_label: dict, ctx: dict):
     visited = ctx.setdefault("visited", set())
     verified = ctx.setdefault("verified", set())
-    visited.add(_shape_key(s.pos, s.log, s.env))
-    assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
+    visited.add(_shape_key(s.node, s.log, s.env))
+    assert tk.length(s.log) == s.node.level, "log length differs from context level"
     cps = closed_count(s.tape, ctx.setdefault("closed", {}))
     if s.dir == DOWN:
         assert cps == 0, "down state with closed positions on the tape"
@@ -136,13 +130,13 @@ def check_invariants(index: TermIndex, label, s: HamState, per_label: dict, ctx:
     # each logged closure and closed position records a state the run visited
     for x in tk.new_items(verified, s.tape, s.log, s.env):
         if isinstance(x, LoggedClosure):
-            assert index.level_at[x.pos] == tk.length(x.log) + 1
-            assert _shape_key(x.pos[:-1] + (FUN,), x.log, x.env) in visited, (
+            assert x.node.level == tk.length(x.log) + 1
+            assert _shape_key(x.node.parent.fun, x.log, x.env) in visited, (
                 "logged closure does not record a visited state"
             )
         else:
-            assert index.level_at[x.pos] == tk.length(x.log)
-            assert _shape_key(x.pos, x.log, x.env) in visited, (
+            assert x.node.level == tk.length(x.log)
+            assert _shape_key(x.node, x.log, x.env) in visited, (
                 "closed position does not record a visited state"
             )
 
@@ -161,8 +155,8 @@ def closed_count(tape, memo: dict) -> int:
     return count
 
 
-def _shape_key(pos, log, env):
-    return (pos, tk.length(log), tk.length(env))
+def _shape_key(node, log, env):
+    return (node, tk.length(log), tk.length(env))
 
 
 def run(term: Term, mode: str, fuel: int = DEFAULT_FUEL, trace: bool = False,

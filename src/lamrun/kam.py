@@ -10,42 +10,42 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import reporting, tokens as tk
-from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex, Var, path_str
+from .reporting import FINAL, Machine, Next, NodeState, Stuck
+from .syntax import DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, Var, path_str
 
 
-@tk.encodes('{"pos": %s, "env": %s}', lambda c: (path_str(c.pos),))
+@tk.encodes('{"pos": %s, "env": %s}', lambda c: (path_str(c.node.path),))
 @tk.nests("env")
 @dataclass(frozen=True, eq=False)
 class Closure:
-    pos: tuple
+    node: Node
     env: Optional[tk.Cell]  # list of Closure
 
 
 @dataclass(frozen=True, eq=False)
-class KamState:
-    pos: tuple
+class KamState(NodeState):
+    node: Node
     env: Optional[tk.Cell]
     stack: Optional[tk.Cell]
 
 
 def initial(index: TermIndex) -> KamState:
-    return KamState((), tk.nil, tk.nil)
+    return KamState(index.top, tk.nil, tk.nil)
 
 
 def step(index: TermIndex, s: KamState):
-    node = index.node_at[s.pos]
-    if isinstance(node, App):
-        clo = Closure(s.pos + (ARG,), s.env)
-        return Next("app", KamState(s.pos + (FUN,), s.env, tk.cons(clo, s.stack)))
-    if isinstance(node, Lam):
+    n = s.node
+    t = n.term
+    if isinstance(t, App):
+        return Next("app", KamState(n.fun, s.env, tk.cons(Closure(n.arg, s.env), s.stack)))
+    if isinstance(t, Lam):
         if s.stack is None:
             return FINAL
-        return Next("abs", KamState(s.pos + (BODY,), tk.cons(s.stack.head, s.env), s.stack.tail))
-    if tk.length(s.env) <= node.index:
+        return Next("abs", KamState(n.body, tk.cons(s.stack.head, s.env), s.stack.tail))
+    if tk.length(s.env) <= t.index:
         return Stuck("environment does not close the focused variable")
-    clo = tk.nth(s.env, node.index)
-    return Next("var", KamState(clo.pos, clo.env, s.stack), cost=node.index + 1)
+    clo = tk.nth(s.env, t.index)
+    return Next("var", KamState(clo.node, clo.env, s.stack), cost=t.index + 1)
 
 
 def snapshot(index: TermIndex, s: KamState, enc: tk.Encoder) -> str:
@@ -58,17 +58,17 @@ def state_footprint(s: KamState, reach: tk.Reach) -> tuple:
 
 
 def _max_free(index: TermIndex) -> dict:
-    """The largest free de Bruijn index under each position (negative when
-    the subterm is closed), children first: ``node_at`` lists parents first."""
+    """The largest free de Bruijn index under each node (negative when the
+    subterm is closed), children first: ``index.nodes`` lists parents first."""
     out: dict = {}
-    for pos in reversed(index.node_at):
-        node = index.node_at[pos]
-        if isinstance(node, Var):
-            out[pos] = node.index
-        elif isinstance(node, Lam):
-            out[pos] = out[pos + (BODY,)] - 1
+    for n in reversed(index.nodes):
+        t = n.term
+        if isinstance(t, Var):
+            out[n] = t.index
+        elif isinstance(t, Lam):
+            out[n] = out[n.body] - 1
         else:
-            out[pos] = max(out[pos + (FUN,)], out[pos + (ARG,)])
+            out[n] = max(out[n.fun], out[n.arg])
     return out
 
 
@@ -76,9 +76,9 @@ def check_invariants(index: TermIndex, label, s: KamState, per_label: dict, ctx:
     if not ctx:
         ctx.update(verified=set(), max_free=_max_free(index))
     verified, max_free = ctx["verified"], ctx["max_free"]
-    assert tk.length(s.env) > max_free[s.pos], "state environment does not close the focus"
+    assert tk.length(s.env) > max_free[s.node], "state environment does not close the focus"
     for c in tk.new_items(verified, s.stack, s.env):
-        assert tk.length(c.env) > max_free[c.pos], "closure environment does not close its subterm"
+        assert tk.length(c.env) > max_free[c.node], "closure environment does not close its subterm"
 
 
 def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):

@@ -1,7 +1,7 @@
 """Jumping abstract machine: the interaction machine with jumps instead of backtracking.
 
-Logged positions are global here: they record the absolute variable position
-and share the whole log (extending a log never copies it, so saving one is a
+Logged positions are global here: they record the variable occurrence under
+the root and share the whole log (extending a log never copies it, so saving one is a
 pointer copy).  A jump restores position and log from the head log entry in a
 single transition, replacing an entire backtracking phase.
 """
@@ -12,59 +12,55 @@ from typing import Optional
 
 from . import reporting, tokens as tk
 from .liam import DOWN, UP, state_footprint
-from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex
+from .reporting import FINAL, Machine, Next, NodeState, Stuck
+from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex
 
 UP_LABELS = ("p3", "p4", "arg", "jmp")
 
 
 @dataclass(frozen=True, eq=False)
-class JamState:
-    pos: tuple
+class JamState(NodeState):
+    node: Node
     tape: Optional[tk.Cell]
     log: Optional[tk.Cell]
     dir: str
 
 
 def initial(index: TermIndex) -> JamState:
-    return JamState((), tk.nil, tk.nil, DOWN)
+    return JamState(index.top, tk.nil, tk.nil, DOWN)
 
 
 def step(index: TermIndex, s: JamState):
+    n = s.node
     if s.dir == DOWN:
-        node = index.node_at[s.pos]
-        if isinstance(node, App):
-            return Next("p1", JamState(s.pos + (FUN,), tk.cons(tk.MARKER, s.tape), s.log, DOWN))
-        if isinstance(node, Lam):
+        t = n.term
+        if isinstance(t, App):
+            return Next("p1", JamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN))
+        if isinstance(t, Lam):
             if s.tape is None:
                 return FINAL
             if isinstance(s.tape.head, tk.Marker):
-                return Next("p2", JamState(s.pos + (BODY,), s.tape.tail, s.log, DOWN))
+                return Next("p2", JamState(n.body, s.tape.tail, s.log, DOWN))
             return Stuck("down state with a logged position on the tape")
-        binder, inner = index.binder_at[s.pos]
-        lp = tk.LoggedPosition(s.pos, (), tk.GLOBAL, s.log)  # shares the whole log
-        return Next(
-            "var",
-            JamState(binder, tk.cons(lp, s.tape), tk.drop(s.log, inner), UP),
-            cost=inner,
-        )
-    if not s.pos:
+        lp = tk.LoggedPosition(n, index.top, tk.GLOBAL, s.log)  # shares the whole log
+        state = JamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP)
+        return Next("var", state, cost=n.inner)
+    side, parent = n.side, n.parent
+    if side is None:
         return Stuck("up state at the root of a closed term")
-    parent = s.pos[:-1]
-    last = s.pos[-1]
-    if last == FUN:
+    if side == FUN:
         if s.tape is None:
             return Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
             return Next("p3", JamState(parent, s.tape.tail, s.log, UP))
-        return Next("arg", JamState(parent + (ARG,), s.tape.tail, tk.cons(item, s.log), DOWN))
-    if last == BODY:
+        return Next("arg", JamState(parent.arg, s.tape.tail, tk.cons(item, s.log), DOWN))
+    if side == BODY:
         return Next("p4", JamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP))
     if s.log is None:
         return Stuck("up state in argument position with empty log")
     p = s.log.head
-    return Next("jmp", JamState(p.var_path, s.tape, p.log, UP))
+    return Next("jmp", JamState(p.var, s.tape, p.log, UP))
 
 
 def depth_of(item, memo: Optional[dict] = None) -> int:
@@ -102,7 +98,7 @@ def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx:
     of the state that starts it times the size of the term."""
     verified = ctx.setdefault("verified", set())
     depths = ctx.setdefault("depths", {})
-    assert tk.length(s.log) == index.level_at[s.pos], "log length differs from context level"
+    assert tk.length(s.log) == s.node.level, "log length differs from context level"
     lp_on_tape = tk.length(s.tape) - tk.markers(s.tape)
     if s.dir == DOWN:
         assert lp_on_tape == 0, "down state with logged positions on the tape"
@@ -112,8 +108,8 @@ def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx:
     assert d == per_label.get("var", 0), "state depth differs from the var-transition count"
     for lp in tk.new_items(verified, s.tape, s.log):
         assert lp.flavor == tk.GLOBAL, "jumping machine carries global logged positions"
-        assert lp.scope_path == (), "global logged positions are rooted at the top"
-        assert tk.length(lp.log) == index.level_at[lp.var_path], (
+        assert lp.scope is index.top, "global logged positions are rooted at the top"
+        assert tk.length(lp.log) == lp.var.level, (
             "global logged position stores a log shorter than its level"
         )
         # d is the var count, which only grows: an item no deeper than d when first seen stays so

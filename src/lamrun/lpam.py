@@ -13,8 +13,8 @@ from typing import Optional
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
 from .ljam import UP_LABELS
-from .reporting import FINAL, Machine, Next, Stuck
-from .syntax import ARG, BODY, FUN, DEFAULT_FUEL, App, Lam, Term, TermIndex, path_str
+from .reporting import FINAL, Machine, Next, NodeState, Stuck
+from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 
 class UndefinedLookup(Exception):
@@ -39,10 +39,10 @@ class History:
     def __len__(self) -> int:
         return self.length
 
-    def append(self, pos, idx) -> "History":
+    def append(self, node, idx) -> "History":
         n = self.length
         array = self.array if len(self.array) == n else self.array[:n]
-        array.append((pos, idx))
+        array.append((node, idx))
         return History(array, n + 1)
 
     def entry(self, k: int):
@@ -71,61 +71,57 @@ def phi_pow(h: History, i: int, n: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class PamState:
-    pos: tuple
+class PamState(NodeState):
+    node: Node
     history: History
     index: int
-    tape: Optional[tk.Cell]  # markers and plain positions (paths)
+    tape: Optional[tk.Cell]  # markers and plain positions (nodes)
     dir: str
 
 
 def initial(index: TermIndex) -> PamState:
-    return PamState((), History(), 0, tk.nil, DOWN)
+    return PamState(index.top, History(), 0, tk.nil, DOWN)
 
 
 def step(index: TermIndex, s: PamState):
+    n = s.node
     if s.dir == DOWN:
-        node = index.node_at[s.pos]
-        if isinstance(node, App):
-            return Next("p1", PamState(s.pos + (FUN,), s.history, s.index,
+        t = n.term
+        if isinstance(t, App):
+            return Next("p1", PamState(n.fun, s.history, s.index,
                                        tk.cons(tk.MARKER, s.tape), DOWN))
-        if isinstance(node, Lam):
+        if isinstance(t, Lam):
             if s.tape is None:
                 return FINAL
             if isinstance(s.tape.head, tk.Marker):
-                return Next("p2", PamState(s.pos + (BODY,), s.history, s.index,
-                                           s.tape.tail, DOWN))
+                return Next("p2", PamState(n.body, s.history, s.index, s.tape.tail, DOWN))
             return Stuck("down state with a position on the tape")
-        binder, inner = index.binder_at[s.pos]
-        new_index = phi_pow(s.history, s.index, inner)
-        return Next(
-            "var",
-            PamState(binder, s.history, new_index, tk.cons(s.pos, s.tape), UP),
-            cost=inner,
-        )
-    if not s.pos:
+        new_index = phi_pow(s.history, s.index, n.inner)
+        return Next("var", PamState(n.binder, s.history, new_index, tk.cons(n, s.tape), UP),
+                    cost=n.inner)
+    side, parent = n.side, n.parent
+    if side is None:
         return Stuck("up state at the root of a closed term")
-    parent = s.pos[:-1]
-    last = s.pos[-1]
-    if last == FUN:
+    if side == FUN:
         if s.tape is None:
             return Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
             return Next("p3", PamState(parent, s.history, s.index, s.tape.tail, UP))
         new_hist = s.history.append(item, s.index)
-        return Next("arg", PamState(parent + (ARG,), new_hist, len(s.history) + 1,
+        return Next("arg", PamState(parent.arg, new_hist, len(s.history) + 1,
                                     s.tape.tail, DOWN))
-    if last == BODY:
+    if side == BODY:
         return Next("p4", PamState(parent, s.history, s.index, tk.cons(tk.MARKER, s.tape), UP))
-    pos, _ = s.history.entry(s.index)
-    return Next("jmp", PamState(pos, s.history, s.index - 1, s.tape, UP))
+    node, _ = s.history.entry(s.index)
+    return Next("jmp", PamState(node, s.history, s.index - 1, s.tape, UP))
 
 
-# text forms of the plain tuples a PAM token holds; a tape position (a path)
-# never equals a history entry (a path and an int), so one memo holds both
-POSITION = tk.encodes('{"pos": %s}', lambda pos: (path_str(pos),))("pam position")
-ENTRY = tk.encodes('{"pos": %s, "idx": %s}', lambda e: (path_str(e[0]), e[1]))("pam entry")
+# text forms of the plain items a PAM token holds; a tape position (a node)
+# never equals a history entry (a node and an int), so one memo holds both
+POSITION = tk.encodes('{"pos": %s}', lambda n: (path_str(n.path),))("pam position")
+ENTRY = tk.encodes('{"pos": %s, "idx": %s}',
+                   lambda e: (path_str(e[0].path), e[1]))("pam entry")
 
 
 def snapshot(index: TermIndex, s: PamState, enc: tk.Encoder) -> str:
@@ -134,7 +130,7 @@ def snapshot(index: TermIndex, s: PamState, enc: tk.Encoder) -> str:
 
 
 def state_footprint(s: PamState, reach: tk.Reach) -> tuple:
-    # history entries and tape items are plain tuples: no list nests in another
+    # history entries and tape items are plain: no list nests in another
     markers = tk.markers(s.tape)
     tape = tk.length(s.tape)
     return len(s.history) + tape - markers, markers, len(s.history) + tape
@@ -144,13 +140,13 @@ def check_invariants(index: TermIndex, label, s: PamState, per_label: dict, ctx:
     hops = ctx.setdefault("hops", [0])  # hops[k]: lookups the chain from index k can make
     array = s.history.array
     for k in range(len(hops), len(s.history) + 1):
-        pos, j = array[k - 1]
+        var, j = array[k - 1]
         assert 0 <= j < k, "history entry index does not point strictly below it"
         hops.append(1 + hops[j])
-        assert hops[k - 1] >= index.level_at[pos], (
+        assert hops[k - 1] >= var.level, (
             "history depth below an indexed position is smaller than its level"
         )
-    assert 0 <= s.index < len(hops) and hops[s.index] >= index.level_at[s.pos], (
+    assert 0 <= s.index < len(hops) and hops[s.index] >= s.node.level, (
         "history depth is below the context level")
     positions = tk.length(s.tape) - tk.markers(s.tape)
     if s.dir == DOWN:

@@ -59,9 +59,14 @@ class Machine:
     # that reached ``state``, None at the initial state
     invariants: Callable
     dir: Callable = attrgetter("dir")
-    pos: Callable = attrgetter("pos")
     var_labels: tuple = ("var",)
     up_labels: tuple = ()  # when given, reports carry their count as upLength
+
+
+class NodeState:
+    """Base of the token machines' states, each at a ``node``: ``pos`` is its path."""
+
+    pos = property(lambda s: s.node.path)
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,11 @@ def drive(
 ):
     """Iterate ``step_fn`` from ``state``; aggregate counters, peaks, optional trace.
 
-    ``machine`` gives the direction and position accessors and the variable
-    labels; its name and the step, snapshot and footprint functions come
-    apart from it so that a profiler can wrap them.  A traced run writes its
-    tokens through one ``tokens.Encoder``, so each item is written once.
+    ``machine`` gives the direction accessor and the variable labels; its
+    name and the step, snapshot and footprint functions come apart from it so
+    that a profiler can wrap them.  Every state has a ``pos``, its path, which
+    only a traced run reads.  A traced run writes its tokens through one
+    ``tokens.Encoder``, so each item is written once.
     Returns the report in all cases; ``outcome`` says whether a final state
     was reached.
     ``check_fn(state, per_label)`` is called on every reached state and may
@@ -153,11 +159,11 @@ def drive(
     ``tokens.Reach`` per run, which it moves from state to state, and returns
     the counts ``(lp, markers, cells)``.
     """
-    state_dir_fn, state_pos_fn, var_labels = machine.dir, machine.pos, machine.var_labels
+    state_dir_fn, var_labels = machine.dir, machine.var_labels
     per_label: dict = {}
     events: Optional[list] = [] if trace else None
     enc = Encoder() if trace else None
-    places: dict = {}  # position -> (path text, subterm text)
+    places: dict = {}  # path -> (path text, subterm text)
     reach = Reach()
     var_cost = steps = peak_lp = peak_cells = 0
     peak_markers = (0, 0)  # (markers, lp): the most markers, then the most lp among them
@@ -171,7 +177,7 @@ def drive(
         peak_cells = max(peak_cells, cells)
         peak_markers = max(peak_markers, (markers, lp))
         if trace:
-            pos = state_pos_fn(state)
+            pos = state.pos
             place = places.get(pos)
             if place is None:
                 place = places[pos] = (path_str(pos), pretty(resolve(index.root, pos)[0]))

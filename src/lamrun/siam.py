@@ -62,6 +62,8 @@ class SiamState:
     tpath: tuple
     dir: str
 
+    pos = property(lambda s: s.node.term_pos)  # the path of the judgement's subject
+
 
 def resolve_tpath(ty, tpath):
     """The type that ``tpath`` leads to in ``ty``; None when it leads out of ``ty``."""
@@ -229,6 +231,5 @@ MACHINE = Machine(
     # on the term's ★ derivation; Diverged when it has none within fuel
     launch=lambda term, fuel, **kw: run(mt.infer_star_derivation(term, fuel), term, fuel, **kw)[0],
     dir=lambda s: observable(s)[1],
-    pos=lambda s: s.node.term_pos,
     invariants=check_invariants,
 )

@@ -2,9 +2,10 @@
 
 Terms are immutable trees with de Bruijn indices; the names carried by ``Var``
 and ``Lam`` are presentation-only.  Machines never rewrite the term: they move
-over a fixed root, so subterm occurrences are addressed by root-relative paths
-(``Fun``/``Arg``/``Body`` steps).  The level of a path is its number of ``Arg``
-steps, i.e. the number of arguments the occurrence is buried under.
+over a fixed root, from one occurrence's ``Node`` to a linked one.  Traces and
+reports name an occurrence by its root-relative path (``Fun``/``Arg``/``Body``
+steps); the level of a path is its number of ``Arg`` steps, i.e. the number of
+arguments the occurrence is buried under.
 """
 from __future__ import annotations
 
@@ -355,33 +356,66 @@ def resolve(root: Term, path: Path):
     return t, level
 
 
-class TermIndex:
-    """Per-term cache of node shapes, levels, and binder links for machine steps."""
+class Node:
+    """One occurrence of a subterm in a fixed root term, linked to its
+    neighbours.  ``side`` is the step from ``parent`` (None at the root); a
+    variable knows its ``binder`` and ``inner``, the arguments it is buried
+    under inside its binder.  Its ``path`` is made only where one is printed."""
 
-    __slots__ = ("root", "size", "node_at", "level_at", "binder_at")
+    __slots__ = ("term", "parent", "side", "level", "fun", "arg", "body", "binder", "inner",
+                 "_path")
+
+    def __init__(self, term: Term, parent: Optional["Node"], side: Optional[str], level: int):
+        self.term = term
+        self.parent = parent
+        self.side = side
+        self.level = level  # the number of arguments the occurrence is buried under
+        self.fun = self.arg = self.body = self.binder = self.inner = self._path = None
+
+    @property
+    def path(self) -> Path:
+        """The root-relative path of the occurrence, made once."""
+        if self._path is None:
+            steps, n = [], self
+            while n.parent is not None:
+                steps.append(n.side)
+                n = n.parent
+            self._path = tuple(reversed(steps))
+        return self._path
+
+
+class TermIndex:
+    """The occurrences of a closed term as linked nodes, built in one pass:
+    ``top`` is the root's, ``nodes`` lists them all, parents first."""
+
+    __slots__ = ("root", "size", "top", "nodes")
 
     def __init__(self, root: Term):
-        if not is_closed(root):
-            raise NotClosed("machines run on closed terms only")
         self.root = root
-        self.size = term_size(root)
-        self.node_at = {}
-        self.level_at = {}
-        self.binder_at = {}
-        stack = [((), root, 0, ())]  # path, node, level, enclosing lambda paths
+        self.top = Node(root, None, None, 0)
+        self.nodes = nodes = []
+        lams: list = []  # the enclosing lambda nodes of the node being visited, outermost first
+        stack = [(self.top, 0)]  # node, how many lambdas enclose it
         while stack:
-            path, node, level, lams = stack.pop()
-            self.node_at[path] = node
-            self.level_at[path] = level
-            if isinstance(node, Var):
-                binder_path = lams[-(node.index + 1)]
-                inner = sum(1 for s in path[len(binder_path) + 1 :] if s == ARG)
-                self.binder_at[path] = (binder_path, inner)
-            elif isinstance(node, Lam):
-                stack.append((path + (BODY,), node.body, level, lams + (path,)))
+            n, depth = stack.pop()
+            nodes.append(n)
+            del lams[depth:]  # preorder: the first ``depth`` entries enclose ``n``
+            t = n.term
+            if isinstance(t, Var):
+                if t.index >= depth:
+                    raise NotClosed("machines run on closed terms only")
+                n.binder = lams[-(t.index + 1)]
+                n.inner = n.level - n.binder.level
+            elif isinstance(t, Lam):
+                lams.append(n)
+                n.body = Node(t.body, n, BODY, n.level)
+                stack.append((n.body, depth + 1))
             else:
-                stack.append((path + (FUN,), node.fun, level, lams))
-                stack.append((path + (ARG,), node.arg, level + 1, lams))
+                n.fun = Node(t.fun, n, FUN, n.level)
+                n.arg = Node(t.arg, n, ARG, n.level + 1)
+                stack.append((n.arg, depth))
+                stack.append((n.fun, depth))
+        self.size = len(nodes)
 
 
 # ---------------------------------------------------------------------------

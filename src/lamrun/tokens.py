@@ -5,8 +5,9 @@ logs stay valid and sharing is observable (``footprint`` counts each cell
 once).  Each cell knows its list's length and marker count, and a ``Reach``
 follows the reachable cells of a run from state to state.  A logged position
 is a variable occurrence plus the log that led there; the ``local`` flavor
-stores the binder-rooted view, the ``global`` flavor stores the absolute
-position with the whole log.
+stores the binder-rooted view, the ``global`` flavor stores the occurrence
+under the root with the whole log.  Positions are ``syntax.Node`` records;
+the text forms write their paths.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Iterator, Optional
 
-from .syntax import Path, path_str
+from .syntax import Node, path_str
 
 
 class Cell:
@@ -32,14 +33,8 @@ class Cell:
             self.length = tail.length + 1
             self.markers = tail.markers + marker
 
-    def __iter__(self):
-        cell = self
-        while cell is not None:
-            yield cell.head
-            cell = cell.tail
-
     def __repr__(self):
-        return "List(" + ", ".join(repr(x) for x in self) + ")"
+        return "List(" + ", ".join(map(repr, iterate(self))) + ")"
 
 
 nil = None
@@ -97,10 +92,6 @@ def from_list(items, tail: Optional[Cell] = None) -> Optional[Cell]:
     return out
 
 
-def to_list(xs: Optional[Cell]) -> list:
-    return list(iterate(xs))
-
-
 def nth(xs: Optional[Cell], n: int):
     cell = drop(xs, n)
     if cell is None:
@@ -152,12 +143,12 @@ GLOBAL = "global"
 
 
 @encodes('{"var": %s, "scope": %s, "flavor": %s, "log": %s}',
-         lambda lp: (path_str(lp.var_path), path_str(lp.scope_path), lp.flavor))
+         lambda lp: (path_str(lp.var.path), path_str(lp.scope.path), lp.flavor))
 @nests("log")
 @dataclass(frozen=True, eq=False)
 class LoggedPosition:
-    var_path: Path
-    scope_path: Path  # binder path (local) or the root path (global)
+    var: Node
+    scope: Node  # the binder (local) or the root (global)
     flavor: str
     log: Optional[Cell]
 
@@ -307,7 +298,7 @@ def same_item(x, y):
         return ()
     if isinstance(x, Marker) or isinstance(y, Marker):
         return () if x == y else None
-    if (x.var_path == y.var_path and x.scope_path == y.scope_path and x.flavor == y.flavor
+    if (x.var is y.var and x.scope is y.scope and x.flavor == y.flavor
             and length(x.log) == length(y.log)):
         return ((x.log, y.log),)
     return None

@@ -6,6 +6,14 @@ from lamrun.syntax import parse
 DEFS = {"I": "\\z.z"}
 
 
+def at(index, path):
+    """The node of ``index`` at a root-relative path of FUN/ARG/BODY steps."""
+    node = index.top
+    for step in path:
+        node = getattr(node, step.lower())
+    return node
+
+
 @pytest.fixture(scope="session")
 def running_example():
     """(λy.λx.x y) I I with I = λz.z."""

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -137,6 +138,12 @@ def test_term_from_file(tmp_path, capsys):
     path.write_text("(\\x.x x) (\\y.y)", encoding="utf-8")
     assert main(["parse", f"@{path}"]) == 0
     assert "size: 7" in capsys.readouterr().out
+
+
+def test_term_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("(\\x.x x) (\\y.y)\n"))
+    assert main(["parse", "-"]) == 0
+    assert capsys.readouterr().out.startswith("(λx.x x) (λy.y)\nsize: 7\n")
 
 
 def test_compare_machine_selection(capsys, defs_file):

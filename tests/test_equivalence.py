@@ -4,41 +4,44 @@ from dataclasses import replace
 
 import pytest
 
-from lamrun import equivalence as eq, ham, harness, liam, ljam, lpam, multitypes as mt, siam
+from lamrun import equivalence as eq, ham, harness, kam, liam, ljam, lpam, multitypes as mt, siam
 from lamrun import tokens as tk
 from lamrun.reporting import Next, Stuck, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
+from conftest import at
+
 
 def test_project_initial_states(running_example):
     index = TermIndex(running_example)
-    assert liam.states_related(liam.initial(index), ljam.initial(index),
-                               eq.iam_jam_items(index), {})
+    assert liam.states_related(liam.initial(index), ljam.initial(index), eq.iam_jam_items, {})
 
 
 def test_project_global_position(running_example):
     # the saved global head-variable query relates to the binder-rooted local one
     index = TermIndex(running_example)
-    px = tk.LoggedPosition((FUN, FUN, BODY, BODY, FUN), (), tk.GLOBAL, None)
-    local = tk.LoggedPosition((FUN, FUN, BODY, BODY, FUN), (FUN, FUN, BODY), tk.LOCAL, None)
-    items = eq.iam_jam_items(index)
+    x = at(index, (FUN, FUN, BODY, BODY, FUN))
+    px = tk.LoggedPosition(x, index.top, tk.GLOBAL, None)
+    local = tk.LoggedPosition(x, at(index, (FUN, FUN, BODY)), tk.LOCAL, None)
+    items = eq.iam_jam_items
     assert tk.related([(local, px)], items, {})
-    assert not tk.related([(replace(local, scope_path=()), px)], items, {})
+    assert not tk.related([(replace(local, scope=index.top), px)], items, {})
     assert not tk.related([(replace(local, flavor=tk.GLOBAL), px)], items, {})
 
 
 def test_project_truncates_log_to_inner_level(running_example):
     index = TermIndex(running_example)
-    px = tk.LoggedPosition((FUN, FUN, BODY, BODY, FUN), (), tk.GLOBAL, None)
-    pz = tk.LoggedPosition((ARG, BODY), (), tk.GLOBAL, tk.cons(px, None))
-    py = tk.LoggedPosition((FUN, FUN, BODY, BODY, ARG), (), tk.GLOBAL,
+    top = index.top
+    px = tk.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, FUN)), top, tk.GLOBAL, None)
+    pz = tk.LoggedPosition(at(index, (ARG, BODY)), top, tk.GLOBAL, tk.cons(px, None))
+    py = tk.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, ARG)), top, tk.GLOBAL,
                            tk.cons(pz, tk.cons(pz, None)))
     # the occurrence sits one argument under its binder: one log entry kept,
     # and none of the entry's own log, whose occurrence is at its binder's level
-    local_px = tk.LoggedPosition(px.var_path, (FUN, FUN, BODY), tk.LOCAL, None)
-    local_pz = tk.LoggedPosition((ARG, BODY), (ARG,), tk.LOCAL, None)
-    local_py = tk.LoggedPosition(py.var_path, (FUN, FUN), tk.LOCAL, tk.cons(local_pz, None))
-    items = eq.iam_jam_items(index)
+    local_px = tk.LoggedPosition(px.var, at(index, (FUN, FUN, BODY)), tk.LOCAL, None)
+    local_pz = tk.LoggedPosition(pz.var, top.arg, tk.LOCAL, None)
+    local_py = tk.LoggedPosition(py.var, top.fun.fun, tk.LOCAL, tk.cons(local_pz, None))
+    items = eq.iam_jam_items
     assert tk.related([(local_py, py)], items, {})
     for log in (None, tk.cons(local_pz, tk.cons(local_pz, None))):
         assert not tk.related([(replace(local_py, log=log), py)], items, {})
@@ -240,13 +243,33 @@ def test_invariants_suite_sees_a_k_mode_hopping_machine_that_stops_early(
     assert report.details["reason"] == "ham-k transitions differ from the kam's"
 
 
+def test_invariants_suite_sees_a_machine_that_ends_on_the_wrong_abstraction(monkeypatch):
+    # each KAM var lands on the function's λ instead of the argument's, with the
+    # environment it would have had: every count and per-state invariant holds
+    term = parse("(\\x.x) (\\y.y)")
+    step = kam.step
+
+    def wrong_landing(index, s):
+        result = step(index, s)
+        if isinstance(result, Next) and result.label == "var":
+            return Next("var", replace(result.state, node=index.top.fun), result.cost)
+        return result
+
+    monkeypatch.setattr(kam, "step", wrong_landing)
+    assert kam.run(term, 100).final_state.pos == (FUN,)
+    report = eq.check_invariants_suite(term, 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details["reason"] == "the machines end on different subterms"
+
+
 # ---------------------------------------------------------------------------
 # Each checker reports a corrupted transition
 
 
-def corrupt(monkeypatch, module, attr, at, mode=None, label=None, pos=None):
+def corrupt(monkeypatch, module, attr, nth, mode=None, label=None, pos=None):
     """Rebind ``module.attr`` (a step function) so that its transition number
-    ``at`` gets ``label`` or lands on ``pos``; ``mode`` limits it to one mode."""
+    ``nth`` gets ``label`` or lands on the node at path ``pos``; ``mode``
+    limits it to one mode."""
     original = getattr(module, attr)
     seen = 0
 
@@ -255,8 +278,8 @@ def corrupt(monkeypatch, module, attr, at, mode=None, label=None, pos=None):
         result = original(index, s, *args)
         if mode is None or args == (mode,):
             seen += 1
-            if seen == at:
-                state = result.state if pos is None else replace(result.state, pos=pos)
+            if seen == nth:
+                state = result.state if pos is None else replace(result.state, node=at(index, pos))
                 return Next(label or result.label, state, result.cost)
         return result
 

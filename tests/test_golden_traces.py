@@ -5,29 +5,20 @@ abstraction to two identities, and for the self-application that duplicates
 its argument.  Each row pins the transition label, the focused occurrence,
 the direction, and the full token.
 """
-from lamrun import ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
+from lamrun import ham, kam, liam, ljam, lpam, multitypes as mt, siam
 from lamrun.reporting import trajectory
-from lamrun.syntax import ARG, BODY, FUN, path_str
+from lamrun.syntax import ARG, BODY, FUN
 
 F, A, B = FUN, ARG, BODY
 
 
-def lp_doc(lp):
-    """A logged position as its trace JSON, written out field by field."""
-    return {
-        "var": path_str(lp.var_path),
-        "scope": path_str(lp.scope_path),
-        "flavor": lp.flavor,
-        "log": [lp_doc(x) for x in tk.iterate(lp.log)],
-    }
-
-
 def lp_local(var, scope, log=()):
-    return tk.LoggedPosition(var, scope, tk.LOCAL, tk.from_list(list(log)))
+    """A local logged position as its trace JSON, written out field by field."""
+    return {"var": "/".join(var), "scope": "/".join(scope), "flavor": "local", "log": list(log)}
 
 
 def lp_global(var, log=()):
-    return tk.LoggedPosition(var, (), tk.GLOBAL, tk.from_list(list(log)))
+    return {"var": "/".join(var), "scope": "", "flavor": "global", "log": list(log)}
 
 
 def iam_rows(report):
@@ -45,17 +36,7 @@ def token_rows(report, keys):
 
 
 def expect_iam(rows):
-    out = []
-    for label, path, d, tape, log, bt in rows:
-        out.append((
-            label,
-            "/".join(path),
-            d,
-            ["p" if x == "p" else lp_doc(x) for x in tape],
-            [lp_doc(x) for x in log],
-            bt,
-        ))
-    return out
+    return [(label, "/".join(path), d, tape, log, bt) for label, path, d, tape, log, bt in rows]
 
 
 def test_iam_running_example_trace(running_example):
@@ -97,11 +78,7 @@ def test_jam_running_example_trace(running_example):
     p = "p"
 
     def row(label, path, d, tape, log):
-        return (
-            label, "/".join(path), d,
-            ["p" if t == "p" else lp_doc(t) for t in tape],
-            [lp_doc(x) for x in log],
-        )
+        return (label, "/".join(path), d, tape, log)
 
     expected = [
         row("init", (), "down", [], []),
@@ -230,10 +207,10 @@ def test_jam_duplication_trace(duplication_example):
     assert report.length == 11
     final = report.events[-1]
     assert final.subterm_path == "Arg"
-    assert final.token["log"] == [lp_doc(px2)]
+    assert final.token["log"] == [px2]
     jmp = report.events[8]
     assert jmp.subterm_path == "Fun/Body/Fun"
-    assert jmp.token["tape"] == [lp_doc(py)]
+    assert jmp.token["tape"] == [py]
     assert jmp.token["log"] == []
 
 

@@ -70,15 +70,15 @@ def test_tape_lift(corpus):
     for term in corpus[:20]:
         index = TermIndex(term)
         for mode in (ham.J_MODE, ham.K_MODE):
-            base = [(lbl, s.pos, s.dir)
+            base = [(lbl, s.node, s.dir)
                     for lbl, s in trajectory(ham.MODES[mode], index, 10**6)]
             n = len(base) - 1
-            suffix = ham.LoggedClosure((), tk.nil, tk.nil)
-            s = ham.HamState((), tk.nil, tk.nil, tk.cons(suffix, tk.nil), ham.DOWN)
-            got = [(None, s.pos, s.dir)]
+            suffix = ham.LoggedClosure(index.top, tk.nil, tk.nil)
+            s = ham.HamState(index.top, tk.nil, tk.nil, tk.cons(suffix, tk.nil), ham.DOWN)
+            got = [(None, s.node, s.dir)]
             for _ in range(n):
                 r = ham.step_mode(index, s, mode)
                 assert isinstance(r, Next)
                 s = r.state
-                got.append((r.label, s.pos, s.dir))
+                got.append((r.label, s.node, s.dir))
             assert got[1:] == base[1:]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lamrun import harness, liam, ljam, multitypes as mt
-from lamrun.syntax import App, is_closed, parse, skeleton, term_size
+from lamrun.syntax import App, Lam, Node, Var, is_closed, parse, skeleton, term_size
 
 
 def test_family_tn_base():
@@ -122,3 +122,24 @@ def test_compare_infers_the_derivation_once(monkeypatch, running_example, omega)
     row = harness.compare(omega, 50, machines=["kam", "siam"], with_types=True)
     assert len(calls) == 1
     assert row["machines"]["siam"] == {"outcome": "fuel"} and row["weights"] is None
+
+
+def test_untraced_runs_make_no_paths(monkeypatch):
+    # a position is a node: an untraced run follows links and never builds
+    # the root-relative path that only traces and reports print
+    made = 0
+    path = Node.path
+
+    def counted(node):
+        nonlocal made
+        made += 1
+        return path.fget(node)
+
+    monkeypatch.setattr(Node, "path", property(counted))
+    chain = Lam("z", Var(0, "z"))
+    for _ in range(200):
+        chain = App(harness.IDENTITY, chain)
+    for term in (harness.family_tn(8), harness.family_rkh(3, 3), chain):
+        for name in ("iam", "jam", "pam", "kam", "ham-j", "ham-k"):
+            assert harness.run_machine(name, term).outcome == "final"
+    assert made == 0

@@ -5,6 +5,8 @@ from lamrun.equivalence import walk_invariants
 from lamrun.reporting import FuelExhausted, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse, whnf_trace
 
+from conftest import at
+
 
 def test_identity_final():
     assert kam.run(parse("\\x.x"), 10).length == 0
@@ -15,7 +17,7 @@ def test_app_pushes_argument_closure(running_example):
     result = kam.step(index, kam.initial(index))
     assert result.label == "app"
     clo = result.state.stack.head
-    assert clo.pos == (ARG,) and clo.env is None
+    assert clo.node is index.top.arg and clo.env is None
     assert result.state.pos == (FUN,)
 
 
@@ -63,13 +65,13 @@ def test_debug_mode(running_example, duplication_example):
 
 def test_debug_mode_flags_an_environment_that_does_not_close(running_example):
     index = TermIndex(running_example)
-    y = (FUN, FUN, BODY, BODY, ARG)  # y, bound two λs up
-    short = kam.Closure(y, tk.cons(kam.Closure((ARG,), None), None))
+    y = at(index, (FUN, FUN, BODY, BODY, ARG))  # y, bound two λs up
+    short = kam.Closure(y, tk.cons(kam.Closure(index.top.arg, None), None))
     with pytest.raises(AssertionError, match="state environment"):
         kam.check_invariants(index, None, kam.KamState(y, short.env, None), {}, {})
     with pytest.raises(AssertionError, match="closure environment"):
-        kam.check_invariants(index, None, kam.KamState((ARG,), None, tk.cons(short, None)),
-                             {}, {})
+        kam.check_invariants(index, None,
+                             kam.KamState(index.top.arg, None, tk.cons(short, None)), {}, {})
 
 
 def test_fuel(omega):

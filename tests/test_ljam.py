@@ -3,6 +3,8 @@ from lamrun.equivalence import walk_invariants
 from lamrun.reporting import trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
+from conftest import at
+
 
 def test_identity_final():
     report = ljam.run(parse("\\x.x"), 10)
@@ -11,22 +13,23 @@ def test_identity_final():
 
 def test_var_stores_global_position_and_whole_log(running_example):
     index = TermIndex(running_example)
-    log = tk.cons(tk.LoggedPosition((FUN, FUN, BODY, BODY, FUN), (), tk.GLOBAL, None), None)
-    s = ljam.JamState((ARG, BODY), tk.nil, log, ljam.DOWN)
+    x = at(index, (FUN, FUN, BODY, BODY, FUN))
+    log = tk.cons(tk.LoggedPosition(x, index.top, tk.GLOBAL, None), None)
+    s = ljam.JamState(at(index, (ARG, BODY)), tk.nil, log, ljam.DOWN)
     result = ljam.step(index, s)
     assert result.label == "var"
     lp = result.state.tape.head
-    assert lp.var_path == (ARG, BODY)
-    assert lp.flavor == tk.GLOBAL and lp.scope_path == ()
+    assert lp.var is s.node
+    assert lp.flavor == tk.GLOBAL and lp.scope is index.top
     assert lp.log is log  # shared, not copied
     assert result.state.log is log  # inner level 0 pops nothing
 
 
 def test_jmp_restores_position_and_log(running_example):
     index = TermIndex(running_example)
-    px = tk.LoggedPosition((FUN, FUN, BODY, BODY, FUN), (), tk.GLOBAL, None)
-    pz = tk.LoggedPosition((ARG, BODY), (), tk.GLOBAL, tk.cons(px, None))
-    s = ljam.JamState((ARG,), tk.cons(pz, tk.nil), tk.cons(px, tk.nil), ljam.UP)
+    px = tk.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, FUN)), index.top, tk.GLOBAL, None)
+    pz = tk.LoggedPosition(at(index, (ARG, BODY)), index.top, tk.GLOBAL, tk.cons(px, None))
+    s = ljam.JamState(at(index, (ARG,)), tk.cons(pz, tk.nil), tk.cons(px, tk.nil), ljam.UP)
     result = ljam.step(index, s)
     assert result.label == "jmp"
     assert result.state.pos == (FUN, FUN, BODY, BODY, FUN)
@@ -37,10 +40,10 @@ def test_jmp_restores_position_and_log(running_example):
 def test_depth_examples(running_example):
     index = TermIndex(running_example)
     assert ljam.depth(ljam.initial(index)) == 0
-    inner = tk.LoggedPosition((ARG, BODY), (), tk.GLOBAL, None)
-    outer = tk.LoggedPosition((FUN, FUN, BODY, BODY, ARG), (), tk.GLOBAL,
+    inner = tk.LoggedPosition(at(index, (ARG, BODY)), index.top, tk.GLOBAL, None)
+    outer = tk.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, ARG)), index.top, tk.GLOBAL,
                               tk.cons(inner, None))
-    s = ljam.JamState((), tk.nil, tk.cons(outer, tk.nil), ljam.DOWN)
+    s = ljam.JamState(index.top, tk.nil, tk.cons(outer, tk.nil), ljam.DOWN)
     assert ljam.depth(s) == 2
 
 
@@ -54,9 +57,10 @@ def test_depth_equals_var_count(running_example, corpus):
 
 
 def test_depth_of_deeply_nested_log():
+    index = TermIndex(parse("(\\x.x) (\\y.y)"))
     log = None
     for _ in range(30_000):
-        log = tk.cons(tk.LoggedPosition((FUN,), (), tk.GLOBAL, log), None)
+        log = tk.cons(tk.LoggedPosition(index.top.fun, index.top, tk.GLOBAL, log), None)
     memo = {}
     assert ljam.depth_of(log, memo) == 30_000
     assert ljam.depth_of(log.head.log, memo) == 29_999
@@ -82,8 +86,7 @@ def test_log_sharing_keeps_var_cheap(corpus):
         for label, state in trajectory(ljam.MACHINE, index, 10**6):
             cells = ljam.state_footprint(state, tk.Reach())[2]
             if label == "var":
-                binder, inner = index.binder_at[prev.pos]
-                assert cells - prev_cells <= 2 + inner
+                assert cells - prev_cells <= 2 + prev.node.inner
             prev_cells = cells
             prev = state
 
@@ -91,5 +94,5 @@ def test_log_sharing_keeps_var_cheap(corpus):
 def test_up_phase_bounds(running_example, corpus):
     for term, fuel in [(running_example, 1000)] + [(t, 10**6) for t in corpus[:50]]:
         index = TermIndex(term)
-        labels = walk_invariants(ljam.MACHINE, index, fuel)
+        labels, _ = walk_invariants(ljam.MACHINE, index, fuel)
         assert sum(labels[lbl] for lbl in ljam.UP_LABELS) <= labels["var"] ** 2 * index.size

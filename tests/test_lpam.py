@@ -7,6 +7,13 @@ from lamrun.equivalence import walk_invariants
 from lamrun.lpam import History, UndefinedLookup, phi, phi_pow
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
+from conftest import at
+
+
+# positions for the history tests: the nodes at Fun, Arg and Fun/Body of (λx.x) (λy.y)
+_TOP = TermIndex(parse("(\\x.x) (\\y.y)")).top
+F, A, B = _TOP.fun, _TOP.arg, _TOP.fun.body
+
 
 def history_json(h):
     """The history as a PAM trace token writes it, oldest entry first."""
@@ -14,63 +21,63 @@ def history_json(h):
 
 
 def test_phi_zero_power_is_identity():
-    h = History().append((FUN,), 0)
+    h = History().append(F, 0)
     assert phi_pow(h, 1, 0) == 1
     assert phi_pow(h, 7, 0) == 7  # no lookups, no bounds involved
 
 
 def test_phi_single_entry():
-    h = History().append((FUN,), 0)
+    h = History().append(F, 0)
     assert phi(h, 1) == 0
 
 
 def test_phi_chain():
-    h = History().append((FUN,), 0).append((ARG,), 0).append((BODY,), 0)
+    h = History().append(F, 0).append(A, 0).append(B, 0)
     assert phi_pow(h, 2, 1) == 0
-    assert h.entry(2) == ((ARG,), 0)
+    assert h.entry(2) == (A, 0)
 
 
 def test_phi_undefined_on_zero():
-    h = History().append((FUN,), 0)
+    h = History().append(F, 0)
     with pytest.raises(UndefinedLookup):
         phi_pow(h, 1, 2)  # second hop reads entry 0
 
 
 def test_history_is_persistent():
-    h1 = History().append((FUN,), 0)
-    h2 = h1.append((ARG,), 1)
+    h1 = History().append(F, 0)
+    h2 = h1.append(A, 1)
     assert len(h1) == 1 and len(h2) == 2
     assert history_json(h1) == [{"pos": "Fun", "idx": 0}]
 
 
 def test_history_extends_an_older_version():
-    h1 = History().append((FUN,), 0)
-    h2 = h1.append((ARG,), 1)
-    h3 = h1.append((BODY,), 1)  # h1 extended a second time
-    h4 = h2.append((FUN,), 2)
-    assert h1.entries() == [((FUN,), 0)]
-    assert h2.entries() == [((FUN,), 0), ((ARG,), 1)]
-    assert h3.entries() == [((FUN,), 0), ((BODY,), 1)]
-    assert h4.entries() == [((FUN,), 0), ((ARG,), 1), ((FUN,), 2)]
-    assert (h2.entry(2), h3.entry(2), h4.entry(3)) == (((ARG,), 1), ((BODY,), 1), ((FUN,), 2))
+    h1 = History().append(F, 0)
+    h2 = h1.append(A, 1)
+    h3 = h1.append(B, 1)  # h1 extended a second time
+    h4 = h2.append(F, 2)
+    assert h1.entries() == [(F, 0)]
+    assert h2.entries() == [(F, 0), (A, 1)]
+    assert h3.entries() == [(F, 0), (B, 1)]
+    assert h4.entries() == [(F, 0), (A, 1), (F, 2)]
+    assert (h2.entry(2), h3.entry(2), h4.entry(3)) == ((A, 1), (B, 1), (F, 2))
     with pytest.raises(UndefinedLookup):
         h3.entry(3)
 
 
 def test_var_keeps_index_at_level_zero(running_example):
     index = TermIndex(running_example)
-    s = lpam.PamState((FUN, FUN, BODY, BODY, FUN), History(), 0,
+    s = lpam.PamState(at(index, (FUN, FUN, BODY, BODY, FUN)), History(), 0,
                       tk.cons(tk.MARKER, tk.nil), lpam.DOWN)
     result = lpam.step(index, s)
     assert result.label == "var" and result.state.index == 0
-    assert result.state.tape.head == (FUN, FUN, BODY, BODY, FUN)
+    assert result.state.tape.head is s.node
     assert result.cost == 0
 
 
 def test_arg_appends_indexed_position(running_example):
     index = TermIndex(running_example)
-    pos = (FUN, FUN, BODY, BODY, FUN)
-    s = lpam.PamState((FUN,), History(), 0, tk.cons(pos, tk.cons(tk.MARKER, tk.nil)),
+    pos = at(index, (FUN, FUN, BODY, BODY, FUN))
+    s = lpam.PamState(index.top.fun, History(), 0, tk.cons(pos, tk.cons(tk.MARKER, tk.nil)),
                       lpam.UP)
     result = lpam.step(index, s)
     assert result.label == "arg"
@@ -81,13 +88,13 @@ def test_arg_appends_indexed_position(running_example):
 
 def test_jmp_decrements_index(running_example):
     index = TermIndex(running_example)
-    pos = (FUN, FUN, BODY, BODY, FUN)
+    pos = at(index, (FUN, FUN, BODY, BODY, FUN))
     h = History().append(pos, 0)
-    s = lpam.PamState((ARG,), h, 1, tk.cons((ARG, BODY), tk.nil), lpam.UP)
+    s = lpam.PamState(index.top.arg, h, 1, tk.cons(at(index, (ARG, BODY)), tk.nil), lpam.UP)
     result = lpam.step(index, s)
     assert result.label == "jmp"
-    assert result.state.pos == pos and result.state.index == 0
-    assert result.state.tape.head == (ARG, BODY)
+    assert result.state.node is pos and result.state.index == 0
+    assert result.state.tape.head is at(index, (ARG, BODY))
 
 
 def test_final_history_running_example(running_example):

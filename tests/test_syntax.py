@@ -115,14 +115,14 @@ def test_resolve_invalid_path(running_example):
 
 
 def test_binder_of_identity():
-    t = parse("\\x.x")
-    assert TermIndex(t).binder_at[(BODY,)] == ((), 0)
+    top = TermIndex(parse("\\x.x")).top
+    assert top.body.binder is top and top.body.inner == 0
 
 
 def test_binder_of_duplication(duplication_example):
-    binder_at = TermIndex(duplication_example).binder_at
-    assert binder_at[(FUN, BODY, FUN)] == ((FUN,), 0)
-    assert binder_at[(FUN, BODY, ARG)] == ((FUN,), 1)
+    lam = TermIndex(duplication_example).top.fun
+    for var, inner in ((lam.body.fun, 0), (lam.body.arg, 1)):
+        assert var.binder is lam and var.inner == inner
 
 
 def test_path_string_roundtrip():
@@ -133,9 +133,11 @@ def test_path_string_roundtrip():
 
 def test_level_counts_arg_steps(running_example):
     index = TermIndex(running_example)
-    assert len(index.node_at) == index.size
-    for path in index.node_at:
-        assert index.level_at[path] == sum(1 for s in path if s == ARG)
+    assert len(index.nodes) == index.size and index.nodes[0] is index.top
+    for n in index.nodes:
+        assert (n.term, n.level) == resolve(running_example, n.path)
+        assert n.level == sum(1 for s in n.path if s == ARG)
+        assert n.parent is None or getattr(n.parent, n.side.lower()) is n
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,20 @@ import json
 from hypothesis import given, strategies as st
 
 from lamrun import tokens as tk
-from lamrun.syntax import ARG, BODY, FUN
+from lamrun.syntax import ARG, BODY, FUN, Node
+
+_NODES: dict = {(): Node(None, None, None, 0)}
+
+
+def node(path):
+    """One node per path, in no term: these positions need only compare and print."""
+    if path not in _NODES:
+        _NODES[path] = Node(None, node(path[:-1]), path[-1], 0)
+    return _NODES[path]
 
 
 def lp(var, scope=(), flavor=tk.LOCAL, log=None):
-    return tk.LoggedPosition(var, scope, flavor, log)
+    return tk.LoggedPosition(node(var), node(scope), flavor, log)
 
 
 def footprint(log, tape):
@@ -62,7 +71,7 @@ def test_cons_shares_tail():
     base = tk.from_list([1, 2, 3])
     extended = tk.cons(0, base)
     assert extended.tail is base
-    assert tk.to_list(base) == [1, 2, 3]
+    assert list(tk.iterate(base)) == [1, 2, 3]
 
 
 @given(st.lists(st.integers(), max_size=10), st.integers(0, 10))
@@ -70,14 +79,14 @@ def test_take_drop_partition(items, n):
     xs = tk.from_list(items)
     if n > len(items):
         return
-    assert tk.to_list(tk.take(xs, n)) == items[:n]
-    assert tk.to_list(tk.drop(xs, n)) == items[n:]
-    assert tk.to_list(tk.concat(tk.take(xs, n), tk.drop(xs, n))) == items
+    assert list(tk.iterate(tk.take(xs, n))) == items[:n]
+    assert list(tk.iterate(tk.drop(xs, n))) == items[n:]
+    assert list(tk.iterate(tk.concat(tk.take(xs, n), tk.drop(xs, n)))) == items
 
 
 @given(st.lists(st.integers(), max_size=8), st.lists(st.integers(), max_size=8))
 def test_concat_lengths(a, b):
-    assert tk.to_list(tk.concat(tk.from_list(a), tk.from_list(b))) == a + b
+    assert list(tk.iterate(tk.concat(tk.from_list(a), tk.from_list(b)))) == a + b
 
 
 def test_persistence_under_extension():

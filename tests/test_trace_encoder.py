@@ -17,7 +17,7 @@ import pytest
 import lamrun
 from lamrun import harness, ham, liam, multitypes as mt, reporting, siam, tokens as tk
 from lamrun.reporting import Next
-from lamrun.syntax import FUN, TermIndex, parse, path_str, pretty, resolve
+from lamrun.syntax import TermIndex, parse, path_str, pretty, resolve
 
 DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
 FUEL = 10**6
@@ -28,7 +28,7 @@ FUEL = 10**6
 
 
 def lp_json(lp):
-    return {"var": path_str(lp.var_path), "scope": path_str(lp.scope_path),
+    return {"var": path_str(lp.var.path), "scope": path_str(lp.scope.path),
             "flavor": lp.flavor, "log": [lp_json(x) for x in tk.iterate(lp.log)]}
 
 
@@ -37,17 +37,17 @@ def tape_json(tape):
 
 
 def closure_json(c):
-    return {"pos": path_str(c.pos), "env": [closure_json(e) for e in tk.iterate(c.env)]}
+    return {"pos": path_str(c.node.path), "env": [closure_json(e) for e in tk.iterate(c.env)]}
 
 
 def lc_json(lc):
-    return {"kind": "lc", "pos": path_str(lc.pos),
+    return {"kind": "lc", "pos": path_str(lc.node.path),
             "env": [lc_json(e) for e in tk.iterate(lc.env)],
             "log": [cp_json(p) for p in tk.iterate(lc.log)]}
 
 
 def cp_json(cp):
-    return {"kind": "cp", "pos": path_str(cp.pos),
+    return {"kind": "cp", "pos": path_str(cp.node.path),
             "log": [cp_json(p) for p in tk.iterate(cp.log)],
             "env": [lc_json(e) for e in tk.iterate(cp.env)]}
 
@@ -68,9 +68,9 @@ TOKEN = {
                              "bt": liam.is_backtracking(s)},
     "jam": lambda index, s: {"tape": tape_json(s.tape), "log": tape_json(s.log)},
     "pam": lambda index, s: {
-        "history": [{"pos": path_str(p), "idx": i} for p, i in s.history.entries()],
+        "history": [{"pos": path_str(p.path), "idx": i} for p, i in s.history.entries()],
         "index": s.index,
-        "tape": ["p" if isinstance(x, tk.Marker) else {"pos": path_str(x)}
+        "tape": ["p" if isinstance(x, tk.Marker) else {"pos": path_str(x.path)}
                  for x in tk.iterate(s.tape)]},
     "kam": lambda index, s: {"env": [closure_json(c) for c in tk.iterate(s.env)],
                              "stack": [closure_json(c) for c in tk.iterate(s.stack)]},
@@ -95,7 +95,7 @@ def oracle_lines(name, term):
     label, cost, s = "init", 0, machine.initial(index)
     lines = []
     while True:
-        pos = machine.pos(s)
+        pos = s.pos
         event = {"step": len(lines), "machine": name, "label": label, "dir": machine.dir(s),
                  "path": path_str(pos), "subterm": pretty(resolve(index.root, pos)[0]),
                  "token": TOKEN[name](index, s), "cost": cost,
@@ -206,9 +206,10 @@ def test_trace_lines_match_the_oracle_on_the_corpus(name, small_corpus):
 
 
 def test_each_item_is_written_once_per_run():
-    shared = tk.from_list([tk.LoggedPosition((FUN,), (), tk.GLOBAL, None)])
-    a = tk.LoggedPosition((FUN, FUN), (), tk.GLOBAL, shared)
-    b = tk.LoggedPosition((FUN, FUN, FUN), (), tk.GLOBAL, shared)
+    top = TermIndex(harness.family_tn(4)).top
+    shared = tk.from_list([tk.LoggedPosition(top.fun, top, tk.GLOBAL, None)])
+    a = tk.LoggedPosition(top.fun.fun, top, tk.GLOBAL, shared)
+    b = tk.LoggedPosition(top.fun.fun.fun, top, tk.GLOBAL, shared)
     enc = tk.Encoder()
     text = enc.list(tk.from_list([a, tk.MARKER, b]))
     assert json.loads(text) == tape_json(tk.from_list([a, tk.MARKER, b]))
@@ -224,12 +225,13 @@ def test_encoding_needs_no_recursion_headroom():
     script = """
 import sys
 from lamrun import ham, tokens as tk
-from lamrun.syntax import FUN
+from lamrun.syntax import TermIndex, parse
 sys.setrecursionlimit(1000)
+top = TermIndex(parse("(\\\\x.x) (\\\\y.y)")).top
 log = env = None
 for _ in range(1200):
-    log = tk.cons(tk.LoggedPosition((FUN,), (), tk.GLOBAL, log), None)
-    env = tk.cons(ham.LoggedClosure((FUN,), env, None), None)
+    log = tk.cons(tk.LoggedPosition(top.fun, top, tk.GLOBAL, log), None)
+    env = tk.cons(ham.LoggedClosure(top.arg, env, None), None)
 enc = tk.Encoder()
 print(enc.list(log).count('"log": ['), enc.list(env).count('"env": ['))
 """
