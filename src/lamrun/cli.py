@@ -132,7 +132,7 @@ def cmd_types(args) -> int:
         print(f"w_iam: {mt.weight_iam(deriv)}")
         print(f"stars: {mt.star_count(deriv)}")
     if args.print_derivation:
-        print(mt.derivation_pretty(deriv, term))
+        print(mt.derivation_pretty(deriv))
     if args.json:
         print(json.dumps(mt.derivation_to_json(deriv), ensure_ascii=False))
     return EXIT_OK

@@ -280,17 +280,19 @@ def check_ham_jk(term: Term, fuel: int) -> dict:
 
 @checker("iam-siam")
 def check_iam_siam(term: Term, fuel: int) -> dict:
-    """Observable bisimulation: same label and (subterm, direction) sequences."""
-    dindex = siam.DerivationIndex(mt.infer_star_derivation(term, fuel), term)
+    """Observable bisimulation: same label and (node, direction) sequences; the
+    derivation is about the nodes the interaction machine walks."""
+    index = TermIndex(term)
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(index, fuel), term)
 
     def relate(label_i, s_i, label_s, s_s):
         if label_i != label_s:
             return {"iam": label_i, "siam": label_s}
-        if (s_i.pos, s_i.dir) != siam.observable(s_s):
+        if (s_i.focus, s_i.dir) != siam.observable(s_s):  # nodes compare by identity
             return {"reason": "observables differ"}
         return None
 
-    labels = lockstep(trajectory(liam.MACHINE, TermIndex(term), fuel),
+    labels = lockstep(trajectory(liam.MACHINE, index, fuel),
                       trajectory(siam.MACHINE, dindex, fuel), relate)
     return {"length": sum(labels.values())}
 
@@ -369,8 +371,8 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
     """Per-state invariants of every registered machine, plus run-level identities.
 
     The token machines walk the term's index, the derivation machine its ★
-    derivation, and all end on one subterm: the token machines on one node,
-    the derivation machine on a judgement about it.  Each hopping mode makes
+    derivation over that index, and all end on one node: the token machines
+    at it, the derivation machine on a judgement about it.  Each hopping mode makes
     the transitions of the machine it entangles, renamed: HAM-J those of the
     JAM, HAM-K those of the KAM."""
     index = TermIndex(term)
@@ -378,7 +380,7 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
     def index_for(name):
         if name != siam.MACHINE.name:
             return index
-        return siam.DerivationIndex(mt.infer_star_derivation(term, fuel), term)
+        return siam.DerivationIndex(mt.infer_star_derivation(index, fuel), term)
 
     try:
         walks = {name: walk_invariants(m, index_for(name), fuel)
@@ -402,8 +404,8 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
     for mode, renamed, other in (("ham-j", _J_LABELS, "jam"), ("ham-k", _K_LABELS, "kam")):
         if Counter({renamed.get(lbl, lbl): n for lbl, n in runs[mode].items()}) != runs[other]:
             raise CheckFailed(reason=f"{mode} transitions differ from the {other}'s")
-    ends = [state for name, (_, state) in walks.items() if name != siam.MACHINE.name]
-    if any(s.node is not ends[0].node for s in ends) or ends[0].pos != walks["siam"][1].pos:
+    ends = [state for _, state in walks.values()]
+    if any(s.focus is not ends[0].focus for s in ends):
         raise CheckFailed(reason="the machines end on different subterms")
     return {}
 

@@ -15,9 +15,10 @@ The expansion is shared: while it runs, judgements carry no position, so a
 step touches only what it changes.  The copies of ``w`` are found by following
 their paths, relative to the head, as a trie; only the judgements on those
 paths and on the head spine are rebuilt, every other subderivation is kept,
-and the cut subderivations move into the new application as they are.  The
-absolute ``term_pos`` of every judgement is assigned once, by a final
-iterative pass that releases the position-free tree as it goes.
+and the cut subderivations move into the new application as they are.  Each
+judgement's ``subject``, the node of ``t``'s ``TermIndex`` it types, is
+assigned once, by a final iterative pass that walks the index alongside the
+position-free tree and releases the tree as it goes.
 
 Two weight assignments decorate derivations; both are plain per-node sums.
 One charges 1 per variable, abstraction, and application rule and predicts
@@ -39,12 +40,12 @@ from .syntax import (
     DEFAULT_FUEL,
     App,
     Lam,
-    Path,
+    Node,
     Term,
+    TermIndex,
     Var,
     path_str,
     pretty,
-    resolve,
     whnf_trace,
 )
 
@@ -98,30 +99,34 @@ class ExpansionMismatch(Exception):
 # Derivations
 
 
+class Judgement:
+    term_pos = property(lambda j: j.subject.path)  # the path of the ``subject`` node
+
+
 @dataclass(frozen=True, eq=False)
-class DVar:
-    term_pos: Path
+class DVar(Judgement):
+    subject: Node
     db_index: int
     rh_type: LinearType
 
 
 @dataclass(frozen=True, eq=False)
-class DLamStar:
-    term_pos: Path
+class DLamStar(Judgement):
+    subject: Node
     rh_type: LinearType = STAR
 
 
 @dataclass(frozen=True, eq=False)
-class DLam:
-    term_pos: Path
+class DLam(Judgement):
+    subject: Node
     domain: tuple
     body: "Derivation"
     rh_type: LinearType
 
 
 @dataclass(frozen=True, eq=False)
-class DApp:
-    term_pos: Path
+class DApp(Judgement):
+    subject: Node
     left: "Derivation"
     rights: tuple
     rh_type: LinearType
@@ -144,7 +149,11 @@ def iter_nodes(root):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(children(node)))
+        if isinstance(node, DApp):
+            stack.extend(node.rights[::-1])
+            stack.append(node.left)
+        elif isinstance(node, DLam):
+            stack.append(node.body)
 
 
 def star_count(root) -> int:
@@ -210,26 +219,11 @@ def compute_env(node, check_domain=None) -> dict:
     return done[0]
 
 
-def _premise_subterms(node, term) -> list:
-    """The premises of ``node``, which types ``term``, each with the child of ``term``
-    it types, or None when it is not at the position its rule expects (or ``term``
-    has no such child): a walk resolves only those judgements from the root."""
-    if isinstance(node, DLam):
-        pairs = ((node.body, BODY, term.body if isinstance(term, Lam) else None),)
-    elif isinstance(node, DApp):
-        fun, arg = (term.fun, term.arg) if isinstance(term, App) else (None, None)
-        pairs = ((node.left, FUN, fun), *((r, ARG, arg) for r in node.rights))
-    else:
-        return []
-    pos = node.term_pos
-    return [(p, sub if sub is not None and p.term_pos == pos + (step,) else None)
-            for p, step, sub in pairs]
-
-
 def validate(root, subject: Term) -> list:
-    """Local-correctness, shape, relevance, and axiom-order problems (empty = valid)."""
+    """Local-correctness, shape, relevance, and axiom-order problems (empty = valid);
+    a premise must be about the very child node its rule expects."""
     problems: list = []
-    seen_ids: set = set()
+    seen: set = set()
 
     def note(node, msg):
         problems.append(f"{path_str(node.term_pos) or '·'}: {msg}")
@@ -238,20 +232,14 @@ def validate(root, subject: Term) -> list:
         if tuple(bound) != tuple(node.domain):
             note(node, "domain differs from the bound variable's axiom sequence")
 
-    todo: list = [(root, None)]  # judgement, its subterm when its conclusion gave it
-    while todo:  # pre-order, left premise first, as ``iter_nodes``
-        node, term = todo.pop()
-        if id(node) in seen_ids:
+    if root.subject.parent is not None or root.subject.term != subject:
+        note(root, "conclusion is not about the root of the subject")
+    for node in iter_nodes(root):
+        if node in seen:
             note(node, "node object occurs twice in one derivation")
-        seen_ids.add(id(node))
-        if term is None:
-            try:
-                term, _ = resolve(subject, node.term_pos)
-            except Exception as exc:  # noqa: BLE001 - reported as a problem
-                problems.append(f"{path_str(node.term_pos)}: {exc}")
-        todo.extend(reversed(_premise_subterms(node, term)))
-        if term is None:
-            continue
+        seen.add(node)
+        sub = node.subject
+        term = sub.term
         if isinstance(node, DVar):
             if not isinstance(term, Var) or term.index != node.db_index:
                 note(node, "axiom does not sit on a matching variable occurrence")
@@ -263,7 +251,7 @@ def validate(root, subject: Term) -> list:
         elif isinstance(node, DLam):
             if not isinstance(term, Lam):
                 note(node, "abstraction rule on a non-abstraction")
-            if node.body.term_pos != node.term_pos + (BODY,):
+            if node.body.subject is not sub.body:
                 note(node, "body premise is not at the body position")
             if not isinstance(node.rh_type, Arrow) or node.rh_type != Arrow(
                 tuple(node.domain), node.body.rh_type
@@ -272,7 +260,7 @@ def validate(root, subject: Term) -> list:
         else:
             if not isinstance(term, App):
                 note(node, "application rule on a non-application")
-            if node.left.term_pos != node.term_pos + (FUN,):
+            if node.left.subject is not sub.fun:
                 note(node, "left premise is not at the function position")
             lt = node.left.rh_type
             if not isinstance(lt, Arrow):
@@ -282,7 +270,7 @@ def validate(root, subject: Term) -> list:
                     note(node, "argument multiplicity differs from the domain length")
                 else:
                     for i, r in enumerate(node.rights):
-                        if r.term_pos != node.term_pos + (ARG,):
+                        if r.subject is not sub.arg:
                             note(node, f"right premise {i + 1} is not at the argument position")
                         if r.rh_type != lt.domain[i]:
                             note(node, f"right premise {i + 1} type differs from domain entry")
@@ -377,38 +365,38 @@ def _expand(step, deriv):
     return result
 
 
-def _place(root) -> Derivation:
-    """The derivation with absolute positions, built premises first.
+def _place(root, top: Node) -> Derivation:
+    """The derivation with each judgement about its node, built premises first;
+    ``top`` is the node that ``root`` types.
 
     A position-free judgement is dropped as soon as its premises are queued,
     so the two trees do not coexist in full.  The right premises of one
-    application share one path tuple.
+    application are all about its argument node.
     """
     done: list = []
-    todo: list = [(root, ())]
+    todo: list = [(root, top)]
     del root
     while todo:
-        node, pos = todo.pop()
+        node, n = todo.pop()
         kind = node[0]
         if kind == _VAR:
-            done.append(DVar(pos, node[2], node[1]))
+            done.append(DVar(n, node[2], node[1]))
         elif kind == _STAR:
-            done.append(DLamStar(pos))
+            done.append(DLamStar(n))
         elif kind == _LAM:
-            todo.append(((_PLACE_LAM, node[1], node[2]), pos))
-            todo.append((node[3], pos + (BODY,)))
+            todo.append(((_PLACE_LAM, node[1], node[2]), n))
+            todo.append((node[3], n.body))
         elif kind == _APP:
-            todo.append(((_PLACE_APP, node[1], len(node[3])), pos))
-            arg_pos = pos + (ARG,)
-            todo.extend((r, arg_pos) for r in reversed(node[3]))
-            todo.append((node[2], pos + (FUN,)))
+            todo.append(((_PLACE_APP, node[1], len(node[3])), n))
+            todo.extend((r, n.arg) for r in reversed(node[3]))
+            todo.append((node[2], n.fun))
         elif kind == _PLACE_LAM:
-            done.append(DLam(pos, node[2], done.pop(), node[1]))
+            done.append(DLam(n, node[2], done.pop(), node[1]))
         else:
             k = 1 + node[2]
             premises = done[-k:]
             del done[-k:]
-            done.append(DApp(pos, premises[0], tuple(premises[1:]), node[1]))
+            done.append(DApp(n, premises[0], tuple(premises[1:]), node[1]))
     return done[0]
 
 
@@ -421,9 +409,11 @@ def _build(steps: list):
     return deriv
 
 
-def infer_star_derivation(term: Term, fuel: int = DEFAULT_FUEL):
-    """Derivation of ``term : ★``; raises Diverged when there is no whnf in fuel."""
-    return _place(_build(whnf_trace(term, fuel)))
+def infer_star_derivation(term, fuel: int = DEFAULT_FUEL):
+    """Derivation of ``term : ★`` about the nodes of a TermIndex, ``term`` itself
+    or a fresh one; raises Diverged when there is no whnf in fuel."""
+    index = term if isinstance(term, TermIndex) else TermIndex(term)
+    return _place(_build(whnf_trace(index.root, fuel)), index.top)
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +446,17 @@ def derivation_to_json(root) -> dict:
     return doc
 
 
-def derivation_pretty(root, subject: Term) -> str:
+def derivation_pretty(root) -> str:
     """Indented inference-tree rendering, premises above their rule."""
     lines: list = []
-    todo: list = [(root, 0, None)]  # judgement, depth, its subterm as in ``validate``
+    todo: list = [(root, 0)]  # judgement, depth
     while todo:  # conclusion first, then its premises from the last one
-        n, depth, term = todo.pop()
-        if term is None:
-            term, _ = resolve(subject, n.term_pos)
+        n, depth = todo.pop()
         rule = {DVar: "var", DLamStar: "λ★", DLam: "λ", DApp: "@"}[type(n)]
         lines.append(
             "  " * depth
-            + f"[{rule}] ⊢ {pretty(term)} : {type_str(n.rh_type)}"
+            + f"[{rule}] ⊢ {pretty(n.subject.term)} : {type_str(n.rh_type)}"
             + (f"   (at {path_str(n.term_pos) or '·'})")
         )
-        todo.extend((p, depth + 1, sub) for p, sub in _premise_subterms(n, term))
+        todo.extend((p, depth + 1) for p in children(n))
     return "\n".join(lines)

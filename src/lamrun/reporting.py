@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .syntax import DEFAULT_FUEL, path_str, pretty, resolve
+from .syntax import DEFAULT_FUEL, path_str, pretty
 from .tokens import Encoder, Reach, SpaceFootprint, json_text
 
 
@@ -64,9 +64,11 @@ class Machine:
 
 
 class NodeState:
-    """Base of the token machines' states, each at a ``node``: ``pos`` is its path."""
+    """Base of the machines' states: ``focus`` is the term node a state is at,
+    a token machine's ``node``, and ``pos`` is its path."""
 
-    pos = property(lambda s: s.node.path)
+    focus = property(attrgetter("node"))
+    pos = property(lambda s: s.focus.path)
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,9 @@ def drive(
 
     ``machine`` gives the direction accessor and the variable labels; its
     name and the step, snapshot and footprint functions come apart from it so
-    that a profiler can wrap them.  Every state has a ``pos``, its path, which
-    only a traced run reads.  A traced run writes its tokens through one
-    ``tokens.Encoder``, so each item is written once.
+    that a profiler can wrap them.  Every state has a ``focus``, the term node
+    it is at; a traced run prints its path and subterm, and writes its tokens
+    through one ``tokens.Encoder``, so each item is written once.
     Returns the report in all cases; ``outcome`` says whether a final state
     was reached.
     ``check_fn(state, per_label)`` is called on every reached state and may
@@ -163,7 +165,7 @@ def drive(
     per_label: dict = {}
     events: Optional[list] = [] if trace else None
     enc = Encoder() if trace else None
-    places: dict = {}  # path -> (path text, subterm text)
+    places: dict = {}  # focused node -> (path text, subterm text)
     reach = Reach()
     var_cost = steps = peak_lp = peak_cells = 0
     peak_markers = (0, 0)  # (markers, lp): the most markers, then the most lp among them
@@ -177,10 +179,10 @@ def drive(
         peak_cells = max(peak_cells, cells)
         peak_markers = max(peak_markers, (markers, lp))
         if trace:
-            pos = state.pos
-            place = places.get(pos)
+            node = state.focus
+            place = places.get(node)
             if place is None:
-                place = places[pos] = (path_str(pos), pretty(resolve(index.root, pos)[0]))
+                place = places[node] = (path_str(node.path), pretty(node.term))
             events.append(TraceEvent(len(events), name, label, state_dir_fn(state), *place,
                                      snapshot_fn(index, state, enc), cost, fp))
         result = step_fn(index, state)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, Star, star_count
-from .reporting import FINAL, Machine, Next, Stuck
+from .reporting import FINAL, Machine, Next, NodeState, Stuck
 from .syntax import DEFAULT_FUEL, Term, term_size
 from .tokens import json_text
 
@@ -31,38 +31,41 @@ class DerivationIndex:
         self.root = subject
         self.size = term_size(subject)
         self.parent: dict = {}
-        self.axioms: dict = {}  # id(DLam) -> list of DVar, leaf order
-        self.binder: dict = {}  # id(DVar) -> (DLam, 1-based ordinal)
+        self.axioms: dict = {}  # DLam -> list of DVar, leaf order (judgements hash by identity)
+        self.binder: dict = {}  # DVar -> (DLam, 1-based ordinal)
         self.ordinal: dict = {}
-        stack = [(deriv, ())]
+        lams: list = []  # the abstraction judgements above the one visited, outermost first
+        stack = [(deriv, 0)]  # judgement, how many abstraction judgements are above it
         while stack:
-            node, lams = stack.pop()
-            self.ordinal[id(node)] = len(self.ordinal)
+            node, depth = stack.pop()
+            self.ordinal[node] = len(self.ordinal)
+            del lams[depth:]  # preorder: the first ``depth`` entries are above ``node``
             if isinstance(node, DVar):
                 binder = lams[-(node.db_index + 1)]
-                entries = self.axioms.setdefault(id(binder), [])
+                entries = self.axioms.setdefault(binder, [])
                 entries.append(node)
-                self.binder[id(node)] = (binder, len(entries))
+                self.binder[node] = (binder, len(entries))
             elif isinstance(node, DLam):
-                self.parent[id(node.body)] = (node, ("body", 0))
-                stack.append((node.body, lams + (node,)))
+                lams.append(node)
+                self.parent[node.body] = (node, ("body", 0))
+                stack.append((node.body, depth + 1))
             elif isinstance(node, DApp):
-                self.parent[id(node.left)] = (node, ("left", 0))
+                self.parent[node.left] = (node, ("left", 0))
                 for i, r in enumerate(node.rights):
-                    self.parent[id(r)] = (node, ("right", i + 1))
+                    self.parent[r] = (node, ("right", i + 1))
                 for child in reversed(node.rights):
-                    stack.append((child, lams))
-                stack.append((node.left, lams))
+                    stack.append((child, depth))
+                stack.append((node.left, depth))
         self.stars = star_count(deriv)
 
 
 @dataclass(frozen=True, eq=False)
-class SiamState:
+class SiamState(NodeState):
     node: Derivation
     tpath: tuple
     dir: str
 
-    pos = property(lambda s: s.node.term_pos)  # the path of the judgement's subject
+    focus = property(lambda s: s.node.subject)  # the judgement's subject
 
 
 def resolve_tpath(ty, tpath):
@@ -98,16 +101,16 @@ def step(index: DerivationIndex, s: SiamState):
                 return Next("p2", SiamState(n.body, s.tpath[1:], TO_LEAVES))
             if s.tpath:
                 i = s.tpath[0]
-                axiom = index.axioms[id(n)][i - 1]
+                axiom = index.axioms[n][i - 1]
                 return Next("bt2", SiamState(axiom, s.tpath[1:], TO_ROOT))
             return Stuck("leafward state at an abstraction with an empty type path")
         if isinstance(n, DVar):
-            binder, i = index.binder[id(n)]
+            binder, i = index.binder[n]
             return Next("var", SiamState(binder, (i,) + s.tpath, TO_ROOT))
         if s.tpath:
             return Stuck("star abstraction with a non-empty type path")
         return FINAL
-    info = index.parent.get(id(n))
+    info = index.parent.get(n)
     if info is None:
         return Stuck("rootward state at the final judgement")
     parent, (slot, i) = info
@@ -127,7 +130,7 @@ def step_back(index: DerivationIndex, s: SiamState):
     """Inverse transition; None exactly on the initial state."""
     n = s.node
     if s.dir == TO_LEAVES:
-        info = index.parent.get(id(n))
+        info = index.parent.get(n)
         if info is None:
             return None  # initial state
         parent, (slot, i) = info
@@ -146,29 +149,29 @@ def step_back(index: DerivationIndex, s: SiamState):
             return "p4", SiamState(n.body, s.tpath[1:], TO_ROOT)
         if s.tpath:
             i = s.tpath[0]
-            axiom = index.axioms[id(n)][i - 1]
+            axiom = index.axioms[n][i - 1]
             return "var", SiamState(axiom, s.tpath[1:], TO_LEAVES)
         return None
     if isinstance(n, DApp):
         return "p3", SiamState(n.left, (TARGET,) + s.tpath, TO_ROOT)
     if isinstance(n, DVar):
-        binder, i = index.binder[id(n)]
+        binder, i = index.binder[n]
         return "bt2", SiamState(binder, (i,) + s.tpath, TO_LEAVES)
     return None
 
 
 def observable(s: SiamState):
-    """Project to the focused subterm and the term-side direction."""
-    return s.node.term_pos, ("down" if s.dir == TO_LEAVES else "up")
+    """Project to the focused term node and the term-side direction."""
+    return s.focus, ("down" if s.dir == TO_LEAVES else "up")
 
 
 def occurrence(index: DerivationIndex, s: SiamState):
-    return (index.ordinal[id(s.node)], s.tpath)
+    return (index.ordinal[s.node], s.tpath)
 
 
 def snapshot(index: DerivationIndex, s: SiamState, enc) -> str:
     """The state is a place in the derivation: no items for ``enc`` to write."""
-    return f'{{"node": {index.ordinal[id(s.node)]}, "tpath": {json_text(tpath_str(s.tpath))}}}'
+    return f'{{"node": {index.ordinal[s.node]}, "tpath": {json_text(tpath_str(s.tpath))}}}'
 
 
 def check_invariants(index: DerivationIndex, label, s: SiamState, per_label: dict, ctx: dict):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lamrun import harness, liam, ljam, multitypes as mt
+from lamrun import equivalence as eq, harness, liam, ljam, multitypes as mt, siam
 from lamrun.syntax import App, Lam, Node, Var, is_closed, parse, skeleton, term_size
 
 
@@ -126,7 +126,8 @@ def test_compare_infers_the_derivation_once(monkeypatch, running_example, omega)
 
 def test_untraced_runs_make_no_paths(monkeypatch):
     # a position is a node: an untraced run follows links and never builds
-    # the root-relative path that only traces and reports print
+    # the root-relative path that only traces and reports print; nor does a
+    # derivation, whose judgements are about nodes, nor a checker relating them
     made = 0
     path = Node.path
 
@@ -142,4 +143,8 @@ def test_untraced_runs_make_no_paths(monkeypatch):
     for term in (harness.family_tn(8), harness.family_rkh(3, 3), chain):
         for name in ("iam", "jam", "pam", "kam", "ham-j", "ham-k"):
             assert harness.run_machine(name, term).outcome == "final"
+        report, coverage = siam.run(mt.infer_star_derivation(term), term)
+        assert report.outcome == "final" and coverage.hamiltonian
+        for check in (eq.check_iam_siam, eq.check_weights, eq.check_invariants_suite):
+            assert check(term).passed
     assert made == 0

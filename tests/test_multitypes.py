@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import lamrun
 from lamrun import kam, liam, multitypes as mt
-from lamrun.syntax import FUN, Diverged, Var, parse
+from lamrun.syntax import Diverged, Node, TermIndex, Var, parse
 from lamrun.multitypes import (
     STAR,
     Arrow,
@@ -142,14 +142,18 @@ def _broken_derivations(t):
     """The derivation of ``t`` = (λx.x x) (λy.y) with one fault each."""
     d = infer_star_derivation(t, 10)
     lam, body = d.left, d.left.body
+    other = TermIndex(t)  # its nodes have the right shapes, but are not this index's
     return {
         "db_index": replace(d, left=replace(lam, body=replace(
             body, left=replace(body.left, db_index=1)))),
         "domain": replace(d, left=replace(lam, domain=lam.domain[::-1])),
         "rights": replace(d, rights=d.rights[::-1]),
         "axiom_on_lam": replace(d, left=replace(lam, body=replace(
-            body, rights=(replace(body.rights[0], term_pos=(FUN,)),)))),
+            body, rights=(replace(body.rights[0], subject=lam.subject),)))),
         "shared": replace(d, rights=(d.rights[0], d.rights[0])),
+        "other_index": replace(d, left=replace(lam, body=replace(
+            body, rights=(replace(body.rights[0], subject=other.top.fun.body.arg),)))),
+        "subterm": lam,
     }
 
 
@@ -166,6 +170,8 @@ def _broken_derivations(t):
     ("shared", ["·: right premise 2 type differs from domain entry",
                 "Arg: node object occurs twice in one derivation",
                 "Arg/Body: node object occurs twice in one derivation"]),
+    ("other_index", ["Fun/Body: right premise 1 is not at the argument position"]),
+    ("subterm", ["Fun: conclusion is not about the root of the subject"]),
 ])
 def test_validate_reports_a_broken_derivation(duplication_example, fault, problems):
     assert validate(_broken_derivations(duplication_example)[fault],
@@ -173,7 +179,7 @@ def test_validate_reports_a_broken_derivation(duplication_example, fault, proble
 
 
 def test_validate_reports_an_open_subject():
-    assert validate(DVar((), 0, STAR), Var(0, "x")) == [
+    assert validate(DVar(Node(Var(0, "x"), None, None, 0), 0, STAR), Var(0, "x")) == [
         "closed subject with a non-empty type environment"]
 
 
@@ -212,7 +218,7 @@ def test_derivation_json_and_pretty(running_example):
     d = infer_star_derivation(running_example, 10)
     doc = mt.derivation_to_json(d)
     assert doc["rule"] == "app" and doc["type"] == "★"
-    text = mt.derivation_pretty(d, running_example)
+    text = mt.derivation_pretty(d)
     assert "★" in text and "[λ★]" in text
 
 

@@ -67,20 +67,19 @@ def test_duplication_coverage(duplication_example):
 
 def test_observable_projection_matches_interaction_machine(running_example, corpus):
     for term in [running_example] + corpus[:30]:
-        deriv = mt.infer_star_derivation(term, 10**6)
-        dindex = siam.DerivationIndex(deriv, term)
-        index = TermIndex(term)
+        index = TermIndex(term)  # the judgements are about the interaction machine's nodes
+        dindex = siam.DerivationIndex(mt.infer_star_derivation(index, 10**6), term)
         siam_obs = [(lbl,) + siam.observable(s)
                     for lbl, s in trajectory(siam.MACHINE, dindex, 10**6)]
-        iam_obs = [(lbl, s.pos, s.dir) for lbl, s in trajectory(liam.MACHINE, index, 10**6)]
-        assert [(l, "/".join(p), d) for l, p, d in iam_obs] == [
-            (l, "/".join(p), d) for l, p, d in siam_obs]
+        iam_obs = [(lbl, s.node, s.dir) for lbl, s in trajectory(liam.MACHINE, index, 10**6)]
+        assert iam_obs == siam_obs  # nodes compare by identity
 
 
 def test_initial_projects_to_root_down(running_example):
-    deriv = mt.infer_star_derivation(running_example, 10)
-    dindex = siam.DerivationIndex(deriv, running_example)
-    assert siam.observable(siam.initial(dindex)) == ((), "down")
+    index = TermIndex(running_example)
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(index, 10), running_example)
+    node, dir_ = siam.observable(siam.initial(dindex))
+    assert node is index.top and dir_ == "down"
 
 
 def test_bideterminism(running_example, duplication_example, corpus):
@@ -111,7 +110,7 @@ def test_var_bt2_roundtrip(running_example, duplication_example):
         for node in mt.iter_nodes(deriv):
             if not isinstance(node, mt.DVar):
                 continue
-            binder, i = dindex.binder[id(node)]
+            binder, i = dindex.binder[node]
             after_var = siam.step(dindex, siam.SiamState(node, (), siam.TO_LEAVES))
             assert after_var.label == "var"
             assert after_var.state.node is binder and after_var.state.tpath == (i,)

@@ -76,7 +76,7 @@ TOKEN = {
                              "stack": [closure_json(c) for c in tk.iterate(s.stack)]},
     "ham-j": ham_token("j"),
     "ham-k": ham_token("k"),
-    "siam": lambda index, s: {"node": index.ordinal[id(s.node)],
+    "siam": lambda index, s: {"node": index.ordinal[s.node],
                               "tpath": siam.tpath_str(s.tpath)},
 }
 
