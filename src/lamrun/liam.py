@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import reporting, tokens as tk
-from .reporting import FINAL, Machine, Next, NodeState, Stuck
-from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, Var
+from .reporting import DUAL, FINAL, FLIP, Machine, Next, NodeState, Stuck
+from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex
 
 DOWN = "down"
 UP = "up"
@@ -70,38 +70,13 @@ def step(index: TermIndex, s: IamState):
 
 
 def step_back(index: TermIndex, s: IamState):
-    """Inverse transition; defined exactly on non-initial reachable states."""
-    n = s.node
-    if s.dir == DOWN:
-        side, parent = n.side, n.parent
-        if side is None:
-            return None  # initial state
-        if side == FUN:
-            if s.tape is None:
-                return None
-            item = s.tape.head
-            if isinstance(item, tk.Marker):
-                return "p1", IamState(parent, s.tape.tail, s.log, DOWN)
-            return "bt1", IamState(parent.arg, s.tape.tail, tk.cons(item, s.log), UP)
-        if side == BODY:
-            return "p2", IamState(parent, tk.cons(tk.MARKER, s.tape), s.log, DOWN)
-        if s.log is None:
-            return None
-        return "arg", IamState(parent.fun, tk.cons(s.log.head, s.tape), s.log.tail, UP)
-    t = n.term
-    if isinstance(t, Lam):
-        if s.tape is None:
-            return None
-        item = s.tape.head
-        if isinstance(item, tk.Marker):
-            return "p4", IamState(n.body, s.tape.tail, s.log, UP)
-        if item.scope is n:
-            return "var", IamState(item.var, s.tape.tail, tk.concat(item.log, s.log), DOWN)
+    """Inverse transition: the dual of the step from the flipped state; None
+    exactly on the initial state of a run."""
+    r = step(index, IamState(s.node, s.tape, s.log, FLIP[s.dir]))
+    if not isinstance(r, Next):
         return None
-    if isinstance(t, Var):
-        lp = tk.LoggedPosition(n, n.binder, tk.LOCAL, tk.take(s.log, n.inner))
-        return "bt2", IamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), DOWN)
-    return "p3", IamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, UP)
+    b = r.state
+    return DUAL[r.label], IamState(b.node, b.tape, b.log, FLIP[b.dir])
 
 
 def is_backtracking(s: IamState) -> bool:

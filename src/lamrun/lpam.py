@@ -2,7 +2,7 @@
 
 The history is an append-only sequence of (variable position, index) pairs,
 1-based, oldest first; an entry's index always points strictly below it.  The
-lookup chain ``phi`` recovers, one hop per enclosing argument, what the
+lookup chain ``phi_pow`` recovers, one hop per enclosing argument, what the
 jumping machine keeps in its distributed logs.
 """
 from __future__ import annotations
@@ -56,17 +56,14 @@ class History:
         return self.array[:self.length]
 
 
-def phi(h: History, k: int) -> int:
-    if k < 1:
-        raise UndefinedLookup("phi is undefined on 0")
-    return h.entry(k)[1]
-
-
 def phi_pow(h: History, i: int, n: int) -> int:
-    """n-fold lookup chain; cost n.  Raises UndefinedLookup on a broken chain."""
-    k = i
+    """n-fold lookup chain from index ``i``, within the ``length`` entries ``h``
+    sees; cost n.  Raises UndefinedLookup on a broken chain."""
+    array, length, k = h.array, h.length, i
     for _ in range(n):
-        k = phi(h, k)
+        if not 0 < k <= length:
+            raise UndefinedLookup(f"history entry {k} of {length}")
+        k = array[k - 1][1]
     return k
 
 

@@ -63,6 +63,14 @@ class Machine:
     up_labels: tuple = ()  # when given, reports carry their count as upLength
 
 
+# A reversible machine (IAM, SIAM) steps back by duality (Danos & Regnier,
+# TCS 1999): a state's predecessor is its own successor once the direction is
+# flipped, reached by the dual transition, with the direction flipped back.
+DUAL = {"p1": "p3", "p3": "p1", "p2": "p4", "p4": "p2",
+        "var": "bt2", "bt2": "var", "arg": "bt1", "bt1": "arg"}
+FLIP = {"down": "up", "up": "down"}
+
+
 class NodeState:
     """Base of the machines' states: ``focus`` is the term node a state is at,
     a token machine's ``node``, and ``pos`` is its path."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, Star, star_count
-from .reporting import FINAL, Machine, Next, NodeState, Stuck
+from .reporting import DUAL, FINAL, FLIP, Machine, Next, NodeState, Stuck
 from .syntax import DEFAULT_FUEL, Term, term_size
 from .tokens import json_text
 
@@ -127,46 +127,18 @@ def step(index: DerivationIndex, s: SiamState):
 
 
 def step_back(index: DerivationIndex, s: SiamState):
-    """Inverse transition; None exactly on the initial state."""
-    n = s.node
-    if s.dir == TO_LEAVES:
-        info = index.parent.get(n)
-        if info is None:
-            return None  # initial state
-        parent, (slot, i) = info
-        if slot == "left":
-            if s.tpath and s.tpath[0] == TARGET:
-                return "p1", SiamState(parent, s.tpath[1:], TO_LEAVES)
-            if s.tpath:
-                j = s.tpath[0]
-                return "bt1", SiamState(parent.rights[j - 1], s.tpath[1:], TO_ROOT)
-            return None
-        if slot == "body":
-            return "p2", SiamState(parent, (TARGET,) + s.tpath, TO_LEAVES)
-        return "arg", SiamState(parent.left, (i,) + s.tpath, TO_ROOT)
-    if isinstance(n, DLam):
-        if s.tpath and s.tpath[0] == TARGET:
-            return "p4", SiamState(n.body, s.tpath[1:], TO_ROOT)
-        if s.tpath:
-            i = s.tpath[0]
-            axiom = index.axioms[n][i - 1]
-            return "var", SiamState(axiom, s.tpath[1:], TO_LEAVES)
+    """Inverse transition: the dual of the step from the flipped state; None
+    exactly on the initial state."""
+    r = step(index, SiamState(s.node, s.tpath, FLIP[s.dir]))
+    if not isinstance(r, Next):
         return None
-    if isinstance(n, DApp):
-        return "p3", SiamState(n.left, (TARGET,) + s.tpath, TO_ROOT)
-    if isinstance(n, DVar):
-        binder, i = index.binder[n]
-        return "bt2", SiamState(binder, (i,) + s.tpath, TO_LEAVES)
-    return None
+    b = r.state
+    return DUAL[r.label], SiamState(b.node, b.tpath, FLIP[b.dir])
 
 
 def observable(s: SiamState):
     """Project to the focused term node and the term-side direction."""
     return s.focus, ("down" if s.dir == TO_LEAVES else "up")
-
-
-def occurrence(index: DerivationIndex, s: SiamState):
-    return (index.ordinal[s.node], s.tpath)
 
 
 def snapshot(index: DerivationIndex, s: SiamState, enc) -> str:
@@ -185,7 +157,7 @@ def check_invariants(index: DerivationIndex, label, s: SiamState, per_label: dic
         assert back is not None, "reached state has no predecessor"
         blabel, bstate = back
         prev = ctx["prev"]
-        assert (blabel == label and occurrence(index, bstate) == occurrence(index, prev)
+        assert (blabel == label and bstate.node is prev.node and bstate.tpath == prev.tpath
                 and bstate.dir == prev.dir), "inverse step disagrees"
     ctx["prev"] = s
 
@@ -202,19 +174,16 @@ class CoverageReport:
         return self.repeated == 0 and self.visited == self.stars
 
 
-def run(deriv_or_index, subject: Term = None, fuel: int = DEFAULT_FUEL, trace: bool = False,
+def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL, trace: bool = False,
         allow_fuel: bool = False):
     """Run to the final judgement; returns ``(RunReport, CoverageReport)``."""
-    if isinstance(deriv_or_index, DerivationIndex):
-        index = deriv_or_index
-    else:
-        index = DerivationIndex(deriv_or_index, subject)
+    index = DerivationIndex(deriv, subject)
     seen: set = set()
     repeated = 0
 
     def visit(s, per_label):
         nonlocal repeated
-        occ = occurrence(index, s)
+        occ = (s.node, s.tpath)  # judgements hash by identity
         repeated += occ in seen
         seen.add(occ)
 

@@ -426,7 +426,6 @@ class TermIndex:
 class ReductionStep:
     before: Term
     after: Term
-    redex_path: Path
     substituted_occurrences: tuple  # paths in `after` holding copies of the argument
 
 
@@ -491,7 +490,7 @@ def whnf_step(t: Term) -> Optional[ReductionStep]:
     after, occ = _contract(node.fun.body, node.arg, (FUN,) * len(spine))
     for app in reversed(spine):
         after = App(after, app.arg)
-    return ReductionStep(before=t, after=after, redex_path=(), substituted_occurrences=occ)
+    return ReductionStep(before=t, after=after, substituted_occurrences=occ)
 
 
 def whnf_trace(t: Term, fuel: int = DEFAULT_FUEL):

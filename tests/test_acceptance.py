@@ -48,7 +48,7 @@ def test_criterion_2_siam_visit_order(running_example):
         ]
         assert rows == siam_tests.EXPECTED_RUNNING_ORDER
         assert len(rows) == 19
-        report, coverage = siam.run(dindex, fuel=100)
+        report, coverage = siam.run(deriv, running_example, 100)
         assert report.length == 18
         assert coverage.hamiltonian
 

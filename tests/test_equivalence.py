@@ -220,6 +220,27 @@ def test_invariants_suite_reports_a_disagreeing_inverse_step(monkeypatch, runnin
     assert report.details["violated"] == "inverse step disagrees"
 
 
+def test_invariants_suite_checks_a_siam_branch_its_run_never_takes(monkeypatch):
+    # the SIAM run of (λx.x) (λy.y) is p1, p2, var, arg: only the inverse
+    # step, the dual p4 from its p2 state flipped, reaches the corrupted branch
+    original = siam.step
+
+    def step(index, s):
+        result = original(index, s)
+        if isinstance(result, Next) and result.label == "p4":
+            return Next("p4", replace(result.state, dir=siam.TO_LEAVES), result.cost)
+        return result
+
+    term = parse("(\\x.x) (\\y.y)")
+    labels = [label for label, _ in trajectory(siam.MACHINE, siam.DerivationIndex(
+        mt.infer_star_derivation(term, 100), term), 100)]
+    assert labels == [None, "p1", "p2", "var", "arg"]
+    monkeypatch.setattr(siam, "step", step)
+    report = eq.check_invariants_suite(term, 1000)
+    assert not report.passed and not report.inconclusive
+    assert report.details["violated"] == "inverse step disagrees"
+
+
 def test_invariants_suite_reports_an_unmatched_bt1(monkeypatch, running_example):
     corrupt(monkeypatch, liam, "step", 15, label="bogus")  # the one bt2 of the run
     report = eq.check_invariants_suite(running_example, 1000)

@@ -4,7 +4,7 @@ import pytest
 
 from lamrun import lpam, tokens as tk
 from lamrun.equivalence import walk_invariants
-from lamrun.lpam import History, UndefinedLookup, phi, phi_pow
+from lamrun.lpam import History, UndefinedLookup, phi_pow
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 from conftest import at
@@ -28,7 +28,7 @@ def test_phi_zero_power_is_identity():
 
 def test_phi_single_entry():
     h = History().append(F, 0)
-    assert phi(h, 1) == 0
+    assert phi_pow(h, 1, 1) == 0
 
 
 def test_phi_chain():
@@ -41,6 +41,14 @@ def test_phi_undefined_on_zero():
     h = History().append(F, 0)
     with pytest.raises(UndefinedLookup):
         phi_pow(h, 1, 2)  # second hop reads entry 0
+
+
+def test_phi_stops_at_its_own_version():
+    h1 = History().append(F, 0)
+    h2 = h1.append(A, 1)  # appends in place: h1 and h2 share one array
+    assert h1.array is h2.array and phi_pow(h2, 2, 1) == 1
+    with pytest.raises(UndefinedLookup):
+        phi_pow(h1, 2, 1)  # entry 2 is in the array, but past h1's length
 
 
 def test_history_is_persistent():

@@ -53,7 +53,7 @@ def test_visits_every_star_once_in_order(running_example):
         for _, s in trajectory(siam.MACHINE, dindex, 100)
     ]
     assert rows == EXPECTED_RUNNING_ORDER
-    report, coverage = siam.run(dindex, fuel=100)
+    report, coverage = siam.run(deriv, running_example, 100)
     assert report.length == 18
     assert coverage.hamiltonian and coverage.stars == 19 and coverage.repeated == 0
 

@@ -154,10 +154,6 @@ def test_whnf_running_example(running_example):
     assert isinstance(steps[-1].after, Lam)
 
 
-def test_whnf_redex_path_is_root(running_example):
-    assert all(s.redex_path == () for s in whnf_trace(running_example, 100))
-
-
 def test_whnf_diverges_on_omega(omega):
     with pytest.raises(Diverged):
         whnf_trace(omega, 100)
