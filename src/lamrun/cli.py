@@ -41,11 +41,28 @@ def _read_term_arg(text: str, defs_path):
     return parse(text, definitions)
 
 
+def _fuel(text: str) -> int:
+    """A step budget, from ``--fuel`` or ``LAMRUN_FUEL``: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"fuel must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
+def _machines(text: str) -> list:
+    """A comma-separated list of machine names."""
+    names = text.split(",")
+    for name in names:
+        if name not in harness.MACHINES:
+            raise argparse.ArgumentTypeError(
+                f"unknown machine {name!r} (choose from {', '.join(harness.MACHINES)})")
+    return names
+
+
 def _default_fuel(args) -> int:
     if args.fuel is not None:
         return args.fuel
     env = os.environ.get("LAMRUN_FUEL")
-    return int(env) if env else DEFAULT_FUEL
+    return _fuel(env) if env else DEFAULT_FUEL
 
 
 def _table(events, root) -> str:
@@ -97,8 +114,7 @@ def _var_count(name: str, entry: dict) -> int:
 def cmd_compare(args) -> int:
     term = _read_term_arg(args.term, args.defs)
     fuel = _default_fuel(args)
-    machines = args.machines.split(",") if args.machines else None
-    row = harness.compare(term, fuel, machines, with_types=args.types)
+    row = harness.compare(term, fuel, args.machines, with_types=args.types)
     if args.format == "json":
         print(json.dumps(row, ensure_ascii=False, indent=2))
         return EXIT_OK
@@ -191,8 +207,14 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error: one line, and the exit code of bad input."""
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lamrun")
+    p = _Parser(prog="lamrun")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("parse", help="echo parsed term, size, closedness")
@@ -203,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="run one machine, optionally tracing")
     sp.add_argument("term")
     sp.add_argument("--machine", required=True, choices=list(harness.MACHINES))
-    sp.add_argument("--fuel", type=int)
+    sp.add_argument("--fuel", type=_fuel)
     sp.add_argument("--trace", choices=["table", "jsonl", "none"], default="none")
     sp.add_argument("--out")
     sp.add_argument("--defs")
@@ -211,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="run several machines on one term")
     sp.add_argument("term")
-    sp.add_argument("--machines")
-    sp.add_argument("--fuel", type=int)
+    sp.add_argument("--machines", type=_machines)
+    sp.add_argument("--fuel", type=_fuel)
     sp.add_argument("--format", choices=["table", "csv", "json"], default="table")
     sp.add_argument("--types", action="store_true")
     sp.add_argument("--defs")
@@ -223,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--print-derivation", action="store_true")
     sp.add_argument("--weights", action="store_true")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--fuel", type=int)
+    sp.add_argument("--fuel", type=_fuel)
     sp.add_argument("--defs")
     sp.set_defaults(fn=cmd_types)
 
@@ -231,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("what", choices=list(eq.CHECKERS))
     sp.add_argument("term", nargs="?")
     sp.add_argument("--corpus", help="seed,count,maxSize")
-    sp.add_argument("--fuel", type=int)
+    sp.add_argument("--fuel", type=_fuel)
     sp.add_argument("--defs")
     sp.set_defaults(fn=cmd_check)
 
@@ -239,20 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=["tn", "rkh"])
     sp.add_argument("--range", required=True, help="a..b")
     sp.add_argument("--format", choices=["csv", "table"], default="table")
-    sp.add_argument("--fuel", type=int)
+    sp.add_argument("--fuel", type=_fuel)
     sp.set_defaults(fn=cmd_bench)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already reported
+        return exc.code
     try:
         return args.fn(args)
     except (FuelExhausted, Diverged) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FUEL
-    except (LamError, OSError, ValueError) as exc:
+    except (LamError, OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except (RecursionError, MemoryError) as exc:
+        print(f"input too large for this command: {exc!r}", file=sys.stderr)
         return EXIT_INPUT
     except StuckError as exc:
         print(str(exc), file=sys.stderr)

@@ -11,14 +11,15 @@ subderivation and are skipped, as the type system demands.  Arguments of head
 redexes are closed, so the cut subderivations carry no type environment and
 the domain order of the new abstraction is exactly the axiom order.
 
-The expansion is shared: while it runs, judgements carry no position, so a
-step touches only what it changes.  The copies of ``w`` are found by following
-their paths, relative to the head, as a trie; only the judgements on those
-paths and on the head spine are rebuilt, every other subderivation is kept,
-and the cut subderivations move into the new application as they are.  Each
-judgement's ``subject``, the node of ``t``'s ``TermIndex`` it types, is
-assigned once, by a final iterative pass that walks the index alongside the
-position-free tree and releases the tree as it goes.
+The expansion builds the derivation's own judgements, with ``subject`` None
+while it runs, as a step moves subderivations to new places.  A step touches
+only what it changes.  The copies of ``w`` are found by following their paths,
+relative to the head, as a trie; only the judgements on those paths are
+rebuilt, the cut subderivations move into the new application as they are, and
+the new redex replaces the head on its spine in place, since no judgement is
+shared (``validate`` checks that).  Each judgement's ``subject``, the node of
+``t``'s ``TermIndex`` it types, is then set once, by a final pass that walks
+the index alongside the derivation.
 
 Two weight assignments decorate derivations; both are plain per-node sums.
 One charges 1 per variable, abstraction, and application rule and predicts
@@ -100,23 +101,24 @@ class ExpansionMismatch(Exception):
 
 
 class Judgement:
+    """One rule instance about its ``subject`` node; None only while being built."""
     term_pos = property(lambda j: j.subject.path)  # the path of the ``subject`` node
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DVar(Judgement):
     subject: Node
     db_index: int
     rh_type: LinearType
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DLamStar(Judgement):
     subject: Node
     rh_type: LinearType = STAR
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DLam(Judgement):
     subject: Node
     domain: tuple
@@ -124,7 +126,7 @@ class DLam(Judgement):
     rh_type: LinearType
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DApp(Judgement):
     subject: Node
     left: "Derivation"
@@ -285,13 +287,6 @@ def validate(root, subject: Term) -> list:
 # Construction by expansion along weak head reduction
 
 
-# While a derivation is built, its judgements are tuples without a position:
-# (_VAR, type, de Bruijn index), (_STAR, ★), (_LAM, type, domain, body) and
-# (_APP, type, left, rights).  _PLACE_LAM and _PLACE_APP mark, in _place, a
-# judgement whose premises are placed: (_PLACE_LAM, type, domain) and
-# (_PLACE_APP, type, number of right premises).
-_VAR, _STAR, _LAM, _APP, _PLACE_LAM, _PLACE_APP = range(6)
-_STAR_RULE = (_STAR, STAR)
 _REBUILD = object()  # work-list mark: reassemble a judgement from its new premises
 
 
@@ -309,45 +304,44 @@ def _cut(head, trie) -> tuple:
     while todo:
         node, sub, depth = todo.pop()
         if sub is _REBUILD:
-            if node[0] == _LAM:
-                done.append((_LAM, node[1], node[2], done.pop()))
+            if isinstance(node, DLam):
+                done.append(DLam(None, node.domain, done.pop(), node.rh_type))
             else:
-                k = 1 + len(node[3])
+                k = 1 + len(node.rights)
                 premises = done[-k:]
                 del done[-k:]
-                done.append((_APP, node[1], premises[0], tuple(premises[1:])))
+                done.append(DApp(None, premises[0], tuple(premises[1:]), node.rh_type))
         elif sub is None:
             done.append(node)
         elif not sub:
             cut.append(node)
-            done.append((_VAR, node[1], depth))
-        elif node[0] == _APP:
+            done.append(DVar(None, depth, node.rh_type))
+        elif isinstance(node, DApp):
             todo.append((node, _REBUILD, depth))
             arg = sub.get(ARG)
-            todo.extend((r, arg, depth) for r in reversed(node[3]))
-            todo.append((node[2], sub.get(FUN), depth))
-        elif node[0] == _LAM:
+            todo.extend((r, arg, depth) for r in reversed(node.rights))
+            todo.append((node.left, sub.get(FUN), depth))
+        elif isinstance(node, DLam):
             todo.append((node, _REBUILD, depth))
-            todo.append((node[3], sub.get(BODY), depth + 1))
+            todo.append((node.body, sub.get(BODY), depth + 1))
         else:
             done.append(node)
     return done[0], cut
 
 
 def _expand(step, deriv):
-    """Undo one weak head step on the position-free derivation of ``step.after``."""
+    """Undo one weak head step on the derivation of ``step.after``, whose
+    judgements have no subject yet: the new redex replaces the head in place."""
     node = step.before
     h = 0
     while isinstance(node.fun, App):
         node = node.fun
         h += 1
-    spine = []
-    head = deriv
+    above, head = None, deriv  # ``head`` is the left premise of ``above``
     for _ in range(h):
-        if head[0] != _APP:
+        if not isinstance(head, DApp):
             raise ExpansionMismatch("derivation spine shorter than the redex spine")
-        spine.append(head)
-        head = head[2]
+        above, head = head, head.left
     if step.substituted_occurrences:
         trie: dict = {}
         for occ in step.substituted_occurrences:
@@ -357,53 +351,34 @@ def _expand(step, deriv):
         body, cut = _cut(head, trie)
     else:
         body, cut = head, []
-    domain = tuple(d[1] for d in cut)
-    lam = (_LAM, Arrow(domain, head[1]), domain, body)
-    result = (_APP, head[1], lam, tuple(cut))
-    for sp in reversed(spine):
-        result = (_APP, sp[1], result, sp[3])
-    return result
+    domain = tuple(d.rh_type for d in cut)
+    lam = DLam(None, domain, body, Arrow(domain, head.rh_type))
+    redex = DApp(None, lam, tuple(cut), head.rh_type)
+    if above is None:
+        return redex
+    above.left = redex
+    return deriv
 
 
 def _place(root, top: Node) -> Derivation:
-    """The derivation with each judgement about its node, built premises first;
-    ``top`` is the node that ``root`` types.
-
-    A position-free judgement is dropped as soon as its premises are queued,
-    so the two trees do not coexist in full.  The right premises of one
-    application are all about its argument node.
-    """
-    done: list = []
+    """``root`` with each judgement's ``subject`` set, ``top`` for ``root``'s.
+    The right premises of one application are all about its argument node."""
     todo: list = [(root, top)]
-    del root
     while todo:
         node, n = todo.pop()
-        kind = node[0]
-        if kind == _VAR:
-            done.append(DVar(n, node[2], node[1]))
-        elif kind == _STAR:
-            done.append(DLamStar(n))
-        elif kind == _LAM:
-            todo.append(((_PLACE_LAM, node[1], node[2]), n))
-            todo.append((node[3], n.body))
-        elif kind == _APP:
-            todo.append(((_PLACE_APP, node[1], len(node[3])), n))
-            todo.extend((r, n.arg) for r in reversed(node[3]))
-            todo.append((node[2], n.fun))
-        elif kind == _PLACE_LAM:
-            done.append(DLam(n, node[2], done.pop(), node[1]))
-        else:
-            k = 1 + node[2]
-            premises = done[-k:]
-            del done[-k:]
-            done.append(DApp(n, premises[0], tuple(premises[1:]), node[1]))
-    return done[0]
+        node.subject = n
+        if isinstance(node, DApp):
+            todo.extend((r, n.arg) for r in node.rights)
+            todo.append((node.left, n.fun))
+        elif isinstance(node, DLam):
+            todo.append((node.body, n.body))
+    return root
 
 
 def _build(steps: list):
-    """Position-free derivation of ``steps[0].before : ★``, undoing the weak
-    head reduction ``steps`` from its end; empties ``steps``."""
-    deriv = _STAR_RULE
+    """Derivation of ``steps[0].before : ★``, without subjects, undoing the
+    weak head reduction ``steps`` from its end; empties ``steps``."""
+    deriv = DLamStar(None)
     while steps:  # popping releases each step's terms once it is undone
         deriv = _expand(steps.pop(), deriv)
     return deriv

@@ -255,7 +255,7 @@ def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
             return
         if isinstance(result, Stuck):
             raise StuckError(f"{machine.name} stuck: {result.reason}")
-        if steps == fuel:
+        if steps >= fuel:
             raise FuelExhausted(fuel)
         steps += 1
         s = result.state

@@ -218,41 +218,40 @@ def load_definitions(text: str) -> dict:
 # Printing
 
 
-def _render(term: Term, hole: Optional[Path] = None, canonical: bool = False) -> str:
-    """The one printer: display names, or binders renamed by depth; the
-    subterm at ``hole`` prints as ⟨·⟩.  Iterative, so depth is not limited by
-    the Python stack."""
+def _render(term: Term, hole: Optional[Path] = None) -> str:
+    """The one printer, with display names; the subterm at ``hole`` prints as
+    ⟨·⟩.  Iterative, so depth is not limited by the Python stack."""
     path = hole or ()
     n = len(path)
     out: list = []
-    # pieces still to emit, or (subterm, context, binder depth, k), where k is
-    # the length of the prefix of ``hole`` its path matches, or -1
-    stack: list = [(term, "top", 0, -1 if hole is None else 0)]
+    # pieces still to emit, or (subterm, context, k), where k is the length of
+    # the prefix of ``hole`` its path matches, or -1
+    stack: list = [(term, "top", -1 if hole is None else 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        t, ctx, depth, k = item
+        t, ctx, k = item
         while True:  # down the body/function spine; arguments wait on the stack
             if k == n:
                 out.append("⟨·⟩")
                 break
             if isinstance(t, Var):
-                out.append(f"v{depth - 1 - t.index}" if canonical else t.name)
+                out.append(t.name)
                 break
             if isinstance(t, Lam):
                 if ctx != "top":
                     out.append("(")
                     stack.append(")")
-                out.append(("\\" + f"v{depth}" if canonical else "λ" + t.name) + ".")
+                out.append("λ" + t.name + ".")
                 k = k + 1 if 0 <= k < n and path[k] == BODY else -1
-                t, ctx, depth = t.body, "top", depth + 1
+                t, ctx = t.body, "top"
             else:
                 if ctx == "arg":
                     out.append("(")
                     stack.append(")")
-                stack.append((t.arg, "arg", depth, k + 1 if 0 <= k < n and path[k] == ARG else -1))
+                stack.append((t.arg, "arg", k + 1 if 0 <= k < n and path[k] == ARG else -1))
                 stack.append(" ")
                 k = k + 1 if 0 <= k < n and path[k] == FUN else -1
                 t, ctx = t.fun, "fun"
@@ -267,11 +266,6 @@ def pretty(term: Term) -> str:
 def pretty_with_hole(root: Term, hole: Path) -> str:
     """Print ``root`` with the subterm at ``hole`` replaced by ⟨·⟩."""
     return _render(root, hole=hole)
-
-
-def canonical_pretty(term: Term) -> str:
-    """Collision-free printer (binders renamed by depth); reparses to the same skeleton."""
-    return _render(term, canonical=True)
 
 
 def path_str(path: Path) -> str:
@@ -304,28 +298,6 @@ def term_size(term: Term) -> int:
     return size
 
 
-def skeleton(term: Term) -> tuple:
-    """Name-erased shape; equal skeletons mean alpha-equivalent terms."""
-    done: list = []  # shapes of finished subterms, function before argument
-    todo: list = [(term, False)]
-    while todo:
-        t, children_done = todo.pop()
-        if isinstance(t, Var):
-            done.append(("v", t.index))
-        elif not children_done:
-            todo.append((t, True))
-            if isinstance(t, Lam):
-                todo.append((t.body, False))
-            else:
-                todo += ((t.arg, False), (t.fun, False))
-        elif isinstance(t, Lam):
-            done.append(("l", done.pop()))
-        else:
-            arg = done.pop()
-            done.append(("a", done.pop(), arg))
-    return done[0]
-
-
 def is_closed(term: Term, depth: int = 0) -> bool:
     stack = [(term, depth)]
     while stack:
@@ -337,23 +309,6 @@ def is_closed(term: Term, depth: int = 0) -> bool:
         elif t.index >= d:
             return False
     return True
-
-
-def resolve(root: Term, path: Path):
-    """Return ``(subterm, level)`` for the occurrence at ``path``."""
-    t = root
-    level = 0
-    for step in path:
-        if step == FUN and isinstance(t, App):
-            t = t.fun
-        elif step == ARG and isinstance(t, App):
-            t = t.arg
-            level += 1
-        elif step == BODY and isinstance(t, Lam):
-            t = t.body
-        else:
-            raise InvalidPath(f"step {step} does not match node at {path_str(path)}")
-    return t, level
 
 
 class Node:

@@ -292,18 +292,6 @@ def related(pairs, rule, memo: dict) -> bool:
     return ok
 
 
-def same_item(x, y):
-    """The rule of equality for ``related``: tape items equal field by field."""
-    if x is y:
-        return ()
-    if isinstance(x, Marker) or isinstance(y, Marker):
-        return () if x == y else None
-    if (x.var is y.var and x.scope is y.scope and x.flavor == y.flavor
-            and length(x.log) == length(y.log)):
-        return ((x.log, y.log),)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Serialization (the stable trace interface)
 

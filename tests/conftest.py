@@ -1,7 +1,7 @@
 import pytest
 
-from lamrun import harness
-from lamrun.syntax import parse
+from lamrun import harness, tokens as tk
+from lamrun.syntax import ARG, BODY, FUN, App, InvalidPath, Lam, Var, parse, path_str, pretty
 
 DEFS = {"I": "\\z.z"}
 
@@ -12,6 +12,56 @@ def at(index, path):
     for step in path:
         node = getattr(node, step.lower())
     return node
+
+
+def resolve(root, path):
+    """``(subterm, level)`` for the occurrence at ``path`` in the term ``root``."""
+    t = root
+    level = 0
+    for step in path:
+        if step == FUN and isinstance(t, App):
+            t = t.fun
+        elif step == ARG and isinstance(t, App):
+            t = t.arg
+            level += 1
+        elif step == BODY and isinstance(t, Lam):
+            t = t.body
+        else:
+            raise InvalidPath(f"step {step} does not match node at {path_str(path)}")
+    return t, level
+
+
+def skeleton(term):
+    """Name-erased shape; equal skeletons mean alpha-equivalent terms."""
+    if isinstance(term, Var):
+        return ("v", term.index)
+    if isinstance(term, Lam):
+        return ("l", skeleton(term.body))
+    return ("a", skeleton(term.fun), skeleton(term.arg))
+
+
+def canonical_pretty(term):
+    """Collision-free printing: binders renamed by depth, written with a backslash."""
+    def rename(t, depth):
+        if isinstance(t, Var):
+            return Var(t.index, f"v{depth - 1 - t.index}")
+        if isinstance(t, Lam):
+            return Lam(f"v{depth}", rename(t.body, depth + 1))
+        return App(rename(t.fun, depth), rename(t.arg, depth))
+
+    return pretty(rename(term, 0)).replace("λ", "\\")
+
+
+def same_item(x, y):
+    """The rule of equality for ``tokens.related``: tape items equal field by field."""
+    if x is y:
+        return ()
+    if isinstance(x, tk.Marker) or isinstance(y, tk.Marker):
+        return () if x == y else None
+    if (x.var is y.var and x.scope is y.scope and x.flavor == y.flavor
+            and tk.length(x.log) == tk.length(y.log)):
+        return ((x.log, y.log),)
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lamrun import harness, liam
+import lamrun
+from lamrun import harness, liam, reporting
 from lamrun.cli import main
-from lamrun.reporting import Stuck
+from lamrun.reporting import FuelExhausted, Stuck
+from lamrun.syntax import TermIndex, parse
 
 DEFS = "I = \\z.z;\n"
 
@@ -185,3 +191,53 @@ def test_types_weights_on_a_deep_identity_chain(capsys):
     assert main(["types", identity_chain(1000), "--weights"]) == 0
     out = capsys.readouterr().out
     assert "w_kam: 3000\n" in out and "w_iam: 4000\n" in out and "stars: 4001\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "\\x.x", "--machines", "iam,bogus"],
+    ["run", "\\x.x", "--machine", "bogus"],
+    ["run", "\\x.x", "--machine", "kam", "--fuel", "ten"],
+    ["check", "iam-jam", "(\\x.x x) (\\x.x x)", "--fuel", "-1"],
+    ["types", "\\x.x", "--fuel", "-1"],
+    ["frobnicate"],
+], ids=["unknown-in-machines", "unknown-machine", "non-integer-fuel", "check-negative-fuel",
+        "types-negative-fuel", "unknown-command"])
+def test_usage_error_is_input_error(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("lamrun")
+
+
+def test_help_exits_zero(capsys):
+    assert main(["run", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lamrun run")
+
+
+def test_negative_env_fuel_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("LAMRUN_FUEL", "-1")
+    assert main(["check", "iam-jam", "(\\x.x x) (\\x.x x)"]) == 3
+
+
+def test_negative_fuel_ends_a_trajectory():
+    walk = reporting.trajectory(liam.MACHINE, TermIndex(parse("(\\x.x x) (\\x.x x)")), -1)
+    assert next(walk)[0] is None
+    with pytest.raises(FuelExhausted):
+        next(walk)
+
+
+def test_too_deep_for_the_stack_is_input_error():
+    # the derivation JSON nests one level per judgement: 1 200 identities
+    # exceed a recursion limit of 1 000 in ``json.dumps``
+    script = f"""
+import sys
+from lamrun.cli import main
+sys.setrecursionlimit(1000)
+sys.exit(main(["types", "--json", {identity_chain(1200)!r}]))
+"""
+    src = str(Path(lamrun.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("input too large") and "Traceback" not in done.stderr

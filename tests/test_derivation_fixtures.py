@@ -20,7 +20,9 @@ import pytest
 
 from lamrun import harness
 from lamrun.cli import main
-from lamrun.syntax import canonical_pretty, pretty
+from lamrun.syntax import pretty
+
+from conftest import canonical_pretty
 
 FIXTURES = Path(__file__).parent / "fixtures" / "derivations"
 FLAGS = ("--weights", "--print-derivation", "--json")

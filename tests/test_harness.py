@@ -3,7 +3,9 @@ import json
 import pytest
 
 from lamrun import equivalence as eq, harness, liam, ljam, multitypes as mt, siam
-from lamrun.syntax import App, Lam, Node, Var, is_closed, parse, skeleton, term_size
+from lamrun.syntax import App, Lam, Node, Var, is_closed, parse, term_size
+
+from conftest import skeleton
 
 
 def test_family_tn_base():

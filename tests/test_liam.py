@@ -5,7 +5,7 @@ from lamrun.equivalence import walk_invariants
 from lamrun.reporting import FINAL, FuelExhausted, Next, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
-from conftest import at
+from conftest import at, same_item
 
 
 def test_initial_state(running_example):
@@ -84,10 +84,10 @@ def test_bideterminism_on_examples(running_example, duplication_example):
                 assert back is not None
                 blabel, bstate = back
                 assert blabel == label
-                assert liam.states_related(bstate, prev, tk.same_item, memo)
+                assert liam.states_related(bstate, prev, same_item, memo)
                 fwd = liam.step(index, bstate)
                 assert isinstance(fwd, Next)
-                assert liam.states_related(fwd.state, state, tk.same_item, memo)
+                assert liam.states_related(fwd.state, state, same_item, memo)
             prev = state
 
 
@@ -100,7 +100,7 @@ def test_bideterminism_on_corpus(corpus):
             if prev is not None:
                 blabel, bstate = liam.step_back(index, state)
                 assert blabel == label
-                assert liam.states_related(bstate, prev, tk.same_item, memo)
+                assert liam.states_related(bstate, prev, same_item, memo)
             prev = state
 
 

@@ -14,19 +14,18 @@ from lamrun.syntax import (
     TermIndex,
     UnboundIdentifier,
     Var,
-    canonical_pretty,
     is_closed,
     load_definitions,
     parse,
     parse_path,
     path_str,
     pretty,
-    resolve,
-    skeleton,
     term_size,
     whnf_step,
     whnf_trace,
 )
+
+from conftest import canonical_pretty, resolve, skeleton
 
 I_DEFS = {"I": "\\z.z"}
 

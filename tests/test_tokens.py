@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from lamrun import tokens as tk
 from lamrun.syntax import ARG, BODY, FUN, Node
 
+from conftest import same_item
+
 _NODES: dict = {(): Node(None, None, None, 0)}
 
 
@@ -104,12 +106,12 @@ def test_lp_equal_on_shared_structures():
     b = lp((FUN,), log=tk.cons(lp((ARG,)), tk.nil))
     c = lp((FUN,), log=tk.cons(lp((BODY,)), tk.nil))
     shared = lp((FUN,), log=a.log)
-    assert tk.related([(a, b)], tk.same_item, memo)
-    assert tk.related([(a, shared)], tk.same_item, memo)
-    assert not tk.related([(a, c)], tk.same_item, memo)
+    assert tk.related([(a, b)], same_item, memo)
+    assert tk.related([(a, shared)], same_item, memo)
+    assert not tk.related([(a, c)], same_item, memo)
     assert tk.related([(tk.from_list([tk.MARKER, a]), tk.from_list([tk.MARKER, b]))],
-                      tk.same_item, memo)
-    assert not tk.related([(tk.from_list([a]), tk.from_list([tk.MARKER]))], tk.same_item, memo)
+                      same_item, memo)
+    assert not tk.related([(tk.from_list([a]), tk.from_list([tk.MARKER]))], same_item, memo)
 
 
 def test_related_deeply_nested_logs():
@@ -122,8 +124,8 @@ def test_related_deeply_nested_logs():
         return log
 
     a, b = nested(30_000), nested(30_000)
-    assert tk.related([(a, b)], tk.same_item, {})
-    assert not tk.related([(a, nested(29_999))], tk.same_item, {})
+    assert tk.related([(a, b)], same_item, {})
+    assert not tk.related([(a, nested(29_999))], same_item, {})
 
 
 def test_serialization_shape():

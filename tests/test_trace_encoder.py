@@ -17,7 +17,9 @@ import pytest
 import lamrun
 from lamrun import harness, ham, liam, multitypes as mt, reporting, siam, tokens as tk
 from lamrun.reporting import Next
-from lamrun.syntax import TermIndex, parse, path_str, pretty, resolve
+from lamrun.syntax import TermIndex, parse, path_str, pretty
+
+from conftest import resolve
 
 DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
 FUEL = 10**6
