@@ -120,8 +120,8 @@ def cmd_compare(args) -> int:
         return EXIT_OK
     entries = row["machines"]
     headers = ["machine", "outcome", "length", "vars", "ramBound", "peakLp", "peakMarkers"]
-    lines = ["\t".join(headers) if args.format == "csv" else "  ".join(headers)]
-    sep = "\t" if args.format == "csv" else "  "
+    sep = "," if args.format == "csv" else "  "
+    lines = [sep.join(headers)]
     for name, entry in entries.items():
         peak = entry.get("peakFootprint", {})
         lines.append(sep.join(str(x) for x in [
@@ -165,13 +165,10 @@ def cmd_check(args) -> int:
         print("a term or --corpus is required", file=sys.stderr)
         return EXIT_INPUT
     checker = eq.CHECKERS[args.what]
-    if args.what == "quadratic":
-        report = checker(terms, fuel)
-        print(json.dumps(report.to_json(), ensure_ascii=False))
-        return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    reports = ([checker(terms, fuel)] if args.what == "quadratic"  # one verdict on the corpus
+               else (checker(term, fuel) for term in terms))
     failures = inconclusive = 0
-    for term in terms:
-        report = checker(term, fuel)
+    for report in reports:
         print(json.dumps(report.to_json(), ensure_ascii=False))
         failures += not report.passed
         inconclusive += report.inconclusive

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from . import harness, ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
-from .reporting import FuelExhausted, Machine, StuckError, trajectory
+from .reporting import FuelExhausted, Machine, Next, StuckError, trajectory
 from .syntax import DEFAULT_FUEL, Diverged, Term, TermIndex, pretty, term_size, whnf_trace
 
 
@@ -81,7 +81,7 @@ def lockstep(it_a, it_b, relate) -> Counter:
     for step, pair in enumerate(zip_longest(it_a, it_b)):
         if None in pair:
             raise CheckFailed(step=step, reason="runs ended out of sync")
-        (label_a, a), (label_b, b) = pair
+        (label_a, a, _), (label_b, b, _) = pair
         failure = relate(label_a, a, label_b, b)
         if failure is not None:
             raise CheckFailed(step=step, **failure)
@@ -115,20 +115,20 @@ def fold_backtracking(iam_run, labels: Counter):
     block ends the folded run before it.
     """
     it = iter(iam_run)
-    for label, s in it:
-        if label is not None:
-            labels[label] += 1
-        if label == "bt1":
+    for step in it:
+        if step.label is not None:
+            labels[step.label] += 1
+        if step.label == "bt1":
             depth = 1
-            for label, s in it:
+            for label, s, _ in it:
                 labels[label] += 1
                 depth += (label == "bt1") - (label == "bt2")
                 if depth == 0:
                     break
             else:
                 return
-            label = "jmp"
-        yield label, s
+            step = Next("jmp", s, 0)
+        yield step
 
 
 @checker("iam-jam")
@@ -327,14 +327,16 @@ def check_weights(term: Term, fuel: int) -> dict:
 
 
 def check_quadratic_bound(terms, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    """Pointwise |K| <= |J| <= |K| + vars(J)^2 * |t| over a corpus; a stuck machine fails it."""
+    """Pointwise |K| <= |J| <= |K| + vars(J)^2 * |t| over a corpus; a stuck machine
+    fails it, and a term that runs out of fuel makes it inconclusive."""
     name = "quadratic"
-    checked = 0
+    checked = skipped = 0
     for term in terms:
         try:
             j = ljam.run(term, fuel)
             k = kam.run(term, fuel)
         except FuelExhausted:
+            skipped += 1
             continue
         except StuckError as exc:
             return CheckReport(name, False, {"term": pretty(term), "stuck": str(exc)})
@@ -345,7 +347,10 @@ def check_quadratic_bound(terms, fuel: int = DEFAULT_FUEL) -> CheckReport:
                 "term": pretty(term), "kam": k.length, "jam": j.length,
                 "vars": vars_j, "size": size})
         checked += 1
-    return CheckReport(name, True, {"checked": checked})
+    details = {"checked": checked}
+    if skipped:
+        details["reason"] = f"fuel {fuel} exhausted on {skipped} of {checked + skipped} terms"
+    return CheckReport(name, True, details, inconclusive=skipped > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def walk_invariants(machine: Machine, index, fuel: int):
     state), the labels counted so far and one ``ctx`` dict for the run."""
     labels: Counter = Counter()
     ctx: dict = {}
-    for label, state in trajectory(machine, index, fuel):
+    for label, state, _ in trajectory(machine, index, fuel):
         if label is not None:
             labels[label] += 1
         machine.invariants(index, label, state, labels, ctx)

@@ -1,18 +1,21 @@
-"""Trace events, run reports, and the shared run loop driving every machine."""
+"""Trace events, run reports, and the one run loop: ``trajectory`` steps a machine
+and yields each ``Next`` record, ``drive`` folds such a walk into a ``RunReport``,
+and the lockstep and invariant checkers consume walks directly."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .syntax import DEFAULT_FUEL, path_str, pretty
 from .tokens import Encoder, Reach, SpaceFootprint, json_text
 
 
-@dataclass(frozen=True)
-class Next:
-    label: str
+class Next(NamedTuple):
+    """A transition: its label, the state it reaches and its cost."""
+
+    label: Optional[str]
     state: object
     cost: int = 1
 
@@ -42,7 +45,7 @@ class FuelExhausted(Exception):
 
 @dataclass(frozen=True)
 class Machine:
-    """One machine as the shared run loop, trajectory and registries see it.
+    """One machine as the run loop (``trajectory``), ``drive`` and the registries see it.
 
     ``step`` returns the step function as its module binds it when a run
     starts, and ``launch`` calls the module's ``run``: a profiler that
@@ -145,24 +148,22 @@ class RunReport:
 def drive(
     name: str,
     index,
-    state,
-    step_fn: Callable,
+    walk,
+    machine: Machine,
     snapshot_fn: Callable,
     footprint_fn: Callable,
-    machine: Machine,
-    fuel: int,
     trace: bool = False,
     check_fn: Optional[Callable] = None,
 ):
-    """Iterate ``step_fn`` from ``state``; aggregate counters, peaks, optional trace.
+    """Fold ``walk``, a ``trajectory`` of ``machine``, into a run report.
 
     ``machine`` gives the direction accessor and the variable labels; its
-    name and the step, snapshot and footprint functions come apart from it so
+    name and the snapshot and footprint functions come apart from it so
     that a profiler can wrap them.  Every state has a ``focus``, the term node
     it is at; a traced run prints its path and subterm, and writes its tokens
     through one ``tokens.Encoder``, so each item is written once.
-    Returns the report in all cases; ``outcome`` says whether a final state
-    was reached.
+    Returns the report in all cases; ``outcome`` is "fuel" when the walk ran
+    out of fuel and "final" when it reached a final state.
     ``check_fn(state, per_label)`` is called on every reached state and may
     raise.  The footprint is sampled at every state, including the initial
     one, since peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
@@ -177,35 +178,29 @@ def drive(
     reach = Reach()
     var_cost = steps = peak_lp = peak_cells = 0
     peak_markers = (0, 0)  # (markers, lp): the most markers, then the most lp among them
-    label, cost = "init", 0
-    outcome = "fuel"
-    while True:
-        if check_fn is not None:
-            check_fn(state, per_label)
-        lp, markers, cells = fp = footprint_fn(state, reach)
-        peak_lp = max(peak_lp, lp)
-        peak_cells = max(peak_cells, cells)
-        peak_markers = max(peak_markers, (markers, lp))
-        if trace:
-            node = state.focus
-            place = places.get(node)
-            if place is None:
-                place = places[node] = (path_str(node.path), pretty(node.term))
-            events.append(TraceEvent(len(events), name, label, state_dir_fn(state), *place,
-                                     snapshot_fn(index, state, enc), cost, fp))
-        result = step_fn(index, state)
-        if isinstance(result, Final):
-            outcome = "final"
-            break
-        if isinstance(result, Stuck):
-            raise StuckError(f"{name} stuck: {result.reason}")
-        if steps >= fuel:
-            break
-        state, label, cost = result.state, result.label, result.cost
-        steps += 1
-        per_label[label] = per_label.get(label, 0) + 1
-        if label in var_labels:
-            var_cost += cost
+    outcome = "final"
+    try:
+        for label, state, cost in walk:
+            if label is not None:
+                steps += 1
+                per_label[label] = per_label.get(label, 0) + 1
+                if label in var_labels:
+                    var_cost += cost
+            if check_fn is not None:
+                check_fn(state, per_label)
+            lp, markers, cells = fp = footprint_fn(state, reach)
+            peak_lp = max(peak_lp, lp)
+            peak_cells = max(peak_cells, cells)
+            peak_markers = max(peak_markers, (markers, lp))
+            if trace:
+                node = state.focus
+                place = places.get(node)
+                if place is None:
+                    place = places[node] = (path_str(node.path), pretty(node.term))
+                events.append(TraceEvent(len(events), name, label or "init", state_dir_fn(state),
+                                         *place, snapshot_fn(index, state, enc), cost, fp))
+    except FuelExhausted:
+        outcome = "fuel"
 
     var_count = sum(per_label.get(lbl, 0) for lbl in var_labels)
     return RunReport(
@@ -230,8 +225,8 @@ def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, trace: bool = False,
     ``check(state, per_label)``, when given, is called on every reached
     state; fuel exhaustion raises unless ``allow_fuel``.
     """
-    report = drive(machine.name, index, machine.initial(index), machine.step(),
-                   machine.snapshot, machine.footprint, machine, fuel, trace, check)
+    report = drive(machine.name, index, trajectory(machine, index, fuel), machine,
+                   machine.snapshot, machine.footprint, trace, check)
     if report.outcome == "fuel" and not allow_fuel:
         raise FuelExhausted(fuel)
     if machine.up_labels:
@@ -240,17 +235,19 @@ def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, trace: bool = False,
 
 
 def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
-    """Yield ``(label, state)`` pairs starting with ``(None, initial)``; ends at final.
+    """Step ``machine`` on ``index``: the one run loop.
 
-    Raises as ``drive`` does: StuckError on a stuck state, FuelExhausted when
-    ``fuel`` steps do not reach a final state.
+    Yields the ``Next`` record of each transition, starting with
+    ``Next(None, initial, 0)``, and ends at a final state.  Raises StuckError
+    on a stuck state, FuelExhausted when ``fuel`` steps do not reach a final
+    state; in both cases after yielding the last state reached.
     """
     step = machine.step()
-    s = machine.initial(index)
-    yield None, s
+    result = Next(None, machine.initial(index), 0)
     steps = 0
     while True:
-        result = step(index, s)
+        yield result
+        result = step(index, result.state)
         if isinstance(result, Final):
             return
         if isinstance(result, Stuck):
@@ -258,5 +255,3 @@ def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
         if steps >= fuel:
             raise FuelExhausted(fuel)
         steps += 1
-        s = result.state
-        yield result.label, s

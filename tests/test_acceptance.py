@@ -44,7 +44,7 @@ def test_criterion_2_siam_visit_order(running_example):
         dindex = siam.DerivationIndex(deriv, running_example)
         rows = [
             ("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir)
-            for _, s in trajectory(siam.MACHINE, dindex, 100)
+            for _, s, _ in trajectory(siam.MACHINE, dindex, 100)
         ]
         assert rows == siam_tests.EXPECTED_RUNNING_ORDER
         assert len(rows) == 19

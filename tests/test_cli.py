@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -69,6 +70,17 @@ def test_compare_json(capsys, defs_file):
     assert row["machines"]["kam"]["length"] == 9
 
 
+def test_compare_csv_is_comma_separated(capsys, defs_file):
+    assert main(["compare", "(\\y.\\x.x y) I I", "--defs", defs_file,
+                 "--format", "csv", "--types", "--fuel", "1000"]) == 0
+    header, *rows, weights = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["machine", "outcome", "length", "vars", "ramBound", "peakLp", "peakMarkers"]
+    assert [row[0] for row in rows] == ["iam", "jam", "pam", "kam"]
+    assert all(len(row) == 7 for row in rows)
+    assert rows[-1][:3] == ["kam", "final", "9"]
+    assert weights == ["weights", "w_kam=9", "w_iam=18"]
+
+
 def test_types_weights(capsys, defs_file):
     assert main(["types", "(\\y.\\x.x y) I I", "--weights", "--defs", defs_file]) == 0
     out = capsys.readouterr().out
@@ -95,6 +107,13 @@ def test_check_iam_siam(capsys, defs_file):
 
 def test_check_corpus(capsys):
     assert main(["check", "quadratic", "--corpus", "5,20,25", "--fuel", "100000"]) == 0
+
+
+def test_check_quadratic_out_of_fuel_is_inconclusive(capsys):
+    assert main(["check", "quadratic", "(\\x.x x) (\\x.x x)", "--fuel", "100"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] and doc["inconclusive"]
+    assert doc["details"] == {"checked": 0, "reason": "fuel 100 exhausted on 1 of 1 terms"}
 
 
 def test_check_corpus_goes_on_past_a_stuck_machine(monkeypatch, capsys, corpus):

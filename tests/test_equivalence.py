@@ -178,8 +178,8 @@ def test_invariants_suite_names_a_stuck_machine(monkeypatch, running_example):
 def test_iam_invariants_reject_a_bt2_that_ends_no_pending_bt1(running_example):
     index = TermIndex(running_example)
     states = list(trajectory(liam.MACHINE, index, 1000))
-    at = next(i for i, (label, _) in enumerate(states) if label == "bt2")
-    labels = Counter(label for label, _ in states[1:at + 1])
+    at = next(i for i, (label, _, _) in enumerate(states) if label == "bt2")
+    labels = Counter(label for label, _, _ in states[1:at + 1])
     for pending in ([], [tk.MARKER]):
         ctx = {"pending": pending, "prev": states[at - 1][1]}
         with pytest.raises(AssertionError, match="bt2 does not exhaust the innermost pending bt1"):
@@ -189,8 +189,8 @@ def test_iam_invariants_reject_a_bt2_that_ends_no_pending_bt1(running_example):
 def test_jam_invariants_reject_an_overlong_up_phase(running_example):
     index = TermIndex(running_example)
     states = list(trajectory(ljam.MACHINE, index, 1000))
-    at = next(i for i, (label, _) in enumerate(states) if label in ljam.UP_LABELS)
-    labels = Counter(label for label, _ in states[1:at + 1])
+    at = next(i for i, (label, _, _) in enumerate(states) if label in ljam.UP_LABELS)
+    labels = Counter(label for label, _, _ in states[1:at + 1])
     with pytest.raises(AssertionError, match="up phase exceeds depth \\* size bound"):
         ljam.check_invariants(index, states[at][0], states[at][1], labels, {"phase": [0, 0]})
 
@@ -232,7 +232,7 @@ def test_invariants_suite_checks_a_siam_branch_its_run_never_takes(monkeypatch):
         return result
 
     term = parse("(\\x.x) (\\y.y)")
-    labels = [label for label, _ in trajectory(siam.MACHINE, siam.DerivationIndex(
+    labels = [label for label, _, _ in trajectory(siam.MACHINE, siam.DerivationIndex(
         mt.infer_star_derivation(term, 100), term), 100)]
     assert labels == [None, "p1", "p2", "var", "arg"]
     monkeypatch.setattr(siam, "step", step)

@@ -273,7 +273,7 @@ def test_pam_duplication_trace(duplication_example):
 def test_siam_duplication_trace(duplication_example):
     deriv = mt.infer_star_derivation(duplication_example, 100)
     dindex = siam.DerivationIndex(deriv, duplication_example)
-    states = [s for _, s in trajectory(siam.MACHINE, dindex, 100)]
+    states = [s for _, s, _ in trajectory(siam.MACHINE, dindex, 100)]
     rows = [("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir) for s in states]
     expected = [
         ("", "·", "up"),
@@ -291,7 +291,7 @@ def test_siam_duplication_trace(duplication_example):
         ("Arg", "·", "up"),
     ]
     assert rows == expected
-    labels = [lbl for lbl, _ in trajectory(siam.MACHINE, dindex, 100)][1:]
+    labels = [lbl for lbl, _, _ in trajectory(siam.MACHINE, dindex, 100)][1:]
     assert labels == ["p1", "p2", "p1", "var", "arg", "p2", "var", "bt1", "bt2",
                       "arg", "var", "arg"]
 

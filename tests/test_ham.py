@@ -20,7 +20,7 @@ def test_mode_must_be_valid(running_example):
 def test_k_mode_never_goes_up(running_example, corpus):
     for term in [running_example] + corpus[:20]:
         index = TermIndex(term)
-        for label, state in trajectory(ham.MODES[ham.K_MODE], index, 10**6):
+        for label, state, _ in trajectory(ham.MODES[ham.K_MODE], index, 10**6):
             assert state.dir == ham.DOWN
             assert label in (None, "p1_app", "p2_abs", "var_k")
 
@@ -71,7 +71,7 @@ def test_tape_lift(corpus):
         index = TermIndex(term)
         for mode in (ham.J_MODE, ham.K_MODE):
             base = [(lbl, s.node, s.dir)
-                    for lbl, s in trajectory(ham.MODES[mode], index, 10**6)]
+                    for lbl, s, _ in trajectory(ham.MODES[mode], index, 10**6)]
             n = len(base) - 1
             suffix = ham.LoggedClosure(index.top, tk.nil, tk.nil)
             s = ham.HamState(index.top, tk.nil, tk.nil, tk.cons(suffix, tk.nil), ham.DOWN)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from lamrun import equivalence as eq, harness, liam, ljam, multitypes as mt, siam
-from lamrun.syntax import App, Lam, Node, Var, is_closed, parse, term_size
+from lamrun import equivalence as eq, harness, liam, ljam, multitypes as mt, reporting, siam
+from lamrun import tokens as tk
+from lamrun.reporting import FuelExhausted
+from lamrun.syntax import App, Lam, Node, TermIndex, Var, is_closed, parse, term_size
 
 from conftest import skeleton
 
@@ -91,6 +93,34 @@ def test_report_arithmetic(running_example, corpus):
             assert report.length == sum(report.per_label.values())
             vars_ = sum(v for k, v in report.per_label.items() if k.startswith("var"))
             assert report.ram_cost_bound == (report.length - vars_) + vars_ * term_size(term)
+
+
+@pytest.mark.parametrize("name", list(harness.MACHINES))
+@pytest.mark.parametrize("text", ["(\\x.x) (\\y.y)", "(\\x.x x) (\\y.y)",
+                                  "(\\y.\\x.x y) (\\z.z) (\\z.z)"])
+def test_run_and_trajectory_agree_at_the_fuel_boundary(name, text):
+    machine, term = harness.MACHINES[name], parse(text)
+    index = (siam.DerivationIndex(mt.infer_star_derivation(term), term) if name == "siam"
+             else TermIndex(term))
+
+    def seen(state):
+        return state.focus, machine.dir(state), machine.snapshot(index, state, tk.Encoder())
+
+    length = sum(1 for _ in reporting.trajectory(machine, index)) - 1
+    for k in range(length + 2):
+        report = reporting.run(machine, index, k, allow_fuel=True)
+        assert report.length == min(k, length)
+        assert (report.outcome == "fuel") == (k < length)
+        walk = []
+        try:
+            for record in reporting.trajectory(machine, index, k):
+                walk.append(record)
+        except FuelExhausted:
+            assert k < length
+        else:
+            assert k >= length
+        assert len(walk) == min(k, length) + 1
+        assert seen(report.final_state) == seen(walk[-1].state)
 
 
 def test_trace_jsonl_roundtrip(running_example):

@@ -52,7 +52,7 @@ def test_length_identity_and_beta(running_example, duplication_example, corpus):
 def test_env_persistence(running_example):
     index = TermIndex(running_example)
     captured = []
-    for label, state in trajectory(kam.MACHINE, index, 100):
+    for label, state, _ in trajectory(kam.MACHINE, index, 100):
         captured.append((state, kam.snapshot(index, state, tk.Encoder())))
     for state, snap in captured:
         assert kam.snapshot(index, state, tk.Encoder()) == snap

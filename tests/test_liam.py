@@ -78,7 +78,7 @@ def test_bideterminism_on_examples(running_example, duplication_example):
         index = TermIndex(term)
         memo = {}
         prev = None
-        for label, state in trajectory(liam.MACHINE, index, 1000):
+        for label, state, _ in trajectory(liam.MACHINE, index, 1000):
             if prev is not None:
                 back = liam.step_back(index, state)
                 assert back is not None
@@ -96,7 +96,7 @@ def test_bideterminism_on_corpus(corpus):
         index = TermIndex(term)
         memo = {}
         prev = None
-        for label, state in trajectory(liam.MACHINE, index, 10**6):
+        for label, state, _ in trajectory(liam.MACHINE, index, 10**6):
             if prev is not None:
                 blabel, bstate = liam.step_back(index, state)
                 assert blabel == label
@@ -113,7 +113,7 @@ def test_tape_lift(corpus):
     # appending a tape suffix preserves the label sequence of any run prefix
     for term in corpus[:25]:
         index = TermIndex(term)
-        base = [(lbl, s.node, s.dir) for lbl, s in trajectory(liam.MACHINE, index, 10**6)]
+        base = [(lbl, s.node, s.dir) for lbl, s, _ in trajectory(liam.MACHINE, index, 10**6)]
         n = len(base) - 1
         for suffix in ([tk.MARKER], [tk.MARKER, tk.MARKER]):
             s = liam.IamState(index.top, tk.from_list(suffix), tk.nil, liam.DOWN)

@@ -51,7 +51,7 @@ def test_depth_equals_var_count(running_example, corpus):
     for term in [running_example] + corpus[:30]:
         index = TermIndex(term)
         vars_seen = 0
-        for label, state in trajectory(ljam.MACHINE, index, 10**6):
+        for label, state, _ in trajectory(ljam.MACHINE, index, 10**6):
             vars_seen += label == "var"
             assert ljam.depth(state) == vars_seen
 
@@ -83,7 +83,7 @@ def test_log_sharing_keeps_var_cheap(corpus):
         index = TermIndex(term)
         prev_cells = 0
         prev = None
-        for label, state in trajectory(ljam.MACHINE, index, 10**6):
+        for label, state, _ in trajectory(ljam.MACHINE, index, 10**6):
             cells = ljam.state_footprint(state, tk.Reach())[2]
             if label == "var":
                 assert cells - prev_cells <= 2 + prev.node.inner

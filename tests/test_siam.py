@@ -50,7 +50,7 @@ def test_visits_every_star_once_in_order(running_example):
     dindex = siam.DerivationIndex(deriv, running_example)
     rows = [
         ("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir)
-        for _, s in trajectory(siam.MACHINE, dindex, 100)
+        for _, s, _ in trajectory(siam.MACHINE, dindex, 100)
     ]
     assert rows == EXPECTED_RUNNING_ORDER
     report, coverage = siam.run(deriv, running_example, 100)
@@ -70,8 +70,8 @@ def test_observable_projection_matches_interaction_machine(running_example, corp
         index = TermIndex(term)  # the judgements are about the interaction machine's nodes
         dindex = siam.DerivationIndex(mt.infer_star_derivation(index, 10**6), term)
         siam_obs = [(lbl,) + siam.observable(s)
-                    for lbl, s in trajectory(siam.MACHINE, dindex, 10**6)]
-        iam_obs = [(lbl, s.node, s.dir) for lbl, s in trajectory(liam.MACHINE, index, 10**6)]
+                    for lbl, s, _ in trajectory(siam.MACHINE, dindex, 10**6)]
+        iam_obs = [(lbl, s.node, s.dir) for lbl, s, _ in trajectory(liam.MACHINE, index, 10**6)]
         assert iam_obs == siam_obs  # nodes compare by identity
 
 
@@ -87,7 +87,7 @@ def test_bideterminism(running_example, duplication_example, corpus):
         deriv = mt.infer_star_derivation(term, 10**6)
         dindex = siam.DerivationIndex(deriv, term)
         prev = None
-        for label, state in trajectory(siam.MACHINE, dindex, 10**6):
+        for label, state, _ in trajectory(siam.MACHINE, dindex, 10**6):
             if prev is not None:
                 back = siam.step_back(dindex, state)
                 assert back is not None

@@ -169,7 +169,7 @@ def trace_items(name, term, cap):
     """Items in the unfolded trace of ``name`` on ``term``; stops above ``cap``."""
     memo: dict = {}
     total = 0
-    for _, s in reporting.trajectory(harness.MACHINES[name], machine_index(name, term), FUEL):
+    for _, s, _ in reporting.trajectory(harness.MACHINES[name], machine_index(name, term), FUEL):
         total += sum(unfolded(root, memo) for root in ROOTS[name](s))
         if name == "pam":
             total += len(s.history)
