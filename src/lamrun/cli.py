@@ -105,10 +105,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _var_count(name: str, entry: dict) -> int:
-    """The variable transitions of one machine's entry in a comparison row."""
-    per = entry.get("perLabel", {})
-    return sum(per.get(lbl, 0) for lbl in harness.MACHINES[name].var_labels)
+def _var_count(name: str, entry: dict) -> int | None:
+    """The variable transitions of one machine's entry in a comparison row;
+    None when the entry has no transition counts (SIAM without a derivation)."""
+    per = entry.get("perLabel")
+    labels = harness.MACHINES[name].var_labels
+    return None if per is None else sum(per.get(lbl, 0) for lbl in labels)
 
 
 def cmd_compare(args) -> int:
@@ -124,7 +126,7 @@ def cmd_compare(args) -> int:
     lines = [sep.join(headers)]
     for name, entry in entries.items():
         peak = entry.get("peakFootprint", {})
-        lines.append(sep.join(str(x) for x in [
+        lines.append(sep.join("" if x is None else str(x) for x in [
             name, entry.get("outcome"), entry.get("length"), _var_count(name, entry),
             entry.get("ramCostBound"), peak.get("lp"), peak.get("markers")]))
     if "weights" in row and row["weights"]:

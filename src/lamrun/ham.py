@@ -22,8 +22,8 @@ J_MODE = "j"
 K_MODE = "k"
 
 
-@tk.encodes('{"kind": "lc", "pos": %s, "env": %s, "log": %s}', lambda x: (path_str(x.node.path),))
-@tk.nests("env", "log")
+@tk.item('{"kind": "lc", "pos": %s, "env": %s, "log": %s}', lambda x: (path_str(x.node.path),),
+         "env", "log")
 @dataclass(frozen=True, eq=False)
 class LoggedClosure:
     node: Node  # an argument
@@ -31,8 +31,8 @@ class LoggedClosure:
     log: Optional[tk.Cell]  # list of ClosedPosition
 
 
-@tk.encodes('{"kind": "cp", "pos": %s, "log": %s, "env": %s}', lambda x: (path_str(x.node.path),))
-@tk.nests("log", "env")
+@tk.item('{"kind": "cp", "pos": %s, "log": %s, "env": %s}', lambda x: (path_str(x.node.path),),
+         "log", "env")
 @dataclass(frozen=True, eq=False)
 class ClosedPosition:
     node: Node  # a variable occurrence

@@ -14,8 +14,7 @@ from .reporting import FINAL, Machine, Next, NodeState, Stuck
 from .syntax import DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, Var, path_str
 
 
-@tk.encodes('{"pos": %s, "env": %s}', lambda c: (path_str(c.node.path),))
-@tk.nests("env")
+@tk.item('{"pos": %s, "env": %s}', lambda c: (path_str(c.node.path),), "env")
 @dataclass(frozen=True, eq=False)
 class Closure:
     node: Node

@@ -114,16 +114,15 @@ def step(index: TermIndex, s: PamState):
     return Next("jmp", PamState(node, s.history, s.index - 1, s.tape, UP))
 
 
-# text forms of the plain items a PAM token holds; a tape position (a node)
-# never equals a history entry (a node and an int), so one memo holds both
-POSITION = tk.encodes('{"pos": %s}', lambda n: (path_str(n.path),))("pam position")
-ENTRY = tk.encodes('{"pos": %s, "idx": %s}',
-                   lambda e: (path_str(e[0].path), e[1]))("pam entry")
+# the plain items a PAM token holds: tape positions are nodes, and history
+# entries are (node, index) tuples; only PAM histories put tuples in a token list
+tk.item('{"pos": %s}', lambda n: (path_str(n.path),))(Node)
+tk.item('{"pos": %s, "idx": %s}', lambda e: (path_str(e[0].path), e[1]))(tuple)
 
 
 def snapshot(index: TermIndex, s: PamState, enc: tk.Encoder) -> str:
-    return (f'{{"history": {enc.list(s.history.entries(), ENTRY)}, "index": {s.index}, '
-            f'"tape": {enc.list(s.tape, POSITION)}}}')
+    return (f'{{"history": {enc.list(s.history.entries())}, "index": {s.index}, '
+            f'"tape": {enc.list(s.tape)}}}')
 
 
 def state_footprint(s: PamState, reach: tk.Reach) -> tuple:

@@ -3,7 +3,6 @@ and yields each ``Next`` record, ``drive`` folds such a walk into a ``RunReport`
 and the lockstep and invariant checkers consume walks directly."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
@@ -93,11 +92,6 @@ class TraceEvent:
     token_json: str
     cost: int
     footprint: tuple  # (lp, markers, cells)
-
-    @property
-    def token(self):
-        """The token, parsed from its JSON text."""
-        return json.loads(self.token_json)
 
     def to_line(self) -> str:
         """The event as one line of a JSONL trace."""

@@ -7,7 +7,8 @@ follows the reachable cells of a run from state to state.  A logged position
 is a variable occurrence plus the log that led there; the ``local`` flavor
 stores the binder-rooted view, the ``global`` flavor stores the occurrence
 under the root with the whole log.  Positions are ``syntax.Node`` records;
-the text forms write their paths.
+the text forms write their paths.  Each item type registers once, with
+``item``: the lists it holds and how it is written.
 """
 from __future__ import annotations
 
@@ -99,37 +100,29 @@ def nth(xs: Optional[Cell], n: int):
     return cell.head
 
 
-# item type -> names of its attributes that hold lists, for ``Reach`` and ``new_items``
+# item type -> (template, fields, list attributes), for ``Encoder``: every item type
+TEXT_FORMS: dict = {}
+# item type -> its attributes that hold lists, for ``Reach`` and ``new_items``:
+# only the types that hold lists, so the hot paths skip the others at one lookup
 NESTED_LISTS: dict = {}
 
 
-def nests(*attrs: str):
-    """Class decorator: instances hold token lists in ``attrs``."""
+def item(template: str, fields: Callable, *lists: str):
+    """Class decorator registering a token item type: its instances hold token
+    lists in the attributes ``lists`` and are written as ``template`` filled
+    with the JSON texts of ``fields(item)``, then with those of ``lists``, in
+    order.  A type defined elsewhere registers as ``item(...)(cls)``."""
 
     def register(cls):
-        NESTED_LISTS[cls] = attrs
+        TEXT_FORMS[cls] = (template, fields, lists)
+        if lists:
+            NESTED_LISTS[cls] = lists
         return cls
 
     return register
 
 
-# item kind -> (template, fields, nested list attributes), for ``Encoder``
-TEXT_FORMS: dict = {}
-
-
-def encodes(template: str, fields: Callable):
-    """Register how items of a kind are written: ``template`` filled with the
-    JSON texts of ``fields(item)``, then with those of the lists the kind
-    nests (see ``nests``, applied first), in order.  The kind is a class, when
-    used as a class decorator, or a name given to ``Encoder.list``."""
-
-    def register(kind):
-        TEXT_FORMS[kind] = (template, fields, NESTED_LISTS.get(kind, ()))
-        return kind
-
-    return register
-
-
+@item('"p"', lambda m: ())
 @dataclass(frozen=True)
 class Marker:
     def __repr__(self):
@@ -142,9 +135,8 @@ LOCAL = "local"
 GLOBAL = "global"
 
 
-@encodes('{"var": %s, "scope": %s, "flavor": %s, "log": %s}',
-         lambda lp: (path_str(lp.var.path), path_str(lp.scope.path), lp.flavor))
-@nests("log")
+@item('{"var": %s, "scope": %s, "flavor": %s, "log": %s}',
+      lambda lp: (path_str(lp.var.path), path_str(lp.scope.path), lp.flavor), "log")
 @dataclass(frozen=True, eq=False)
 class LoggedPosition:
     var: Node
@@ -167,7 +159,7 @@ class Reach:
     """The cells reachable from some roots, kept up to date as the roots move.
 
     ``refs`` maps each reachable cell to its references: from the roots, from
-    the cell whose tail it is, and from the items that hold it (see ``nests``).
+    the cell whose tail it is, and from the items that hold it (see ``item``).
     Lists are immutable and acyclic, so a cell is reachable exactly while its
     count is positive, and moving the roots costs time in proportion to the
     cells that become reachable or unreachable.
@@ -221,7 +213,7 @@ class Reach:
 
 def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
     """The items reachable from the lists ``roots`` through the lists they hold
-    (see ``nests``; markers hold none and are skipped) that are not in
+    (see ``item``; items that hold none are skipped) that are not in
     ``seen``; each is added to ``seen`` as it is yielded.  The cells walked are
     added too, and a walk stops at a cell already seen: lists are immutable,
     so the rest of that list was walked then.  Consume the whole iterator."""
@@ -302,50 +294,50 @@ class Encoder:
     """The JSON text of token items, each written once.
 
     Items are immutable, so the text of one, with its lists unfolded, never
-    changes: ``memo`` keeps it by item (eq=False classes by identity, markers
-    and PAM tuples by value).  A traced run makes one encoder, so an item
-    shared from state to state is written once and later snapshots only join
-    texts.  The memo holds each item's text once, and each item is in the
-    event of the step that made it, so it stays within the trace's size.
+    changes: ``memo`` keeps it by item (eq=False classes and nodes by
+    identity, markers and PAM history tuples by value).  Each item is written
+    in the form ``item`` registered for its type.  A traced run makes one
+    encoder, so an item shared from state to state is written once and later
+    snapshots only join texts.  The memo holds each item's text once, and
+    each item is in the event of the step that made it, so it stays within
+    the trace's size.
     """
 
     __slots__ = ("memo",)
 
     def __init__(self):
-        self.memo: dict = {MARKER: '"p"'}
+        self.memo: dict = {}
 
-    def list(self, items, kind=None) -> str:
+    def list(self, items) -> str:
         """The JSON text of a token list (a ``Cell`` or None) or of any
-        iterable of items; ``kind``, when given, is the form of each item not
-        yet written (plain values have no class of their own in ``TEXT_FORMS``)."""
+        iterable of items."""
         if items is None or type(items) is Cell:
             items = iterate(items)
         get, text = self.memo.get, self.text
-        return "[" + ", ".join([get(x) or text(x, kind) for x in items]) + "]"
+        return "[" + ", ".join([get(x) or text(x) for x in items]) + "]"
 
-    def text(self, item, kind=None) -> str:
-        """The JSON text of one item, written as ``kind`` (its class by default)."""
+    def text(self, item) -> str:
+        """The JSON text of one item."""
         memo = self.memo
         if item not in memo:
-            self._fill(item, kind)
+            self._fill(item)
         return memo[item]
 
-    def _fill(self, item, kind):
+    def _fill(self, item):
         """Write ``item`` and each item its lists hold that has no text yet,
         children first: an explicit stack, since tokens nest as deep as the
         run is long."""
         memo, forms = self.memo, TEXT_FORMS
-        stack = [(item, kind, False)]
+        stack = [(item, False)]
         while stack:
-            x, k, ready = stack.pop()
+            x, ready = stack.pop()
             if x in memo:
                 continue
-            template, fields, attrs = forms[type(x) if k is None else k]
+            template, fields, attrs = forms[type(x)]
             if attrs and not ready:  # its lists' items first, then itself
-                stack.append((x, k, True))
+                stack.append((x, True))
                 for attr in attrs:
-                    stack.extend((y, None, False) for y in iterate(getattr(x, attr))
-                                 if y not in memo)
+                    stack.extend((y, False) for y in iterate(getattr(x, attr)) if y not in memo)
                 continue
             memo[x] = template % (*map(json_text, fields(x)),
                                   *[self.list(getattr(x, attr)) for attr in attrs])

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lamrun import harness, tokens as tk
@@ -62,6 +64,11 @@ def same_item(x, y):
             and tk.length(x.log) == tk.length(y.log)):
         return ((x.log, y.log),)
     return None
+
+
+def token(ev):
+    """The token of a trace event, parsed from its JSON text."""
+    return json.loads(ev.token_json)
 
 
 @pytest.fixture(scope="session")

@@ -81,6 +81,17 @@ def test_compare_csv_is_comma_separated(capsys, defs_file):
     assert weights == ["weights", "w_kam=9", "w_iam=18"]
 
 
+def test_compare_prints_missing_fields_as_empty_cells(capsys):
+    # omega has no ★ derivation, so SIAM's entry holds its outcome only
+    argv = ["compare", "(\\x.x x)(\\x.x x)", "--machines", "kam,siam", "--fuel", "50"]
+    assert main(argv + ["--format", "csv"]) == 0
+    header, kam, siam = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert kam[:2] == ["kam", "fuel"] and all(kam)
+    assert siam == ["siam", "fuel", "", "", "", "", ""]
+    assert main(argv + ["--format", "table"]) == 0
+    assert "None" not in capsys.readouterr().out
+
+
 def test_types_weights(capsys, defs_file):
     assert main(["types", "(\\y.\\x.x y) I I", "--weights", "--defs", defs_file]) == 0
     out = capsys.readouterr().out

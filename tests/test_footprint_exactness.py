@@ -13,7 +13,8 @@ from lamrun.ham import ClosedPosition, LoggedClosure
 from lamrun.kam import Closure
 from lamrun.syntax import TermIndex, parse
 
-# item type -> attributes holding lists, written out apart from ``tokens.nests``
+# item type -> attributes holding lists, written out apart from the lists
+# each type registers with ``tokens.item``
 HOLDS = {
     tk.LoggedPosition: ("log",),
     Closure: ("env",),

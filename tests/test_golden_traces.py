@@ -9,6 +9,8 @@ from lamrun import ham, kam, liam, ljam, lpam, multitypes as mt, siam
 from lamrun.reporting import trajectory
 from lamrun.syntax import ARG, BODY, FUN
 
+from conftest import token
+
 F, A, B = FUN, ARG, BODY
 
 
@@ -23,14 +25,14 @@ def lp_global(var, log=()):
 
 def iam_rows(report):
     return [
-        (ev.label, ev.subterm_path, ev.dir, ev.token["tape"], ev.token["log"], ev.token["bt"])
+        (ev.label, ev.subterm_path, ev.dir, token(ev)["tape"], token(ev)["log"], token(ev)["bt"])
         for ev in report.events
     ]
 
 
 def token_rows(report, keys):
     return [
-        (ev.label, ev.subterm_path, ev.dir) + tuple(ev.token[k] for k in keys)
+        (ev.label, ev.subterm_path, ev.dir) + tuple(token(ev)[k] for k in keys)
         for ev in report.events
     ]
 
@@ -207,11 +209,11 @@ def test_jam_duplication_trace(duplication_example):
     assert report.length == 11
     final = report.events[-1]
     assert final.subterm_path == "Arg"
-    assert final.token["log"] == [px2]
+    assert token(final)["log"] == [px2]
     jmp = report.events[8]
     assert jmp.subterm_path == "Fun/Body/Fun"
-    assert jmp.token["tape"] == [py]
-    assert jmp.token["log"] == []
+    assert token(jmp)["tape"] == [py]
+    assert token(jmp)["log"] == []
 
 
 def test_kam_duplication_trace(duplication_example):

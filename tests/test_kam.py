@@ -5,7 +5,7 @@ from lamrun.equivalence import walk_invariants
 from lamrun.reporting import FuelExhausted, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse, whnf_trace
 
-from conftest import at
+from conftest import at, token
 
 
 def test_identity_final():
@@ -26,7 +26,7 @@ def test_var_restores_closure_env(running_example):
     # after the first var the machine hops to the outer argument with its env
     first_var = next(ev for ev in report.events if ev.label == "var")
     assert first_var.subterm_path == "Arg"
-    assert first_var.token["env"] == []
+    assert token(first_var)["env"] == []
 
 
 def test_ii_run_length():

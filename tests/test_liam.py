@@ -5,7 +5,7 @@ from lamrun.equivalence import walk_invariants
 from lamrun.reporting import FINAL, FuelExhausted, Next, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
-from conftest import at, same_item
+from conftest import at, same_item, token
 
 
 def test_initial_state(running_example):
@@ -134,5 +134,5 @@ def test_backtracking_well_bracketed(corpus, running_example):
 
 def test_bt_flag_marks_backtracking(running_example):
     report = liam.run(running_example, 100, trace=True)
-    flagged = [ev.step for ev in report.events if ev.token["bt"]]
+    flagged = [ev.step for ev in report.events if token(ev)["bt"]]
     assert flagged == [12, 14]  # down states whose tape head is a logged position

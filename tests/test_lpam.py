@@ -17,7 +17,7 @@ F, A, B = _TOP.fun, _TOP.arg, _TOP.fun.body
 
 def history_json(h):
     """The history as a PAM trace token writes it, oldest entry first."""
-    return json.loads(tk.Encoder().list(h.entries(), lpam.ENTRY))
+    return json.loads(tk.Encoder().list(h.entries()))
 
 
 def test_phi_zero_power_is_identity():

@@ -14,12 +14,12 @@ def test_identity_initial_is_final():
 
 
 def test_non_star_derivation_rejected():
-    from lamrun.syntax import BODY
-
-    deriv = mt.DLam((), (mt.STAR,), mt.DVar((BODY,), 0, mt.STAR),
+    term = parse("\\x.x")
+    top = TermIndex(term).top
+    deriv = mt.DLam(top, (mt.STAR,), mt.DVar(top.body, 0, mt.STAR),
                     mt.Arrow((mt.STAR,), mt.STAR))
     with pytest.raises(siam.NotStarDerivationError):
-        siam.initial(siam.DerivationIndex(deriv, parse("\\x.x")))
+        siam.initial(siam.DerivationIndex(deriv, term))
 
 
 EXPECTED_RUNNING_ORDER = [

@@ -1,4 +1,5 @@
-"""Byte-for-byte JSONL traces of every machine on three small terms.
+"""Byte-for-byte JSONL traces of every machine on three small terms, and
+the size and digest of each machine's trace on ``two two I I``.
 
 Each fixture is the full output of ``lamrun run --trace jsonl``: one event per
 line, then the report line.  They pin the token serialisation of every
@@ -9,6 +10,7 @@ To regenerate them after a deliberate format change, run
 ``PYTHONPATH=src python tests/test_trace_fixtures.py``.
 """
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -25,12 +27,24 @@ TERMS = {
 }
 MACHINES = ("iam", "jam", "pam", "kam", "ham-j", "ham-k", "siam")
 CASES = [(t, m) for t in TERMS for m in MACHINES]
+# two two I I with two = λf.λx.f (f x): tokens share heavily and HAM-J's trace
+# is 20 MB, so each machine's trace is pinned by its byte length and sha256
+TWO_TWO = "(\\f.\\x.f (f x)) (\\f.\\x.f (f x)) (\\z.z) (\\z.z)"
+DIGESTS = {
+    "iam": (90691, "02e86a1dcfec4b5dc23f5d699e73233b6f769125e5b79e37e67e4eadbb3cdd7a"),
+    "jam": (641296, "45613c56a1e1a31c102e388c44ce32959e9936d3114722673bf341b7b563e8fa"),
+    "pam": (73697, "d8540b9db3b2118470ddc071f63ffef789e7feb285ae5540c2149daa734f433a"),
+    "kam": (23251, "9bda32fdd029cf7166a81f8fc38c83ba633a3716728bbd1b223bc0163927dc03"),
+    "ham-j": (19986047, "6db706b18189d540b72b3178cb241a8e0db6745a1ac5be1a7631bbaebd8ce3e2"),
+    "ham-k": (5026625, "a831b4185430cb61f09e8d2fe3d0b2db98e3443b495e3b6001fbf3f7d595b936"),
+    "siam": (31434, "7ff54cddb04ac6aa53409ab91aa1babeb3cb894ea3d95d2019451cbaf355b1f1"),
+}
 
 
 def trace_text(term: str, machine: str) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(["run", TERMS[term], "--machine", machine, "--trace", "jsonl"])
+        code = main(["run", term, "--machine", machine, "--trace", "jsonl"])
     assert code == 0
     return buf.getvalue()
 
@@ -38,11 +52,17 @@ def trace_text(term: str, machine: str) -> str:
 @pytest.mark.parametrize("term,machine", CASES)
 def test_jsonl_trace_matches_fixture(term, machine):
     expected = (FIXTURES / f"{term}-{machine}.jsonl").read_text(encoding="utf-8")
-    assert trace_text(term, machine) == expected
+    assert trace_text(TERMS[term], machine) == expected
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_shared_token_trace_matches_digest(machine):
+    data = trace_text(TWO_TWO, machine).encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == DIGESTS[machine]
 
 
 if __name__ == "__main__":
     FIXTURES.mkdir(parents=True, exist_ok=True)
     for term, machine in CASES:
         (FIXTURES / f"{term}-{machine}.jsonl").write_text(
-            trace_text(term, machine), encoding="utf-8")
+            trace_text(TERMS[term], machine), encoding="utf-8")
