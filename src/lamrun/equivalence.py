@@ -381,19 +381,15 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
     the transitions of the machine it entangles, renamed: HAM-J those of the
     JAM, HAM-K those of the KAM."""
     index = TermIndex(term)
-
-    def index_for(name):
-        if name != siam.MACHINE.name:
-            return index
-        return siam.DerivationIndex(mt.infer_star_derivation(index, fuel), term)
-
+    steps = whnf_trace(term, fuel)  # reduced once: the β count, then the derivation
+    beta = len(steps)
+    dindex = siam.DerivationIndex(mt.star_derivation(index, steps), term)
     try:
-        walks = {name: walk_invariants(m, index_for(name), fuel)
+        walks = {name: walk_invariants(m, dindex if name == siam.MACHINE.name else index, fuel)
                  for name, m in harness.MACHINES.items()}
     except AssertionError as exc:
         raise CheckFailed(violated=str(exc)) from None
     runs = {name: labels for name, (labels, _) in walks.items()}
-    beta = len(whnf_trace(term, fuel))
     kam_labels = runs["kam"]
     if sum(kam_labels.values()) != kam_labels["var"] + 2 * kam_labels["abs"]:
         raise CheckFailed(reason="Krivine length identity fails")

@@ -24,7 +24,7 @@ K_MODE = "k"
 
 @tk.item('{"kind": "lc", "pos": %s, "env": %s, "log": %s}', lambda x: (path_str(x.node.path),),
          "env", "log")
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class LoggedClosure:
     node: Node  # an argument
     env: Optional[tk.Cell]  # list of LoggedClosure
@@ -33,14 +33,14 @@ class LoggedClosure:
 
 @tk.item('{"kind": "cp", "pos": %s, "log": %s, "env": %s}', lambda x: (path_str(x.node.path),),
          "log", "env")
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class ClosedPosition:
     node: Node  # a variable occurrence
     log: Optional[tk.Cell]
     env: Optional[tk.Cell]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class HamState(NodeState):
     node: Node
     log: Optional[tk.Cell]

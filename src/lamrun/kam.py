@@ -15,13 +15,13 @@ from .syntax import DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, Var, path_str
 
 
 @tk.item('{"pos": %s, "env": %s}', lambda c: (path_str(c.node.path),), "env")
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Closure:
     node: Node
     env: Optional[tk.Cell]  # list of Closure
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class KamState(NodeState):
     node: Node
     env: Optional[tk.Cell]

@@ -19,7 +19,7 @@ DOWN = "down"
 UP = "up"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class IamState(NodeState):
     node: Node
     tape: Optional[tk.Cell]

@@ -18,7 +18,7 @@ from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex
 UP_LABELS = ("p3", "p4", "arg", "jmp")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class JamState(NodeState):
     node: Node
     tape: Optional[tk.Cell]

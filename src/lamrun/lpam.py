@@ -67,7 +67,7 @@ def phi_pow(h: History, i: int, n: int) -> int:
     return k
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class PamState(NodeState):
     node: Node
     history: History

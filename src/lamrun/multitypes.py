@@ -384,11 +384,17 @@ def _build(steps: list):
     return deriv
 
 
+def star_derivation(index: TermIndex, steps: list) -> Derivation:
+    """Derivation of ``index.root : ★`` about the nodes of ``index``, from the
+    weak head reduction ``steps`` of ``index.root``; empties ``steps``."""
+    return _place(_build(steps), index.top)
+
+
 def infer_star_derivation(term, fuel: int = DEFAULT_FUEL):
     """Derivation of ``term : ★`` about the nodes of a TermIndex, ``term`` itself
     or a fresh one; raises Diverged when there is no whnf in fuel."""
     index = term if isinstance(term, TermIndex) else TermIndex(term)
-    return _place(_build(whnf_trace(index.root, fuel)), index.top)
+    return star_derivation(index, whnf_trace(index.root, fuel))
 
 
 # ---------------------------------------------------------------------------

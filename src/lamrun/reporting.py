@@ -75,8 +75,11 @@ FLIP = {"down": "up", "up": "down"}
 
 class NodeState:
     """Base of the machines' states: ``focus`` is the term node a state is at,
-    a token machine's ``node``, and ``pos`` is its path."""
+    a token machine's ``node``, and ``pos`` is its path.  States are slotted
+    and immutable by convention, as token cells and items are: a step builds
+    a new state and never assigns a field of one."""
 
+    __slots__ = ()
     focus = property(attrgetter("node"))
     pos = property(lambda s: s.focus.path)
 
@@ -171,7 +174,7 @@ def drive(
     places: dict = {}  # focused node -> (path text, subterm text)
     reach = Reach()
     var_cost = steps = peak_lp = peak_cells = 0
-    peak_markers = (0, 0)  # (markers, lp): the most markers, then the most lp among them
+    peak_markers = peak_marker_lp = 0  # the most markers, then the most lp among them
     outcome = "final"
     try:
         for label, state, cost in walk:
@@ -183,9 +186,12 @@ def drive(
             if check_fn is not None:
                 check_fn(state, per_label)
             lp, markers, cells = fp = footprint_fn(state, reach)
-            peak_lp = max(peak_lp, lp)
-            peak_cells = max(peak_cells, cells)
-            peak_markers = max(peak_markers, (markers, lp))
+            if lp > peak_lp:
+                peak_lp = lp
+            if cells > peak_cells:
+                peak_cells = cells
+            if markers > peak_markers or markers == peak_markers and lp > peak_marker_lp:
+                peak_markers, peak_marker_lp = markers, lp
             if trace:
                 node = state.focus
                 place = places.get(node)
@@ -205,8 +211,8 @@ def drive(
         per_label=per_label,
         var_cost_sum=var_cost,
         ram_cost_bound=(steps - var_count) + var_count * index.size,
-        peak=SpaceFootprint(peak_lp, peak_markers[0], peak_cells),
-        peak_marker_lp=peak_markers[1],
+        peak=SpaceFootprint(peak_lp, peak_markers, peak_cells),
+        peak_marker_lp=peak_marker_lp,
         events=tuple(events) if trace else None,
         final_state=state,
     )

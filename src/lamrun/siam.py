@@ -59,7 +59,7 @@ class DerivationIndex:
         self.stars = star_count(deriv)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class SiamState(NodeState):
     node: Derivation
     tpath: tuple

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from lamrun import harness, tokens as tk
+from lamrun.ham import ClosedPosition, LoggedClosure
+from lamrun.kam import Closure
 from lamrun.syntax import ARG, BODY, FUN, App, InvalidPath, Lam, Var, parse, path_str, pretty
 
 DEFS = {"I": "\\z.z"}
@@ -64,6 +66,48 @@ def same_item(x, y):
             and tk.length(x.log) == tk.length(y.log)):
         return ((x.log, y.log),)
     return None
+
+
+# item type -> attributes holding lists, written out apart from the lists
+# each type registers with ``tokens.item``
+HOLDS = {
+    tk.LoggedPosition: ("log",),
+    Closure: ("env",),
+    LoggedClosure: ("env", "log"),
+    ClosedPosition: ("log", "env"),
+}
+
+
+def reachable(*roots) -> set:
+    """The cells reachable from the lists ``roots``, walked anew."""
+    seen = set()
+    pending = list(roots)
+    while pending:
+        cell = pending.pop()
+        while cell is not None and cell not in seen:
+            seen.add(cell)
+            pending.extend(getattr(cell.head, attr) for attr in HOLDS.get(type(cell.head), ()))
+            cell = cell.tail
+    return seen
+
+
+def reference_cells(*roots) -> int:
+    return len(reachable(*roots))
+
+
+def reference_refs(*roots) -> dict:
+    """The references ``tokens.Reach`` keeps for ``roots``, counted from scratch:
+    each reachable cell's, from the roots, from the reachable cell whose tail it
+    is, and from the items at the heads of reachable cells."""
+    refs: dict = {}
+    held = [r for r in roots if r is not None]
+    for cell in reachable(*roots):
+        held.append(cell.tail)
+        held.extend(getattr(cell.head, attr) for attr in HOLDS.get(type(cell.head), ()))
+    for cell in held:
+        if cell is not None:
+            refs[cell] = refs.get(cell, 0) + 1
+    return refs
 
 
 def token(ev):

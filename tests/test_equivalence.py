@@ -160,6 +160,21 @@ def test_invariants_suite_walks_each_machine_once(monkeypatch, running_example):
     assert walks == Counter(list(harness.MACHINES)) and builds == 1
 
 
+def test_invariants_suite_reduces_once(monkeypatch, running_example):
+    reductions = 0
+    reduce = eq.whnf_trace
+
+    def counting_reduce(term, fuel):
+        nonlocal reductions
+        reductions += 1
+        return reduce(term, fuel)
+
+    monkeypatch.setattr(eq, "whnf_trace", counting_reduce)
+    monkeypatch.setattr(mt, "whnf_trace", counting_reduce)
+    assert eq.check_invariants_suite(running_example, 1000).passed
+    assert reductions == 1
+
+
 def test_invariants_suite_names_a_stuck_machine(monkeypatch, running_example):
     original = liam.step
     seen = 0

@@ -9,30 +9,9 @@ from dataclasses import replace
 import pytest
 
 from lamrun import harness, reporting, tokens as tk
-from lamrun.ham import ClosedPosition, LoggedClosure
-from lamrun.kam import Closure
 from lamrun.syntax import TermIndex, parse
 
-# item type -> attributes holding lists, written out apart from the lists
-# each type registers with ``tokens.item``
-HOLDS = {
-    tk.LoggedPosition: ("log",),
-    Closure: ("env",),
-    LoggedClosure: ("env", "log"),
-    ClosedPosition: ("log", "env"),
-}
-
-
-def reference_cells(*roots):
-    seen = set()
-    pending = list(roots)
-    while pending:
-        cell = pending.pop()
-        while cell is not None and cell not in seen:
-            seen.add(cell)
-            pending.extend(getattr(cell.head, attr) for attr in HOLDS.get(type(cell.head), ()))
-            cell = cell.tail
-    return len(seen)
+from conftest import reference_cells
 
 
 def scan(xs):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -121,6 +122,23 @@ def test_run_and_trajectory_agree_at_the_fuel_boundary(name, text):
             assert k >= length
         assert len(walk) == min(k, length) + 1
         assert seen(report.final_state) == seen(walk[-1].state)
+
+
+def test_states_and_items_are_slotted_and_unchanged():
+    # slots, not frozen dataclasses: no state or item has a ``__dict__``, and a
+    # run assigns no field of a state it has yielded
+    for cls in tk.TEXT_FORMS:
+        assert cls.__dictoffset__ == 0, cls  # its instances have no __dict__
+    term = parse("two two I I", {"two": "\\f.\\x.f (f x)", "I": "\\z.z"})
+    for name, machine in harness.MACHINES.items():
+        index = (siam.DerivationIndex(mt.infer_star_derivation(term), term) if name == "siam"
+                 else TermIndex(term))
+        assert not hasattr(machine.initial(index), "__dict__"), name
+        yielded = [(s, [getattr(s, f.name) for f in fields(s)])
+                   for _, s, _ in reporting.trajectory(machine, index)]
+        assert len(yielded) > 1
+        for s, values in yielded:
+            assert all(getattr(s, f.name) is v for f, v in zip(fields(s), values)), name
 
 
 def test_trace_jsonl_roundtrip(running_example):

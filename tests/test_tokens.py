@@ -3,9 +3,10 @@ import json
 from hypothesis import given, strategies as st
 
 from lamrun import tokens as tk
+from lamrun.ham import LoggedClosure
 from lamrun.syntax import ARG, BODY, FUN, Node
 
-from conftest import same_item
+from conftest import reference_cells, reference_refs, same_item
 
 _NODES: dict = {(): Node(None, None, None, 0)}
 
@@ -187,3 +188,51 @@ def test_reach_follows_moving_roots():
     assert reach.update(a, a) == 3 and reach.refs[a] == 2  # one root twice
     assert reach.update(a) == 3 and reach.refs[a] == 1  # fewer roots than before
     assert reach.update(a, b, tk.from_list([tk.MARKER])) == 5
+
+
+def held_item(kind, xs, ys):
+    """A tape item that holds no list, one list or two lists."""
+    if kind == 0:
+        return tk.MARKER
+    if kind == 1:
+        return lp((FUN,), log=xs)
+    return LoggedClosure(node((ARG,)), xs, ys)
+
+
+# (move, root, other root, item kind, list held by the item)
+MOVE = st.tuples(st.sampled_from(["push", "pop", "replace", "share", "hold", "roots"]),
+                 st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.integers(0, 99))
+
+
+@given(st.lists(st.lists(MOVE, min_size=1, max_size=3), max_size=20))
+def test_reach_matches_a_recount(updates):
+    """Random root moves, a few per update: one cell pushed, popped or replaced;
+    a root shared with another root, or held by an item pushed onto another root,
+    before it is popped; roots added or dropped.  Every update keeps the counts
+    equal to those recounted from scratch."""
+    roots: list = [None, None]
+    made: list = [None]  # every list some root has held: items may hold any of them
+    reach = tk.Reach()
+    for moves in updates:
+        for move, i, j, kind, k in moves:
+            i, j = i % len(roots), j % len(roots)
+            x, held = roots[i], made[k % len(made)]
+            if move == "push":
+                roots[i] = tk.cons(held_item(kind, held, x), x)
+            elif move == "pop" and x is not None:
+                roots[i] = x.tail
+            elif move == "replace" and x is not None:
+                roots[i] = tk.cons(held_item(kind, held, x), x.tail)
+            elif move == "share":  # the same cell at two roots
+                roots[j] = x
+            elif move == "hold" and x is not None and i != j:  # popped, held by an item
+                roots[j] = tk.cons(held_item(max(kind, 1), x, held), roots[j])
+                roots[i] = x.tail
+            elif move == "roots":
+                if kind and len(roots) > 1:
+                    roots.pop()
+                else:
+                    roots.append(held)
+            made.extend(roots)
+        assert reach.update(*roots) == reference_cells(*roots)
+        assert reach.refs == reference_refs(*roots)
