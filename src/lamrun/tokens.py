@@ -162,9 +162,7 @@ class Reach:
     the cell whose tail it is, and from the items that hold it (see ``item``).
     Lists are immutable and acyclic, so a cell is reachable exactly while its
     count is positive, and moving the roots costs time in proportion to the
-    cells that become reachable or unreachable.  A root moved by one pushed or
-    popped cell, the common step, skips the walk: only that cell's item lists
-    are walked.
+    cells that become reachable or unreachable.
     """
 
     __slots__ = ("refs", "roots")
@@ -179,21 +177,7 @@ class Reach:
         nested = NESTED_LISTS.get
         grown, shrunk = [], []
         for new, old in zip_longest(roots, self.roots):
-            if new is old:
-                continue
-            if new is not None and new.tail is old and new not in refs:
-                # one new cell pushed: the root's reference to ``old`` becomes its tail's
-                refs[new] = 1
-                attrs = nested(type(new.head))
-                if attrs is not None:
-                    grown.extend([getattr(new.head, attr) for attr in attrs])
-            elif old is not None and old.tail is new and refs[old] == 1:
-                # popped, and held by this root alone: its tail's reference becomes the root's
-                del refs[old]
-                attrs = nested(type(old.head))
-                if attrs is not None:
-                    shrunk.extend([getattr(old.head, attr) for attr in attrs])
-            else:
+            if new is not old:
                 if new is not None:
                     grown.append(new)
                 if old is not None:
@@ -251,9 +235,8 @@ def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
 def footprint(log: Optional[Cell], tape: Optional[Cell], reach: Reach) -> tuple:
     """``(lp, markers, cells)`` of a token: top-level logged positions, markers, and
     the distinct cells it reaches, which ``reach`` counts as it moves to them."""
-    marker_count = 0 if tape is None else tape.markers
-    lp = (0 if log is None else log.length) + (0 if tape is None else tape.length) - marker_count
-    return lp, marker_count, reach.update(log, tape)
+    marker_count = markers(tape)
+    return length(log) + length(tape) - marker_count, marker_count, reach.update(log, tape)
 
 
 # ---------------------------------------------------------------------------

@@ -126,19 +126,26 @@ def test_run_and_trajectory_agree_at_the_fuel_boundary(name, text):
 
 def test_states_and_items_are_slotted_and_unchanged():
     # slots, not frozen dataclasses: no state or item has a ``__dict__``, and a
-    # run assigns no field of a state it has yielded
+    # run assigns no field of a state it has yielded, nor of an item its token reaches
     for cls in tk.TEXT_FORMS:
         assert cls.__dictoffset__ == 0, cls  # its instances have no __dict__
     term = parse("two two I I", {"two": "\\f.\\x.f (f x)", "I": "\\z.z"})
+
+    def values(obj):
+        return [getattr(obj, f.name) for f in fields(obj)]
+
     for name, machine in harness.MACHINES.items():
         index = (siam.DerivationIndex(mt.infer_star_derivation(term), term) if name == "siam"
                  else TermIndex(term))
         assert not hasattr(machine.initial(index), "__dict__"), name
-        yielded = [(s, [getattr(s, f.name) for f in fields(s)])
-                   for _, s, _ in reporting.trajectory(machine, index)]
+        yielded = []
+        for _, s, _ in reporting.trajectory(machine, index):
+            lists = [v for v in values(s) if isinstance(v, tk.Cell)]
+            yielded += [(x, values(x)) for x in [s, *tk.new_items(set(), *lists)]]
         assert len(yielded) > 1
-        for s, values in yielded:
-            assert all(getattr(s, f.name) is v for f, v in zip(fields(s), values)), name
+        assert any(type(x) in tk.NESTED_LISTS for x, _ in yielded) == (name not in ("siam", "pam"))
+        for x, before in yielded:
+            assert all(a is b for a, b in zip(values(x), before)), (name, x)
 
 
 def test_trace_jsonl_roundtrip(running_example):
