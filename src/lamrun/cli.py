@@ -85,23 +85,21 @@ def cmd_parse(args) -> int:
 def cmd_run(args) -> int:
     term = _read_term_arg(args.term, args.defs)
     fuel = _default_fuel(args)
-    trace = args.trace != "none"
+    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        report = harness.run_machine(args.machine, term, fuel, trace=trace)
-    except (FuelExhausted, Diverged):
-        print(f"fuel exhausted after {fuel} steps", file=sys.stderr)
-        return EXIT_FUEL
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+        rows: list = []  # the table's events: its column widths need every row
+        sinks = {"jsonl": lambda ev: print(ev.to_line(), file=out), "table": rows.append}
+        try:
+            report = harness.run_machine(args.machine, term, fuel, sink=sinks.get(args.trace))
+        except (FuelExhausted, Diverged):
+            print(f"fuel exhausted after {fuel} steps", file=sys.stderr)
+            return EXIT_FUEL
         if args.trace == "table":
-            print(_table(report.events, term), file=sink)
-        elif args.trace == "jsonl":
-            for ev in report.events:
-                print(ev.to_line(), file=sink)
-        print(json.dumps(report.to_json(), ensure_ascii=False), file=sink)
+            print(_table(rows, term), file=out)
+        print(json.dumps(report.to_json(), ensure_ascii=False), file=out)
     finally:
         if args.out:
-            sink.close()
+            out.close()
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ modes are rejected; no theorem covers them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
@@ -159,11 +159,11 @@ def _shape_key(node, log, env):
     return (node, tk.length(log), tk.length(env))
 
 
-def run(term: Term, mode: str, fuel: int = DEFAULT_FUEL, trace: bool = False,
+def run(term: Term, mode: str, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
         allow_fuel: bool = False):
     if mode not in MODES:
         raise ValueError(f"mode must be {J_MODE!r} or {K_MODE!r}")
-    return reporting.run(MODES[mode], TermIndex(term), fuel, trace, allow_fuel)
+    return reporting.run(MODES[mode], TermIndex(term), fuel, sink, allow_fuel)
 
 
 def _machine(mode: str, up_labels: tuple) -> Machine:

@@ -161,8 +161,7 @@ def compare(
         else:
             row["machines"][name] = {"outcome": "fuel"}
             continue
-        entry = report.to_json()
-        entry.pop("term", None)
+        entry = report.to_json(with_term=False)
         entry["wallMs"] = round((time.perf_counter() - started) * 1000, 3)
         row["machines"][name] = entry
     if with_types:

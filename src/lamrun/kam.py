@@ -7,7 +7,7 @@ copy and the name search of textbook presentations becomes positional lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .reporting import FINAL, Machine, Next, NodeState, Stuck
@@ -80,8 +80,9 @@ def check_invariants(index: TermIndex, label, s: KamState, per_label: dict, ctx:
         assert tk.length(c.env) > max_free[c.node], "closure environment does not close its subterm"
 
 
-def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
-    report = reporting.run(MACHINE, TermIndex(term), fuel, trace, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
+        allow_fuel: bool = False):
+    report = reporting.run(MACHINE, TermIndex(term), fuel, sink, allow_fuel)
     report.beta_count = report.per_label.get("abs", 0)
     return report
 

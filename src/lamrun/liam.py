@@ -9,7 +9,7 @@ substituted for; it is flagged ``bt`` in snapshots for readability only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .reporting import DUAL, FINAL, FLIP, Machine, Next, NodeState, Stuck
@@ -129,8 +129,9 @@ def check_invariants(index: TermIndex, label, s: IamState, per_label: dict, ctx:
             "logged position log length differs from its inner level")
 
 
-def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
-    return reporting.run(MACHINE, TermIndex(term), fuel, trace, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
+        allow_fuel: bool = False):
+    return reporting.run(MACHINE, TermIndex(term), fuel, sink, allow_fuel)
 
 
 MACHINE = Machine(

@@ -8,7 +8,7 @@ single transition, replacing an entire backtracking phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .liam import DOWN, UP, state_footprint
@@ -121,8 +121,9 @@ def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx:
     ctx["phase"] = (phase or [0, d * index.size]) if s.dir == UP else None
 
 
-def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
-    return reporting.run(MACHINE, TermIndex(term), fuel, trace, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
+        allow_fuel: bool = False):
+    return reporting.run(MACHINE, TermIndex(term), fuel, sink, allow_fuel)
 
 
 MACHINE = Machine(

@@ -8,7 +8,7 @@ jumping machine keeps in its distributed logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
@@ -152,8 +152,9 @@ def check_invariants(index: TermIndex, label, s: PamState, per_label: dict, ctx:
         assert positions == 1, "up state without exactly one position on the tape"
 
 
-def run(term: Term, fuel: int = DEFAULT_FUEL, trace: bool = False, allow_fuel: bool = False):
-    return reporting.run(MACHINE, TermIndex(term), fuel, trace, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
+        allow_fuel: bool = False):
+    return reporting.run(MACHINE, TermIndex(term), fuel, sink, allow_fuel)
 
 
 MACHINE = Machine(

@@ -110,7 +110,7 @@ class TraceEvent:
 @dataclass
 class RunReport:
     machine: str
-    term: str
+    term: object  # the root term; printed only by ``to_json``
     outcome: str  # "final" or "fuel"
     length: int
     per_label: dict
@@ -120,13 +120,14 @@ class RunReport:
     peak_marker_lp: int
     beta_count: Optional[int] = None
     up_length: Optional[int] = None
-    events: Optional[tuple] = None
     final_state: object = None
 
-    def to_json(self) -> dict:
-        out = {
-            "machine": self.machine,
-            "term": self.term,
+    def to_json(self, with_term: bool = True) -> dict:
+        """The report as JSON; ``with_term=False`` leaves out the printed term."""
+        out = {"machine": self.machine}
+        if with_term:
+            out["term"] = pretty(self.term)
+        out.update({
             "outcome": self.outcome,
             "length": self.length,
             "perLabel": dict(self.per_label),
@@ -134,7 +135,7 @@ class RunReport:
             "ramCostBound": self.ram_cost_bound,
             "peakFootprint": self.peak.to_json(),
             "peakMarkerLp": self.peak_marker_lp,
-        }
+        })
         if self.beta_count is not None:
             out["betaCount"] = self.beta_count
         if self.up_length is not None:
@@ -149,18 +150,20 @@ def drive(
     machine: Machine,
     snapshot_fn: Callable,
     footprint_fn: Callable,
-    trace: bool = False,
+    sink: Optional[Callable] = None,
     check_fn: Optional[Callable] = None,
 ):
     """Fold ``walk``, a ``trajectory`` of ``machine``, into a run report.
 
     ``machine`` gives the direction accessor and the variable labels; its
     name and the snapshot and footprint functions come apart from it so
-    that a profiler can wrap them.  Every state has a ``focus``, the term node
-    it is at; a traced run prints its path and subterm, and writes its tokens
-    through one ``tokens.Encoder``, so each item is written once.
-    Returns the report in all cases; ``outcome`` is "fuel" when the walk ran
-    out of fuel and "final" when it reached a final state.
+    that a profiler can wrap them.  ``sink``, when given, is called with each
+    state's ``TraceEvent`` as soon as the state is reached, so a traced run
+    holds no trace of its own; None means an untraced run.  Every state has a
+    ``focus``, the term node it is at; an event prints its path and subterm,
+    and its token comes through one ``tokens.Encoder`` per run, so each item
+    is written once.  Returns the report in all cases; ``outcome`` is "fuel"
+    when the walk ran out of fuel and "final" when it reached a final state.
     ``check_fn(state, per_label)`` is called on every reached state and may
     raise.  The footprint is sampled at every state, including the initial
     one, since peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
@@ -169,8 +172,7 @@ def drive(
     """
     state_dir_fn, var_labels = machine.dir, machine.var_labels
     per_label: dict = {}
-    events: Optional[list] = [] if trace else None
-    enc = Encoder() if trace else None
+    enc = None if sink is None else Encoder()
     places: dict = {}  # focused node -> (path text, subterm text)
     reach = Reach()
     var_cost = steps = peak_lp = peak_cells = 0
@@ -192,20 +194,20 @@ def drive(
                 peak_cells = cells
             if markers > peak_markers or markers == peak_markers and lp > peak_marker_lp:
                 peak_markers, peak_marker_lp = markers, lp
-            if trace:
+            if sink is not None:
                 node = state.focus
                 place = places.get(node)
                 if place is None:
                     place = places[node] = (path_str(node.path), pretty(node.term))
-                events.append(TraceEvent(len(events), name, label or "init", state_dir_fn(state),
-                                         *place, snapshot_fn(index, state, enc), cost, fp))
+                sink(TraceEvent(steps, name, label or "init", state_dir_fn(state),
+                                *place, snapshot_fn(index, state, enc), cost, fp))
     except FuelExhausted:
         outcome = "fuel"
 
     var_count = sum(per_label.get(lbl, 0) for lbl in var_labels)
     return RunReport(
         machine=name,
-        term=pretty(index.root),
+        term=index.root,
         outcome=outcome,
         length=steps,
         per_label=per_label,
@@ -213,20 +215,21 @@ def drive(
         ram_cost_bound=(steps - var_count) + var_count * index.size,
         peak=SpaceFootprint(peak_lp, peak_markers, peak_cells),
         peak_marker_lp=peak_marker_lp,
-        events=tuple(events) if trace else None,
         final_state=state,
     )
 
 
-def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, trace: bool = False,
+def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
         allow_fuel: bool = False, check: Optional[Callable] = None):
     """Run ``machine`` on ``index`` to a final state or until ``fuel`` steps.
 
+    ``sink``, when given, takes each ``TraceEvent`` as ``drive`` makes it;
     ``check(state, per_label)``, when given, is called on every reached
-    state; fuel exhaustion raises unless ``allow_fuel``.
+    state; fuel exhaustion raises unless ``allow_fuel``, after the sink has
+    taken the event of every state reached.
     """
     report = drive(machine.name, index, trajectory(machine, index, fuel), machine,
-                   machine.snapshot, machine.footprint, trace, check)
+                   machine.snapshot, machine.footprint, sink, check)
     if report.outcome == "fuel" and not allow_fuel:
         raise FuelExhausted(fuel)
     if machine.up_labels:

@@ -10,6 +10,7 @@ bi-determinism, and acyclicity leave no other option.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, Star, star_count
@@ -174,7 +175,7 @@ class CoverageReport:
         return self.repeated == 0 and self.visited == self.stars
 
 
-def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL, trace: bool = False,
+def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
         allow_fuel: bool = False):
     """Run to the final judgement; returns ``(RunReport, CoverageReport)``."""
     index = DerivationIndex(deriv, subject)
@@ -187,7 +188,7 @@ def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL, trace: bool 
         repeated += occ in seen
         seen.add(occ)
 
-    report = reporting.run(MACHINE, index, fuel, trace, allow_fuel=allow_fuel, check=visit)
+    report = reporting.run(MACHINE, index, fuel, sink, allow_fuel=allow_fuel, check=visit)
     return report, CoverageReport(index.stars, len(seen), repeated, report.length)
 
 

@@ -110,6 +110,13 @@ def reference_refs(*roots) -> dict:
     return refs
 
 
+def traced(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with a sink that collects its trace events;
+    returns what ``run`` returns and the events, in order."""
+    events: list = []
+    return run(*args, sink=events.append, **kwargs), events
+
+
 def token(ev):
     """The token of a trace event, parsed from its JSON text."""
     return json.loads(ev.token_json)

@@ -56,6 +56,27 @@ def test_run_fuel_exit_code(capsys):
     assert main(["run", "(\\x.x x) (\\x.x x)", "--machine", "kam", "--fuel", "20"]) == 2
 
 
+def test_a_traced_run_out_of_fuel_keeps_the_states_it_reached(capsys):
+    """The trace streams: a run that runs out of fuel has written the event of
+    every state it reached, and no report line."""
+    two_two = "(\\f.\\x.f (f x)) (\\f.\\x.f (f x)) (\\z.z) (\\z.z)"
+    assert main(["run", two_two, "--machine", "iam", "--trace", "jsonl", "--fuel", "100"]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(line)["step"] for line in captured.out.splitlines()] == list(range(101))
+    assert captured.err == "fuel exhausted after 100 steps\n"
+
+
+def test_a_stuck_traced_run_keeps_the_states_it_reached(monkeypatch, capsys, defs_file):
+    step, calls = liam.step, iter(range(10))
+    monkeypatch.setattr(liam, "step", lambda index, s: (
+        step(index, s) if next(calls) < 3 else Stuck("corrupted")))
+    assert main(["run", "(\\y.\\x.x y) I I", "--machine", "iam", "--trace", "jsonl",
+                 "--defs", defs_file]) == 1
+    captured = capsys.readouterr()
+    assert [json.loads(line)["step"] for line in captured.out.splitlines()] == [0, 1, 2, 3]
+    assert captured.err == "iam stuck: corrupted\n"
+
+
 def test_run_siam(capsys, defs_file):
     assert main(["run", "(\\y.\\x.x y) I I", "--machine", "siam",
                  "--defs", defs_file, "--fuel", "100"]) == 0

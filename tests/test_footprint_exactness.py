@@ -50,14 +50,16 @@ def assert_exact(term, trace=False):
             sampled.append((s, fp))
             return fp
 
-        report = reporting.run(replace(machine, footprint=record), index, trace=trace)
+        events: list = []
+        report = reporting.run(replace(machine, footprint=record), index,
+                               sink=events.append if trace else None)
         assert len(sampled) == report.length + 1
         for step, (s, fp) in enumerate(sampled):
             assert type(fp[1]) is int
             assert fp == reference_footprint(name, s), (name, step)
         assert report.peak.deep_cells == max(fp[2] for _, fp in sampled)
         if trace:
-            assert [e.footprint for e in report.events] == [fp for _, fp in sampled]
+            assert [e.footprint for e in events] == [fp for _, fp in sampled]
 
 
 @pytest.mark.parametrize("term", [harness.family_tn(n) for n in range(1, 9)]

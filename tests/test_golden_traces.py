@@ -9,7 +9,7 @@ from lamrun import ham, kam, liam, ljam, lpam, multitypes as mt, siam
 from lamrun.reporting import trajectory
 from lamrun.syntax import ARG, BODY, FUN
 
-from conftest import token
+from conftest import token, traced
 
 F, A, B = FUN, ARG, BODY
 
@@ -23,17 +23,17 @@ def lp_global(var, log=()):
     return {"var": "/".join(var), "scope": "", "flavor": "global", "log": list(log)}
 
 
-def iam_rows(report):
+def iam_rows(events):
     return [
         (ev.label, ev.subterm_path, ev.dir, token(ev)["tape"], token(ev)["log"], token(ev)["bt"])
-        for ev in report.events
+        for ev in events
     ]
 
 
-def token_rows(report, keys):
+def token_rows(events, keys):
     return [
         (ev.label, ev.subterm_path, ev.dir) + tuple(token(ev)[k] for k in keys)
-        for ev in report.events
+        for ev in events
     ]
 
 
@@ -42,7 +42,7 @@ def expect_iam(rows):
 
 
 def test_iam_running_example_trace(running_example):
-    report = liam.run(running_example, 100, trace=True)
+    report, events = traced(liam.run, running_example, 100)
     x = lp_local((F, F, B, B, F), (F, F, B))
     z = lp_local((A, B), (A,))
     y = lp_local((F, F, B, B, A), (F, F), [z])
@@ -68,12 +68,12 @@ def test_iam_running_example_trace(running_example):
         ("var", (F, F), "up", [y], [], False),
         ("arg", (F, A), "down", [], [y], False),
     ])
-    assert iam_rows(report) == expected
+    assert iam_rows(events) == expected
     assert report.length == 18
 
 
 def test_jam_running_example_trace(running_example):
-    report = ljam.run(running_example, 100, trace=True)
+    report, events = traced(ljam.run, running_example, 100)
     px = lp_global((F, F, B, B, F))
     pz = lp_global((A, B), [px])
     py = lp_global((F, F, B, B, A), [pz])
@@ -100,12 +100,12 @@ def test_jam_running_example_trace(running_example):
         row("var", (F, F), "up", [py], []),
         row("arg", (F, A), "down", [], [py]),
     ]
-    assert token_rows(report, ("tape", "log")) == expected
+    assert token_rows(events, ("tape", "log")) == expected
     assert report.length == 15
 
 
 def test_kam_running_example_trace(running_example):
-    report = kam.run(running_example, 100, trace=True)
+    report, events = traced(kam.run, running_example, 100)
 
     def clo(pos, env):
         return {"pos": "/".join(pos), "env": env}
@@ -130,12 +130,12 @@ def test_kam_running_example_trace(running_example):
         row("var", (F, F, B, B, A), env, []),
         row("var", (F, A), [], []),
     ]
-    assert token_rows(report, ("env", "stack")) == expected
+    assert token_rows(events, ("env", "stack")) == expected
     assert report.per_label == {"app": 3, "abs": 3, "var": 3}
 
 
 def test_pam_running_example_trace(running_example):
-    report = lpam.run(running_example, 100, trace=True)
+    report, events = traced(lpam.run, running_example, 100)
     px = "/".join((F, F, B, B, F))
     pz = "/".join((A, B))
     py = "/".join((F, F, B, B, A))
@@ -165,7 +165,7 @@ def test_pam_running_example_trace(running_example):
         row("var", (F, F), "up", h((px, 0), (pz, 0)), 0, [(F, F, B, B, A)]),
         row("arg", (F, A), "down", h((px, 0), (pz, 0), (py, 0)), 3, []),
     ]
-    assert token_rows(report, ("history", "index", "tape")) == expected
+    assert token_rows(events, ("history", "index", "tape")) == expected
     assert report.length == 15
 
 
@@ -174,7 +174,7 @@ def test_pam_running_example_trace(running_example):
 
 
 def test_iam_duplication_trace(duplication_example):
-    report = liam.run(duplication_example, 100, trace=True)
+    report, events = traced(liam.run, duplication_example, 100)
     x1 = lp_local((F, B, F), (F,))
     y = lp_local((A, B), (A,))
     x2 = lp_local((F, B, A), (F,), [y])
@@ -194,30 +194,30 @@ def test_iam_duplication_trace(duplication_example):
         ("var", (F,), "up", [x2], [], False),
         ("arg", (A,), "down", [], [x2], False),
     ])
-    assert iam_rows(report) == expected
+    assert iam_rows(events) == expected
     assert report.length == 12
 
 
 def test_jam_duplication_trace(duplication_example):
-    report = ljam.run(duplication_example, 100, trace=True)
+    report, events = traced(ljam.run, duplication_example, 100)
     px = lp_global((F, B, F))
     py = lp_global((A, B), [px])
     px2 = lp_global((F, B, A), [py])
-    labels = [ev.label for ev in report.events]
+    labels = [ev.label for ev in events]
     assert labels == ["init", "p1", "p2", "p1", "var", "arg", "p2", "var", "jmp",
                       "arg", "var", "arg"]
     assert report.length == 11
-    final = report.events[-1]
+    final = events[-1]
     assert final.subterm_path == "Arg"
     assert token(final)["log"] == [px2]
-    jmp = report.events[8]
+    jmp = events[8]
     assert jmp.subterm_path == "Fun/Body/Fun"
     assert token(jmp)["tape"] == [py]
     assert token(jmp)["log"] == []
 
 
 def test_kam_duplication_trace(duplication_example):
-    report = kam.run(duplication_example, 100, trace=True)
+    _, events = traced(kam.run, duplication_example, 100)
 
     def clo(pos, env):
         return {"pos": "/".join(pos), "env": env}
@@ -239,11 +239,11 @@ def test_kam_duplication_trace(duplication_example):
         row("var", (F, B, A), env, []),
         row("var", (A,), [], []),
     ]
-    assert token_rows(report, ("env", "stack")) == expected
+    assert token_rows(events, ("env", "stack")) == expected
 
 
 def test_pam_duplication_trace(duplication_example):
-    report = lpam.run(duplication_example, 100, trace=True)
+    _, events = traced(lpam.run, duplication_example, 100)
     px = "/".join((F, B, F))
     py = "/".join((A, B))
     px2 = "/".join((F, B, A))
@@ -269,7 +269,7 @@ def test_pam_duplication_trace(duplication_example):
         row("var", (F,), "up", h((px, 0), (py, 0)), 0, [(F, B, A)]),
         row("arg", (A,), "down", h((px, 0), (py, 0), (px2, 0)), 3, []),
     ]
-    assert token_rows(report, ("history", "index", "tape")) == expected
+    assert token_rows(events, ("history", "index", "tape")) == expected
 
 
 def test_siam_duplication_trace(duplication_example):
@@ -299,12 +299,12 @@ def test_siam_duplication_trace(duplication_example):
 
 
 def test_ham_traces_project_on_running_example(running_example):
-    j = ham.run(running_example, ham.J_MODE, 100, trace=True)
-    k = ham.run(running_example, ham.K_MODE, 100, trace=True)
-    assert [e.label for e in j.events][1:] == [
+    j, j_events = traced(ham.run, running_example, ham.J_MODE, 100)
+    k, k_events = traced(ham.run, running_example, ham.K_MODE, 100)
+    assert [e.label for e in j_events][1:] == [
         "p1_app", "p1_app", "p2_abs", "p2_abs", "p1_app", "var_j", "p4", "p3",
         "arg", "p2_abs", "var_j", "jmp", "arg", "var_j", "arg"]
-    assert [e.label for e in k.events][1:] == [
+    assert [e.label for e in k_events][1:] == [
         "p1_app", "p1_app", "p2_abs", "p2_abs", "p1_app", "var_k", "p2_abs",
         "var_k", "var_k"]
     assert j.length == k.length + j.up_length

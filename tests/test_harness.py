@@ -8,7 +8,7 @@ from lamrun import tokens as tk
 from lamrun.reporting import FuelExhausted
 from lamrun.syntax import App, Lam, Node, TermIndex, Var, is_closed, parse, term_size
 
-from conftest import skeleton
+from conftest import skeleton, traced
 
 
 def test_family_tn_base():
@@ -149,8 +149,8 @@ def test_states_and_items_are_slotted_and_unchanged():
 
 
 def test_trace_jsonl_roundtrip(running_example):
-    report = liam.run(running_example, 100, trace=True)
-    lines = [ev.to_line() for ev in report.events]
+    _, events = traced(liam.run, running_example, 100)
+    lines = [ev.to_line() for ev in events]
     parsed = [json.loads(line) for line in lines]
     assert [json.dumps(p, ensure_ascii=False) for p in parsed] == lines
     assert [p["step"] for p in parsed] == list(range(len(parsed)))

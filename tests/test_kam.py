@@ -5,7 +5,7 @@ from lamrun.equivalence import walk_invariants
 from lamrun.reporting import FuelExhausted, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse, whnf_trace
 
-from conftest import at, token
+from conftest import at, token, traced
 
 
 def test_identity_final():
@@ -22,9 +22,9 @@ def test_app_pushes_argument_closure(running_example):
 
 
 def test_var_restores_closure_env(running_example):
-    report = kam.run(running_example, 100, trace=True)
+    _, events = traced(kam.run, running_example, 100)
     # after the first var the machine hops to the outer argument with its env
-    first_var = next(ev for ev in report.events if ev.label == "var")
+    first_var = next(ev for ev in events if ev.label == "var")
     assert first_var.subterm_path == "Arg"
     assert token(first_var)["env"] == []
 

@@ -5,7 +5,7 @@ from lamrun.equivalence import walk_invariants
 from lamrun.reporting import FINAL, FuelExhausted, Next, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
-from conftest import at, same_item, token
+from conftest import at, same_item, token, traced
 
 
 def test_initial_state(running_example):
@@ -44,8 +44,8 @@ def test_var_builds_local_logged_position(running_example):
 
 def test_var_cost_is_inner_level(running_example):
     # the variable under one argument pops one log entry and costs 1
-    report = liam.run(running_example, 100, trace=True)
-    var_events = [e for e in report.events if e.label == "var"]
+    report, events = traced(liam.run, running_example, 100)
+    var_events = [e for e in events if e.label == "var"]
     assert [e.cost for e in var_events] == [0, 0, 1]
     assert report.var_cost_sum == 1
 
@@ -133,6 +133,6 @@ def test_backtracking_well_bracketed(corpus, running_example):
 
 
 def test_bt_flag_marks_backtracking(running_example):
-    report = liam.run(running_example, 100, trace=True)
-    flagged = [ev.step for ev in report.events if token(ev)["bt"]]
+    _, events = traced(liam.run, running_example, 100)
+    flagged = [ev.step for ev in events if token(ev)["bt"]]
     assert flagged == [12, 14]  # down states whose tape head is a logged position

@@ -19,7 +19,7 @@ from lamrun import harness, ham, liam, multitypes as mt, reporting, siam, tokens
 from lamrun.reporting import Next
 from lamrun.syntax import TermIndex, parse, path_str, pretty
 
-from conftest import resolve
+from conftest import resolve, traced
 
 DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
 FUEL = 10**6
@@ -111,7 +111,8 @@ def oracle_lines(name, term):
 
 
 def traced_lines(name, term):
-    return [ev.to_line() for ev in harness.run_machine(name, term, FUEL, trace=True).events]
+    _, events = traced(harness.run_machine, name, term, FUEL)
+    return [ev.to_line() for ev in events]
 
 
 # ---------------------------------------------------------------------------

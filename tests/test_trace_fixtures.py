@@ -12,6 +12,7 @@ To regenerate them after a deliberate format change, run
 import contextlib
 import hashlib
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,23 @@ def test_jsonl_trace_matches_fixture(term, machine):
 def test_shared_token_trace_matches_digest(machine):
     data = trace_text(TWO_TWO, machine).encode("utf-8")
     assert (len(data), hashlib.sha256(data).hexdigest()) == DIGESTS[machine]
+
+
+def test_a_traced_run_does_not_hold_its_trace(tmp_path):
+    """HAM-J's trace of two two I I is 20 MB.  Each event is written as the
+    run makes it, so what the run allocates peaks below half of that."""
+    out = tmp_path / "ham-j.jsonl"
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        code = main(["run", TWO_TWO, "--machine", "ham-j", "--trace", "jsonl", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = out.stat().st_size
+    assert size == DIGESTS["ham-j"][0]
+    assert peak < size / 2, f"peak {peak} bytes for a {size}-byte trace"
 
 
 if __name__ == "__main__":
