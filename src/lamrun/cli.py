@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import equivalence as eq, harness, multitypes as mt
@@ -46,6 +47,22 @@ def _fuel(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"fuel must be a non-negative integer, not {text!r}")
     return int(text)
+
+
+def _corpus(text: str) -> tuple:
+    """``--corpus seed,count,maxSize``: three integers, count and maxSize at least 1."""
+    if not re.fullmatch(r"-?\d+(,\d*[1-9]\d*){2}", text):
+        raise argparse.ArgumentTypeError(
+            f"corpus must be seed,count,maxSize with count and maxSize at least 1, not {text!r}")
+    return tuple(map(int, text.split(",")))
+
+
+def _range(text: str) -> range:
+    """``--range a..b``: two integers with a <= b."""
+    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
+    if m is None or int(m[1]) > int(m[2]):
+        raise argparse.ArgumentTypeError(f"range must be a..b with integers a <= b, not {text!r}")
+    return range(int(m[1]), int(m[2]) + 1)
 
 
 def _machines(text: str) -> list:
@@ -156,14 +173,13 @@ def cmd_types(args) -> int:
 
 def cmd_check(args) -> int:
     fuel = _default_fuel(args)
-    if args.corpus:
-        seed, count, max_size = (int(x) for x in args.corpus.split(","))
-        terms = harness.gen_corpus(seed, count, max_size)
-    elif args.term:
-        terms = [_read_term_arg(args.term, args.defs)]
+    if args.corpus:  # argparse requires either a term or a corpus
+        terms = harness.gen_corpus(*args.corpus)
+        if not terms:
+            print("the corpus generator kept no term: raise count or maxSize", file=sys.stderr)
+            return EXIT_INPUT
     else:
-        print("a term or --corpus is required", file=sys.stderr)
-        return EXIT_INPUT
+        terms = [_read_term_arg(args.term, args.defs)]
     checker = eq.CHECKERS[args.what]
     reports = ([checker(terms, fuel)] if args.what == "quadratic"  # one verdict on the corpus
                else (checker(term, fuel) for term in terms))
@@ -179,9 +195,8 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     fuel = _default_fuel(args)
-    lo, hi = (int(x) for x in args.range.split(".."))
     rows = []
-    for n in range(lo, hi + 1):
+    for n in args.range:
         if args.family == "tn":
             term = harness.family_tn(n)
             label = f"t_{n}"
@@ -248,15 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="machine relationship and invariant checkers")
     sp.add_argument("what", choices=list(eq.CHECKERS))
-    sp.add_argument("term", nargs="?")
-    sp.add_argument("--corpus", help="seed,count,maxSize")
+    one = sp.add_mutually_exclusive_group(required=True)
+    one.add_argument("term", nargs="?")
+    one.add_argument("--corpus", type=_corpus, help="seed,count,maxSize")
     sp.add_argument("--fuel", type=_fuel)
     sp.add_argument("--defs")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("bench", help="run a benchmark family")
     sp.add_argument("--family", required=True, choices=["tn", "rkh"])
-    sp.add_argument("--range", required=True, help="a..b")
+    sp.add_argument("--range", required=True, type=_range, help="a..b")
     sp.add_argument("--format", choices=["csv", "table"], default="table")
     sp.add_argument("--fuel", type=_fuel)
     sp.set_defaults(fn=cmd_bench)

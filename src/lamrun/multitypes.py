@@ -47,6 +47,7 @@ from .syntax import (
     Var,
     path_str,
     pretty,
+    term_size,
     whnf_trace,
 )
 
@@ -180,45 +181,48 @@ def weight_iam(root) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Environments and validation
+# Binding and validation
 
 
-def _merge_env(*envs) -> dict:
-    out: dict = {}
-    for env in envs:
-        for k, types in env.items():
-            out[k] = out.get(k, ()) + types
-    return out
+class DerivationIndex:
+    """Parent links, binder-axiom numbering (leaf order), preorder ordinals and the
+    subject term of one derivation; axioms that no abstraction binds go to ``free``."""
 
-
-def compute_env(node, check_domain=None) -> dict:
-    """Map de Bruijn index -> sequence of types, in left-to-right axiom order.
-
-    ``check_domain(lam, bound)``, when given, sees every abstraction with the
-    types of its bound variable's axioms.
-    """
-    done: list = []  # environments of finished subderivations, in leaf order
-    todo: list = [(node, False)]
-    while todo:
-        n, premises_done = todo.pop()
-        if isinstance(n, DVar):
-            done.append({n.db_index: (n.rh_type,)})
-        elif isinstance(n, DLamStar):
-            done.append({})
-        elif not premises_done:
-            todo.append((n, True))
-            todo.extend((c, False) for c in reversed(children(n)))
-        elif isinstance(n, DLam):
-            inner = done.pop()
-            if check_domain is not None:
-                check_domain(n, inner.get(0, ()))
-            done.append({k - 1: v for k, v in inner.items() if k > 0})
-        else:
-            k = 1 + len(n.rights)
-            envs = done[-k:]
-            del done[-k:]
-            done.append(_merge_env(*envs))
-    return done[0]
+    def __init__(self, deriv: Derivation, subject: Term):
+        self.deriv = deriv
+        self.root = subject
+        self.size = term_size(subject)
+        self.parent: dict = {}
+        self.axioms: dict = {}  # DLam -> list of DVar, leaf order (judgements hash by identity)
+        self.binder: dict = {}  # DVar -> (DLam, 1-based ordinal)
+        self.ordinal: dict = {}
+        self.free: list = []  # DVar judgements that no abstraction above them binds
+        lams: list = []  # the abstraction judgements above the one visited, outermost first
+        stack = [(deriv, 0)]  # judgement, how many abstraction judgements are above it
+        while stack:
+            node, depth = stack.pop()
+            if node in self.ordinal:  # a shared judgement, which ``validate`` reports
+                continue
+            self.ordinal[node] = len(self.ordinal)
+            del lams[depth:]  # preorder: the first ``depth`` entries are above ``node``
+            if isinstance(node, DVar) and not 0 <= node.db_index < depth:
+                self.free.append(node)
+            elif isinstance(node, DVar):
+                binder = lams[depth - 1 - node.db_index]
+                entries = self.axioms.setdefault(binder, [])
+                entries.append(node)
+                self.binder[node] = (binder, len(entries))
+            elif isinstance(node, DLam):
+                lams.append(node)
+                self.parent[node.body] = (node, ("body", 0))
+                stack.append((node.body, depth + 1))
+            elif isinstance(node, DApp):
+                self.parent[node.left] = (node, ("left", 0))
+                for i, r in enumerate(node.rights):
+                    self.parent[r] = (node, ("right", i + 1))
+                for child in reversed(node.rights):
+                    stack.append((child, depth))
+                stack.append((node.left, depth))
 
 
 def validate(root, subject: Term) -> list:
@@ -229,10 +233,6 @@ def validate(root, subject: Term) -> list:
 
     def note(node, msg):
         problems.append(f"{path_str(node.term_pos) or '·'}: {msg}")
-
-    def check_domain(node, bound):
-        if tuple(bound) != tuple(node.domain):
-            note(node, "domain differs from the bound variable's axiom sequence")
 
     if root.subject.parent is not None or root.subject.term != subject:
         note(root, "conclusion is not about the root of the subject")
@@ -278,7 +278,12 @@ def validate(root, subject: Term) -> list:
                             note(node, f"right premise {i + 1} type differs from domain entry")
                 if node.rh_type != lt.target:
                     note(node, "conclusion type is not the arrow target")
-    if compute_env(root, check_domain):
+    index = DerivationIndex(root, subject)
+    for lam in reversed(index.ordinal):  # the binding rule; an abstraction before those around it
+        if isinstance(lam, DLam) and tuple(
+                a.rh_type for a in index.axioms.get(lam, ())) != tuple(lam.domain):
+            note(lam, "domain differs from the bound variable's axiom sequence")
+    if index.free:
         problems.append("closed subject with a non-empty type environment")
     return problems
 

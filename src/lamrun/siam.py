@@ -13,51 +13,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import multitypes as mt, reporting
-from .multitypes import DApp, DLam, DVar, Derivation, Star, star_count
+from .multitypes import DApp, DLam, DVar, Derivation, DerivationIndex, Star
 from .reporting import DUAL, FINAL, FLIP, Machine, Next, NodeState, Stuck
-from .syntax import DEFAULT_FUEL, Term, term_size
+from .syntax import DEFAULT_FUEL, Term
 from .tokens import json_text
 
 TO_LEAVES = "up"
 TO_ROOT = "down"
 
 TARGET = 0  # type-path step into an arrow target; positive i enters domain entry i
-
-
-class DerivationIndex:
-    """Parent links, binder-axiom numbering, and the subject term for one derivation."""
-
-    def __init__(self, deriv: Derivation, subject: Term):
-        self.deriv = deriv
-        self.root = subject
-        self.size = term_size(subject)
-        self.parent: dict = {}
-        self.axioms: dict = {}  # DLam -> list of DVar, leaf order (judgements hash by identity)
-        self.binder: dict = {}  # DVar -> (DLam, 1-based ordinal)
-        self.ordinal: dict = {}
-        lams: list = []  # the abstraction judgements above the one visited, outermost first
-        stack = [(deriv, 0)]  # judgement, how many abstraction judgements are above it
-        while stack:
-            node, depth = stack.pop()
-            self.ordinal[node] = len(self.ordinal)
-            del lams[depth:]  # preorder: the first ``depth`` entries are above ``node``
-            if isinstance(node, DVar):
-                binder = lams[-(node.db_index + 1)]
-                entries = self.axioms.setdefault(binder, [])
-                entries.append(node)
-                self.binder[node] = (binder, len(entries))
-            elif isinstance(node, DLam):
-                lams.append(node)
-                self.parent[node.body] = (node, ("body", 0))
-                stack.append((node.body, depth + 1))
-            elif isinstance(node, DApp):
-                self.parent[node.left] = (node, ("left", 0))
-                for i, r in enumerate(node.rights):
-                    self.parent[r] = (node, ("right", i + 1))
-                for child in reversed(node.rights):
-                    stack.append((child, depth))
-                stack.append((node.left, depth))
-        self.stars = star_count(deriv)
 
 
 @dataclass(slots=True, eq=False)
@@ -166,9 +130,10 @@ def check_invariants(index: DerivationIndex, label, s: SiamState, per_label: dic
 @dataclass
 class CoverageReport:
     stars: int
-    visited: int
-    repeated: int
+    visited: int  # distinct (judgement, type path) occurrences reached
     length: int
+
+    repeated = property(lambda c: c.length + 1 - c.visited)  # of the states reached, repeats
 
     @property
     def hamiltonian(self) -> bool:
@@ -179,17 +144,10 @@ def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL, sink: Option
         allow_fuel: bool = False):
     """Run to the final judgement; returns ``(RunReport, CoverageReport)``."""
     index = DerivationIndex(deriv, subject)
-    seen: set = set()
-    repeated = 0
-
-    def visit(s, per_label):
-        nonlocal repeated
-        occ = (s.node, s.tpath)  # judgements hash by identity
-        repeated += occ in seen
-        seen.add(occ)
-
-    report = reporting.run(MACHINE, index, fuel, sink, allow_fuel=allow_fuel, check=visit)
-    return report, CoverageReport(index.stars, len(seen), repeated, report.length)
+    seen: set = set()  # judgements hash by identity
+    report = reporting.run(MACHINE, index, fuel, sink, allow_fuel=allow_fuel,
+                           check=lambda s, per_label: seen.add((s.node, s.tpath)))
+    return report, CoverageReport(mt.star_count(deriv), len(seen), report.length)
 
 
 NO_TOKEN = (0, 0, 0)

@@ -251,12 +251,37 @@ def test_types_weights_on_a_deep_identity_chain(capsys):
     ["check", "iam-jam", "(\\x.x x) (\\x.x x)", "--fuel", "-1"],
     ["types", "\\x.x", "--fuel", "-1"],
     ["frobnicate"],
+    ["check", "weights", "\\x.x", "--corpus", "1,5,10"],
 ], ids=["unknown-in-machines", "unknown-machine", "non-integer-fuel", "check-negative-fuel",
-        "types-negative-fuel", "unknown-command"])
+        "types-negative-fuel", "unknown-command", "check-term-and-corpus"])
 def test_usage_error_is_input_error(capsys, argv):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("lamrun")
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["check", "weights", "--corpus", "1,0,10"], "seed,count,maxSize"),
+    (["check", "weights", "--corpus", "1,5,-3"], "seed,count,maxSize"),
+    (["check", "weights", "--corpus", "1,2"], "seed,count,maxSize"),
+    (["bench", "--family", "tn", "--range", "3..1"], "a..b"),
+    (["bench", "--family", "tn", "--range", "abc"], "a..b"),
+    (["bench", "--family", "tn", "--range", "2.."], "a..b"),
+], ids=["corpus-count-0", "corpus-negative-size", "corpus-two-values", "range-descending",
+        "range-not-a-range", "range-no-end"])
+def test_a_malformed_corpus_or_range_is_a_usage_error(capsys, argv, usage):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("lamrun") and usage in captured.err
+
+
+def test_check_on_a_corpus_without_terms_is_input_error(capsys):
+    # no closed term has size 1, so the generator keeps none of the five
+    assert harness.gen_corpus(1, 5, 1) == []
+    assert main(["check", "weights", "--corpus", "1,5,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

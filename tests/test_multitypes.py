@@ -126,7 +126,7 @@ def test_duplication_derivation(duplication_example):
     assert weight_iam(d) == 12 and weight_kam(d) == 7
     # head arguments are closed, so every cut subderivation carries no environment
     for right in d.rights:
-        assert mt.compute_env(right) == {}
+        assert mt.DerivationIndex(right, right.subject.term).free == []
 
 
 def test_typability_iff_termination(omega, corpus):
@@ -138,11 +138,16 @@ def test_typability_iff_termination(omega, corpus):
         assert validate(d, term) == []
 
 
-def _broken_derivations(t):
-    """The derivation of ``t`` = (λx.x x) (λy.y) with one fault each."""
+def _broken_derivations(t, nested):
+    """The derivation of ``t`` = (λx.x x) (λy.y) with one fault each; for
+    ``outer_binder``, that of ``nested`` = (λy.λx.x y) I I."""
     d = infer_star_derivation(t, 10)
     lam, body = d.left, d.left.body
     other = TermIndex(t)  # its nodes have the right shapes, but are not this index's
+    unfilled = lam.domain + (STAR,)  # one more domain entry than there are axioms of x
+    n = infer_star_derivation(nested, 10)
+    outer = n.left.left  # λy, and in it λx over x y
+    inner, spine = outer.body, outer.body.body
     return {
         "db_index": replace(d, left=replace(lam, body=replace(
             body, left=replace(body.left, db_index=1)))),
@@ -154,6 +159,11 @@ def _broken_derivations(t):
         "other_index": replace(d, left=replace(lam, body=replace(
             body, rights=(replace(body.rights[0], subject=other.top.fun.body.arg),)))),
         "subterm": lam,
+        "unfilled_entry": replace(d, left=replace(
+            lam, domain=unfilled, rh_type=Arrow(unfilled, body.rh_type))),
+        # the axiom of x bound by λy: λx has no axiom left, λy one axiom too many
+        "outer_binder": replace(n, left=replace(n.left, left=replace(outer, body=replace(
+            inner, body=replace(spine, left=replace(spine.left, db_index=1)))))),
     }
 
 
@@ -172,10 +182,17 @@ def _broken_derivations(t):
                 "Arg/Body: node object occurs twice in one derivation"]),
     ("other_index", ["Fun/Body: right premise 1 is not at the argument position"]),
     ("subterm", ["Fun: conclusion is not about the root of the subject"]),
+    ("unfilled_entry", ["·: argument multiplicity differs from the domain length",
+                        "Fun: domain differs from the bound variable's axiom sequence"]),
+    ("outer_binder", ["Fun/Fun/Body/Body/Fun: axiom does not sit on a matching variable occurrence",
+                      "Fun/Fun/Body: domain differs from the bound variable's axiom sequence",
+                      "Fun/Fun: domain differs from the bound variable's axiom sequence"]),
 ])
-def test_validate_reports_a_broken_derivation(duplication_example, fault, problems):
-    assert validate(_broken_derivations(duplication_example)[fault],
-                    duplication_example) == problems
+def test_validate_reports_a_broken_derivation(duplication_example, running_example, fault,
+                                              problems):
+    subject = running_example if fault == "outer_binder" else duplication_example
+    assert validate(_broken_derivations(duplication_example, running_example)[fault],
+                    subject) == problems
 
 
 def test_validate_reports_an_open_subject():
@@ -185,7 +202,7 @@ def test_validate_reports_an_open_subject():
 
 def test_env_of_closed_derivation_is_empty(running_example):
     d = infer_star_derivation(running_example, 10)
-    assert mt.compute_env(d) == {}
+    assert mt.DerivationIndex(d, running_example).free == []
 
 
 def test_axiom_order_matches_domains(duplication_example):
@@ -223,7 +240,7 @@ def test_derivation_json_and_pretty(running_example):
 
 
 def test_derivation_walks_need_no_recursion_headroom():
-    """Inference, validation, environments and JSON output walk a 1 200-deep
+    """Inference, validation, binder numbering and JSON output walk a 1 200-deep
     derivation under Python's default recursion limit."""
     script = """
 import sys
@@ -236,7 +253,7 @@ for _ in range(1200):
 term = parse(text)
 d = mt.infer_star_derivation(term)
 assert mt.validate(d, term) == []
-assert mt.compute_env(d) == {}
+assert mt.DerivationIndex(d, term).free == []
 assert mt.derivation_to_json(d)["rule"] == "app"
 print(mt.weight_kam(d), mt.weight_iam(d))
 """
