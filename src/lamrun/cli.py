@@ -58,10 +58,11 @@ def _corpus(text: str) -> tuple:
 
 
 def _range(text: str) -> range:
-    """``--range a..b``: two integers with a <= b."""
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    if m is None or int(m[1]) > int(m[2]):
-        raise argparse.ArgumentTypeError(f"range must be a..b with integers a <= b, not {text!r}")
+    """``--range a..b``: two integers with 1 <= a <= b (both families start at 1)."""
+    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    if m is None or not 1 <= int(m[1]) <= int(m[2]):
+        raise argparse.ArgumentTypeError(
+            f"range must be a..b with integers 1 <= a <= b, not {text!r}")
     return range(int(m[1]), int(m[2]) + 1)
 
 

@@ -283,7 +283,7 @@ def check_iam_siam(term: Term, fuel: int) -> dict:
     """Observable bisimulation: same label and (node, direction) sequences; the
     derivation is about the nodes the interaction machine walks."""
     index = TermIndex(term)
-    dindex = siam.DerivationIndex(mt.infer_star_derivation(index, fuel), term)
+    dindex = siam.DerivationIndex(mt.star_derivation(index, whnf_trace(term, fuel)), term)
 
     def relate(label_i, s_i, label_s, s_s):
         if label_i != label_s:
@@ -308,7 +308,7 @@ def check_weights(term: Term, fuel: int) -> dict:
     _, coverage = siam.run(deriv, term, fuel)
     w_kam = mt.weight_kam(deriv)
     w_iam = mt.weight_iam(deriv)
-    stars = mt.star_count(deriv)
+    stars = coverage.stars
     details = {
         "w_kam": w_kam, "kam_length": kam_report.length,
         "w_iam": w_iam, "iam_length": iam_report.length,

@@ -395,11 +395,10 @@ def star_derivation(index: TermIndex, steps: list) -> Derivation:
     return _place(_build(steps), index.top)
 
 
-def infer_star_derivation(term, fuel: int = DEFAULT_FUEL):
-    """Derivation of ``term : ★`` about the nodes of a TermIndex, ``term`` itself
-    or a fresh one; raises Diverged when there is no whnf in fuel."""
-    index = term if isinstance(term, TermIndex) else TermIndex(term)
-    return star_derivation(index, whnf_trace(index.root, fuel))
+def infer_star_derivation(term: Term, fuel: int = DEFAULT_FUEL) -> Derivation:
+    """Derivation of ``term : ★`` about the nodes of a fresh TermIndex; raises
+    Diverged when there is no whnf in fuel."""
+    return star_derivation(TermIndex(term), whnf_trace(term, fuel))
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,10 @@ def test_usage_error_is_input_error(capsys, argv):
     (["bench", "--family", "tn", "--range", "3..1"], "a..b"),
     (["bench", "--family", "tn", "--range", "abc"], "a..b"),
     (["bench", "--family", "tn", "--range", "2.."], "a..b"),
+    (["bench", "--family", "tn", "--range=0..3"], "a..b"),  # both families start at 1
+    (["bench", "--family", "rkh", "--range=-1..1"], "a..b"),
 ], ids=["corpus-count-0", "corpus-negative-size", "corpus-two-values", "range-descending",
-        "range-not-a-range", "range-no-end"])
+        "range-not-a-range", "range-no-end", "range-from-0", "range-negative"])
 def test_a_malformed_corpus_or_range_is_a_usage_error(capsys, argv, usage):
     assert main(argv) == 3
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@ import pytest
 
 from lamrun import liam, multitypes as mt, siam
 from lamrun.reporting import Next, trajectory
-from lamrun.syntax import TermIndex, parse
+from lamrun.syntax import TermIndex, parse, whnf_trace
 
 
 def test_identity_initial_is_final():
@@ -68,7 +68,7 @@ def test_duplication_coverage(duplication_example):
 def test_observable_projection_matches_interaction_machine(running_example, corpus):
     for term in [running_example] + corpus[:30]:
         index = TermIndex(term)  # the judgements are about the interaction machine's nodes
-        dindex = siam.DerivationIndex(mt.infer_star_derivation(index, 10**6), term)
+        dindex = siam.DerivationIndex(mt.star_derivation(index, whnf_trace(term, 10**6)), term)
         siam_obs = [(lbl,) + siam.observable(s)
                     for lbl, s, _ in trajectory(siam.MACHINE, dindex, 10**6)]
         iam_obs = [(lbl, s.node, s.dir) for lbl, s, _ in trajectory(liam.MACHINE, index, 10**6)]
@@ -77,7 +77,8 @@ def test_observable_projection_matches_interaction_machine(running_example, corp
 
 def test_initial_projects_to_root_down(running_example):
     index = TermIndex(running_example)
-    dindex = siam.DerivationIndex(mt.infer_star_derivation(index, 10), running_example)
+    dindex = siam.DerivationIndex(
+        mt.star_derivation(index, whnf_trace(running_example, 10)), running_example)
     node, dir_ = siam.observable(siam.initial(dindex))
     assert node is index.top and dir_ == "down"
 
