@@ -15,7 +15,7 @@ from .syntax import (
     Var,
     pretty,
     term_size,
-    whnf_step,
+    whnf_steps,
 )
 
 IDENTITY = Lam("x", Var(0, "x"))
@@ -108,16 +108,9 @@ def _gen_term(rng: random.Random, budget: int, depth: int) -> Term:
 def probe_normalizes(term: Term) -> bool:
     """Probe: head-normalizes quickly, without size blowup, and the slowest
     machine completes; keeps every downstream run within test budgets."""
-    current = term
-    for _ in range(PROBE_WHNF_FUEL):
-        step = whnf_step(current)
-        if step is None:
-            break
-        current = step.after
-        if term_size(current) > PROBE_SIZE_CAP:
+    for count, step in enumerate(whnf_steps(term), 1):
+        if count == PROBE_WHNF_FUEL or term_size(step.after) > PROBE_SIZE_CAP:
             return False
-    else:
-        return False
     report = liam.run(term, PROBE_IAM_FUEL, allow_fuel=True)
     return report.outcome == "final"
 

@@ -387,77 +387,106 @@ class ReductionStep:
 _REBUILD = object()  # work-list mark: reassemble a subterm from its new children
 
 
-def _contract(body: Term, arg: Term, prefix: Path):
+def _contract(body: Term, arg: Term, prefix: Path, bounds: dict):
     """``body`` with closed ``arg`` substituted for the variable bound just
     outside it, and the paths, under ``prefix``, of the copies of ``arg``.
 
     One iterative walk does both.  Its path is one list, copied into a tuple
     only at an occurrence; a subterm the substitution leaves unchanged is kept.
+    ``bounds`` maps the ``id`` of a subterm to its free-index bound: one more
+    than the largest de Bruijn index free in it, 0 if it is closed.  A subterm
+    whose bound is at most the depth of the variable cannot hold it, and is
+    kept without a walk; the walk records the bound of each subterm it keeps
+    or builds, so that later steps skip them too.
     """
     occ: list = []
     path = list(prefix)
-    done: list = []  # rebuilt subterms, function before argument
+    done: list = []  # rebuilt subterms and their bounds, function before argument
     # subterm or a mark, binder depth, length of its parent's path, step into it
     todo: list = [(body, 0, len(path), None)]
+    bounds[id(arg)] = 0
     while todo:
         t, depth, at, step = todo.pop()
         if step is _REBUILD:
             if isinstance(t, Lam):
-                b = done.pop()
-                done.append(t if b is t.body else Lam(t.name, b))
+                b, bound = done.pop()
+                if b is not t.body:
+                    t = Lam(t.name, b)
+                if bound:
+                    bound -= 1
             else:
-                a = done.pop()
-                f = done.pop()
-                done.append(t if f is t.fun and a is t.arg else App(f, a))
+                a, bound = done.pop()
+                f, fb = done.pop()
+                if f is not t.fun or a is not t.arg:
+                    t = App(f, a)
+                if fb > bound:
+                    bound = fb
+            bounds[id(t)] = bound
+            done.append((t, bound))
+            continue
+        if isinstance(t, Var):
+            i = t.index
+            if i == depth:
+                del path[at:]
+                if step is not None:
+                    path.append(step)
+                occ.append(tuple(path))
+                done.append((arg, 0))
+            elif i > depth:
+                done.append((Var(i - 1, t.name), i))
+            else:
+                done.append((t, i + 1))
+            continue
+        bound = bounds.get(id(t))
+        if bound is not None and bound <= depth:
+            done.append((t, bound))
             continue
         del path[at:]
         if step is not None:
             path.append(step)
-        if isinstance(t, Var):
-            if t.index == depth:
-                occ.append(tuple(path))
-                done.append(arg)
-            elif t.index > depth:
-                done.append(Var(t.index - 1, t.name))
-            else:
-                done.append(t)
-        elif isinstance(t, Lam):
-            todo.append((t, depth, at, _REBUILD))
+        todo.append((t, depth, at, _REBUILD))
+        if isinstance(t, Lam):
             todo.append((t.body, depth + 1, len(path), BODY))
         else:
             here = len(path)
-            todo.append((t, depth, at, _REBUILD))
             todo.append((t.arg, depth, here, ARG))
             todo.append((t.fun, depth, here, FUN))
-    return done[0], tuple(occ)
+    return done[0][0], tuple(occ)
+
+
+def whnf_steps(t: Term):
+    """The weak head reduction steps from ``t``, one at a time: the one loop
+    that reduces.  Its steps share one table of free-index bounds, keyed by
+    the ``id`` of subterms the steps hold; the loop holds every step it made,
+    so no key outlives its subterm."""
+    bounds: dict = {}
+    held: list = []
+    while isinstance(t, App):
+        spine = []
+        node = t
+        while isinstance(node.fun, App):
+            spine.append(node)
+            node = node.fun
+        if not isinstance(node.fun, Lam):
+            raise NotClosed("head variable reached the top level; term is open")
+        after, occ = _contract(node.fun.body, node.arg, (FUN,) * len(spine), bounds)
+        for app in reversed(spine):
+            after = App(after, app.arg)
+        step = ReductionStep(before=t, after=after, substituted_occurrences=occ)
+        held.append(step)
+        yield step
+        t = after
 
 
 def whnf_step(t: Term) -> Optional[ReductionStep]:
-    if not isinstance(t, App):
-        return None
-    spine = []
-    node = t
-    while isinstance(node.fun, App):
-        spine.append(node)
-        node = node.fun
-    if not isinstance(node.fun, Lam):
-        raise NotClosed("head variable reached the top level; term is open")
-    after, occ = _contract(node.fun.body, node.arg, (FUN,) * len(spine))
-    for app in reversed(spine):
-        after = App(after, app.arg)
-    return ReductionStep(before=t, after=after, substituted_occurrences=occ)
+    return next(whnf_steps(t), None)
 
 
 def whnf_trace(t: Term, fuel: int = DEFAULT_FUEL):
     """Maximal weak head reduction sequence; raises :class:`Diverged` on fuel exhaustion."""
     steps = []
-    current = t
-    for _ in range(fuel):
-        step = whnf_step(current)
-        if step is None:
-            return steps
+    for step in whnf_steps(t):
+        if len(steps) == fuel:
+            raise Diverged(fuel)
         steps.append(step)
-        current = step.after
-    if whnf_step(current) is None:
-        return steps
-    raise Diverged(fuel)
+    return steps

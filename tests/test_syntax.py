@@ -1,6 +1,9 @@
+from itertools import islice, takewhile
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamrun import harness
 from lamrun.syntax import (
     ARG,
     BODY,
@@ -22,6 +25,7 @@ from lamrun.syntax import (
     pretty,
     term_size,
     whnf_step,
+    whnf_steps,
     whnf_trace,
 )
 
@@ -232,12 +236,9 @@ def naive_contract(body, arg, depth, path):
     return App(fun, argument), occ_fun + occ_arg
 
 
-@given(closed_terms())
-@settings(max_examples=150, deadline=None)
-def test_whnf_step_matches_a_recursive_substitution(term):
-    step = whnf_step(term)
-    if step is None:
-        return
+def naive_step(term):
+    """``(after, occurrences)`` of the weak head step from ``term``, by
+    ``naive_contract``."""
     spine = []
     redex = term
     while isinstance(redex.fun, App):
@@ -246,8 +247,41 @@ def test_whnf_step_matches_a_recursive_substitution(term):
     after, occ = naive_contract(redex.fun.body, redex.arg, 0, (FUN,) * len(spine))
     for argument in reversed(spine):
         after = App(after, argument)
-    assert step.after == after
-    assert step.substituted_occurrences == tuple(occ)
+    return after, tuple(occ)
+
+
+def assert_naive(steps):
+    """Each of ``steps`` is the naive step from its ``before``."""
+    for step in steps:
+        assert (step.after, step.substituted_occurrences) == naive_step(step.before)
+
+
+@given(closed_terms())
+@settings(max_examples=150, deadline=None)
+def test_whnf_step_matches_a_recursive_substitution(term):
+    step = whnf_step(term)
+    if step is not None:
+        assert (step.after, step.substituted_occurrences) == naive_step(term)
+
+
+@given(closed_terms())
+@settings(max_examples=150, deadline=None)
+def test_every_reduction_step_matches_a_recursive_substitution(term):
+    """The first 50 steps, or fewer while the term stays small: some of these
+    terms diverge, and some grow at every step."""
+    steps = islice(whnf_steps(term), 50)
+    assert_naive(takewhile(lambda step: term_size(step.before) <= 300, steps))
+
+
+def test_every_whnf_trace_step_matches_on_the_families():
+    """Later steps of a reduction skip subterms by the bounds its earlier steps
+    recorded; on these families they revisit kept and rebuilt subterms."""
+    terms = [harness.family_rkh(k, h) for k in (1, 3, 8) for h in (1, 3, 8)]
+    terms += [parse("(\\f.\\x." + "f (" * n + "x" + ")" * n + ") I I", I_DEFS)
+              for n in (1, 2, 5, 12)]
+    terms += [harness.family_tn(n) for n in (1, 2, 6, 12)]
+    for term in terms:
+        assert_naive(whnf_trace(term))
 
 
 def test_term_size(running_example):
