@@ -108,8 +108,11 @@ def _gen_term(rng: random.Random, budget: int, depth: int) -> Term:
 def probe_normalizes(term: Term) -> bool:
     """Probe: head-normalizes quickly, without size blowup, and the slowest
     machine completes; keeps every downstream run within test budgets."""
+    size = term_size(term)
     for count, step in enumerate(whnf_steps(term), 1):
-        if count == PROBE_WHNF_FUEL or term_size(step.after) > PROBE_SIZE_CAP:
+        k = len(step.substituted_occurrences)  # the redex and k variables go, k copies come
+        size += (k - 1) * term_size(step.arg) - k - 2
+        if count == PROBE_WHNF_FUEL or size > PROBE_SIZE_CAP:
             return False
     report = liam.run(term, PROBE_IAM_FUEL, allow_fuel=True)
     return report.outcome == "final"

@@ -13,11 +13,13 @@ the domain order of the new abstraction is exactly the axiom order.
 
 The expansion builds the derivation's own judgements, with ``subject`` None
 while it runs, as a step moves subderivations to new places.  A step touches
-only what it changes.  The copies of ``w`` are found by following their paths,
-relative to the head, as a trie; only the judgements on those paths are
-rebuilt, the cut subderivations move into the new application as they are, and
-the new redex replaces the head on its spine in place, since no judgement is
-shared (``validate`` checks that).  Each judgement's ``subject``, the node of
+only what it changes.  The derivation's left spine is a list, root first, so
+the judgement of the contracted head is the entry at the step's spine depth.
+The copies of ``w`` are found by following their paths, relative to the head,
+as a trie; only the judgements on those paths are rebuilt, the cut
+subderivations move into the new application as they are, and the new redex
+replaces the head on its spine in place, since no judgement is shared
+(``validate`` checks that).  Each judgement's ``subject``, the node of
 ``t``'s ``TermIndex`` it types, is then set once, by a final pass that walks
 the index alongside the derivation.
 
@@ -334,24 +336,19 @@ def _cut(head, trie) -> tuple:
     return done[0], cut
 
 
-def _expand(step, deriv):
-    """Undo one weak head step on the derivation of ``step.after``, whose
-    judgements have no subject yet: the new redex replaces the head in place."""
-    node = step.before
-    h = 0
-    while isinstance(node.fun, App):
-        node = node.fun
-        h += 1
-    above, head = None, deriv  # ``head`` is the left premise of ``above``
-    for _ in range(h):
-        if not isinstance(head, DApp):
-            raise ExpansionMismatch("derivation spine shorter than the redex spine")
-        above, head = head, head.left
+def _expand(step, spine: list) -> None:
+    """Undo one weak head step on the derivation of its result, whose left
+    spine, root first, is ``spine`` and whose judgements have no subject yet:
+    the new redex replaces the head, ``spine[step.depth]``, in place."""
+    depth = step.depth
+    if depth >= len(spine):
+        raise ExpansionMismatch("derivation spine shorter than the redex spine")
+    head = spine[depth]
     if step.substituted_occurrences:
         trie: dict = {}
         for occ in step.substituted_occurrences:
             sub = trie
-            for s in occ[h:]:
+            for s in occ:
                 sub = sub.setdefault(s, {})
         body, cut = _cut(head, trie)
     else:
@@ -359,10 +356,9 @@ def _expand(step, deriv):
     domain = tuple(d.rh_type for d in cut)
     lam = DLam(None, domain, body, Arrow(domain, head.rh_type))
     redex = DApp(None, lam, tuple(cut), head.rh_type)
-    if above is None:
-        return redex
-    above.left = redex
-    return deriv
+    if depth:
+        spine[depth - 1].left = redex
+    spine[depth:] = (redex, lam)
 
 
 def _place(root, top: Node) -> Derivation:
@@ -381,12 +377,12 @@ def _place(root, top: Node) -> Derivation:
 
 
 def _build(steps: list):
-    """Derivation of ``steps[0].before : ★``, without subjects, undoing the
-    weak head reduction ``steps`` from its end; empties ``steps``."""
-    deriv = DLamStar(None)
+    """Derivation, without subjects, of the term that the weak head reduction
+    ``steps`` starts from, undoing ``steps`` from its end; empties ``steps``."""
+    spine: list = [DLamStar(None)]  # the derivation's left spine, root first
     while steps:  # popping releases each step's terms once it is undone
-        deriv = _expand(steps.pop(), deriv)
-    return deriv
+        _expand(steps.pop(), spine)
+    return spine[0]
 
 
 def star_derivation(index: TermIndex, steps: list) -> Derivation:

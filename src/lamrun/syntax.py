@@ -379,17 +379,19 @@ class TermIndex:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    before: Term
-    after: Term
-    substituted_occurrences: tuple  # paths in `after` holding copies of the argument
+    """One β step at the head: the redex is applied to ``depth`` more arguments."""
+    depth: int
+    head: Term  # the contracted redex
+    arg: Term  # the substituted argument
+    substituted_occurrences: tuple  # paths in ``head`` holding copies of ``arg``
 
 
 _REBUILD = object()  # work-list mark: reassemble a subterm from its new children
 
 
-def _contract(body: Term, arg: Term, prefix: Path, bounds: dict):
+def _contract(body: Term, arg: Term, bounds: dict):
     """``body`` with closed ``arg`` substituted for the variable bound just
-    outside it, and the paths, under ``prefix``, of the copies of ``arg``.
+    outside it, and the paths in the result of the copies of ``arg``.
 
     One iterative walk does both.  Its path is one list, copied into a tuple
     only at an occurrence; a subterm the substitution leaves unchanged is kept.
@@ -400,10 +402,10 @@ def _contract(body: Term, arg: Term, prefix: Path, bounds: dict):
     or builds, so that later steps skip them too.
     """
     occ: list = []
-    path = list(prefix)
+    path: list = []
     done: list = []  # rebuilt subterms and their bounds, function before argument
     # subterm or a mark, binder depth, length of its parent's path, step into it
-    todo: list = [(body, 0, len(path), None)]
+    todo: list = [(body, 0, 0, None)]
     bounds[id(arg)] = 0
     while todo:
         t, depth, at, step = todo.pop()
@@ -456,30 +458,26 @@ def _contract(body: Term, arg: Term, prefix: Path, bounds: dict):
 
 def whnf_steps(t: Term):
     """The weak head reduction steps from ``t``, one at a time: the one loop
-    that reduces.  Its steps share one table of free-index bounds, keyed by
-    the ``id`` of subterms the steps hold; the loop holds every step it made,
-    so no key outlives its subterm."""
+    that reduces.  The arguments of the head spine wait on a stack, the
+    innermost on top; a step pops one and contracts the redex alone, so it
+    costs nothing per argument left on the spine.  The steps share one table
+    of free-index bounds, keyed by the ``id`` of subterms the steps hold; the
+    loop holds every step it made, so no key outlives its subterm."""
     bounds: dict = {}
     held: list = []
-    while isinstance(t, App):
-        spine = []
-        node = t
-        while isinstance(node.fun, App):
-            spine.append(node)
-            node = node.fun
-        if not isinstance(node.fun, Lam):
+    args: list = []
+    while True:
+        while isinstance(t, App):
+            args.append(t.arg)
+            t = t.fun
+        if not args:
+            return
+        if not isinstance(t, Lam):
             raise NotClosed("head variable reached the top level; term is open")
-        after, occ = _contract(node.fun.body, node.arg, (FUN,) * len(spine), bounds)
-        for app in reversed(spine):
-            after = App(after, app.arg)
-        step = ReductionStep(before=t, after=after, substituted_occurrences=occ)
-        held.append(step)
-        yield step
-        t = after
-
-
-def whnf_step(t: Term) -> Optional[ReductionStep]:
-    return next(whnf_steps(t), None)
+        arg = args.pop()
+        t, occ = _contract(t.body, arg, bounds)
+        held.append(ReductionStep(len(args), t, arg, occ))
+        yield held[-1]
 
 
 def whnf_trace(t: Term, fuel: int = DEFAULT_FUEL):

@@ -35,6 +35,26 @@ def resolve(root, path):
     return t, level
 
 
+def replay(term, steps):
+    """``(step, before, after)`` for each of ``steps``, the weak head reduction
+    of ``term``: the whole terms a step reduces, rebuilt on an argument stack
+    of this helper's own, innermost argument on top."""
+    args: list = []
+    head = term
+    for step in steps:
+        while isinstance(head, App):
+            args.append(head.arg)
+            head = head.fun
+        arg = args.pop()
+        assert step.depth == len(args) and step.arg is arg
+        before = App(head, arg)
+        after = step.head
+        for a in reversed(args):
+            before, after = App(before, a), App(after, a)
+        yield step, before, after
+        head = step.head
+
+
 def skeleton(term):
     """Name-erased shape; equal skeletons mean alpha-equivalent terms."""
     if isinstance(term, Var):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import lamrun
 from lamrun import kam, liam, multitypes as mt
-from lamrun.syntax import Diverged, Node, TermIndex, Var, parse
+from lamrun.syntax import Diverged, Node, TermIndex, Var, parse, whnf_trace
 from lamrun.multitypes import (
     STAR,
     Arrow,
@@ -127,6 +127,15 @@ def test_duplication_derivation(duplication_example):
     # head arguments are closed, so every cut subderivation carries no environment
     for right in d.rights:
         assert mt.DerivationIndex(right, right.subject.term).free == []
+
+
+def test_a_redex_below_the_derivation_spine_is_a_mismatch(running_example):
+    """The last step is undone on the normal form's one-judgement spine; a
+    hand-made redex one argument deeper has no judgement to expand."""
+    steps = whnf_trace(running_example, 10)
+    steps[-1] = replace(steps[-1], depth=1)
+    with pytest.raises(mt.ExpansionMismatch):
+        mt.star_derivation(TermIndex(running_example), steps)
 
 
 def test_typability_iff_termination(omega, corpus):

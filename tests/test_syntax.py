@@ -24,12 +24,11 @@ from lamrun.syntax import (
     path_str,
     pretty,
     term_size,
-    whnf_step,
     whnf_steps,
     whnf_trace,
 )
 
-from conftest import canonical_pretty, resolve, skeleton
+from conftest import canonical_pretty, replay, resolve, skeleton
 
 I_DEFS = {"I": "\\z.z"}
 
@@ -152,9 +151,11 @@ def test_whnf_of_abstraction():
 
 
 def test_whnf_running_example(running_example):
-    steps = whnf_trace(running_example, 100)
+    steps = list(replay(running_example, whnf_trace(running_example, 100)))
     assert len(steps) == 3
-    assert isinstance(steps[-1].after, Lam)
+    last, _, after = steps[-1]
+    assert isinstance(after, Lam)
+    assert last.depth == 0 and last.head is after
 
 
 def test_whnf_diverges_on_omega(omega):
@@ -164,15 +165,12 @@ def test_whnf_diverges_on_omega(omega):
 
 def test_substituted_occurrences_are_argument_copies(running_example, duplication_example):
     for term in (running_example, duplication_example):
-        for step in whnf_trace(term, 100):
-            arg = step.before
-            h = 0
-            while isinstance(arg.fun, App):
-                arg = arg.fun
-                h += 1
-            argument = arg.arg
+        for step, before, after in replay(term, whnf_trace(term, 100)):
+            redex = before
+            for _ in range(step.depth):
+                redex = redex.fun
             for occ in step.substituted_occurrences:
-                assert resolve(step.after, occ)[0] == argument
+                assert resolve(after, (FUN,) * step.depth + occ)[0] == redex.arg
 
 
 def test_duplication_substitutes_two_copies(duplication_example):
@@ -250,18 +248,20 @@ def naive_step(term):
     return after, tuple(occ)
 
 
-def assert_naive(steps):
-    """Each of ``steps`` is the naive step from its ``before``."""
-    for step in steps:
-        assert (step.after, step.substituted_occurrences) == naive_step(step.before)
+def assert_naive(replayed):
+    """Each step of ``replayed``, ``(step, before, after)`` as ``replay``
+    yields them, is the naive step from its ``before``."""
+    for step, before, after in replayed:
+        occurrences = tuple((FUN,) * step.depth + occ for occ in step.substituted_occurrences)
+        assert (after, occurrences) == naive_step(before)
 
 
 @given(closed_terms())
 @settings(max_examples=150, deadline=None)
 def test_whnf_step_matches_a_recursive_substitution(term):
-    step = whnf_step(term)
+    step = next(whnf_steps(term), None)
     if step is not None:
-        assert (step.after, step.substituted_occurrences) == naive_step(term)
+        assert_naive(replay(term, [step]))
 
 
 @given(closed_terms())
@@ -269,8 +269,8 @@ def test_whnf_step_matches_a_recursive_substitution(term):
 def test_every_reduction_step_matches_a_recursive_substitution(term):
     """The first 50 steps, or fewer while the term stays small: some of these
     terms diverge, and some grow at every step."""
-    steps = islice(whnf_steps(term), 50)
-    assert_naive(takewhile(lambda step: term_size(step.before) <= 300, steps))
+    steps = islice(replay(term, whnf_steps(term)), 50)
+    assert_naive(takewhile(lambda replayed: term_size(replayed[1]) <= 300, steps))
 
 
 def test_every_whnf_trace_step_matches_on_the_families():
@@ -281,7 +281,42 @@ def test_every_whnf_trace_step_matches_on_the_families():
               for n in (1, 2, 5, 12)]
     terms += [harness.family_tn(n) for n in (1, 2, 6, 12)]
     for term in terms:
-        assert_naive(whnf_trace(term))
+        steps = whnf_trace(term)
+        replayed = list(replay(term, steps))
+        assert_naive(replayed)
+        assert_size_identity(replayed)
+        if steps:
+            assert steps[-1].depth == 0 and isinstance(steps[-1].head, Lam)
+
+
+def assert_size_identity(replayed):
+    """Each step changes the term's size by (k-1)·|arg| - k - 2 for k copies
+    of its argument ``arg``: the count ``harness.probe_normalizes`` keeps."""
+    for step, before, after in replayed:
+        k = len(step.substituted_occurrences)
+        assert (k - 1) * term_size(step.arg) - k - 2 == term_size(after) - term_size(before)
+
+
+def test_size_identity_on_the_corpus_candidates(monkeypatch):
+    """On every candidate ``gen_corpus(42, 200, 40)`` probes, over the steps the
+    probe reads."""
+    probed = []
+    probe = harness.probe_normalizes
+
+    def recording_probe(term):
+        probed.append(term)
+        return probe(term)
+
+    monkeypatch.setattr(harness, "probe_normalizes", recording_probe)
+    harness.gen_corpus(42, 200, 40)
+    largest = 0
+    for term in probed:
+        steps = islice(replay(term, whnf_steps(term)), harness.PROBE_WHNF_FUEL)
+        steps = list(takewhile(
+            lambda replayed: term_size(replayed[1]) <= harness.PROBE_SIZE_CAP, steps))
+        assert_size_identity(steps)
+        largest = max([largest] + [term_size(after) for _, _, after in steps])
+    assert largest > harness.PROBE_SIZE_CAP  # a step the size cap rejects is checked too
 
 
 def test_term_size(running_example):
