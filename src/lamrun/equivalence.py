@@ -326,31 +326,29 @@ def check_weights(term: Term, fuel: int) -> dict:
     return details
 
 
+@checker("quadratic")
+def check_quadratic(term: Term, fuel: int) -> dict:
+    """Pointwise |K| <= |J| <= |K| + vars(J)^2 * |t| on one term."""
+    j, k = ljam.run(term, fuel), kam.run(term, fuel)
+    size, vars_j = term_size(term), j.per_label.get("var", 0)
+    if not (k.length <= j.length <= k.length + vars_j * vars_j * size):
+        raise CheckFailed(kam=k.length, jam=j.length, vars=vars_j, size=size)
+    return {}
+
+
 def check_quadratic_bound(terms, fuel: int = DEFAULT_FUEL) -> CheckReport:
-    """Pointwise |K| <= |J| <= |K| + vars(J)^2 * |t| over a corpus; a stuck machine
-    fails it, and a term that runs out of fuel makes it inconclusive."""
-    name = "quadratic"
-    checked = skipped = 0
+    """``check_quadratic`` over a list of terms: the first failing term's report,
+    else how many terms it checked, inconclusive if any of them ran out of fuel."""
+    skipped = 0
     for term in terms:
-        try:
-            j = ljam.run(term, fuel)
-            k = kam.run(term, fuel)
-        except FuelExhausted:
-            skipped += 1
-            continue
-        except StuckError as exc:
-            return CheckReport(name, False, {"term": pretty(term), "stuck": str(exc)})
-        size = term_size(term)
-        vars_j = j.per_label.get("var", 0)
-        if not (k.length <= j.length <= k.length + vars_j * vars_j * size):
-            return CheckReport(name, False, {
-                "term": pretty(term), "kam": k.length, "jam": j.length,
-                "vars": vars_j, "size": size})
-        checked += 1
-    details = {"checked": checked}
+        report = check_quadratic(term, fuel)
+        if not report.passed:
+            return report
+        skipped += report.inconclusive
+    details = {"checked": len(terms) - skipped}
     if skipped:
-        details["reason"] = f"fuel {fuel} exhausted on {skipped} of {checked + skipped} terms"
-    return CheckReport(name, True, details, inconclusive=skipped > 0)
+        details["reason"] = f"fuel {fuel} exhausted on {skipped} of {len(terms)} terms"
+    return CheckReport("quadratic", True, details, inconclusive=skipped > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ are linear in the number of judgements.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Union
@@ -77,6 +79,10 @@ class Arrow:
 
     def __post_init__(self):
         object.__setattr__(self, "stars", star_norm(self.domain) + star_norm(self.target))
+
+    @functools.cached_property
+    def starts(self) -> tuple:  # each domain entry's first ★'s number; only the SIAM reads it
+        return tuple(itertools.accumulate(map(star_norm, self.domain[:-1]), initial=0))
 
 
 LinearType = Union[Star, Arrow]

@@ -1,14 +1,16 @@
 """Sequence-type interaction machine: walks a fixed ``t : ★`` derivation.
 
-A state is a judgement occurrence plus a type path isolating one ★ occurrence
-in its right-hand type, with a direction: ``up`` moves toward the premises,
-``down`` toward the conclusion.  Derivations are upside-down with respect to
-terms, so ``up`` here corresponds to the interaction machine's down phase.
-The run is a Hamiltonian path over ★ occurrences: single initial state,
-bi-determinism, and acyclicity leave no other option.
+A state is a judgement occurrence, the number of one ★ occurrence in its
+right-hand type counted from the left, and a direction: ``up`` moves toward
+the premises, ``down`` toward the conclusion.  The type path to that ★ is
+decoded only where a trace prints it.  Derivations are upside-down with
+respect to terms, so ``up`` here corresponds to the interaction machine's
+down phase.  The run is a Hamiltonian path over ★ occurrences: single
+initial state, bi-determinism, and acyclicity leave no other option.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,29 +29,40 @@ TARGET = 0  # type-path step into an arrow target; positive i enters domain entr
 @dataclass(slots=True, eq=False)
 class SiamState(NodeState):
     node: Derivation
-    tpath: tuple
+    star: int  # the ★'s number in ``node.rh_type``
     dir: str
 
     focus = property(lambda s: s.node.subject)  # the judgement's subject
 
 
-def resolve_tpath(ty, tpath):
-    """The type that ``tpath`` leads to in ``ty``; None when it leads out of ``ty``."""
-    for step in tpath:
-        if isinstance(ty, Star) or step > len(ty.domain):
-            return None
+def push(ty, step, k: int) -> int:
+    """The number in ``ty`` of ★ ``k`` of the entry that ``step`` enters."""
+    return (ty.stars - mt.star_norm(ty.target) if step == TARGET else ty.starts[step - 1]) + k
+
+
+def pop(ty, k: int) -> tuple:
+    """The step into the entry of the arrow ``ty`` holding its ★ ``k``, and ``k`` there."""
+    offset = ty.stars - mt.star_norm(ty.target)
+    if k >= offset:
+        return TARGET, k - offset
+    i = bisect_right(ty.starts, k)
+    return i, k - ty.starts[i - 1]
+
+
+def tpath_str(ty, k: int) -> str:
+    """The type path to ★ ``k`` of ``ty``, written for a trace."""
+    steps = []
+    while not isinstance(ty, Star):
+        step, k = pop(ty, k)
+        steps.append("T" if step == TARGET else f"E{step}")
         ty = ty.target if step == TARGET else ty.domain[step - 1]
-    return ty
-
-
-def tpath_str(tpath) -> str:
-    return "/".join("T" if s == TARGET else f"E{s}" for s in tpath) or "·"
+    return "/".join(steps) or "·"
 
 
 def initial(index: DerivationIndex) -> SiamState:
     if not isinstance(index.deriv.rh_type, Star):
         raise NotStarDerivationError("the machine starts on a derivation of type ★")
-    return SiamState(index.deriv, (), TO_LEAVES)
+    return SiamState(index.deriv, 0, TO_LEAVES)
 
 
 class NotStarDerivationError(Exception):
@@ -60,45 +73,40 @@ def step(index: DerivationIndex, s: SiamState):
     n = s.node
     if s.dir == TO_LEAVES:
         if isinstance(n, DApp):
-            return Next("p1", SiamState(n.left, (TARGET,) + s.tpath, TO_LEAVES))
+            return Next("p1", SiamState(n.left, push(n.left.rh_type, TARGET, s.star), TO_LEAVES))
         if isinstance(n, DLam):
-            if s.tpath and s.tpath[0] == TARGET:
-                return Next("p2", SiamState(n.body, s.tpath[1:], TO_LEAVES))
-            if s.tpath:
-                i = s.tpath[0]
-                axiom = index.axioms[n][i - 1]
-                return Next("bt2", SiamState(axiom, s.tpath[1:], TO_ROOT))
-            return Stuck("leafward state at an abstraction with an empty type path")
+            i, k = pop(n.rh_type, s.star)
+            if i == TARGET:
+                return Next("p2", SiamState(n.body, k, TO_LEAVES))
+            return Next("bt2", SiamState(index.axioms[n][i - 1], k, TO_ROOT))
         if isinstance(n, DVar):
             binder, i = index.binder[n]
-            return Next("var", SiamState(binder, (i,) + s.tpath, TO_ROOT))
-        if s.tpath:
-            return Stuck("star abstraction with a non-empty type path")
+            return Next("var", SiamState(binder, push(binder.rh_type, i, s.star), TO_ROOT))
+        if s.star:
+            return Stuck("star abstraction with a ★ number other than 0")
         return FINAL
     info = index.parent.get(n)
     if info is None:
         return Stuck("rootward state at the final judgement")
     parent, (slot, i) = info
     if slot == "body":
-        return Next("p4", SiamState(parent, (TARGET,) + s.tpath, TO_ROOT))
+        return Next("p4", SiamState(parent, push(parent.rh_type, TARGET, s.star), TO_ROOT))
     if slot == "left":
-        if s.tpath and s.tpath[0] == TARGET:
-            return Next("p3", SiamState(parent, s.tpath[1:], TO_ROOT))
-        if s.tpath:
-            j = s.tpath[0]
-            return Next("arg", SiamState(parent.rights[j - 1], s.tpath[1:], TO_LEAVES))
-        return Stuck("rootward state at a left premise with an empty type path")
-    return Next("bt1", SiamState(parent.left, (i,) + s.tpath, TO_LEAVES))
+        j, k = pop(n.rh_type, s.star)
+        if j == TARGET:
+            return Next("p3", SiamState(parent, k, TO_ROOT))
+        return Next("arg", SiamState(parent.rights[j - 1], k, TO_LEAVES))
+    return Next("bt1", SiamState(parent.left, push(parent.left.rh_type, i, s.star), TO_LEAVES))
 
 
 def step_back(index: DerivationIndex, s: SiamState):
     """Inverse transition: the dual of the step from the flipped state; None
     exactly on the initial state."""
-    r = step(index, SiamState(s.node, s.tpath, FLIP[s.dir]))
+    r = step(index, SiamState(s.node, s.star, FLIP[s.dir]))
     if not isinstance(r, Next):
         return None
     b = r.state
-    return DUAL[r.label], SiamState(b.node, b.tpath, FLIP[b.dir])
+    return DUAL[r.label], SiamState(b.node, b.star, FLIP[b.dir])
 
 
 def observable(s: SiamState):
@@ -108,21 +116,21 @@ def observable(s: SiamState):
 
 def snapshot(index: DerivationIndex, s: SiamState, enc) -> str:
     """The state is a place in the derivation: no items for ``enc`` to write."""
-    return f'{{"node": {index.ordinal[s.node]}, "tpath": {json_text(tpath_str(s.tpath))}}}'
+    tpath = json_text(tpath_str(s.node.rh_type, s.star))
+    return f'{{"node": {index.ordinal[s.node]}, "tpath": {tpath}}}'
 
 
 def check_invariants(index: DerivationIndex, label, s: SiamState, per_label: dict, ctx: dict):
-    """The type path isolates a ★, and the machine is bi-deterministic: the
-    inverse step from each reached state gives back the transition and the
+    """The ★ number names a ★ of the type, and the machine is bi-deterministic:
+    the inverse step from each reached state gives back the transition and the
     occurrence and direction of the state before it."""
-    ty = resolve_tpath(s.node.rh_type, s.tpath)
-    assert isinstance(ty, Star), "type path does not isolate a ★ occurrence"
+    assert 0 <= s.star < mt.star_norm(s.node.rh_type), "★ number outside the type's ★s"
     if label is not None:
         back = step_back(index, s)
         assert back is not None, "reached state has no predecessor"
         blabel, bstate = back
         prev = ctx["prev"]
-        assert (blabel == label and bstate.node is prev.node and bstate.tpath == prev.tpath
+        assert (blabel == label and bstate.node is prev.node and bstate.star == prev.star
                 and bstate.dir == prev.dir), "inverse step disagrees"
     ctx["prev"] = s
 
@@ -130,7 +138,7 @@ def check_invariants(index: DerivationIndex, label, s: SiamState, per_label: dic
 @dataclass
 class CoverageReport:
     stars: int
-    visited: int  # distinct (judgement, type path) occurrences reached
+    visited: int  # distinct (judgement, ★ number) occurrences reached
     length: int
 
     repeated = property(lambda c: c.length + 1 - c.visited)  # of the states reached, repeats
@@ -146,15 +154,12 @@ def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL, sink: Option
     index = DerivationIndex(deriv, subject)
     seen: set = set()  # judgements hash by identity
     report = reporting.run(MACHINE, index, fuel, sink, allow_fuel=allow_fuel,
-                           check=lambda s, per_label: seen.add((s.node, s.tpath)))
+                           check=lambda s, per_label: seen.add((s.node, s.star)))
     return report, CoverageReport(mt.star_count(deriv), len(seen), report.length)
 
 
-NO_TOKEN = (0, 0, 0)
-
-
 def state_footprint(s: SiamState, reach) -> tuple:
-    return NO_TOKEN  # the state is a position in the derivation: no token
+    return (0, 0, 0)  # the state is a position in the derivation: no token
 
 
 MACHINE = Machine(

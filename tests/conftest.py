@@ -55,6 +55,19 @@ def replay(term, steps):
         head = step.head
 
 
+def identity_chain(depth: int) -> str:
+    """``(λx.x) ((λx.x) (… (λz.z)))`` with ``depth`` applied identities."""
+    text = "\\z.z"
+    for _ in range(depth):
+        text = f"(\\x.x) ({text})"
+    return text
+
+
+def church_ii(n):
+    """``c_n I I``: the Church numeral ``n`` applied to two identities."""
+    return parse("(\\f.\\x." + "f (" * n + "x" + ")" * n + ") I I", DEFS)
+
+
 def skeleton(term):
     """Name-erased shape; equal skeletons mean alpha-equivalent terms."""
     if isinstance(term, Var):

@@ -43,7 +43,7 @@ def test_criterion_2_siam_visit_order(running_example):
         deriv = mt.infer_star_derivation(running_example, 100)
         dindex = siam.DerivationIndex(deriv, running_example)
         rows = [
-            ("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir)
+            ("/".join(s.node.term_pos), siam.tpath_str(s.node.rh_type, s.star), s.dir)
             for _, s, _ in trajectory(siam.MACHINE, dindex, 100)
         ]
         assert rows == siam_tests.EXPECTED_RUNNING_ORDER

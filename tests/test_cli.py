@@ -14,6 +14,8 @@ from lamrun.cli import main
 from lamrun.reporting import FuelExhausted, Stuck
 from lamrun.syntax import TermIndex, parse
 
+from conftest import identity_chain
+
 DEFS = "I = \\z.z;\n"
 
 
@@ -220,14 +222,6 @@ def test_run_writes_out_file(tmp_path, capsys, defs_file):
                  "--defs", defs_file, "--fuel", "100", "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 6  # init + 4 transitions + report
-
-
-def identity_chain(depth: int) -> str:
-    """``(λx.x) ((λx.x) (… (λz.z)))`` with ``depth`` applied identities."""
-    text = "\\z.z"
-    for _ in range(depth):
-        text = f"(\\x.x) ({text})"
-    return text
 
 
 def test_parse_deep_identity_chain(capsys):

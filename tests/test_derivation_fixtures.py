@@ -22,18 +22,11 @@ from lamrun import harness
 from lamrun.cli import main
 from lamrun.syntax import pretty
 
-from conftest import canonical_pretty
+from conftest import canonical_pretty, identity_chain
 
 FIXTURES = Path(__file__).parent / "fixtures" / "derivations"
 FLAGS = ("--weights", "--print-derivation", "--json")
 I = "(\\z.z)"
-
-
-def identity_chain(depth: int) -> str:
-    text = "\\z.z"
-    for _ in range(depth):
-        text = f"(\\x.x) ({text})"
-    return text
 
 
 TERMS = {

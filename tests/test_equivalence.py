@@ -214,10 +214,9 @@ def test_siam_invariants_reject_a_type_path_without_a_star(running_example):
     dindex = siam.DerivationIndex(mt.infer_star_derivation(running_example, 1000),
                                   running_example)
     left = dindex.deriv.left  # its type is an arrow
-    for node, tpath in ((left, ()), (dindex.deriv, (siam.TARGET,)),
-                        (left, (len(left.rh_type.domain) + 1,))):
-        s = siam.SiamState(node, tpath, siam.TO_LEAVES)  # an arrow, or out of the type
-        with pytest.raises(AssertionError, match="type path does not isolate a ★ occurrence"):
+    for node, star in ((left, -1), (dindex.deriv, 1), (left, left.rh_type.stars)):
+        s = siam.SiamState(node, star, siam.TO_LEAVES)  # a number past the type's ★s
+        with pytest.raises(AssertionError, match="★ number outside the type's ★s"):
             siam.check_invariants(dindex, None, s, {}, {})
 
 

@@ -9,9 +9,9 @@ from dataclasses import replace
 import pytest
 
 from lamrun import harness, reporting, tokens as tk
-from lamrun.syntax import TermIndex, parse
+from lamrun.syntax import TermIndex
 
-from conftest import reference_cells
+from conftest import church_ii, reference_cells
 
 
 def scan(xs):
@@ -31,10 +31,6 @@ def reference_footprint(name, s):
 
 
 TOKEN_MACHINES = ("iam", "jam", "pam", "kam", "ham-j", "ham-k")
-
-
-def church_ii(n):
-    return parse("(\\f.\\x." + "f (" * n + "x" + ")" * n + ") I I", {"I": "\\z.z"})
 
 
 def assert_exact(term, trace=False):

@@ -276,7 +276,8 @@ def test_siam_duplication_trace(duplication_example):
     deriv = mt.infer_star_derivation(duplication_example, 100)
     dindex = siam.DerivationIndex(deriv, duplication_example)
     states = [s for _, s, _ in trajectory(siam.MACHINE, dindex, 100)]
-    rows = [("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir) for s in states]
+    rows = [("/".join(s.node.term_pos), siam.tpath_str(s.node.rh_type, s.star), s.dir)
+            for s in states]
     expected = [
         ("", "·", "up"),
         ("Fun", "T", "up"),

@@ -1,8 +1,10 @@
 import pytest
 
-from lamrun import liam, multitypes as mt, siam
+from lamrun import harness, liam, multitypes as mt, siam
 from lamrun.reporting import Next, trajectory
 from lamrun.syntax import TermIndex, parse, whnf_trace
+
+from conftest import church_ii
 
 
 def test_identity_initial_is_final():
@@ -49,7 +51,7 @@ def test_visits_every_star_once_in_order(running_example):
     deriv = mt.infer_star_derivation(running_example, 10)
     dindex = siam.DerivationIndex(deriv, running_example)
     rows = [
-        ("/".join(s.node.term_pos), siam.tpath_str(s.tpath), s.dir)
+        ("/".join(s.node.term_pos), siam.tpath_str(s.node.rh_type, s.star), s.dir)
         for _, s, _ in trajectory(siam.MACHINE, dindex, 100)
     ]
     assert rows == EXPECTED_RUNNING_ORDER
@@ -94,7 +96,7 @@ def test_bideterminism(running_example, duplication_example, corpus):
                 assert back is not None
                 blabel, bstate = back
                 assert blabel == label
-                assert bstate.node is prev.node and bstate.tpath == prev.tpath
+                assert bstate.node is prev.node and bstate.star == prev.star
                 assert bstate.dir == prev.dir
                 fwd = siam.step(dindex, bstate)
                 assert isinstance(fwd, Next) and fwd.state.node is state.node
@@ -103,8 +105,8 @@ def test_bideterminism(running_example, duplication_example, corpus):
 
 
 def test_var_bt2_roundtrip(running_example, duplication_example):
-    # the binder-axiom index round-trips: var targets entry i of the domain,
-    # and entry i of the domain sends bt2 back to axiom i
+    # the binder-axiom index round-trips: var from each ★ of an axiom's type
+    # targets entry i of the binder's domain, and bt2 from there comes back
     for term in (running_example, duplication_example):
         deriv = mt.infer_star_derivation(term, 10)
         dindex = siam.DerivationIndex(deriv, term)
@@ -112,12 +114,14 @@ def test_var_bt2_roundtrip(running_example, duplication_example):
             if not isinstance(node, mt.DVar):
                 continue
             binder, i = dindex.binder[node]
-            after_var = siam.step(dindex, siam.SiamState(node, (), siam.TO_LEAVES))
-            assert after_var.label == "var"
-            assert after_var.state.node is binder and after_var.state.tpath == (i,)
-            after_bt2 = siam.step(dindex, siam.SiamState(binder, (i,), siam.TO_LEAVES))
-            assert after_bt2.label == "bt2"
-            assert after_bt2.state.node is node and after_bt2.state.tpath == ()
+            for k in range(mt.star_norm(node.rh_type)):
+                after_var = siam.step(dindex, siam.SiamState(node, k, siam.TO_LEAVES))
+                assert after_var.label == "var"
+                star = siam.push(binder.rh_type, i, k)
+                assert after_var.state.node is binder and after_var.state.star == star
+                after_bt2 = siam.step(dindex, siam.SiamState(binder, star, siam.TO_LEAVES))
+                assert after_bt2.label == "bt2"
+                assert after_bt2.state.node is node and after_bt2.state.star == k
 
 
 def test_no_state_repeats(corpus):
@@ -127,3 +131,31 @@ def test_no_state_repeats(corpus):
         assert coverage.repeated == 0
         assert coverage.visited == coverage.stars
         assert coverage.length == coverage.stars - 1
+
+
+def star_paths(ty, prefix=()):
+    """The type paths to the ★s of ``ty``, enumerated recursively from the left."""
+    if isinstance(ty, mt.Star):
+        return ["/".join(prefix) or "·"]
+    paths = []
+    for i, entry in enumerate(ty.domain, 1):
+        paths += star_paths(entry, prefix + (f"E{i}",))
+    return paths + star_paths(ty.target, prefix + ("T",))
+
+
+def test_star_numbering_matches_a_recursive_enumeration(corpus):
+    terms = corpus + [harness.family_rkh(3, 3), church_ii(5),
+                      parse("two two I I", {"I": "\\z.z", "two": "\\f.\\x.f (f x)"})]
+    types = {n.rh_type for t in terms for n in mt.iter_nodes(mt.infer_star_derivation(t, 10**6))}
+    arrows = [ty for ty in types if isinstance(ty, mt.Arrow)]
+    assert len(arrows) >= 90 and max(len(ty.domain) for ty in arrows) >= 3
+    for ty in types:
+        paths = star_paths(ty)
+        assert len(paths) == mt.star_norm(ty)
+        assert [siam.tpath_str(ty, k) for k in range(len(paths))] == paths
+        if isinstance(ty, mt.Star):
+            continue
+        entries = [(siam.TARGET, ty.target)] + list(enumerate(ty.domain, 1))
+        for step, entry in entries:
+            for k in range(mt.star_norm(entry)):
+                assert siam.pop(ty, siam.push(ty, step, k)) == (step, k)

@@ -19,7 +19,7 @@ from lamrun import harness, ham, liam, multitypes as mt, reporting, siam, tokens
 from lamrun.reporting import Next
 from lamrun.syntax import TermIndex, parse, path_str, pretty
 
-from conftest import resolve, traced
+from conftest import church_ii, resolve, traced
 
 DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
 FUEL = 10**6
@@ -79,7 +79,7 @@ TOKEN = {
     "ham-j": ham_token("j"),
     "ham-k": ham_token("k"),
     "siam": lambda index, s: {"node": index.ordinal[s.node],
-                              "tpath": siam.tpath_str(s.tpath)},
+                              "tpath": siam.tpath_str(s.node.rh_type, s.star)},
 }
 
 
@@ -117,10 +117,6 @@ def traced_lines(name, term):
 
 # ---------------------------------------------------------------------------
 # Inputs
-
-
-def church_ii(n):
-    return parse("(\\f.\\x." + "f (" * n + "x" + ")" * n + ") I I", DEFS)
 
 
 FAMILIES = (
