@@ -58,19 +58,19 @@ class Diverged(LamError):
         self.fuel = fuel
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     index: int
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lam:
     name: str
     body: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App:
     fun: "Term"
     arg: "Term"
@@ -87,8 +87,8 @@ _TOKEN_RE = re.compile(r"[\\λ.()]|[A-Za-z][A-Za-z0-9_']*")
 # a character no token holds: neither space nor a token's, or an identifier's
 # non-initial character that does not follow an identifier character
 _BAD_CHAR_RE = re.compile(r"[^\s\\λ.()A-Za-z0-9_']|(?<![A-Za-z0-9_'])[0-9_']")
-_TOKEN_KINDS = {"\\": "lambda", "λ": "lambda", ".": "dot", "(": "lparen", ")": "rparen",
-                "": "eof"}
+# every token but an identifier, and "" for the end of the text
+_SPECIAL = frozenset(("\\", "λ", ".", "(", ")", ""))
 
 
 def _parse(text: str, free) -> Term:
@@ -97,80 +97,81 @@ def _parse(text: str, free) -> Term:
     group and ``free(name)`` gives the term of an identifier that no binder
     in scope binds.
 
-    Iterative, so that nesting depth is not limited by the Python stack, with
-    the errors of recursive descent.  As if names were resolved after
-    parsing, a syntax error takes precedence over the first error of ``free``.
+    One iterative pass over the tokens, so that nesting depth is not limited
+    by the Python stack, with the errors of recursive descent.  Each open
+    group folds its atoms into applications as they arrive, and a variable
+    resolves in O(1) by the depths of its name's binders.  As if names were
+    resolved after parsing, a syntax error takes precedence over the first
+    error of ``free``.
     """
     bad = _BAD_CHAR_RE.search(text)
     if bad is not None:
         raise LamSyntaxError(f"unexpected character {bad[0]!r}", bad.start())
     toks = _TOKEN_RE.findall(text) + [""]
-    kinds = [_TOKEN_KINDS.get(t, "ident") for t in toks]
-    at = 0
 
-    def fail(message):  # offsets are only needed for the message
+    def error(message, at):  # offsets are only needed for the message
         offsets = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
-        raise LamSyntaxError(message, offsets[at])
+        return LamSyntaxError(message, offsets[at])
 
-    bound: list = []  # binder names in scope, innermost last
-    # open groups, innermost last: [is a parenthesis, binder names, atoms];
-    # a lambda's body is a group that ends with the one around it
-    groups: list = [[False, (), []]]
-
-    def close():
-        """Pop the innermost group and return its term."""
-        _, names, atoms = groups.pop()
-        if not atoms:
-            fail(f"unexpected token {toks[at]!r}")
-        value = atoms[0]
-        for a in atoms[1:]:
-            value = App(value, a)
-        for name in reversed(names):
-            value = Lam(name, value)
-        if names:
-            del bound[-len(names):]
-        return value
-
+    scope: dict = {}  # name -> the depths of its binders in scope, innermost last
+    depth = 0  # the number of binders in scope
+    # the innermost open group: its atoms applied so far (None before the first),
+    # its binder names if it is a lambda's body, whether it is a parenthesis;
+    # the groups around it wait in ``outer``, innermost last
+    value, names, paren = None, (), False
+    outer: list = []
     name_error = None
+    at = 0
     while True:
-        kind = kinds[at]
-        if kind == "ident":
-            name = value = toks[at]
-            for i, b in enumerate(reversed(bound)):
-                if b == name:
-                    value = Var(i, name)
-                    break
+        tok = toks[at]
+        if tok not in _SPECIAL:
+            depths = scope.get(tok)
+            if depths:
+                atom = Var(depth - 1 - depths[-1], tok)
             else:
                 try:
-                    value = free(name)
+                    atom = free(tok)
                 except LamError as exc:
-                    name_error = name_error or exc
-            groups[-1][2].append(value)
-        elif kind == "lparen":
-            groups.append([True, (), []])
-        elif kind == "lambda":
+                    atom, name_error = tok, name_error or exc
+            value = atom if value is None else App(value, atom)
+        elif tok == "(":
+            outer.append((value, names, paren))
+            value, names, paren = None, (), True
+        elif tok == "\\" or tok == "λ":
             start = at = at + 1
-            while kinds[at] == "ident":
+            while toks[at] not in _SPECIAL:
                 at += 1
             if at == start:
-                fail("expected at least one binder after lambda")
-            if kinds[at] != "dot":
-                fail(f"expected dot, found {toks[at]!r}")
-            bound.extend(toks[start:at])
-            groups.append([False, toks[start:at], []])
+                raise error("expected at least one binder after lambda", at)
+            if toks[at] != ".":
+                raise error(f"expected dot, found {toks[at]!r}", at)
+            outer.append((value, names, paren))
+            value, names, paren = None, toks[start:at], False
+            for name in names:
+                scope.setdefault(name, []).append(depth)
+                depth += 1
         else:  # a ")", the end, or a misplaced "."
-            while groups[-1][1]:  # a lambda's body ends with the group around it
-                value = close()
-                groups[-1][2].append(value)
-            expected = "rparen" if groups[-1][0] else "eof"
-            value = close()
-            if kind != expected:
-                fail(f"expected {expected}, found {toks[at]!r}")
-            if kind == "eof":
+            while True:  # a lambda's body ends with the group around it
+                if value is None:
+                    raise error(f"unexpected token {tok!r}", at)
+                if not names:
+                    break
+                for name in reversed(names):
+                    value = Lam(name, value)
+                    scope[name].pop()
+                depth -= len(names)
+                body = value
+                value, names, paren = outer.pop()
+                value = body if value is None else App(value, body)
+            if tok != (")" if paren else ""):
+                raise error(f"expected {'rparen' if paren else 'eof'}, found {tok!r}", at)
+            if not tok:
                 if name_error is not None:
                     raise name_error
                 return value
-            groups[-1][2].append(value)
+            inner = value
+            value, names, paren = outer.pop()
+            value = inner if value is None else App(value, inner)
         at += 1
 
 

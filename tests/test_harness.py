@@ -6,7 +6,7 @@ import pytest
 from lamrun import equivalence as eq, harness, liam, ljam, multitypes as mt, reporting, siam
 from lamrun import tokens as tk
 from lamrun.reporting import FuelExhausted
-from lamrun.syntax import App, Lam, Node, TermIndex, Var, is_closed, parse, term_size
+from lamrun.syntax import App, Lam, Node, TermIndex, Var, is_closed, parse, term_size, whnf_steps
 
 from conftest import skeleton, traced
 
@@ -146,6 +146,37 @@ def test_states_and_items_are_slotted_and_unchanged():
         assert any(type(x) in tk.NESTED_LISTS for x, _ in yielded) == (name not in ("siam", "pam"))
         for x, before in yielded:
             assert all(a is b for a, b in zip(values(x), before)), (name, x)
+
+
+def test_terms_are_slotted_and_unchanged():
+    # terms are slotted too and compare and hash by value; no run of a machine
+    # and no weak head reduction step assigns a field of a term
+    for cls in (Var, Lam, App):
+        assert cls.__dictoffset__ == 0, cls  # its instances have no __dict__
+    text, defs = "two two I I", {"two": "\\f.\\x.f (f x)", "I": "\\z.z"}
+    term, again = parse(text, defs), parse(text, defs)
+    assert term is not again and term == again and hash(term) == hash(again)
+
+    def subterms(root):
+        """Each subterm of ``root`` with the values of its fields."""
+        found, todo = [], [root]
+        while todo:
+            t = todo.pop()
+            values = [getattr(t, f.name) for f in fields(t)]
+            found.append((t, values))
+            todo += [v for v in values if isinstance(v, (Var, Lam, App))]
+        return found
+
+    held = subterms(term)
+    for name, machine in harness.MACHINES.items():
+        index = (siam.DerivationIndex(mt.infer_star_derivation(term), term) if name == "siam"
+                 else TermIndex(term))
+        assert reporting.run(machine, index).length > 1, name
+    for step in whnf_steps(term):
+        held += subterms(step.head) + subterms(step.arg)
+    assert len(held) > term_size(term)
+    for t, before in held:
+        assert all(getattr(t, f.name) is b for f, b in zip(fields(t), before)), t
 
 
 def test_trace_jsonl_roundtrip(running_example):

@@ -13,6 +13,7 @@ from lamrun.syntax import (
     Diverged,
     InvalidPath,
     Lam,
+    LamError,
     LamSyntaxError,
     TermIndex,
     UnboundIdentifier,
@@ -85,6 +86,79 @@ def test_nested_definitions_expand():
 def test_syntax_error_position():
     with pytest.raises(LamSyntaxError):
         parse("(\\x.x")
+
+
+# (text, definitions, exception type, message, offset of a syntax error): a
+# bad character is reported first, then the first syntax error, then the first
+# error of a name
+PARSE_ERRORS = [
+    ("\\x.x $", None, LamSyntaxError, "unexpected character '$' (at offset 5)", 5),
+    ("x @ y", None, LamSyntaxError, "unexpected character '@' (at offset 2)", 2),
+    ("\\x.x 1", None, LamSyntaxError, "unexpected character '1' (at offset 5)", 5),
+    ("\\x.x ab1 _", None, LamSyntaxError, "unexpected character '_' (at offset 9)", 9),
+    (") \\x.x #", None, LamSyntaxError, "unexpected character '#' (at offset 7)", 7),
+    ("y ) ~", None, LamSyntaxError, "unexpected character '~' (at offset 4)", 4),
+    ("\\x.x\t!", None, LamSyntaxError, "unexpected character '!' (at offset 5)", 5),
+    ("\\.x", None, LamSyntaxError, "expected at least one binder after lambda (at offset 1)", 1),
+    ("λ.x", None, LamSyntaxError, "expected at least one binder after lambda (at offset 1)", 1),
+    ("\\x x", None, LamSyntaxError, "expected dot, found '' (at offset 4)", 4),
+    ("\\x", None, LamSyntaxError, "expected dot, found '' (at offset 2)", 2),
+    ("()", None, LamSyntaxError, "unexpected token ')' (at offset 1)", 1),
+    ("(\\x.x", None, LamSyntaxError, "expected rparen, found '' (at offset 5)", 5),
+    ("\\x.x)", None, LamSyntaxError, "expected eof, found ')' (at offset 4)", 4),
+    ("x . y", None, LamSyntaxError, "expected eof, found '.' (at offset 2)", 2),
+    (".", None, LamSyntaxError, "unexpected token '.' (at offset 0)", 0),
+    ("\\x.x . y", None, LamSyntaxError, "expected eof, found '.' (at offset 5)", 5),
+    ("\\x.(.)", None, LamSyntaxError, "unexpected token '.' (at offset 4)", 4),
+    ("", None, LamSyntaxError, "unexpected token '' (at offset 0)", 0),
+    ("   ", None, LamSyntaxError, "unexpected token '' (at offset 3)", 3),
+    ("(", None, LamSyntaxError, "unexpected token '' (at offset 1)", 1),
+    (")", None, LamSyntaxError, "unexpected token ')' (at offset 0)", 0),
+    ("\\x.", None, LamSyntaxError, "unexpected token '' (at offset 3)", 3),
+    ("(\\x.)", None, LamSyntaxError, "unexpected token ')' (at offset 4)", 4),
+    ("\\x y . x (", None, LamSyntaxError, "unexpected token '' (at offset 10)", 10),
+    ("x y", None, UnboundIdentifier, "unbound identifier: 'x'", None),
+    ("(\\x.x) x", None, UnboundIdentifier, "unbound identifier: 'x'", None),
+    ("\\x.(\\y.y) y", None, UnboundIdentifier, "unbound identifier: 'y'", None),
+    ("y )", None, LamSyntaxError, "expected eof, found ')' (at offset 2)", 2),
+    ("\\x.y (", None, LamSyntaxError, "unexpected token '' (at offset 6)", 6),
+    ("y \\x.", None, LamSyntaxError, "unexpected token '' (at offset 5)", 5),
+    ("A", {"A": "B", "B": "A"}, DefinitionCycle, "definition cycle: A -> B -> A", None),
+    ("A", {"A": "\\x.y"}, UnboundIdentifier, "unbound identifier: 'y'", None),
+    ("A", {"A": "(\\x.x"}, LamSyntaxError, "expected rparen, found '' (at offset 5)", 5),
+    ("A )", {"A": "("}, LamSyntaxError, "expected eof, found ')' (at offset 2)", 2),
+    ("A B", {"A": "\\x.q", "B": "\\x.x)"}, UnboundIdentifier, "unbound identifier: 'q'", None),
+    ("B A", {"A": "A"}, UnboundIdentifier, "unbound identifier: 'B'", None),
+]
+
+
+@pytest.mark.parametrize("text,defs,kind,message,offset", PARSE_ERRORS)
+def test_parse_errors_are_pinned(text, defs, kind, message, offset):
+    with pytest.raises(LamError) as info:
+        parse(text, defs)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+    assert getattr(info.value, "position", None) == offset
+
+
+def test_binders_resolve_at_any_depth():
+    # λx0…λx(k-1). x0 … x0: every occurrence of x0 is bound by the outermost binder
+    k = 3000
+    term = parse("".join(f"\\x{i}." for i in range(k)) + " ".join(["x0"] * k))
+    for i in range(k):
+        assert isinstance(term, Lam) and term.name == f"x{i}"
+        term = term.body
+    occurrences = []
+    while isinstance(term, App):
+        occurrences.append(term.arg)
+        term = term.fun
+    occurrences.append(term)
+    assert occurrences == [Var(k - 1, "x0")] * k
+    # the innermost binder of a name binds it: binder i is named x(i mod 3)
+    term = parse("".join(f"\\x{i % 3}." for i in range(k)) + "x0 x1 x2")
+    for _ in range(k):
+        term = term.body
+    assert term == App(App(Var(2, "x0"), Var(1, "x1")), Var(0, "x2"))
 
 
 def test_load_definitions():
