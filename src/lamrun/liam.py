@@ -5,6 +5,16 @@ markers and logged positions.  Down states query the head variable of the
 focused subterm, up states query the argument of an abstraction.  Backtracking
 (bt1 .. bt2) re-finds the variable occurrence a subterm was virtually
 substituted for; it is flagged ``bt`` in snapshots for readability only.
+
+The token is a tree: no cell is reachable from it in two ways.  The initial
+token has no cell, and each transition keeps that so.  ``p1`` and ``p4``
+push a fresh marker, ``p2`` and ``p3`` pop one, ``arg`` moves the tape's head
+to the log and ``bt1`` the log's head to the tape: each moves an entry, and
+the cell it leaves is reachable no more.  ``var`` splits the log: the new
+logged position holds a copy of the cells it keeps (``take``), and the rest
+stays the log.  ``bt2`` pops that logged position and copies its log's
+cells onto the log (``concat``).  So the token's distinct cells are its
+lists' unfolded sizes added up, and its footprint needs no ``tokens.Reach``.
 """
 from __future__ import annotations
 
@@ -88,8 +98,18 @@ def snapshot(index: TermIndex, s: IamState, enc: tk.Encoder) -> str:
     return f'{{"tape": {enc.list(s.tape)}, "log": {enc.list(s.log)}, "bt": {bt}}}'
 
 
-def state_footprint(s, reach: tk.Reach) -> tuple:  # of an IAM or a JAM state
-    return tk.footprint(s.log, s.tape, reach)
+def state_footprint(s: IamState, reach=None) -> tuple:
+    """``(lp, markers, cells)`` of the token, each read off its lists' first
+    cells in O(1); the token is a tree, so ``reach`` goes unused."""
+    log, tape = s.log, s.tape
+    lp = marker_count = cells = 0
+    if log is not None:
+        lp, cells = log.length, log.unfolded
+    if tape is not None:
+        marker_count = tape.markers
+        lp += tape.length - marker_count
+        cells += tape.unfolded
+    return lp, marker_count, cells
 
 
 def states_related(a, b, rule, memo: dict) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .liam import DOWN, UP, state_footprint
+from .liam import DOWN, UP
 from .reporting import FINAL, Machine, Next, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex
 
@@ -90,6 +90,11 @@ def depth(s: JamState, memo: Optional[dict] = None) -> int:
 
 def snapshot(index: TermIndex, s: JamState, enc: tk.Encoder) -> str:
     return f'{{"tape": {enc.list(s.tape)}, "log": {enc.list(s.log)}}}'
+
+
+def state_footprint(s: JamState, reach: tk.Reach) -> tuple:
+    # a logged position shares the whole log: count each reachable cell once
+    return tk.footprint(s.log, s.tape, reach)
 
 
 def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx: dict):

@@ -55,7 +55,9 @@ class Machine:
     initial: Callable  # index -> state
     step: Callable  # () -> ((index, state) -> Next | Final | Stuck)
     snapshot: Callable  # (index, state, Encoder) -> the token's JSON text
-    footprint: Callable  # (state, Reach) -> (lp, markers, cells)
+    # (state, Reach) -> (lp, markers, cells); a machine whose token never
+    # shares a cell reads the cells off its lists and may ignore the Reach
+    footprint: Callable
     launch: Callable  # (term, fuel, **run options) -> RunReport
     # (index, label, state, labels, ctx); asserts.  ``label`` is the transition
     # that reached ``state``, None at the initial state
@@ -168,7 +170,9 @@ def drive(
     raise.  The footprint is sampled at every state, including the initial
     one, since peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
     ``tokens.Reach`` per run, which it moves from state to state, and returns
-    the counts ``(lp, markers, cells)``.
+    the counts ``(lp, markers, cells)``.  A machine whose token never shares
+    a cell, such as the IAM, may ignore the ``Reach``: its cells are its
+    lists' unfolded sizes.
     """
     state_dir_fn, var_labels = machine.dir, machine.var_labels
     per_label: dict = {}

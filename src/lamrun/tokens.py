@@ -2,8 +2,11 @@
 
 Logs and tapes are cons lists: extending one never copies it, so captured
 logs stay valid and sharing is observable (``footprint`` counts each cell
-once).  Each cell knows its list's length and marker count, and a ``Reach``
-follows the reachable cells of a run from state to state.  A logged position
+once).  Each cell knows, from when it is made, its list's length, marker
+count and unfolded size: the cells of the list written out as a tree.  A
+``Reach`` follows the distinct reachable cells of a run from state to state;
+a machine whose token never shares a cell (the IAM) has as many as its
+lists' unfolded sizes add up to, and needs none.  A logged position
 is a variable occurrence plus the log that led there; the ``local`` flavor
 stores the binder-rooted view, the ``global`` flavor stores the occurrence
 under the root with the whole log.  Positions are ``syntax.Node`` records;
@@ -21,18 +24,36 @@ from .syntax import Node, path_str
 
 
 class Cell:
-    __slots__ = ("head", "tail", "length", "markers")
+    """A list cell.  ``length`` and ``markers`` count the entries from this cell
+    on; ``unfolded`` counts the cells of the list written out as a tree: this
+    one, its tail's and those of the lists its head holds (see ``item``),
+    each shared cell once per way it is reached."""
+
+    __slots__ = ("head", "tail", "length", "markers", "unfolded")
 
     def __init__(self, head, tail: Optional["Cell"]):
         self.head = head
         self.tail = tail
-        marker = 1 if type(head) is Marker else 0
+        kind = type(head)
+        size = 1
+        if kind is Marker:
+            marker = 1
+        else:
+            marker = 0
+            attrs = NESTED_LISTS.get(kind)
+            if attrs is not None:
+                for attr in attrs:
+                    held = getattr(head, attr)
+                    if held is not None:
+                        size += held.unfolded
         if tail is None:
             self.length = 1
             self.markers = marker
+            self.unfolded = size
         else:
             self.length = tail.length + 1
             self.markers = tail.markers + marker
+            self.unfolded = tail.unfolded + size
 
     def __repr__(self):
         return "List(" + ", ".join(map(repr, iterate(self))) + ")"

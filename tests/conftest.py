@@ -69,12 +69,21 @@ def church_ii(n):
 
 
 def skeleton(term):
-    """Name-erased shape; equal skeletons mean alpha-equivalent terms."""
-    if isinstance(term, Var):
-        return ("v", term.index)
-    if isinstance(term, Lam):
-        return ("l", skeleton(term.body))
-    return ("a", skeleton(term.fun), skeleton(term.arg))
+    """Name-erased shape, written out in prefix order with an explicit stack, so
+    at any depth; equal skeletons mean alpha-equivalent terms."""
+    out = []
+    pending = [term]
+    while pending:
+        t = pending.pop()
+        if isinstance(t, Var):
+            out += ("v", t.index)
+        elif isinstance(t, Lam):
+            out.append("l")
+            pending.append(t.body)
+        else:
+            out.append("a")
+            pending += (t.arg, t.fun)
+    return tuple(out)
 
 
 def canonical_pretty(term):
@@ -126,6 +135,43 @@ def reachable(*roots) -> set:
 
 def reference_cells(*roots) -> int:
     return len(reachable(*roots))
+
+
+def unfolded(x, memo):
+    """Items in the unfolding of ``x``, a list or an item: an item counts one
+    plus the items of the lists it holds.  ``memo`` keeps the count of each
+    list cell and item, so shared structure is counted without being walked
+    again, and no text is written.  A list's count is also its number of
+    cells written out as a tree, as ``tokens.Cell.unfolded`` keeps it."""
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if y is None or y in memo:
+            stack.pop()
+            continue
+        if type(y) is tk.Cell:
+            parts = (y.head, y.tail)
+        else:
+            parts = tuple(getattr(y, a) for a in HOLDS.get(type(y), ()))
+        missing = [p for p in parts if p is not None and p not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        total = sum(memo[p] for p in parts if p is not None)
+        memo[y] = total if type(y) is tk.Cell else 1 + total
+    return 0 if x is None else memo[x]
+
+
+ROOTS = {  # the lists a state's token is made of
+    "iam": lambda s: (s.tape, s.log),
+    "jam": lambda s: (s.tape, s.log),
+    "pam": lambda s: (s.tape,),
+    "kam": lambda s: (s.env, s.stack),
+    "ham-j": lambda s: (s.log, s.env, s.tape),
+    "ham-k": lambda s: (s.log, s.env, s.tape),
+    "siam": lambda s: (),
+}
 
 
 def reference_refs(*roots) -> dict:

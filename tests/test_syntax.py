@@ -29,13 +29,61 @@ from lamrun.syntax import (
     whnf_trace,
 )
 
-from conftest import canonical_pretty, replay, resolve, skeleton
+from conftest import canonical_pretty, identity_chain, replay, resolve, skeleton
 
 I_DEFS = {"I": "\\z.z"}
 
 
 def test_parse_identity():
     assert parse("\\x.x") == Lam("x", Var(0, "x"))
+
+
+def test_deep_terms_compare_and_hash():
+    # one Python frame per level would exceed any recursion limit in use
+    text = identity_chain(10_000)
+    a, b = parse(text), parse(text)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != parse(text.replace("\\z.z", "\\w.w"))
+    assert a != parse(text.replace("\\z.z", "\\z.\\y.z"))
+    assert skeleton(a) == skeleton(parse(text.replace("\\z.z", "\\w.w")))
+    assert len({a, b}) == 1
+
+
+def fields_equal(x, y):
+    """The dataclass rule, recursively: equal types and equal fields."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, Var):
+        return (x.index, x.name) == (y.index, y.name)
+    if isinstance(x, Lam):
+        return x.name == y.name and fields_equal(x.body, y.body)
+    return fields_equal(x.fun, y.fun) and fields_equal(x.arg, y.arg)
+
+
+def rebuilt(t):
+    """A copy of ``t`` that shares no node with it."""
+    if isinstance(t, Var):
+        return Var(t.index, t.name)
+    if isinstance(t, Lam):
+        return Lam(t.name, rebuilt(t.body))
+    return App(rebuilt(t.fun), rebuilt(t.arg))
+
+
+def test_terms_compare_and_hash_as_their_fields(corpus):
+    terms = corpus[:40] + [rebuilt(t) for t in corpus[:40]]
+    for x in terms:
+        for y in terms:
+            assert (x == y) == fields_equal(x, y) and (x != y) == (not fields_equal(x, y))
+        pending = [x]
+        while pending:  # each subterm hashes as the tuple of its fields
+            t = pending.pop()
+            fields = ((t.index, t.name) if isinstance(t, Var) else (t.name, t.body)
+                      if isinstance(t, Lam) else (t.fun, t.arg))
+            assert hash(t) == hash(fields)
+            pending.extend(u for u in fields if isinstance(u, (Var, Lam, App)))
+    assert Var(0, "x") != Lam("x", Var(0, "x")) and Var(0, "x") != 0
+    body = Var(0, "z")
+    assert Lam("x", body) != Lam("y", body) and Var(0, "x") != Var(1, "x")
 
 
 def test_parse_unicode_lambda_and_sugar():

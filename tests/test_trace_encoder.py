@@ -19,7 +19,7 @@ from lamrun import harness, ham, liam, multitypes as mt, reporting, siam, tokens
 from lamrun.reporting import Next
 from lamrun.syntax import TermIndex, parse, path_str, pretty
 
-from conftest import church_ii, resolve, traced
+from conftest import ROOTS, church_ii, resolve, traced, unfolded
 
 DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
 FUEL = 10**6
@@ -125,41 +125,6 @@ FAMILIES = (
     + [(f"c_{n} I I", church_ii(n)) for n in range(1, 5)]
     + [("two two I I", parse("two two I I", DEFS))]
 )
-
-ROOTS = {  # the lists a state's token is made of
-    "iam": lambda s: (s.tape, s.log),
-    "jam": lambda s: (s.tape, s.log),
-    "pam": lambda s: (s.tape,),
-    "kam": lambda s: (s.env, s.stack),
-    "ham-j": lambda s: (s.log, s.env, s.tape),
-    "ham-k": lambda s: (s.log, s.env, s.tape),
-    "siam": lambda s: (),
-}
-
-
-def unfolded(x, memo):
-    """Items in the unfolding of ``x``, a list or an item: an item counts one
-    plus the items of the lists it holds.  ``memo`` keeps the count of each
-    list cell and item, so shared structure is counted without being walked
-    again, and no text is written."""
-    stack = [x]
-    while stack:
-        y = stack[-1]
-        if y is None or y in memo:
-            stack.pop()
-            continue
-        if type(y) is tk.Cell:
-            parts = (y.head, y.tail)
-        else:
-            parts = tuple(getattr(y, a) for a in tk.NESTED_LISTS.get(type(y), ()))
-        missing = [p for p in parts if p is not None and p not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        total = sum(memo[p] for p in parts if p is not None)
-        memo[y] = total if type(y) is tk.Cell else 1 + total
-    return 0 if x is None else memo[x]
 
 
 def trace_items(name, term, cap):
