@@ -97,13 +97,12 @@ def lockstep(it_a, it_b, relate) -> Counter:
 def iam_jam_items(x, y):
     """The rule relating the interaction machine's token items to the jumping
     machine's (see ``tokens.related``): a local logged position to the global
-    one of the same occurrence, when it is scoped at the binder and its log
-    is the first ``inner`` entries of the global log; a marker to a marker."""
+    one of the same occurrence, when its log is the first ``inner`` entries
+    of the global log; a marker to a marker."""
     if isinstance(x, tk.Marker) or isinstance(y, tk.Marker):
         return () if x == y else None
-    var = y.var
-    if (x.var is var and x.scope is var.binder and x.flavor == tk.LOCAL
-            and tk.length(x.log) == var.inner):
+    if (type(x) is liam.LoggedPosition and type(y) is ljam.LoggedPosition and x.var is y.var
+            and tk.length(x.log) == y.var.inner):
         return ((x.log, y.log),)
     return None
 
@@ -177,7 +176,7 @@ def check_jam_pam(term: Term, fuel: int) -> dict:
         def rule(x, y):
             if isinstance(x, tk.Marker):
                 return () if isinstance(y, tk.Marker) else None
-            if isinstance(x, tk.LoggedPosition):  # against a plain position
+            if type(x) is ljam.LoggedPosition:  # against a plain position
                 return () if x.var is y else None
             # a history index against a log: the log's entries follow the
             # lookup chain from the index, each entry's log the chain below it
@@ -214,8 +213,7 @@ def ham_jam_items(x, y):
     position and log, a logged closure to a marker."""
     if isinstance(x, ham.LoggedClosure):
         return () if isinstance(y, tk.Marker) else None
-    if (isinstance(y, tk.LoggedPosition) and x.node is y.var and y.scope.parent is None
-            and y.flavor == tk.GLOBAL and tk.length(x.log) == tk.length(y.log)):
+    if type(y) is ljam.LoggedPosition and x.node is y.var and tk.length(x.log) == tk.length(y.log):
         return ((x.log, y.log),)
     return None
 
@@ -300,12 +298,13 @@ def check_iam_siam(term: Term, fuel: int) -> dict:
 @checker("weights")
 def check_weights(term: Term, fuel: int) -> dict:
     deriv = mt.infer_star_derivation(term, fuel)
-    problems = mt.validate(deriv, term)
+    dindex = siam.DerivationIndex(deriv, term)
+    problems = mt.validate(dindex)
     if problems:
         raise CheckFailed(invalid=problems[:5])
     kam_report = kam.run(term, fuel)
     iam_report = liam.run(term, fuel)
-    _, coverage = siam.run(deriv, term, fuel)
+    _, coverage = siam.run_index(dindex, fuel)
     w_kam = mt.weight_kam(deriv)
     w_iam = mt.weight_iam(deriv)
     stars = coverage.stars

@@ -1,10 +1,12 @@
 """Interaction abstract machine on lambda terms: a bi-deterministic token machine.
 
 The token is a log (one logged position per enclosing argument) plus a tape of
-markers and logged positions.  Down states query the head variable of the
-focused subterm, up states query the argument of an abstraction.  Backtracking
-(bt1 .. bt2) re-finds the variable occurrence a subterm was virtually
-substituted for; it is flagged ``bt`` in snapshots for readability only.
+markers and logged positions.  A logged position is local: a variable and the
+first ``inner`` entries of its log, which starts at the variable's binder.
+Down states query the head variable of the focused subterm, up states query
+the argument of an abstraction.  Backtracking (bt1 .. bt2) re-finds the
+variable occurrence a subterm was virtually substituted for; it is flagged
+``bt`` in snapshots for readability only.
 
 The token is a tree: no cell is reachable from it in two ways.  The initial
 token has no cell, and each transition keeps that so.  ``p1`` and ``p4``
@@ -22,11 +24,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import DUAL, FINAL, FLIP, Machine, Next, NodeState, Stuck
-from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex
+from .reporting import DUAL, FINAL, FLIP, LOGGED_POSITION, Machine, Next, NodeState, Stuck
+from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 DOWN = "down"
 UP = "up"
+
+
+@tk.item(LOGGED_POSITION,
+         lambda lp: (path_str(lp.var.path), path_str(lp.var.binder.path), "local"), "log")
+@dataclass(slots=True, eq=False)
+class LoggedPosition:
+    var: Node
+    log: Optional[tk.Cell]  # the first ``var.inner`` entries
 
 
 @dataclass(slots=True, eq=False)
@@ -53,10 +63,10 @@ def step(index: TermIndex, s: IamState):
             item = s.tape.head
             if isinstance(item, tk.Marker):
                 return Next("p2", IamState(n.body, s.tape.tail, s.log, DOWN))
-            if item.scope is n:
+            if item.var.binder is n:
                 return Next("bt2", IamState(item.var, s.tape.tail, tk.concat(item.log, s.log), UP))
             return Stuck("logged position on tape does not match the focused abstraction")
-        lp = tk.LoggedPosition(n, n.binder, tk.LOCAL, tk.take(s.log, n.inner))
+        lp = LoggedPosition(n, tk.take(s.log, n.inner))
         state = IamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP)
         return Next("var", state, cost=n.inner)
     # up phase
@@ -143,8 +153,7 @@ def check_invariants(index: TermIndex, label, s: IamState, per_label: dict, ctx:
     expected = DOWN if lp_on_tape % 2 == 0 else UP
     assert s.dir == expected, "direction does not match tape parity"
     for lp in tk.new_items(verified, s.tape, s.log):  # immutable: one check per object
-        assert lp.flavor == tk.LOCAL, "interaction machine carries local logged positions"
-        assert lp.scope is lp.var.binder, "logged position scope is not the binder"
+        assert type(lp) is LoggedPosition, "interaction machine carries another machine's item"
         assert tk.length(lp.log) == lp.var.inner, (
             "logged position log length differs from its inner level")
 

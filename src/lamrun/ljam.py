@@ -1,8 +1,8 @@
 """Jumping abstract machine: the interaction machine with jumps instead of backtracking.
 
-Logged positions are global here: they record the variable occurrence under
-the root and share the whole log (extending a log never copies it, so saving one is a
-pointer copy).  A jump restores position and log from the head log entry in a
+Logged positions are global here: a variable occurrence and the whole log that
+reached it, shared (extending a log never copies it, so saving one is a pointer
+copy).  A jump restores position and log from the head log entry in a
 single transition, replacing an entire backtracking phase.
 """
 from __future__ import annotations
@@ -12,10 +12,17 @@ from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
-from .reporting import FINAL, Machine, Next, NodeState, Stuck
-from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex
+from .reporting import FINAL, LOGGED_POSITION, Machine, Next, NodeState, Stuck
+from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 UP_LABELS = ("p3", "p4", "arg", "jmp")
+
+
+@tk.item(LOGGED_POSITION, lambda lp: (path_str(lp.var.path), "", "global"), "log")
+@dataclass(slots=True, eq=False)
+class LoggedPosition:
+    var: Node
+    log: Optional[tk.Cell]  # all ``var.level`` entries
 
 
 @dataclass(slots=True, eq=False)
@@ -42,7 +49,7 @@ def step(index: TermIndex, s: JamState):
             if isinstance(s.tape.head, tk.Marker):
                 return Next("p2", JamState(n.body, s.tape.tail, s.log, DOWN))
             return Stuck("down state with a logged position on the tape")
-        lp = tk.LoggedPosition(n, index.top, tk.GLOBAL, s.log)  # shares the whole log
+        lp = LoggedPosition(n, s.log)  # shares the whole log
         state = JamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP)
         return Next("var", state, cost=n.inner)
     side, parent = n.side, n.parent
@@ -93,8 +100,9 @@ def snapshot(index: TermIndex, s: JamState, enc: tk.Encoder) -> str:
 
 
 def state_footprint(s: JamState, reach: tk.Reach) -> tuple:
-    # a logged position shares the whole log: count each reachable cell once
-    return tk.footprint(s.log, s.tape, reach)
+    # a logged position shares the whole log: ``reach`` counts each cell once
+    markers = tk.markers(s.tape)
+    return tk.length(s.log) + tk.length(s.tape) - markers, markers, reach.update(s.log, s.tape)
 
 
 def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx: dict):
@@ -112,11 +120,9 @@ def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx:
     d = depth(s, depths)
     assert d == per_label.get("var", 0), "state depth differs from the var-transition count"
     for lp in tk.new_items(verified, s.tape, s.log):
-        assert lp.flavor == tk.GLOBAL, "jumping machine carries global logged positions"
-        assert lp.scope is index.top, "global logged positions are rooted at the top"
+        assert type(lp) is LoggedPosition, "jumping machine carries another machine's item"
         assert tk.length(lp.log) == lp.var.level, (
-            "global logged position stores a log shorter than its level"
-        )
+            "global logged position stores a log shorter than its level")
         # d is the var count, which only grows: an item no deeper than d when first seen stays so
         assert d >= depth_of(lp, depths), "logged position deeper than its state"
     phase = ctx.get("phase")  # [transitions, bound] while the previous state is up

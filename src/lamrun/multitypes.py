@@ -233,9 +233,10 @@ class DerivationIndex:
                 stack.append((node.left, depth))
 
 
-def validate(root, subject: Term) -> list:
-    """Local-correctness, shape, relevance, and axiom-order problems (empty = valid);
-    a premise must be about the very child node its rule expects."""
+def validate(index: DerivationIndex) -> list:
+    """Local-correctness, shape, relevance, and axiom-order problems of an indexed
+    derivation (empty = valid); a premise must be about the very child node its rule expects."""
+    root, subject = index.deriv, index.root
     problems: list = []
     seen: set = set()
 
@@ -286,7 +287,6 @@ def validate(root, subject: Term) -> list:
                             note(node, f"right premise {i + 1} type differs from domain entry")
                 if node.rh_type != lt.target:
                     note(node, "conclusion type is not the arrow target")
-    index = DerivationIndex(root, subject)
     for lam in reversed(index.ordinal):  # the binding rule; an abstraction before those around it
         if isinstance(lam, DLam) and tuple(
                 a.rh_type for a in index.axioms.get(lam, ())) != tuple(lam.domain):

@@ -8,7 +8,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 from .syntax import DEFAULT_FUEL, path_str, pretty
-from .tokens import Encoder, Reach, SpaceFootprint, json_text
+from .tokens import Encoder, Reach, json_text
 
 
 class Next(NamedTuple):
@@ -107,6 +107,20 @@ class TraceEvent:
                 f'"subterm": {json_text(self.subterm_pretty)}, "token": {self.token_json}, '
                 f'"cost": {self.cost}, "footprint": {{"lp": {lp}, '
                 f'"markers": {markers}, "deepCells": {cells}}}}}')
+
+
+# the text form (see ``tokens.item``) of the IAM's and the JAM's logged positions
+LOGGED_POSITION = '{"var": %s, "scope": %s, "flavor": %s, "log": %s}'
+
+
+@dataclass(frozen=True)
+class SpaceFootprint:
+    lp_count: int
+    marker_count: int
+    deep_cells: int
+
+    def to_json(self) -> dict:
+        return {"lp": self.lp_count, "markers": self.marker_count, "deepCells": self.deep_cells}
 
 
 @dataclass

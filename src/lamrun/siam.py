@@ -151,11 +151,15 @@ class CoverageReport:
 def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
         allow_fuel: bool = False):
     """Run to the final judgement; returns ``(RunReport, CoverageReport)``."""
-    index = DerivationIndex(deriv, subject)
+    return run_index(DerivationIndex(deriv, subject), fuel, sink, allow_fuel)
+
+
+def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None, allow_fuel=False):
+    """``run`` on a derivation that the caller has indexed."""
     seen: set = set()  # judgements hash by identity
-    report = reporting.run(MACHINE, index, fuel, sink, allow_fuel=allow_fuel,
+    report = reporting.run(MACHINE, index, fuel, sink, allow_fuel,
                            check=lambda s, per_label: seen.add((s.node, s.star)))
-    return report, CoverageReport(mt.star_count(deriv), len(seen), report.length)
+    return report, CoverageReport(mt.star_count(index.deriv), len(seen), report.length)
 
 
 def state_footprint(s: SiamState, reach) -> tuple:

@@ -365,8 +365,8 @@ def term_size(term: Term) -> int:
     return size
 
 
-def is_closed(term: Term, depth: int = 0) -> bool:
-    stack = [(term, depth)]
+def is_closed(term: Term) -> bool:
+    stack = [(term, 0)]
     while stack:
         t, d = stack.pop()
         if isinstance(t, App):

@@ -1,17 +1,16 @@
 """Persistent token structures shared by the interaction machines.
 
 Logs and tapes are cons lists: extending one never copies it, so captured
-logs stay valid and sharing is observable (``footprint`` counts each cell
+logs stay valid and sharing is observable (``Reach`` counts each cell
 once).  Each cell knows, from when it is made, its list's length, marker
 count and unfolded size: the cells of the list written out as a tree.  A
 ``Reach`` follows the distinct reachable cells of a run from state to state;
 a machine whose token never shares a cell (the IAM) has as many as its
-lists' unfolded sizes add up to, and needs none.  A logged position
-is a variable occurrence plus the log that led there; the ``local`` flavor
-stores the binder-rooted view, the ``global`` flavor stores the occurrence
-under the root with the whole log.  Positions are ``syntax.Node`` records;
-the text forms write their paths.  Each item type registers once, with
-``item``: the lists it holds and how it is written.
+lists' unfolded sizes add up to, and needs none.  The items are the
+machines' own: each item type registers once, with ``item``, the lists it
+holds and how it is written.  The IAM and the JAM each define their logged
+positions, a variable occurrence and a log, the KAM its closures and the HAM
+its logged closures and closed positions.
 """
 from __future__ import annotations
 
@@ -19,8 +18,6 @@ import json
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Iterator, Optional
-
-from .syntax import Node, path_str
 
 
 class Cell:
@@ -152,29 +149,6 @@ class Marker:
 
 MARKER = Marker()
 
-LOCAL = "local"
-GLOBAL = "global"
-
-
-@item('{"var": %s, "scope": %s, "flavor": %s, "log": %s}',
-      lambda lp: (path_str(lp.var.path), path_str(lp.scope.path), lp.flavor), "log")
-@dataclass(slots=True, eq=False)
-class LoggedPosition:
-    var: Node
-    scope: Node  # the binder (local) or the root (global)
-    flavor: str
-    log: Optional[Cell]
-
-
-@dataclass(frozen=True)
-class SpaceFootprint:
-    lp_count: int
-    marker_count: int
-    deep_cells: int
-
-    def to_json(self) -> dict:
-        return {"lp": self.lp_count, "markers": self.marker_count, "deepCells": self.deep_cells}
-
 
 class Reach:
     """The cells reachable from some roots, kept up to date as the roots move.
@@ -251,13 +225,6 @@ def new_items(seen: set, *roots: Optional[Cell]) -> Iterator:
                 for attr in attrs:
                     pending.append(getattr(item, attr))
             cell = cell.tail
-
-
-def footprint(log: Optional[Cell], tape: Optional[Cell], reach: Reach) -> tuple:
-    """``(lp, markers, cells)`` of a token: top-level logged positions, markers, and
-    the distinct cells it reaches, which ``reach`` counts as it moves to them."""
-    marker_count = markers(tape)
-    return length(log) + length(tape) - marker_count, marker_count, reach.update(log, tape)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lamrun import harness, tokens as tk
+from lamrun import harness, liam, ljam, tokens as tk
 from lamrun.ham import ClosedPosition, LoggedClosure
 from lamrun.kam import Closure
 from lamrun.syntax import ARG, BODY, FUN, App, InvalidPath, Lam, Var, parse, path_str, pretty
@@ -104,8 +104,7 @@ def same_item(x, y):
         return ()
     if isinstance(x, tk.Marker) or isinstance(y, tk.Marker):
         return () if x == y else None
-    if (x.var is y.var and x.scope is y.scope and x.flavor == y.flavor
-            and tk.length(x.log) == tk.length(y.log)):
+    if type(x) is type(y) and x.var is y.var and tk.length(x.log) == tk.length(y.log):
         return ((x.log, y.log),)
     return None
 
@@ -113,7 +112,8 @@ def same_item(x, y):
 # item type -> attributes holding lists, written out apart from the lists
 # each type registers with ``tokens.item``
 HOLDS = {
-    tk.LoggedPosition: ("log",),
+    liam.LoggedPosition: ("log",),
+    ljam.LoggedPosition: ("log",),
     Closure: ("env",),
     LoggedClosure: ("env", "log"),
     ClosedPosition: ("log", "env"),

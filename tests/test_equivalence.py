@@ -21,26 +21,29 @@ def test_project_global_position(running_example):
     # the saved global head-variable query relates to the binder-rooted local one
     index = TermIndex(running_example)
     x = at(index, (FUN, FUN, BODY, BODY, FUN))
-    px = tk.LoggedPosition(x, index.top, tk.GLOBAL, None)
-    local = tk.LoggedPosition(x, at(index, (FUN, FUN, BODY)), tk.LOCAL, None)
+    px = ljam.LoggedPosition(x, None)
+    local = liam.LoggedPosition(x, None)
     items = eq.iam_jam_items
     assert tk.related([(local, px)], items, {})
-    assert not tk.related([(replace(local, scope=index.top), px)], items, {})
-    assert not tk.related([(replace(local, flavor=tk.GLOBAL), px)], items, {})
+    assert not tk.related([(replace(local, var=at(index, (FUN, FUN, BODY, BODY, ARG))), px)],
+                          items, {})
+    # an IAM item where a JAM item is expected: the rules tell them apart by type
+    assert not tk.related([(local, local)], items, {})
+    cp = ham.ClosedPosition(x, None, None)
+    assert tk.related([(cp, px)], eq.ham_jam_items, {})
+    assert not tk.related([(cp, local)], eq.ham_jam_items, {})
 
 
 def test_project_truncates_log_to_inner_level(running_example):
     index = TermIndex(running_example)
-    top = index.top
-    px = tk.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, FUN)), top, tk.GLOBAL, None)
-    pz = tk.LoggedPosition(at(index, (ARG, BODY)), top, tk.GLOBAL, tk.cons(px, None))
-    py = tk.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, ARG)), top, tk.GLOBAL,
-                           tk.cons(pz, tk.cons(pz, None)))
+    px = ljam.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, FUN)), None)
+    pz = ljam.LoggedPosition(at(index, (ARG, BODY)), tk.cons(px, None))
+    py = ljam.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, ARG)), tk.cons(pz, tk.cons(pz, None)))
     # the occurrence sits one argument under its binder: one log entry kept,
     # and none of the entry's own log, whose occurrence is at its binder's level
-    local_px = tk.LoggedPosition(px.var, at(index, (FUN, FUN, BODY)), tk.LOCAL, None)
-    local_pz = tk.LoggedPosition(pz.var, top.arg, tk.LOCAL, None)
-    local_py = tk.LoggedPosition(py.var, top.fun.fun, tk.LOCAL, tk.cons(local_pz, None))
+    local_px = liam.LoggedPosition(px.var, None)
+    local_pz = liam.LoggedPosition(pz.var, None)
+    local_py = liam.LoggedPosition(py.var, tk.cons(local_pz, None))
     items = eq.iam_jam_items
     assert tk.related([(local_py, py)], items, {})
     for log in (None, tk.cons(local_pz, tk.cons(local_pz, None))):
@@ -93,6 +96,20 @@ def test_check_weights(running_example, corpus):
     assert r.passed and r.details["w_iam"] == 18 and r.details["w_kam"] == 9
     for term in corpus[:50]:
         assert eq.check_weights(term, 10**6).passed
+
+
+def test_check_weights_indexes_the_derivation_once(running_example, monkeypatch):
+    # validation and the SIAM walk read one DerivationIndex
+    built = []
+    init = mt.DerivationIndex.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(mt.DerivationIndex, "__init__", counting)
+    assert eq.check_weights(running_example, 1000).passed
+    assert len(built) == 1
 
 
 def test_check_iam_siam(running_example, corpus):

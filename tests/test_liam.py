@@ -2,7 +2,7 @@ import pytest
 
 from lamrun import liam, tokens as tk
 from lamrun.equivalence import walk_invariants
-from lamrun.reporting import FINAL, FuelExhausted, Next, trajectory
+from lamrun.reporting import FINAL, FuelExhausted, Next, Stuck, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 from conftest import at, same_item, token, traced
@@ -35,11 +35,20 @@ def test_var_builds_local_logged_position(running_example):
     assert result.label == "var"
     lp = result.state.tape.head
     assert lp.var is s.node
-    assert lp.scope is at(index, (FUN, FUN, BODY))
-    assert lp.flavor == tk.LOCAL and lp.log is None
+    assert type(lp) is liam.LoggedPosition and lp.log is None
+    assert lp.var.binder is at(index, (FUN, FUN, BODY))
     assert result.state.pos == (FUN, FUN, BODY)
     assert result.state.dir == liam.UP
     assert result.cost == 0
+
+
+def test_bt2_returns_only_to_the_logged_variables_binder():
+    top = TermIndex(parse("(\\x.x) (\\y.y)")).top
+    y, x = liam.LoggedPosition(top.arg.body, None), liam.LoggedPosition(top.fun.body, None)
+    result = liam.step(None, liam.IamState(top.arg, tk.cons(y, tk.nil), tk.nil, liam.DOWN))
+    assert result.label == "bt2" and result.state.node is y.var and result.state.dir == liam.UP
+    assert isinstance(liam.step(None, liam.IamState(top.arg, tk.cons(x, tk.nil), tk.nil,
+                                                    liam.DOWN)), Stuck)
 
 
 def test_var_cost_is_inner_level(running_example):

@@ -14,21 +14,21 @@ def test_identity_final():
 def test_var_stores_global_position_and_whole_log(running_example):
     index = TermIndex(running_example)
     x = at(index, (FUN, FUN, BODY, BODY, FUN))
-    log = tk.cons(tk.LoggedPosition(x, index.top, tk.GLOBAL, None), None)
+    log = tk.cons(ljam.LoggedPosition(x, None), None)
     s = ljam.JamState(at(index, (ARG, BODY)), tk.nil, log, ljam.DOWN)
     result = ljam.step(index, s)
     assert result.label == "var"
     lp = result.state.tape.head
     assert lp.var is s.node
-    assert lp.flavor == tk.GLOBAL and lp.scope is index.top
+    assert type(lp) is ljam.LoggedPosition
     assert lp.log is log  # shared, not copied
     assert result.state.log is log  # inner level 0 pops nothing
 
 
 def test_jmp_restores_position_and_log(running_example):
     index = TermIndex(running_example)
-    px = tk.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, FUN)), index.top, tk.GLOBAL, None)
-    pz = tk.LoggedPosition(at(index, (ARG, BODY)), index.top, tk.GLOBAL, tk.cons(px, None))
+    px = ljam.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, FUN)), None)
+    pz = ljam.LoggedPosition(at(index, (ARG, BODY)), tk.cons(px, None))
     s = ljam.JamState(at(index, (ARG,)), tk.cons(pz, tk.nil), tk.cons(px, tk.nil), ljam.UP)
     result = ljam.step(index, s)
     assert result.label == "jmp"
@@ -40,9 +40,8 @@ def test_jmp_restores_position_and_log(running_example):
 def test_depth_examples(running_example):
     index = TermIndex(running_example)
     assert ljam.depth(ljam.initial(index)) == 0
-    inner = tk.LoggedPosition(at(index, (ARG, BODY)), index.top, tk.GLOBAL, None)
-    outer = tk.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, ARG)), index.top, tk.GLOBAL,
-                              tk.cons(inner, None))
+    inner = ljam.LoggedPosition(at(index, (ARG, BODY)), None)
+    outer = ljam.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, ARG)), tk.cons(inner, None))
     s = ljam.JamState(index.top, tk.nil, tk.cons(outer, tk.nil), ljam.DOWN)
     assert ljam.depth(s) == 2
 
@@ -60,7 +59,7 @@ def test_depth_of_deeply_nested_log():
     index = TermIndex(parse("(\\x.x) (\\y.y)"))
     log = None
     for _ in range(30_000):
-        log = tk.cons(tk.LoggedPosition(index.top.fun, index.top, tk.GLOBAL, log), None)
+        log = tk.cons(ljam.LoggedPosition(index.top.fun, log), None)
     memo = {}
     assert ljam.depth_of(log, memo) == 30_000
     assert ljam.depth_of(log.head.log, memo) == 29_999

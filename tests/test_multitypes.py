@@ -17,6 +17,7 @@ from lamrun.multitypes import (
     DLam,
     DLamStar,
     DVar,
+    DerivationIndex,
     infer_star_derivation,
     star_count,
     star_norm,
@@ -86,7 +87,7 @@ def test_type_str():
 def test_abstraction_types_with_single_star_rule():
     d = infer_star_derivation(parse("\\x.x"), 10)
     assert isinstance(d, DLamStar) and d.term_pos == ()
-    assert validate(d, parse("\\x.x")) == []
+    assert validate(DerivationIndex(d, parse("\\x.x"))) == []
     assert weight_kam(d) == 0 and weight_iam(d) == 0
 
 
@@ -98,7 +99,7 @@ def test_ii_derivation_shape():
     assert isinstance(d.left.body, DVar)
     assert len(d.rights) == 1 and isinstance(d.rights[0], DLamStar)
     assert d.rh_type is STAR
-    assert validate(d, t) == []
+    assert validate(DerivationIndex(d, t)) == []
 
 
 def test_ii_weights():
@@ -110,7 +111,7 @@ def test_ii_weights():
 
 def test_running_example_weights(running_example):
     d = infer_star_derivation(running_example, 10)
-    assert validate(d, running_example) == []
+    assert validate(DerivationIndex(d, running_example)) == []
     assert star_count(d) == 19
     assert weight_iam(d) == 18 == star_count(d) - 1
     assert weight_kam(d) == 9
@@ -118,7 +119,7 @@ def test_running_example_weights(running_example):
 
 def test_duplication_derivation(duplication_example):
     d = infer_star_derivation(duplication_example, 10)
-    assert validate(d, duplication_example) == []
+    assert validate(DerivationIndex(d, duplication_example)) == []
     # the argument is typed twice: once as a function, once as a star
     assert len(d.rights) == 2
     assert d.left.domain == (Arrow((STAR,), STAR), STAR)
@@ -144,7 +145,7 @@ def test_typability_iff_termination(omega, corpus):
     for term in corpus[:60]:
         d = infer_star_derivation(term, 10**6)
         assert d.rh_type is STAR
-        assert validate(d, term) == []
+        assert validate(DerivationIndex(d, term)) == []
 
 
 def _broken_derivations(t, nested):
@@ -200,12 +201,13 @@ def _broken_derivations(t, nested):
 def test_validate_reports_a_broken_derivation(duplication_example, running_example, fault,
                                               problems):
     subject = running_example if fault == "outer_binder" else duplication_example
-    assert validate(_broken_derivations(duplication_example, running_example)[fault],
-                    subject) == problems
+    broken = _broken_derivations(duplication_example, running_example)[fault]
+    assert validate(DerivationIndex(broken, subject)) == problems
 
 
 def test_validate_reports_an_open_subject():
-    assert validate(DVar(Node(Var(0, "x"), None, None, 0), 0, STAR), Var(0, "x")) == [
+    axiom = DVar(Node(Var(0, "x"), None, None, 0), 0, STAR)
+    assert validate(DerivationIndex(axiom, Var(0, "x"))) == [
         "closed subject with a non-empty type environment"]
 
 
@@ -235,7 +237,7 @@ def test_terms_of_growing_identity_family():
     for n in range(1, 7):
         t = family_tn(n)
         d = infer_star_derivation(t, 100)
-        assert validate(d, t) == []
+        assert validate(DerivationIndex(d, t)) == []
         assert weight_kam(d) == kam.run(t, 10**5).length
         assert weight_iam(d) == liam.run(t, 10**5).length
 
@@ -261,8 +263,8 @@ for _ in range(1200):
     text = f"(\\\\x.x) ({text})"
 term = parse(text)
 d = mt.infer_star_derivation(term)
-assert mt.validate(d, term) == []
-assert mt.DerivationIndex(d, term).free == []
+index = mt.DerivationIndex(d, term)
+assert mt.validate(index) == [] and index.free == []
 assert mt.derivation_to_json(d)["rule"] == "app"
 print(mt.weight_kam(d), mt.weight_iam(d))
 """

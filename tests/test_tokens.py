@@ -2,9 +2,9 @@ import json
 
 from hypothesis import given, strategies as st
 
-from lamrun import tokens as tk
+from lamrun import liam, ljam, tokens as tk
 from lamrun.ham import LoggedClosure
-from lamrun.syntax import ARG, BODY, FUN, Node
+from lamrun.syntax import ARG, BODY, FUN, Node, TermIndex, parse
 
 from conftest import reference_cells, reference_refs, same_item, unfolded
 
@@ -18,13 +18,14 @@ def node(path):
     return _NODES[path]
 
 
-def lp(var, scope=(), flavor=tk.LOCAL, log=None):
-    return tk.LoggedPosition(node(var), node(scope), flavor, log)
+def lp(var, log=None):
+    """A JAM logged position, whose text needs no binder: these nodes are in no term."""
+    return ljam.LoggedPosition(node(var), log)
 
 
 def footprint(log, tape):
-    """(lp, markers, cells) of one token, counted anew."""
-    return tk.footprint(log, tape, tk.Reach())
+    """(lp, markers, cells) of one JAM token, counted anew."""
+    return ljam.state_footprint(ljam.JamState(None, tape, log, ljam.UP), tk.Reach())
 
 
 def test_footprint_empty():
@@ -45,9 +46,10 @@ def test_footprint_counts_log_and_tape():
 
 
 def test_footprint_flavor_invariant():
+    # an IAM (local) and a JAM (global) logged position count alike
     inner = lp((ARG,))
-    local = lp((FUN, BODY), scope=(FUN,), flavor=tk.LOCAL, log=tk.cons(inner, tk.nil))
-    glob = lp((FUN, BODY), scope=(), flavor=tk.GLOBAL, log=tk.cons(inner, tk.nil))
+    local = liam.LoggedPosition(node((FUN, BODY)), tk.cons(inner, tk.nil))
+    glob = lp((FUN, BODY), log=tk.cons(inner, tk.nil))
     t1 = footprint(tk.nil, tk.cons(local, tk.nil))
     t2 = footprint(tk.nil, tk.cons(glob, tk.nil))
     assert t1[:2] == t2[:2] == (1, 0)
@@ -140,12 +142,14 @@ def test_related_deeply_nested_logs():
 
 
 def test_serialization_shape():
-    a = lp((FUN, BODY), scope=(FUN,), log=tk.cons(lp((ARG,)), tk.nil))
+    top = TermIndex(parse("(\\x.x) (\\y.y)")).top
+    y = liam.LoggedPosition(top.arg.body, None)
+    a = liam.LoggedPosition(top.fun.body, tk.cons(y, tk.nil))
     doc = json.loads(tk.Encoder().text(a))
     assert doc["var"] == "Fun/Body"
     assert doc["scope"] == "Fun"
     assert doc["flavor"] == "local"
-    assert doc["log"][0]["var"] == "Arg"
+    assert doc["log"][0]["var"] == "Arg/Body" and doc["log"][0]["scope"] == "Arg"
     assert json.loads(tk.Encoder().list(tk.from_list([tk.MARKER, a])))[0] == "p"
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import lamrun
-from lamrun import harness, ham, liam, multitypes as mt, reporting, siam, tokens as tk
+from lamrun import harness, ham, liam, ljam, multitypes as mt, reporting, siam, tokens as tk
 from lamrun.reporting import Next
 from lamrun.syntax import TermIndex, parse, path_str, pretty
 
@@ -30,8 +30,11 @@ FUEL = 10**6
 
 
 def lp_json(lp):
-    return {"var": path_str(lp.var.path), "scope": path_str(lp.scope.path),
-            "flavor": lp.flavor, "log": [lp_json(x) for x in tk.iterate(lp.log)]}
+    """An IAM logged position is local, rooted at its variable's binder; a JAM one global."""
+    local = isinstance(lp, liam.LoggedPosition)
+    return {"var": path_str(lp.var.path), "scope": path_str(lp.var.binder.path) if local else "",
+            "flavor": "local" if local else "global",
+            "log": [lp_json(x) for x in tk.iterate(lp.log)]}
 
 
 def tape_json(tape):
@@ -171,14 +174,30 @@ def test_trace_lines_match_the_oracle_on_the_corpus(name, small_corpus):
 
 def test_each_item_is_written_once_per_run():
     top = TermIndex(harness.family_tn(4)).top
-    shared = tk.from_list([tk.LoggedPosition(top.fun, top, tk.GLOBAL, None)])
-    a = tk.LoggedPosition(top.fun.fun, top, tk.GLOBAL, shared)
-    b = tk.LoggedPosition(top.fun.fun.fun, top, tk.GLOBAL, shared)
+    shared = tk.from_list([ljam.LoggedPosition(top.fun, None)])
+    a = ljam.LoggedPosition(top.fun.fun, shared)
+    b = ljam.LoggedPosition(top.fun.fun.fun, shared)
     enc = tk.Encoder()
     text = enc.list(tk.from_list([a, tk.MARKER, b]))
     assert json.loads(text) == tape_json(tk.from_list([a, tk.MARKER, b]))
     assert len(enc.memo) == 4  # the marker, a, b and the item they share
     assert enc.list(tk.from_list([b])) == "[" + enc.memo[b] + "]"
+
+
+def test_logged_positions_write_their_machines_texts():
+    # x sits one argument under its binder, which sits under none: inner ==
+    # level, so an IAM and a JAM item share var and log, and only their type
+    # says which text to write
+    index = TermIndex(parse("(\\x.(\\y.y) x) (\\z.z)"))
+    x = index.top.fun.body.arg
+    assert x.inner == x.level == 1
+    log = tk.cons(ljam.LoggedPosition(index.top.arg.body, None), None)
+    entry = '{"var": "Arg/Body", "scope": "", "flavor": "global", "log": []}'
+    enc = tk.Encoder()
+    assert enc.text(liam.LoggedPosition(x, log)) == (
+        '{"var": "Fun/Body/Arg", "scope": "Fun", "flavor": "local", "log": [%s]}' % entry)
+    assert enc.text(ljam.LoggedPosition(x, log)) == (
+        '{"var": "Fun/Body/Arg", "scope": "", "flavor": "global", "log": [%s]}' % entry)
 
 
 def test_encoding_needs_no_recursion_headroom():
@@ -188,13 +207,13 @@ def test_encoding_needs_no_recursion_headroom():
     # depth: keep it small
     script = """
 import sys
-from lamrun import ham, tokens as tk
+from lamrun import ham, ljam, tokens as tk
 from lamrun.syntax import TermIndex, parse
 sys.setrecursionlimit(1000)
 top = TermIndex(parse("(\\\\x.x) (\\\\y.y)")).top
 log = env = None
 for _ in range(1200):
-    log = tk.cons(tk.LoggedPosition(top.fun, top, tk.GLOBAL, log), None)
+    log = tk.cons(ljam.LoggedPosition(top.fun, log), None)
     env = tk.cons(ham.LoggedClosure(top.arg, env, None), None)
 enc = tk.Encoder()
 print(enc.list(log).count('"log": ['), enc.list(env).count('"env": ['))
