@@ -15,8 +15,10 @@ to the log and ``bt1`` the log's head to the tape: each moves an entry, and
 the cell it leaves is reachable no more.  ``var`` splits the log: the new
 logged position holds a copy of the cells it keeps (``take``), and the rest
 stays the log.  ``bt2`` pops that logged position and copies its log's
-cells onto the log (``concat``).  So the token's distinct cells are its
-lists' unfolded sizes added up, and its footprint needs no ``tokens.Reach``.
+cells onto the log (``concat``).  So ``p1``, ``p4`` and ``var`` add one cell
+to the token, ``p2``, ``p3`` and ``bt2`` take one, and ``arg`` and ``bt1``
+none: a state carries its token's cell count, and its footprint needs no
+``tokens.Reach``.
 """
 from __future__ import annotations
 
@@ -45,10 +47,11 @@ class IamState(NodeState):
     tape: Optional[tk.Cell]
     log: Optional[tk.Cell]
     dir: str
+    cells: int  # the token's cells, all distinct
 
 
 def initial(index: TermIndex) -> IamState:
-    return IamState(index.top, tk.nil, tk.nil, DOWN)
+    return IamState(index.top, tk.nil, tk.nil, DOWN, 0)
 
 
 def step(index: TermIndex, s: IamState):
@@ -56,18 +59,19 @@ def step(index: TermIndex, s: IamState):
     if s.dir == DOWN:
         t = n.term
         if isinstance(t, App):
-            return Next("p1", IamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN))
+            return Next("p1", IamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN, s.cells + 1))
         if isinstance(t, Lam):
             if s.tape is None:
                 return FINAL
             item = s.tape.head
             if isinstance(item, tk.Marker):
-                return Next("p2", IamState(n.body, s.tape.tail, s.log, DOWN))
+                return Next("p2", IamState(n.body, s.tape.tail, s.log, DOWN, s.cells - 1))
             if item.var.binder is n:
-                return Next("bt2", IamState(item.var, s.tape.tail, tk.concat(item.log, s.log), UP))
+                log = tk.concat(item.log, s.log)
+                return Next("bt2", IamState(item.var, s.tape.tail, log, UP, s.cells - 1))
             return Stuck("logged position on tape does not match the focused abstraction")
         lp = LoggedPosition(n, tk.take(s.log, n.inner))
-        state = IamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP)
+        state = IamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP, s.cells + 1)
         return Next("var", state, cost=n.inner)
     # up phase
     side, parent = n.side, n.parent
@@ -78,25 +82,25 @@ def step(index: TermIndex, s: IamState):
             return Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
-            return Next("p3", IamState(parent, s.tape.tail, s.log, UP))
-        return Next("arg", IamState(parent.arg, s.tape.tail, tk.cons(item, s.log), DOWN))
+            return Next("p3", IamState(parent, s.tape.tail, s.log, UP, s.cells - 1))
+        return Next("arg", IamState(parent.arg, s.tape.tail, tk.cons(item, s.log), DOWN, s.cells))
     if side == BODY:
-        return Next("p4", IamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP))
+        return Next("p4", IamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP, s.cells + 1))
     # argument position: backtrack to the logged position on top of the log
     if s.log is None:
         return Stuck("up state in argument position with empty log")
     p = s.log.head
-    return Next("bt1", IamState(parent.fun, tk.cons(p, s.tape), s.log.tail, DOWN))
+    return Next("bt1", IamState(parent.fun, tk.cons(p, s.tape), s.log.tail, DOWN, s.cells))
 
 
 def step_back(index: TermIndex, s: IamState):
     """Inverse transition: the dual of the step from the flipped state; None
     exactly on the initial state of a run."""
-    r = step(index, IamState(s.node, s.tape, s.log, FLIP[s.dir]))
+    r = step(index, IamState(s.node, s.tape, s.log, FLIP[s.dir], s.cells))
     if not isinstance(r, Next):
         return None
     b = r.state
-    return DUAL[r.label], IamState(b.node, b.tape, b.log, FLIP[b.dir])
+    return DUAL[r.label], IamState(b.node, b.tape, b.log, FLIP[b.dir], b.cells)
 
 
 def is_backtracking(s: IamState) -> bool:
@@ -109,17 +113,16 @@ def snapshot(index: TermIndex, s: IamState, enc: tk.Encoder) -> str:
 
 
 def state_footprint(s: IamState, reach=None) -> tuple:
-    """``(lp, markers, cells)`` of the token, each read off its lists' first
-    cells in O(1); the token is a tree, so ``reach`` goes unused."""
+    """``(lp, markers, cells)`` of the token in O(1): the entries are read off
+    its lists' first cells and the cells off the state, since the token is a
+    tree; ``reach`` goes unused."""
     log, tape = s.log, s.tape
-    lp = marker_count = cells = 0
-    if log is not None:
-        lp, cells = log.length, log.unfolded
+    lp = 0 if log is None else log.length
+    marker_count = 0
     if tape is not None:
         marker_count = tape.markers
         lp += tape.length - marker_count
-        cells += tape.unfolded
-    return lp, marker_count, cells
+    return lp, marker_count, s.cells
 
 
 def states_related(a, b, rule, memo: dict) -> bool:

@@ -56,7 +56,7 @@ class Machine:
     step: Callable  # () -> ((index, state) -> Next | Final | Stuck)
     snapshot: Callable  # (index, state, Encoder) -> the token's JSON text
     # (state, Reach) -> (lp, markers, cells); a machine whose token never
-    # shares a cell reads the cells off its lists and may ignore the Reach
+    # shares a cell counts its cells in its states and may ignore the Reach
     footprint: Callable
     launch: Callable  # (term, fuel, **run options) -> RunReport
     # (index, label, state, labels, ctx); asserts.  ``label`` is the transition
@@ -185,8 +185,8 @@ def drive(
     one, since peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
     ``tokens.Reach`` per run, which it moves from state to state, and returns
     the counts ``(lp, markers, cells)``.  A machine whose token never shares
-    a cell, such as the IAM, may ignore the ``Reach``: its cells are its
-    lists' unfolded sizes.
+    a cell, such as the IAM, may ignore the ``Reach``: its states count their
+    token's cells as it steps.
     """
     state_dir_fn, var_labels = machine.dir, machine.var_labels
     per_label: dict = {}

@@ -2,15 +2,14 @@
 
 Logs and tapes are cons lists: extending one never copies it, so captured
 logs stay valid and sharing is observable (``Reach`` counts each cell
-once).  Each cell knows, from when it is made, its list's length, marker
-count and unfolded size: the cells of the list written out as a tree.  A
-``Reach`` follows the distinct reachable cells of a run from state to state;
-a machine whose token never shares a cell (the IAM) has as many as its
-lists' unfolded sizes add up to, and needs none.  The items are the
-machines' own: each item type registers once, with ``item``, the lists it
-holds and how it is written.  The IAM and the JAM each define their logged
-positions, a variable occurrence and a log, the KAM its closures and the HAM
-its logged closures and closed positions.
+once).  Each cell knows, from when it is made, its list's length and marker
+count, and nothing that grows with sharing.  A ``Reach`` follows the
+distinct reachable cells of a run from state to state; a machine whose
+token never shares a cell (the IAM) counts its cells as it steps, and needs
+none.  The items are the machines' own: each item type registers once, with
+``item``, the lists it holds and how it is written.  The IAM and the JAM
+each define their logged positions, a variable occurrence and a log, the KAM
+its closures and the HAM its logged closures and closed positions.
 """
 from __future__ import annotations
 
@@ -21,36 +20,20 @@ from typing import Callable, Iterator, Optional
 
 
 class Cell:
-    """A list cell.  ``length`` and ``markers`` count the entries from this cell
-    on; ``unfolded`` counts the cells of the list written out as a tree: this
-    one, its tail's and those of the lists its head holds (see ``item``),
-    each shared cell once per way it is reached."""
+    """A list cell.  ``length`` and ``markers`` count the entries from this cell on."""
 
-    __slots__ = ("head", "tail", "length", "markers", "unfolded")
+    __slots__ = ("head", "tail", "length", "markers")
 
     def __init__(self, head, tail: Optional["Cell"]):
         self.head = head
         self.tail = tail
-        kind = type(head)
-        size = 1
-        if kind is Marker:
-            marker = 1
-        else:
-            marker = 0
-            attrs = NESTED_LISTS.get(kind)
-            if attrs is not None:
-                for attr in attrs:
-                    held = getattr(head, attr)
-                    if held is not None:
-                        size += held.unfolded
+        marker = 1 if type(head) is Marker else 0
         if tail is None:
             self.length = 1
             self.markers = marker
-            self.unfolded = size
         else:
             self.length = tail.length + 1
             self.markers = tail.markers + marker
-            self.unfolded = tail.unfolded + size
 
     def __repr__(self):
         return "List(" + ", ".join(map(repr, iterate(self))) + ")"

@@ -142,7 +142,7 @@ def unfolded(x, memo):
     plus the items of the lists it holds.  ``memo`` keeps the count of each
     list cell and item, so shared structure is counted without being walked
     again, and no text is written.  A list's count is also its number of
-    cells written out as a tree, as ``tokens.Cell.unfolded`` keeps it."""
+    cells written out as a tree."""
     stack = [x]
     while stack:
         y = stack[-1]

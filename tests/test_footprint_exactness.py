@@ -1,10 +1,9 @@
 """The footprint a run records at each state equals one counted anew.
 
 Runs keep ``deepCells`` up to date by reference counts, or, for the IAM,
-whose token never shares a cell, read it off the cells' unfolded sizes, and
+whose token never shares a cell, count it in the state as they step, and
 read marker counts off the cells; the reference here walks every token anew
-at every state and scans its tape.  Each list's unfolded size is checked
-against one counted anew as well.
+at every state and scans its tape.
 """
 from dataclasses import replace
 
@@ -13,7 +12,7 @@ import pytest
 from lamrun import harness, reporting, tokens as tk
 from lamrun.syntax import TermIndex
 
-from conftest import ROOTS, church_ii, reference_cells, unfolded
+from conftest import church_ii, reference_cells
 
 
 def scan(xs):
@@ -38,18 +37,13 @@ TOKEN_MACHINES = ("iam", "jam", "pam", "kam", "ham-j", "ham-k")
 def assert_exact(term, trace=False):
     """Every footprint each token machine's run samples, against the reference,
     the IAM's sampled with no ``Reach``; with ``trace``, also those its trace
-    events carry.  At every state, each list of the token has the unfolded
-    size the reference counts."""
+    events carry."""
     index = TermIndex(term)
     for name in TOKEN_MACHINES:
         machine = harness.MACHINES[name]
         sampled = []
-        memo: dict = {}  # the reference's counts: the lists never change
 
         def record(s, reach):
-            for root in ROOTS[name](s):
-                if root is not None:
-                    assert root.unfolded == unfolded(root, memo), (name, len(sampled))
             fp = machine.footprint(s, None if name == "iam" else reach)
             sampled.append((s, fp))
             return fp

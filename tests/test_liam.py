@@ -1,11 +1,11 @@
 import pytest
 
-from lamrun import liam, tokens as tk
+from lamrun import harness, liam, tokens as tk
 from lamrun.equivalence import walk_invariants
 from lamrun.reporting import FINAL, FuelExhausted, Next, Stuck, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
-from conftest import at, same_item, token, traced
+from conftest import at, church_ii, reference_cells, same_item, token, traced
 
 
 def test_initial_state(running_example):
@@ -30,7 +30,7 @@ def test_first_transition_pushes_marker(running_example):
 def test_var_builds_local_logged_position(running_example):
     index = TermIndex(running_example)
     s = liam.IamState(at(index, (FUN, FUN, BODY, BODY, FUN)), tk.cons(tk.MARKER, tk.nil),
-                      tk.nil, liam.DOWN)
+                      tk.nil, liam.DOWN, 1)
     result = liam.step(index, s)
     assert result.label == "var"
     lp = result.state.tape.head
@@ -45,10 +45,10 @@ def test_var_builds_local_logged_position(running_example):
 def test_bt2_returns_only_to_the_logged_variables_binder():
     top = TermIndex(parse("(\\x.x) (\\y.y)")).top
     y, x = liam.LoggedPosition(top.arg.body, None), liam.LoggedPosition(top.fun.body, None)
-    result = liam.step(None, liam.IamState(top.arg, tk.cons(y, tk.nil), tk.nil, liam.DOWN))
+    result = liam.step(None, liam.IamState(top.arg, tk.cons(y, tk.nil), tk.nil, liam.DOWN, 1))
     assert result.label == "bt2" and result.state.node is y.var and result.state.dir == liam.UP
     assert isinstance(liam.step(None, liam.IamState(top.arg, tk.cons(x, tk.nil), tk.nil,
-                                                    liam.DOWN)), Stuck)
+                                                    liam.DOWN, 1)), Stuck)
 
 
 def test_var_cost_is_inner_level(running_example):
@@ -113,6 +113,21 @@ def test_bideterminism_on_corpus(corpus):
             prev = state
 
 
+@pytest.mark.parametrize("term", [harness.family_tn(6), church_ii(10)], ids=["t_6", "c_10 I I"])
+def test_step_back_gives_back_the_cell_count(term):
+    # every state carries its token's cells, counted anew here, and a dual
+    # step from a state gives its predecessor's count back
+    index = TermIndex(term)
+    prev = None
+    for step, (label, state, _) in enumerate(trajectory(liam.MACHINE, index, 10**6)):
+        assert state.cells == reference_cells(state.tape, state.log), step
+        if prev is not None:
+            blabel, bstate = liam.step_back(index, state)
+            assert blabel == label
+            assert bstate.cells == prev.cells == reference_cells(bstate.tape, bstate.log), step
+        prev = state
+
+
 def test_initial_state_has_no_predecessor(running_example):
     index = TermIndex(running_example)
     assert liam.step_back(index, liam.initial(index)) is None
@@ -125,7 +140,7 @@ def test_tape_lift(corpus):
         base = [(lbl, s.node, s.dir) for lbl, s, _ in trajectory(liam.MACHINE, index, 10**6)]
         n = len(base) - 1
         for suffix in ([tk.MARKER], [tk.MARKER, tk.MARKER]):
-            s = liam.IamState(index.top, tk.from_list(suffix), tk.nil, liam.DOWN)
+            s = liam.IamState(index.top, tk.from_list(suffix), tk.nil, liam.DOWN, len(suffix))
             got = [(None, s.node, s.dir)]
             for _ in range(n):
                 r = liam.step(index, s)

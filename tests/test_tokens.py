@@ -6,7 +6,7 @@ from lamrun import liam, ljam, tokens as tk
 from lamrun.ham import LoggedClosure
 from lamrun.syntax import ARG, BODY, FUN, Node, TermIndex, parse
 
-from conftest import reference_cells, reference_refs, same_item, unfolded
+from conftest import reference_cells, reference_refs, same_item
 
 _NODES: dict = {(): Node(None, None, None, 0)}
 
@@ -72,13 +72,12 @@ def test_shared_cells_counted_once():
     assert footprint(tk.nil, tk.from_list([a, b]))[2] == 3
 
 
-def test_unfolded_counts_shared_cells_per_path_reach_once():
+def test_reach_counts_cells_shared_two_ways_once():
     # why the JAM, KAM and HAM keep a Reach: their tokens share cells, which
-    # the unfolded size counts once per way they are reached
+    # a list written out as a tree counts once per way they are reached
     shared = tk.from_list([lp((ARG,)), tk.MARKER])
     a = tk.cons(tk.MARKER, shared)
     b = tk.cons(lp((FUN,), log=shared), None)  # held by an item, not as a tail
-    assert (a.unfolded, b.unfolded) == (3, 3)  # each counts the two shared cells
     assert tk.Reach().update(a, b) == reference_cells(a, b) == 4  # a, b and those two
 
 
@@ -183,7 +182,6 @@ def test_marker_counts_match_a_scan(start, ops):
         while xs is not None:  # every suffix is a list too
             assert type(xs.markers) is int
             assert xs.markers == sum(isinstance(x, tk.Marker) for x in tk.iterate(xs))
-            assert xs.unfolded == unfolded(xs, {})
             xs = xs.tail
     assert tk.markers(tk.nil) == 0
 
@@ -251,6 +249,3 @@ def test_reach_matches_a_recount(updates):
             made.extend(roots)
         assert reach.update(*roots) == reference_cells(*roots)
         assert reach.refs == reference_refs(*roots)
-        memo: dict = {}
-        for root in roots:
-            assert (0 if root is None else root.unfolded) == unfolded(root, memo)
