@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import DUAL, FINAL, FLIP, LOGGED_POSITION, Machine, Next, NodeState, Stuck
+from .reporting import FINAL, LOGGED_POSITION, Machine, Next, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 DOWN = "down"
@@ -91,16 +91,6 @@ def step(index: TermIndex, s: IamState):
         return Stuck("up state in argument position with empty log")
     p = s.log.head
     return Next("bt1", IamState(parent.fun, tk.cons(p, s.tape), s.log.tail, DOWN, s.cells))
-
-
-def step_back(index: TermIndex, s: IamState):
-    """Inverse transition: the dual of the step from the flipped state; None
-    exactly on the initial state of a run."""
-    r = step(index, IamState(s.node, s.tape, s.log, FLIP[s.dir], s.cells))
-    if not isinstance(r, Next):
-        return None
-    b = r.state
-    return DUAL[r.label], IamState(b.node, b.tape, b.log, FLIP[b.dir], b.cells)
 
 
 def is_backtracking(s: IamState) -> bool:

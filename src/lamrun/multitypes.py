@@ -243,7 +243,7 @@ def validate(index: DerivationIndex) -> list:
     def note(node, msg):
         problems.append(f"{path_str(node.term_pos) or '·'}: {msg}")
 
-    if root.subject.parent is not None or root.subject.term != subject:
+    if root.subject.parent is not None or root.subject.term is not subject:
         note(root, "conclusion is not about the root of the subject")
     for node in iter_nodes(root):
         if node in seen:

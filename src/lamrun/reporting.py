@@ -3,7 +3,7 @@ and yields each ``Next`` record, ``drive`` folds such a walk into a ``RunReport`
 and the lockstep and invariant checkers consume walks directly."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -70,9 +70,19 @@ class Machine:
 # A reversible machine (IAM, SIAM) steps back by duality (Danos & Regnier,
 # TCS 1999): a state's predecessor is its own successor once the direction is
 # flipped, reached by the dual transition, with the direction flipped back.
+# ``step_back`` does this for both: a state is a dataclass with a ``dir`` field.
 DUAL = {"p1": "p3", "p3": "p1", "p2": "p4", "p4": "p2",
         "var": "bt2", "bt2": "var", "arg": "bt1", "bt1": "arg"}
 FLIP = {"down": "up", "up": "down"}
+
+
+def step_back(step: Callable, index, s):
+    """The inverse transition of a reversible machine's ``step``: the dual
+    label and the state before ``s``; None exactly on the initial state."""
+    r = step(index, replace(s, dir=FLIP[s.dir]))
+    if not isinstance(r, Next):
+        return None
+    return DUAL[r.label], replace(r.state, dir=FLIP[r.state.dir])
 
 
 class NodeState:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, DerivationIndex, Star
-from .reporting import DUAL, FINAL, FLIP, Machine, Next, NodeState, Stuck
+from .reporting import FINAL, Machine, Next, NodeState, Stuck, step_back
 from .syntax import DEFAULT_FUEL, Term
 from .tokens import json_text
 
@@ -99,16 +99,6 @@ def step(index: DerivationIndex, s: SiamState):
     return Next("bt1", SiamState(parent.left, push(parent.left.rh_type, i, s.star), TO_LEAVES))
 
 
-def step_back(index: DerivationIndex, s: SiamState):
-    """Inverse transition: the dual of the step from the flipped state; None
-    exactly on the initial state."""
-    r = step(index, SiamState(s.node, s.star, FLIP[s.dir]))
-    if not isinstance(r, Next):
-        return None
-    b = r.state
-    return DUAL[r.label], SiamState(b.node, b.star, FLIP[b.dir])
-
-
 def observable(s: SiamState):
     """Project to the focused term node and the term-side direction."""
     return s.focus, ("down" if s.dir == TO_LEAVES else "up")
@@ -126,7 +116,7 @@ def check_invariants(index: DerivationIndex, label, s: SiamState, per_label: dic
     occurrence and direction of the state before it."""
     assert 0 <= s.star < mt.star_norm(s.node.rh_type), "★ number outside the type's ★s"
     if label is not None:
-        back = step_back(index, s)
+        back = step_back(step, index, s)
         assert back is not None, "reached state has no predecessor"
         blabel, bstate = back
         prev = ctx["prev"]

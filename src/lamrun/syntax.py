@@ -2,10 +2,11 @@
 
 Terms are immutable trees with de Bruijn indices; the names carried by ``Var``
 and ``Lam`` are presentation-only.  Machines never rewrite the term: they move
-over a fixed root, from one occurrence's ``Node`` to a linked one.  Traces and
-reports name an occurrence by its root-relative path (``Fun``/``Arg``/``Body``
-steps); the level of a path is its number of ``Arg`` steps, i.e. the number of
-arguments the occurrence is buried under.
+over a fixed root, from one occurrence's ``Node`` to a linked one, so terms
+compare and hash by identity.  Traces and reports name an occurrence by its
+root-relative path (``Fun``/``Arg``/``Body`` steps); the level of a path is its
+number of ``Arg`` steps, i.e. the number of arguments the occurrence is buried
+under.
 """
 from __future__ import annotations
 
@@ -58,88 +59,22 @@ class Diverged(LamError):
         self.fuel = fuel
 
 
-def _term_eq(a, b):
-    """Field-by-field equality, as a dataclass compares, with a worklist in
-    place of recursion: terms nest deeper than the Python stack."""
-    if type(b) is not type(a):
-        return NotImplemented
-    pending = [(a, b)]
-    while pending:
-        x, y = pending.pop()
-        if x is y:
-            continue
-        kind = type(x)
-        if type(y) is not kind:
-            return False
-        if kind is Var:
-            if x.index != y.index or x.name != y.name:
-                return False
-        elif kind is Lam:
-            if x.name != y.name:
-                return False
-            pending.append((x.body, y.body))
-        else:
-            pending.append((x.arg, y.arg))
-            pending.append((x.fun, y.fun))
-    return True
-
-
-class _Hashed:
-    """A subterm of known hash, in the tuple of its parent's fields."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
-def _term_hash(term) -> int:
-    """The hash of the tuple of the fields, as a dataclass hashes, computed
-    subterms first with an explicit stack; a shared subterm is hashed once."""
-    known: dict = {}  # id of a subterm -> its hash
-    pending = [term]
-    while pending:
-        t = pending[-1]
-        if type(t) is Var:
-            known[id(t)] = hash((t.index, t.name))
-            pending.pop()
-            continue
-        subterms = (t.body,) if type(t) is Lam else (t.fun, t.arg)
-        missing = [u for u in subterms if id(u) not in known]
-        if missing:
-            pending.extend(missing)
-            continue
-        pending.pop()
-        hashed = [_Hashed(known[id(u)]) for u in subterms]
-        known[id(t)] = hash((t.name, *hashed) if type(t) is Lam else tuple(hashed))
-    return known[id(term)]
-
-
 @dataclass(slots=True, eq=False)
 class Var:
     index: int
     name: str
-    __eq__ = _term_eq
-    __hash__ = _term_hash
 
 
 @dataclass(slots=True, eq=False)
 class Lam:
     name: str
     body: "Term"
-    __eq__ = _term_eq
-    __hash__ = _term_hash
 
 
 @dataclass(slots=True, eq=False)
 class App:
     fun: "Term"
     arg: "Term"
-    __eq__ = _term_eq
-    __hash__ = _term_hash
 
 
 Term = Union[Var, Lam, App]
@@ -285,9 +220,10 @@ def load_definitions(text: str) -> dict:
 # Printing
 
 
-def _render(term: Term, hole: Optional[Path] = None) -> str:
-    """The one printer, with display names; the subterm at ``hole`` prints as
-    ⟨·⟩.  Iterative, so depth is not limited by the Python stack."""
+def pretty(term: Term, hole: Optional[Path] = None) -> str:
+    """Display printer using the carried names (may shadow; for traces only);
+    the subterm at ``hole`` prints as ⟨·⟩.  Iterative, so depth is not limited
+    by the Python stack."""
     path = hole or ()
     n = len(path)
     out: list = []
@@ -323,16 +259,6 @@ def _render(term: Term, hole: Optional[Path] = None) -> str:
                 k = k + 1 if 0 <= k < n and path[k] == FUN else -1
                 t, ctx = t.fun, "fun"
     return "".join(out)
-
-
-def pretty(term: Term) -> str:
-    """Display printer using the carried names (may shadow; for traces only)."""
-    return _render(term)
-
-
-def pretty_with_hole(root: Term, hole: Path) -> str:
-    """Print ``root`` with the subterm at ``hole`` replaced by ⟨·⟩."""
-    return _render(root, hole=hole)
 
 
 def path_str(path: Path) -> str:

@@ -86,6 +86,12 @@ def skeleton(term):
     return tuple(out)
 
 
+def written(term):
+    """The skeleton and the display text of ``term``: together they fix every
+    field, so terms built apart are compared by these, not by identity."""
+    return skeleton(term), pretty(term)
+
+
 def canonical_pretty(term):
     """Collision-free printing: binders renamed by depth, written with a backslash."""
     def rename(t, depth):

@@ -240,8 +240,8 @@ def test_siam_invariants_reject_a_type_path_without_a_star(running_example):
 def test_invariants_suite_reports_a_disagreeing_inverse_step(monkeypatch, running_example):
     original = siam.step_back
 
-    def step_back(index, s):
-        label, state = original(index, s)
+    def step_back(step, index, s):
+        label, state = original(step, index, s)
         return label, replace(state, dir=siam.TO_ROOT if state.dir == siam.TO_LEAVES
                               else siam.TO_LEAVES)
 

@@ -2,7 +2,7 @@ import pytest
 
 from lamrun import harness, liam, tokens as tk
 from lamrun.equivalence import walk_invariants
-from lamrun.reporting import FINAL, FuelExhausted, Next, Stuck, trajectory
+from lamrun.reporting import FINAL, FuelExhausted, Next, Stuck, step_back, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 from conftest import at, church_ii, reference_cells, same_item, token, traced
@@ -89,7 +89,7 @@ def test_bideterminism_on_examples(running_example, duplication_example):
         prev = None
         for label, state, _ in trajectory(liam.MACHINE, index, 1000):
             if prev is not None:
-                back = liam.step_back(index, state)
+                back = step_back(liam.step, index, state)
                 assert back is not None
                 blabel, bstate = back
                 assert blabel == label
@@ -107,7 +107,7 @@ def test_bideterminism_on_corpus(corpus):
         prev = None
         for label, state, _ in trajectory(liam.MACHINE, index, 10**6):
             if prev is not None:
-                blabel, bstate = liam.step_back(index, state)
+                blabel, bstate = step_back(liam.step, index, state)
                 assert blabel == label
                 assert liam.states_related(bstate, prev, same_item, memo)
             prev = state
@@ -122,7 +122,7 @@ def test_step_back_gives_back_the_cell_count(term):
     for step, (label, state, _) in enumerate(trajectory(liam.MACHINE, index, 10**6)):
         assert state.cells == reference_cells(state.tape, state.log), step
         if prev is not None:
-            blabel, bstate = liam.step_back(index, state)
+            blabel, bstate = step_back(liam.step, index, state)
             assert blabel == label
             assert bstate.cells == prev.cells == reference_cells(bstate.tape, bstate.log), step
         prev = state
@@ -130,7 +130,7 @@ def test_step_back_gives_back_the_cell_count(term):
 
 def test_initial_state_has_no_predecessor(running_example):
     index = TermIndex(running_example)
-    assert liam.step_back(index, liam.initial(index)) is None
+    assert step_back(liam.step, index, liam.initial(index)) is None
 
 
 def test_tape_lift(corpus):

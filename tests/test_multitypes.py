@@ -85,9 +85,10 @@ def test_type_str():
 
 
 def test_abstraction_types_with_single_star_rule():
-    d = infer_star_derivation(parse("\\x.x"), 10)
+    t = parse("\\x.x")
+    d = infer_star_derivation(t, 10)
     assert isinstance(d, DLamStar) and d.term_pos == ()
-    assert validate(DerivationIndex(d, parse("\\x.x"))) == []
+    assert validate(DerivationIndex(d, t)) == []
     assert weight_kam(d) == 0 and weight_iam(d) == 0
 
 
@@ -206,9 +207,20 @@ def test_validate_reports_a_broken_derivation(duplication_example, running_examp
 
 
 def test_validate_reports_an_open_subject():
-    axiom = DVar(Node(Var(0, "x"), None, None, 0), 0, STAR)
-    assert validate(DerivationIndex(axiom, Var(0, "x"))) == [
+    x = Var(0, "x")
+    axiom = DVar(Node(x, None, None, 0), 0, STAR)
+    assert validate(DerivationIndex(axiom, x)) == [
         "closed subject with a non-empty type environment"]
+
+
+def test_validate_asks_for_the_very_subject_term():
+    # terms compare by identity: an equal term parsed apart is another subject
+    text, defs = "I I", {"I": "\\z.z"}
+    t = parse(text, defs)
+    d = infer_star_derivation(t, 10)
+    assert validate(DerivationIndex(d, t)) == []
+    assert validate(DerivationIndex(d, parse(text, defs))) == [
+        "·: conclusion is not about the root of the subject"]
 
 
 def test_env_of_closed_derivation_is_empty(running_example):

