@@ -16,7 +16,6 @@ from .syntax import (
     is_closed,
     load_definitions,
     parse,
-    parse_path,
     pretty,
     term_size,
 )
@@ -85,7 +84,7 @@ def _default_fuel(args) -> int:
 def _table(events, root) -> str:
     rows = [["step", "label", "dir", "subterm", "context", "token"]]
     rows += ([str(ev.step), ev.label, ev.dir, ev.subterm_pretty,
-              pretty(root, parse_path(ev.subterm_path)), ev.token_json]
+              pretty(root, ev.node.path), ev.token_json]
              for ev in events)
     widths = [max(map(len, column)) for column in zip(*rows)]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows)

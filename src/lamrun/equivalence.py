@@ -12,9 +12,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from . import harness, ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
+from . import harness, ham, kam, liam, ljam, lpam, multitypes as mt, reporting, siam, tokens as tk
 from .reporting import FuelExhausted, Machine, Next, StuckError, trajectory
-from .syntax import DEFAULT_FUEL, Diverged, Term, TermIndex, pretty, term_size, whnf_trace
+from .syntax import DEFAULT_FUEL, Diverged, Term, TermIndex, pretty, whnf_trace
 
 
 @dataclass
@@ -42,7 +42,8 @@ class CheckFailed(Exception):
 
 
 def checker(name: str):
-    """Turn ``fn(term, fuel) -> details`` into a checker returning a CheckReport.
+    """Turn ``fn(index, fuel) -> details`` into a checker of a term returning a
+    CheckReport; ``index`` is the term's one TermIndex.
 
     ``fn`` raises CheckFailed on a counterexample, and a stuck machine fails
     the check too; running out of fuel makes the check inconclusive.  Details
@@ -52,9 +53,9 @@ def checker(name: str):
     def wrap(fn):
         @functools.wraps(fn)
         def check(term: Term, fuel: int = DEFAULT_FUEL) -> CheckReport:
-            details: dict = {"term": pretty(term)}
+            index, details = TermIndex(term), {"term": pretty(term)}
             try:
-                details.update(fn(term, fuel))
+                details.update(fn(index, fuel))
             except (Diverged, FuelExhausted):
                 details["reason"] = f"fuel {fuel} exhausted before completion"
                 return CheckReport(name, passed=True, details=details, inconclusive=True)
@@ -131,10 +132,9 @@ def fold_backtracking(iam_run, labels: Counter):
 
 
 @checker("iam-jam")
-def check_iam_jam(term: Term, fuel: int) -> dict:
+def check_iam_jam(index: TermIndex, fuel: int) -> dict:
     """Trace alignment: the interaction run is the projected jumping run with each
     jump expanded into a bt1 .. bt2 backtracking block."""
-    index = TermIndex(term)
     memo: dict = {}
 
     def relate(label_j, s_j, label_i, s_i):
@@ -162,8 +162,7 @@ def check_iam_jam(term: Term, fuel: int) -> dict:
 
 
 @checker("jam-pam")
-def check_jam_pam(term: Term, fuel: int) -> dict:
-    index = TermIndex(term)
+def check_jam_pam(index: TermIndex, fuel: int) -> dict:
     memo: dict = {}
 
     def relate(label_j, s_j, label_p, s_p):
@@ -231,8 +230,7 @@ _K_LABELS = {"p1_app": "app", "p2_abs": "abs", "var_k": "var"}
 
 
 @checker("ham-jk")
-def check_ham_jk(term: Term, fuel: int) -> dict:
-    index = TermIndex(term)
+def check_ham_jk(index: TermIndex, fuel: int) -> dict:
     memo_j: dict = {}
     memo_k: dict = {}
 
@@ -277,10 +275,10 @@ def check_ham_jk(term: Term, fuel: int) -> dict:
 
 
 @checker("iam-siam")
-def check_iam_siam(term: Term, fuel: int) -> dict:
+def check_iam_siam(index: TermIndex, fuel: int) -> dict:
     """Observable bisimulation: same label and (node, direction) sequences; the
     derivation is about the nodes the interaction machine walks."""
-    index = TermIndex(term)
+    term = index.root
     dindex = siam.DerivationIndex(mt.star_derivation(index, whnf_trace(term, fuel)), term)
 
     def relate(label_i, s_i, label_s, s_s):
@@ -296,14 +294,14 @@ def check_iam_siam(term: Term, fuel: int) -> dict:
 
 
 @checker("weights")
-def check_weights(term: Term, fuel: int) -> dict:
-    deriv = mt.infer_star_derivation(term, fuel)
-    dindex = siam.DerivationIndex(deriv, term)
+def check_weights(index: TermIndex, fuel: int) -> dict:
+    deriv = mt.star_derivation(index, whnf_trace(index.root, fuel))
+    dindex = siam.DerivationIndex(deriv, index.root)
     problems = mt.validate(dindex)
     if problems:
         raise CheckFailed(invalid=problems[:5])
-    kam_report = kam.run(term, fuel)
-    iam_report = liam.run(term, fuel)
+    kam_report = reporting.run(kam.MACHINE, index, fuel)
+    iam_report = reporting.run(liam.MACHINE, index, fuel)
     _, coverage = siam.run_index(dindex, fuel)
     w_kam = mt.weight_kam(deriv)
     w_iam = mt.weight_iam(deriv)
@@ -326,10 +324,10 @@ def check_weights(term: Term, fuel: int) -> dict:
 
 
 @checker("quadratic")
-def check_quadratic(term: Term, fuel: int) -> dict:
+def check_quadratic(index: TermIndex, fuel: int) -> dict:
     """Pointwise |K| <= |J| <= |K| + vars(J)^2 * |t| on one term."""
-    j, k = ljam.run(term, fuel), kam.run(term, fuel)
-    size, vars_j = term_size(term), j.per_label.get("var", 0)
+    j, k = reporting.run(ljam.MACHINE, index, fuel), reporting.run(kam.MACHINE, index, fuel)
+    size, vars_j = index.size, j.per_label.get("var", 0)
     if not (k.length <= j.length <= k.length + vars_j * vars_j * size):
         raise CheckFailed(kam=k.length, jam=j.length, vars=vars_j, size=size)
     return {}
@@ -369,7 +367,7 @@ def walk_invariants(machine: Machine, index, fuel: int):
 
 
 @checker("invariants")
-def check_invariants_suite(term: Term, fuel: int) -> dict:
+def check_invariants_suite(index: TermIndex, fuel: int) -> dict:
     """Per-state invariants of every registered machine, plus run-level identities.
 
     The token machines walk the term's index, the derivation machine its ★
@@ -377,10 +375,9 @@ def check_invariants_suite(term: Term, fuel: int) -> dict:
     at it, the derivation machine on a judgement about it.  Each hopping mode makes
     the transitions of the machine it entangles, renamed: HAM-J those of the
     JAM, HAM-K those of the KAM."""
-    index = TermIndex(term)
-    steps = whnf_trace(term, fuel)  # reduced once: the β count, then the derivation
+    steps = whnf_trace(index.root, fuel)  # reduced once: the β count, then the derivation
     beta = len(steps)
-    dindex = siam.DerivationIndex(mt.star_derivation(index, steps), term)
+    dindex = siam.DerivationIndex(mt.star_derivation(index, steps), index.root)
     try:
         walks = {name: walk_invariants(m, dindex if name == siam.MACHINE.name else index, fuel)
                  for name, m in harness.MACHINES.items()}

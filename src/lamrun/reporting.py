@@ -102,6 +102,7 @@ class TraceEvent:
     machine: str
     label: str
     dir: str
+    node: object  # the focused term node
     subterm_path: str
     subterm_pretty: str
     token_json: str
@@ -186,9 +187,9 @@ def drive(
     that a profiler can wrap them.  ``sink``, when given, is called with each
     state's ``TraceEvent`` as soon as the state is reached, so a traced run
     holds no trace of its own; None means an untraced run.  Every state has a
-    ``focus``, the term node it is at; an event prints its path and subterm,
-    and its token comes through one ``tokens.Encoder`` per run, so each item
-    is written once.  Returns the report in all cases; ``outcome`` is "fuel"
+    ``focus``, the term node it is at; an event keeps that node and prints its
+    path and subterm, and its token comes through one ``tokens.Encoder`` per
+    run, so each item is written once.  Returns the report in all cases; ``outcome`` is "fuel"
     when the walk ran out of fuel and "final" when it reached a final state.
     ``check_fn(state, per_label)`` is called on every reached state and may
     raise.  The footprint is sampled at every state, including the initial
@@ -227,7 +228,7 @@ def drive(
                 place = places.get(node)
                 if place is None:
                     place = places[node] = (path_str(node.path), pretty(node.term))
-                sink(TraceEvent(steps, name, label or "init", state_dir_fn(state),
+                sink(TraceEvent(steps, name, label or "init", state_dir_fn(state), node,
                                 *place, snapshot_fn(index, state, enc), cost, fp))
     except FuelExhausted:
         outcome = "fuel"

@@ -49,10 +49,6 @@ class NotClosed(LamError):
     pass
 
 
-class InvalidPath(LamError):
-    pass
-
-
 class Diverged(LamError):
     def __init__(self, fuel: int):
         super().__init__(f"no weak head normal form within {fuel} steps")
@@ -263,16 +259,6 @@ def pretty(term: Term, hole: Optional[Path] = None) -> str:
 
 def path_str(path: Path) -> str:
     return "/".join(path)
-
-
-def parse_path(text: str) -> Path:
-    if not text:
-        return ()
-    steps = tuple(text.split("/"))
-    for s in steps:
-        if s not in (FUN, ARG, BODY):
-            raise InvalidPath(f"bad path step {s!r}")
-    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from lamrun import harness, liam, ljam, tokens as tk
 from lamrun.ham import ClosedPosition, LoggedClosure
 from lamrun.kam import Closure
-from lamrun.syntax import ARG, BODY, FUN, App, InvalidPath, Lam, Var, parse, path_str, pretty
+from lamrun.syntax import ARG, BODY, FUN, App, Lam, Var, parse, path_str, pretty
 
 DEFS = {"I": "\\z.z"}
 
@@ -31,7 +31,7 @@ def resolve(root, path):
         elif step == BODY and isinstance(t, Lam):
             t = t.body
         else:
-            raise InvalidPath(f"step {step} does not match node at {path_str(path)}")
+            raise ValueError(f"step {step} does not match node at {path_str(path)}")
     return t, level
 
 

@@ -112,6 +112,24 @@ def test_check_weights_indexes_the_derivation_once(running_example, monkeypatch)
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("name", sorted(eq.CHECKERS))
+def test_each_checker_builds_one_term_index(monkeypatch, name):
+    built = 0
+    build = TermIndex.__init__
+
+    def counting_build(self, term):
+        nonlocal built
+        built += 1
+        build(self, term)
+
+    monkeypatch.setattr(TermIndex, "__init__", counting_build)
+    t_4 = harness.family_tn(4)
+    check = eq.CHECKERS[name]
+    report = check([t_4], 1000) if name == "quadratic" else check(t_4, 1000)
+    assert report.passed and not report.inconclusive
+    assert built == 1
+
+
 def test_check_iam_siam(running_example, corpus):
     assert eq.check_iam_siam(running_example, 1000).passed
     for term in corpus[:30]:

@@ -1,10 +1,12 @@
-"""Byte-for-byte JSONL traces of every machine on three small terms, and
-the size and digest of each machine's trace on ``two two I I``.
+"""Byte-for-byte JSONL and table traces of every machine on three small
+terms, and the size and digest of each machine's trace on ``two two I I``.
 
-Each fixture is the full output of ``lamrun run --trace jsonl``: one event per
-line, then the report line.  They pin the token serialisation of every
-machine and the footprint figures (``deepCells``, ``peakFootprint``,
-``ramCostBound``) that no hand-derived golden trace covers.
+Each JSONL fixture is the full output of ``lamrun run --trace jsonl``: one
+event per line, then the report line.  They pin the token serialisation of
+every machine and the footprint figures (``deepCells``, ``peakFootprint``,
+``ramCostBound``) that no hand-derived golden trace covers.  Each table
+fixture is the full output of ``lamrun run --trace table``, which pins the
+subterm and context columns.
 
 To regenerate them after a deliberate format change, run
 ``PYTHONPATH=src python tests/test_trace_fixtures.py``.
@@ -20,6 +22,7 @@ import pytest
 from lamrun.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "traces"
+TABLES = Path(__file__).parent / "fixtures" / "tables"
 
 TERMS = {
     "running": "(\\y.\\x.x y) (\\z.z) (\\z.z)",
@@ -42,10 +45,10 @@ DIGESTS = {
 }
 
 
-def trace_text(term: str, machine: str) -> str:
+def trace_text(term: str, machine: str, trace: str = "jsonl") -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(["run", term, "--machine", machine, "--trace", "jsonl"])
+        code = main(["run", term, "--machine", machine, "--trace", trace])
     assert code == 0
     return buf.getvalue()
 
@@ -54,6 +57,12 @@ def trace_text(term: str, machine: str) -> str:
 def test_jsonl_trace_matches_fixture(term, machine):
     expected = (FIXTURES / f"{term}-{machine}.jsonl").read_text(encoding="utf-8")
     assert trace_text(TERMS[term], machine) == expected
+
+
+@pytest.mark.parametrize("term,machine", CASES)
+def test_table_trace_matches_fixture(term, machine):
+    expected = (TABLES / f"{term}-{machine}.txt").read_text(encoding="utf-8")
+    assert trace_text(TERMS[term], machine, "table") == expected
 
 
 @pytest.mark.parametrize("machine", MACHINES)
@@ -81,6 +90,9 @@ def test_a_traced_run_does_not_hold_its_trace(tmp_path):
 
 if __name__ == "__main__":
     FIXTURES.mkdir(parents=True, exist_ok=True)
+    TABLES.mkdir(parents=True, exist_ok=True)
     for term, machine in CASES:
         (FIXTURES / f"{term}-{machine}.jsonl").write_text(
             trace_text(TERMS[term], machine), encoding="utf-8")
+        (TABLES / f"{term}-{machine}.txt").write_text(
+            trace_text(TERMS[term], machine, "table"), encoding="utf-8")
