@@ -86,8 +86,10 @@ def _table(events, root) -> str:
     rows += ([str(ev.step), ev.label, ev.dir, ev.subterm_pretty,
               pretty(root, ev.node.path), ev.token_json]
              for ev in events)
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows)
+    # every column but the last is padded: the token column would pad each row
+    # to the run's widest token
+    widths = [max(map(len, column)) for column in list(zip(*rows))[:-1]]
+    return "\n".join("  ".join([*map(str.ljust, r, widths), r[-1]]) for r in rows)
 
 
 def cmd_parse(args) -> int:

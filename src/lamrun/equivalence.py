@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from . import harness, ham, kam, liam, ljam, lpam, multitypes as mt, reporting, siam, tokens as tk
-from .reporting import FuelExhausted, Machine, Next, StuckError, trajectory
+from .reporting import FuelExhausted, Machine, StuckError, trajectory
 from .syntax import DEFAULT_FUEL, Diverged, Term, TermIndex, pretty, whnf_trace
 
 
@@ -116,9 +116,10 @@ def fold_backtracking(iam_run, labels: Counter):
     """
     it = iter(iam_run)
     for step in it:
-        if step.label is not None:
-            labels[step.label] += 1
-        if step.label == "bt1":
+        label = step[0]
+        if label is not None:
+            labels[label] += 1
+        if label == "bt1":
             depth = 1
             for label, s, _ in it:
                 labels[label] += 1
@@ -127,7 +128,7 @@ def fold_backtracking(iam_run, labels: Counter):
                     break
             else:
                 return
-            step = Next("jmp", s, 0)
+            step = ("jmp", s, 0)
         yield step
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
 from .ljam import UP_LABELS
-from .reporting import FINAL, Machine, Next, NodeState, Stuck
+from .reporting import FINAL, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 J_MODE = "j"
@@ -59,29 +59,28 @@ def step_mode(index: TermIndex, s: HamState, mode: str):
         t = n.term
         if isinstance(t, App):
             lc = LoggedClosure(n.arg, s.env, s.log)
-            return Next("p1_app", HamState(n.fun, s.log, s.env, tk.cons(lc, s.tape), DOWN))
+            return ("p1_app", HamState(n.fun, s.log, s.env, tk.cons(lc, s.tape), DOWN), 1)
         if isinstance(t, Lam):
             if s.tape is None:
                 return FINAL
             item = s.tape.head
             if isinstance(item, LoggedClosure):
-                return Next("p2_abs", HamState(n.body, s.log, tk.cons(item, s.env),
-                                               s.tape.tail, DOWN))
+                return ("p2_abs", HamState(n.body, s.log, tk.cons(item, s.env),
+                                           s.tape.tail, DOWN), 1)
             return Stuck("down state with a closed position on the tape")
         i = t.index
         if tk.length(s.env) <= i:
             return Stuck("environment does not close the focused variable")
         cp = ClosedPosition(n, s.log, s.env)
         if mode == J_MODE:
-            return Next(
+            return (
                 "var_j",
                 HamState(n.binder, tk.drop(s.log, n.inner), tk.drop(s.env, i + 1),
                          tk.cons(cp, s.tape), UP),
-                cost=n.inner,
+                n.inner,
             )
         lc = tk.nth(s.env, i)
-        return Next("var_k", HamState(lc.node, tk.cons(cp, lc.log), lc.env, s.tape, DOWN),
-                    cost=i + 1)
+        return ("var_k", HamState(lc.node, tk.cons(cp, lc.log), lc.env, s.tape, DOWN), i + 1)
     side, parent = n.side, n.parent
     if side is None:
         return Stuck("up state at the root of a closed term")
@@ -90,18 +89,16 @@ def step_mode(index: TermIndex, s: HamState, mode: str):
             return Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, LoggedClosure):
-            return Next("p3", HamState(parent, s.log, s.env, s.tape.tail, UP))
-        return Next("arg", HamState(parent.arg, tk.cons(item, s.log), s.env,
-                                    s.tape.tail, DOWN))
+            return ("p3", HamState(parent, s.log, s.env, s.tape.tail, UP), 1)
+        return ("arg", HamState(parent.arg, tk.cons(item, s.log), s.env, s.tape.tail, DOWN), 1)
     if side == BODY:
         if s.env is None:
             return Stuck("up state leaving a body with an empty environment")
-        return Next("p4", HamState(parent, s.log, s.env.tail,
-                                   tk.cons(s.env.head, s.tape), UP))
+        return ("p4", HamState(parent, s.log, s.env.tail, tk.cons(s.env.head, s.tape), UP), 1)
     if s.log is None:
         return Stuck("up state in argument position with empty log")
     cp = s.log.head
-    return Next("jmp", HamState(cp.node, cp.log, cp.env, s.tape, UP))
+    return ("jmp", HamState(cp.node, cp.log, cp.env, s.tape, UP), 1)
 
 
 def make_snapshot(mode: str):

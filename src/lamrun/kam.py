@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import FINAL, Machine, Next, NodeState, Stuck
+from .reporting import FINAL, Machine, NodeState, Stuck
 from .syntax import DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, Var, path_str
 
 
@@ -36,15 +36,15 @@ def step(index: TermIndex, s: KamState):
     n = s.node
     t = n.term
     if isinstance(t, App):
-        return Next("app", KamState(n.fun, s.env, tk.cons(Closure(n.arg, s.env), s.stack)))
+        return ("app", KamState(n.fun, s.env, tk.cons(Closure(n.arg, s.env), s.stack)), 1)
     if isinstance(t, Lam):
         if s.stack is None:
             return FINAL
-        return Next("abs", KamState(n.body, tk.cons(s.stack.head, s.env), s.stack.tail))
+        return ("abs", KamState(n.body, tk.cons(s.stack.head, s.env), s.stack.tail), 1)
     if tk.length(s.env) <= t.index:
         return Stuck("environment does not close the focused variable")
     clo = tk.nth(s.env, t.index)
-    return Next("var", KamState(clo.node, clo.env, s.stack), cost=t.index + 1)
+    return ("var", KamState(clo.node, clo.env, s.stack), t.index + 1)
 
 
 def snapshot(index: TermIndex, s: KamState, enc: tk.Encoder) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import FINAL, LOGGED_POSITION, Machine, Next, NodeState, Stuck
+from .reporting import FINAL, LOGGED_POSITION, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 DOWN = "down"
@@ -59,20 +59,20 @@ def step(index: TermIndex, s: IamState):
     if s.dir == DOWN:
         t = n.term
         if isinstance(t, App):
-            return Next("p1", IamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN, s.cells + 1))
+            return ("p1", IamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN, s.cells + 1), 1)
         if isinstance(t, Lam):
             if s.tape is None:
                 return FINAL
             item = s.tape.head
             if isinstance(item, tk.Marker):
-                return Next("p2", IamState(n.body, s.tape.tail, s.log, DOWN, s.cells - 1))
+                return ("p2", IamState(n.body, s.tape.tail, s.log, DOWN, s.cells - 1), 1)
             if item.var.binder is n:
                 log = tk.concat(item.log, s.log)
-                return Next("bt2", IamState(item.var, s.tape.tail, log, UP, s.cells - 1))
+                return ("bt2", IamState(item.var, s.tape.tail, log, UP, s.cells - 1), 1)
             return Stuck("logged position on tape does not match the focused abstraction")
         lp = LoggedPosition(n, tk.take(s.log, n.inner))
         state = IamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP, s.cells + 1)
-        return Next("var", state, cost=n.inner)
+        return ("var", state, n.inner)
     # up phase
     side, parent = n.side, n.parent
     if side is None:
@@ -82,15 +82,15 @@ def step(index: TermIndex, s: IamState):
             return Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
-            return Next("p3", IamState(parent, s.tape.tail, s.log, UP, s.cells - 1))
-        return Next("arg", IamState(parent.arg, s.tape.tail, tk.cons(item, s.log), DOWN, s.cells))
+            return ("p3", IamState(parent, s.tape.tail, s.log, UP, s.cells - 1), 1)
+        return ("arg", IamState(parent.arg, s.tape.tail, tk.cons(item, s.log), DOWN, s.cells), 1)
     if side == BODY:
-        return Next("p4", IamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP, s.cells + 1))
+        return ("p4", IamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP, s.cells + 1), 1)
     # argument position: backtrack to the logged position on top of the log
     if s.log is None:
         return Stuck("up state in argument position with empty log")
     p = s.log.head
-    return Next("bt1", IamState(parent.fun, tk.cons(p, s.tape), s.log.tail, DOWN, s.cells))
+    return ("bt1", IamState(parent.fun, tk.cons(p, s.tape), s.log.tail, DOWN, s.cells), 1)
 
 
 def is_backtracking(s: IamState) -> bool:

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
-from .reporting import FINAL, LOGGED_POSITION, Machine, Next, NodeState, Stuck
+from .reporting import FINAL, LOGGED_POSITION, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 UP_LABELS = ("p3", "p4", "arg", "jmp")
@@ -42,16 +42,16 @@ def step(index: TermIndex, s: JamState):
     if s.dir == DOWN:
         t = n.term
         if isinstance(t, App):
-            return Next("p1", JamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN))
+            return ("p1", JamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN), 1)
         if isinstance(t, Lam):
             if s.tape is None:
                 return FINAL
             if isinstance(s.tape.head, tk.Marker):
-                return Next("p2", JamState(n.body, s.tape.tail, s.log, DOWN))
+                return ("p2", JamState(n.body, s.tape.tail, s.log, DOWN), 1)
             return Stuck("down state with a logged position on the tape")
         lp = LoggedPosition(n, s.log)  # shares the whole log
         state = JamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP)
-        return Next("var", state, cost=n.inner)
+        return ("var", state, n.inner)
     side, parent = n.side, n.parent
     if side is None:
         return Stuck("up state at the root of a closed term")
@@ -60,14 +60,14 @@ def step(index: TermIndex, s: JamState):
             return Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
-            return Next("p3", JamState(parent, s.tape.tail, s.log, UP))
-        return Next("arg", JamState(parent.arg, s.tape.tail, tk.cons(item, s.log), DOWN))
+            return ("p3", JamState(parent, s.tape.tail, s.log, UP), 1)
+        return ("arg", JamState(parent.arg, s.tape.tail, tk.cons(item, s.log), DOWN), 1)
     if side == BODY:
-        return Next("p4", JamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP))
+        return ("p4", JamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP), 1)
     if s.log is None:
         return Stuck("up state in argument position with empty log")
     p = s.log.head
-    return Next("jmp", JamState(p.var, s.tape, p.log, UP))
+    return ("jmp", JamState(p.var, s.tape, p.log, UP), 1)
 
 
 def depth_of(item, memo: Optional[dict] = None) -> int:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from . import reporting, tokens as tk
 from .liam import DOWN, UP
 from .ljam import UP_LABELS
-from .reporting import FINAL, Machine, Next, NodeState, Stuck
+from .reporting import FINAL, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 
@@ -85,17 +85,16 @@ def step(index: TermIndex, s: PamState):
     if s.dir == DOWN:
         t = n.term
         if isinstance(t, App):
-            return Next("p1", PamState(n.fun, s.history, s.index,
-                                       tk.cons(tk.MARKER, s.tape), DOWN))
+            return ("p1", PamState(n.fun, s.history, s.index,
+                                   tk.cons(tk.MARKER, s.tape), DOWN), 1)
         if isinstance(t, Lam):
             if s.tape is None:
                 return FINAL
             if isinstance(s.tape.head, tk.Marker):
-                return Next("p2", PamState(n.body, s.history, s.index, s.tape.tail, DOWN))
+                return ("p2", PamState(n.body, s.history, s.index, s.tape.tail, DOWN), 1)
             return Stuck("down state with a position on the tape")
         new_index = phi_pow(s.history, s.index, n.inner)
-        return Next("var", PamState(n.binder, s.history, new_index, tk.cons(n, s.tape), UP),
-                    cost=n.inner)
+        return ("var", PamState(n.binder, s.history, new_index, tk.cons(n, s.tape), UP), n.inner)
     side, parent = n.side, n.parent
     if side is None:
         return Stuck("up state at the root of a closed term")
@@ -104,14 +103,13 @@ def step(index: TermIndex, s: PamState):
             return Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
-            return Next("p3", PamState(parent, s.history, s.index, s.tape.tail, UP))
+            return ("p3", PamState(parent, s.history, s.index, s.tape.tail, UP), 1)
         new_hist = s.history.append(item, s.index)
-        return Next("arg", PamState(parent.arg, new_hist, len(s.history) + 1,
-                                    s.tape.tail, DOWN))
+        return ("arg", PamState(parent.arg, new_hist, len(s.history) + 1, s.tape.tail, DOWN), 1)
     if side == BODY:
-        return Next("p4", PamState(parent, s.history, s.index, tk.cons(tk.MARKER, s.tape), UP))
+        return ("p4", PamState(parent, s.history, s.index, tk.cons(tk.MARKER, s.tape), UP), 1)
     node, _ = s.history.entry(s.index)
-    return Next("jmp", PamState(node, s.history, s.index - 1, s.tape, UP))
+    return ("jmp", PamState(node, s.history, s.index - 1, s.tape, UP), 1)
 
 
 # the plain items a PAM token holds: tape positions are nodes, and history

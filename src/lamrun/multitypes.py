@@ -199,7 +199,6 @@ class DerivationIndex:
     def __init__(self, deriv: Derivation, subject: Term):
         self.deriv = deriv
         self.root = subject
-        self.size = term_size(subject)
         self.parent: dict = {}
         self.axioms: dict = {}  # DLam -> list of DVar, leaf order (judgements hash by identity)
         self.binder: dict = {}  # DVar -> (DLam, 1-based ordinal)
@@ -231,6 +230,12 @@ class DerivationIndex:
                 for child in reversed(node.rights):
                     stack.append((child, depth))
                 stack.append((node.left, depth))
+
+    @functools.cached_property
+    def size(self) -> int:
+        """The subject's size, walked only when read: ``reporting.drive`` reads it
+        for a run's ``ram_cost_bound``, and the checkers never do."""
+        return term_size(self.root)
 
 
 def validate(index: DerivationIndex) -> list:

@@ -1,22 +1,15 @@
 """Trace events, run reports, and the one run loop: ``trajectory`` steps a machine
-and yields each ``Next`` record, ``drive`` folds such a walk into a ``RunReport``,
-and the lockstep and invariant checkers consume walks directly."""
+and yields each transition as a ``(label, state, cost)`` tuple, ``drive`` folds
+such a walk into a ``RunReport``, and the lockstep and invariant checkers consume
+walks directly."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .syntax import DEFAULT_FUEL, path_str, pretty
 from .tokens import Encoder, Reach, json_text
-
-
-class Next(NamedTuple):
-    """A transition: its label, the state it reaches and its cost."""
-
-    label: Optional[str]
-    state: object
-    cost: int = 1
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,7 @@ class Machine:
 
     name: str
     initial: Callable  # index -> state
-    step: Callable  # () -> ((index, state) -> Next | Final | Stuck)
+    step: Callable  # () -> ((index, state) -> (label, state, cost) | Final | Stuck)
     snapshot: Callable  # (index, state, Encoder) -> the token's JSON text
     # (state, Reach) -> (lp, markers, cells); a machine whose token never
     # shares a cell counts its cells in its states and may ignore the Reach
@@ -80,9 +73,10 @@ def step_back(step: Callable, index, s):
     """The inverse transition of a reversible machine's ``step``: the dual
     label and the state before ``s``; None exactly on the initial state."""
     r = step(index, replace(s, dir=FLIP[s.dir]))
-    if not isinstance(r, Next):
+    if type(r) is not tuple:
         return None
-    return DUAL[r.label], replace(r.state, dir=FLIP[r.state.dir])
+    label, state, _ = r
+    return DUAL[label], replace(state, dir=FLIP[state.dir])
 
 
 class NodeState:
@@ -269,21 +263,21 @@ def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, sink: Optional[Callab
 def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
     """Step ``machine`` on ``index``: the one run loop.
 
-    Yields the ``Next`` record of each transition, starting with
-    ``Next(None, initial, 0)``, and ends at a final state.  Raises StuckError
+    Yields each transition as a ``(label, state, cost)`` tuple, starting with
+    ``(None, initial, 0)``, and ends at a final state.  Raises StuckError
     on a stuck state, FuelExhausted when ``fuel`` steps do not reach a final
     state; in both cases after yielding the last state reached.
     """
     step = machine.step()
-    result = Next(None, machine.initial(index), 0)
+    result = (None, machine.initial(index), 0)
     steps = 0
     while True:
         yield result
-        result = step(index, result.state)
-        if isinstance(result, Final):
+        result = step(index, result[1])
+        if type(result) is not tuple:  # FINAL or Stuck
+            if isinstance(result, Stuck):
+                raise StuckError(f"{machine.name} stuck: {result.reason}")
             return
-        if isinstance(result, Stuck):
-            raise StuckError(f"{machine.name} stuck: {result.reason}")
         if steps >= fuel:
             raise FuelExhausted(fuel)
         steps += 1

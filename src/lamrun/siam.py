@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, DerivationIndex, Star
-from .reporting import FINAL, Machine, Next, NodeState, Stuck, step_back
+from .reporting import FINAL, Machine, NodeState, Stuck, step_back
 from .syntax import DEFAULT_FUEL, Term
 from .tokens import json_text
 
@@ -73,15 +73,15 @@ def step(index: DerivationIndex, s: SiamState):
     n = s.node
     if s.dir == TO_LEAVES:
         if isinstance(n, DApp):
-            return Next("p1", SiamState(n.left, push(n.left.rh_type, TARGET, s.star), TO_LEAVES))
+            return ("p1", SiamState(n.left, push(n.left.rh_type, TARGET, s.star), TO_LEAVES), 1)
         if isinstance(n, DLam):
             i, k = pop(n.rh_type, s.star)
             if i == TARGET:
-                return Next("p2", SiamState(n.body, k, TO_LEAVES))
-            return Next("bt2", SiamState(index.axioms[n][i - 1], k, TO_ROOT))
+                return ("p2", SiamState(n.body, k, TO_LEAVES), 1)
+            return ("bt2", SiamState(index.axioms[n][i - 1], k, TO_ROOT), 1)
         if isinstance(n, DVar):
             binder, i = index.binder[n]
-            return Next("var", SiamState(binder, push(binder.rh_type, i, s.star), TO_ROOT))
+            return ("var", SiamState(binder, push(binder.rh_type, i, s.star), TO_ROOT), 1)
         if s.star:
             return Stuck("star abstraction with a ★ number other than 0")
         return FINAL
@@ -90,13 +90,13 @@ def step(index: DerivationIndex, s: SiamState):
         return Stuck("rootward state at the final judgement")
     parent, (slot, i) = info
     if slot == "body":
-        return Next("p4", SiamState(parent, push(parent.rh_type, TARGET, s.star), TO_ROOT))
+        return ("p4", SiamState(parent, push(parent.rh_type, TARGET, s.star), TO_ROOT), 1)
     if slot == "left":
         j, k = pop(n.rh_type, s.star)
         if j == TARGET:
-            return Next("p3", SiamState(parent, k, TO_ROOT))
-        return Next("arg", SiamState(parent.rights[j - 1], k, TO_LEAVES))
-    return Next("bt1", SiamState(parent.left, push(parent.left.rh_type, i, s.star), TO_LEAVES))
+            return ("p3", SiamState(parent, k, TO_ROOT), 1)
+        return ("arg", SiamState(parent.rights[j - 1], k, TO_LEAVES), 1)
+    return ("bt1", SiamState(parent.left, push(parent.left.rh_type, i, s.star), TO_LEAVES), 1)
 
 
 def observable(s: SiamState):

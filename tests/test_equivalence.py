@@ -6,7 +6,7 @@ import pytest
 
 from lamrun import equivalence as eq, ham, harness, kam, liam, ljam, lpam, multitypes as mt, siam
 from lamrun import tokens as tk
-from lamrun.reporting import Next, Stuck, trajectory
+from lamrun.reporting import Stuck, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 from conftest import at
@@ -276,8 +276,9 @@ def test_invariants_suite_checks_a_siam_branch_its_run_never_takes(monkeypatch):
 
     def step(index, s):
         result = original(index, s)
-        if isinstance(result, Next) and result.label == "p4":
-            return Next("p4", replace(result.state, dir=siam.TO_LEAVES), result.cost)
+        if type(result) is tuple and result[0] == "p4":
+            label, state, cost = result
+            return (label, replace(state, dir=siam.TO_LEAVES), cost)
         return result
 
     term = parse("(\\x.x) (\\y.y)")
@@ -303,8 +304,9 @@ def test_invariants_suite_sees_a_k_mode_hopping_machine_that_stops_early(
 
     def drop_pushed_closure(index, s, mode):
         result = step_mode(index, s, mode)
-        if mode == ham.K_MODE and isinstance(result, Next) and result.label == "p1_app":
-            return Next("p1_app", replace(result.state, tape=s.tape), result.cost)
+        if mode == ham.K_MODE and type(result) is tuple and result[0] == "p1_app":
+            label, state, cost = result
+            return (label, replace(state, tape=s.tape), cost)
         return result
 
     monkeypatch.setattr(ham, "step_mode", drop_pushed_closure)
@@ -321,8 +323,9 @@ def test_invariants_suite_sees_a_machine_that_ends_on_the_wrong_abstraction(monk
 
     def wrong_landing(index, s):
         result = step(index, s)
-        if isinstance(result, Next) and result.label == "var":
-            return Next("var", replace(result.state, node=index.top.fun), result.cost)
+        if type(result) is tuple and result[0] == "var":
+            label, state, cost = result
+            return (label, replace(state, node=index.top.fun), cost)
         return result
 
     monkeypatch.setattr(kam, "step", wrong_landing)
@@ -349,8 +352,9 @@ def corrupt(monkeypatch, module, attr, nth, mode=None, label=None, pos=None):
         if mode is None or args == (mode,):
             seen += 1
             if seen == nth:
-                state = result.state if pos is None else replace(result.state, node=at(index, pos))
-                return Next(label or result.label, state, result.cost)
+                label_was, state, cost = result
+                state = state if pos is None else replace(state, node=at(index, pos))
+                return (label or label_was, state, cost)
         return result
 
     monkeypatch.setattr(module, attr, step)

@@ -121,7 +121,7 @@ def test_run_and_trajectory_agree_at_the_fuel_boundary(name, text):
         else:
             assert k >= length
         assert len(walk) == min(k, length) + 1
-        assert seen(report.final_state) == seen(walk[-1].state)
+        assert seen(report.final_state) == seen(walk[-1][1])
 
 
 def test_states_and_items_are_slotted_and_unchanged():

@@ -14,11 +14,11 @@ def test_identity_final():
 
 def test_app_pushes_argument_closure(running_example):
     index = TermIndex(running_example)
-    result = kam.step(index, kam.initial(index))
-    assert result.label == "app"
-    clo = result.state.stack.head
+    label, state, _ = kam.step(index, kam.initial(index))
+    assert label == "app"
+    clo = state.stack.head
     assert clo.node is index.top.arg and clo.env is None
-    assert result.state.pos == (FUN,)
+    assert state.pos == (FUN,)
 
 
 def test_var_restores_closure_env(running_example):

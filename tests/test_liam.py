@@ -2,7 +2,7 @@ import pytest
 
 from lamrun import harness, liam, tokens as tk
 from lamrun.equivalence import walk_invariants
-from lamrun.reporting import FINAL, FuelExhausted, Next, Stuck, step_back, trajectory
+from lamrun.reporting import FINAL, FuelExhausted, Stuck, step_back, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 from conftest import at, church_ii, reference_cells, same_item, token, traced
@@ -22,31 +22,34 @@ def test_identity_is_immediately_final():
 def test_first_transition_pushes_marker(running_example):
     index = TermIndex(running_example)
     result = liam.step(index, liam.initial(index))
-    assert isinstance(result, Next) and result.label == "p1"
-    assert result.state.pos == (FUN,)
-    assert isinstance(result.state.tape.head, tk.Marker)
+    assert type(result) is tuple
+    label, state, _ = result
+    assert label == "p1"
+    assert state.pos == (FUN,)
+    assert isinstance(state.tape.head, tk.Marker)
 
 
 def test_var_builds_local_logged_position(running_example):
     index = TermIndex(running_example)
     s = liam.IamState(at(index, (FUN, FUN, BODY, BODY, FUN)), tk.cons(tk.MARKER, tk.nil),
                       tk.nil, liam.DOWN, 1)
-    result = liam.step(index, s)
-    assert result.label == "var"
-    lp = result.state.tape.head
+    label, state, cost = liam.step(index, s)
+    assert label == "var"
+    lp = state.tape.head
     assert lp.var is s.node
     assert type(lp) is liam.LoggedPosition and lp.log is None
     assert lp.var.binder is at(index, (FUN, FUN, BODY))
-    assert result.state.pos == (FUN, FUN, BODY)
-    assert result.state.dir == liam.UP
-    assert result.cost == 0
+    assert state.pos == (FUN, FUN, BODY)
+    assert state.dir == liam.UP
+    assert cost == 0
 
 
 def test_bt2_returns_only_to_the_logged_variables_binder():
     top = TermIndex(parse("(\\x.x) (\\y.y)")).top
     y, x = liam.LoggedPosition(top.arg.body, None), liam.LoggedPosition(top.fun.body, None)
-    result = liam.step(None, liam.IamState(top.arg, tk.cons(y, tk.nil), tk.nil, liam.DOWN, 1))
-    assert result.label == "bt2" and result.state.node is y.var and result.state.dir == liam.UP
+    label, state, _ = liam.step(None, liam.IamState(top.arg, tk.cons(y, tk.nil), tk.nil,
+                                                    liam.DOWN, 1))
+    assert label == "bt2" and state.node is y.var and state.dir == liam.UP
     assert isinstance(liam.step(None, liam.IamState(top.arg, tk.cons(x, tk.nil), tk.nil,
                                                     liam.DOWN, 1)), Stuck)
 
@@ -95,8 +98,8 @@ def test_bideterminism_on_examples(running_example, duplication_example):
                 assert blabel == label
                 assert liam.states_related(bstate, prev, same_item, memo)
                 fwd = liam.step(index, bstate)
-                assert isinstance(fwd, Next)
-                assert liam.states_related(fwd.state, state, same_item, memo)
+                assert type(fwd) is tuple
+                assert liam.states_related(fwd[1], state, same_item, memo)
             prev = state
 
 
@@ -144,9 +147,9 @@ def test_tape_lift(corpus):
             got = [(None, s.node, s.dir)]
             for _ in range(n):
                 r = liam.step(index, s)
-                assert isinstance(r, Next)
-                s = r.state
-                got.append((r.label, s.node, s.dir))
+                assert type(r) is tuple
+                label, s, _ = r
+                got.append((label, s.node, s.dir))
             assert got[1:] == base[1:]
 
 

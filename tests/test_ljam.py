@@ -16,13 +16,13 @@ def test_var_stores_global_position_and_whole_log(running_example):
     x = at(index, (FUN, FUN, BODY, BODY, FUN))
     log = tk.cons(ljam.LoggedPosition(x, None), None)
     s = ljam.JamState(at(index, (ARG, BODY)), tk.nil, log, ljam.DOWN)
-    result = ljam.step(index, s)
-    assert result.label == "var"
-    lp = result.state.tape.head
+    label, state, _ = ljam.step(index, s)
+    assert label == "var"
+    lp = state.tape.head
     assert lp.var is s.node
     assert type(lp) is ljam.LoggedPosition
     assert lp.log is log  # shared, not copied
-    assert result.state.log is log  # inner level 0 pops nothing
+    assert state.log is log  # inner level 0 pops nothing
 
 
 def test_jmp_restores_position_and_log(running_example):
@@ -30,11 +30,11 @@ def test_jmp_restores_position_and_log(running_example):
     px = ljam.LoggedPosition(at(index, (FUN, FUN, BODY, BODY, FUN)), None)
     pz = ljam.LoggedPosition(at(index, (ARG, BODY)), tk.cons(px, None))
     s = ljam.JamState(at(index, (ARG,)), tk.cons(pz, tk.nil), tk.cons(px, tk.nil), ljam.UP)
-    result = ljam.step(index, s)
-    assert result.label == "jmp"
-    assert result.state.pos == (FUN, FUN, BODY, BODY, FUN)
-    assert result.state.log is px.log  # the stored log, here empty
-    assert result.state.tape.head is pz  # tape untouched
+    label, state, _ = ljam.step(index, s)
+    assert label == "jmp"
+    assert state.pos == (FUN, FUN, BODY, BODY, FUN)
+    assert state.log is px.log  # the stored log, here empty
+    assert state.tape.head is pz  # tape untouched
 
 
 def test_depth_examples(running_example):

@@ -76,10 +76,10 @@ def test_var_keeps_index_at_level_zero(running_example):
     index = TermIndex(running_example)
     s = lpam.PamState(at(index, (FUN, FUN, BODY, BODY, FUN)), History(), 0,
                       tk.cons(tk.MARKER, tk.nil), lpam.DOWN)
-    result = lpam.step(index, s)
-    assert result.label == "var" and result.state.index == 0
-    assert result.state.tape.head is s.node
-    assert result.cost == 0
+    label, state, cost = lpam.step(index, s)
+    assert label == "var" and state.index == 0
+    assert state.tape.head is s.node
+    assert cost == 0
 
 
 def test_arg_appends_indexed_position(running_example):
@@ -87,11 +87,11 @@ def test_arg_appends_indexed_position(running_example):
     pos = at(index, (FUN, FUN, BODY, BODY, FUN))
     s = lpam.PamState(index.top.fun, History(), 0, tk.cons(pos, tk.cons(tk.MARKER, tk.nil)),
                       lpam.UP)
-    result = lpam.step(index, s)
-    assert result.label == "arg"
-    assert result.state.history.entries() == [(pos, 0)]
-    assert result.state.index == 1
-    assert result.state.pos == (ARG,)
+    label, state, _ = lpam.step(index, s)
+    assert label == "arg"
+    assert state.history.entries() == [(pos, 0)]
+    assert state.index == 1
+    assert state.pos == (ARG,)
 
 
 def test_jmp_decrements_index(running_example):
@@ -99,10 +99,10 @@ def test_jmp_decrements_index(running_example):
     pos = at(index, (FUN, FUN, BODY, BODY, FUN))
     h = History().append(pos, 0)
     s = lpam.PamState(index.top.arg, h, 1, tk.cons(at(index, (ARG, BODY)), tk.nil), lpam.UP)
-    result = lpam.step(index, s)
-    assert result.label == "jmp"
-    assert result.state.node is pos and result.state.index == 0
-    assert result.state.tape.head is at(index, (ARG, BODY))
+    label, state, _ = lpam.step(index, s)
+    assert label == "jmp"
+    assert state.node is pos and state.index == 0
+    assert state.tape.head is at(index, (ARG, BODY))
 
 
 def test_final_history_running_example(running_example):

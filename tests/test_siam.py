@@ -1,7 +1,7 @@
 import pytest
 
-from lamrun import harness, liam, multitypes as mt, siam
-from lamrun.reporting import Next, step_back, trajectory
+from lamrun import equivalence as eq, harness, liam, multitypes as mt, siam
+from lamrun.reporting import step_back, trajectory
 from lamrun.syntax import TermIndex, parse, whnf_trace
 
 from conftest import church_ii
@@ -99,7 +99,7 @@ def test_bideterminism(running_example, duplication_example, corpus):
                 assert bstate.node is prev.node and bstate.star == prev.star
                 assert bstate.dir == prev.dir
                 fwd = siam.step(dindex, bstate)
-                assert isinstance(fwd, Next) and fwd.state.node is state.node
+                assert type(fwd) is tuple and fwd[1].node is state.node
             prev = state
         assert step_back(siam.step, dindex, siam.initial(dindex)) is None
 
@@ -115,13 +115,14 @@ def test_var_bt2_roundtrip(running_example, duplication_example):
                 continue
             binder, i = dindex.binder[node]
             for k in range(mt.star_norm(node.rh_type)):
-                after_var = siam.step(dindex, siam.SiamState(node, k, siam.TO_LEAVES))
-                assert after_var.label == "var"
+                label, after_var, _ = siam.step(dindex, siam.SiamState(node, k, siam.TO_LEAVES))
+                assert label == "var"
                 star = siam.push(binder.rh_type, i, k)
-                assert after_var.state.node is binder and after_var.state.star == star
-                after_bt2 = siam.step(dindex, siam.SiamState(binder, star, siam.TO_LEAVES))
-                assert after_bt2.label == "bt2"
-                assert after_bt2.state.node is node and after_bt2.state.star == k
+                assert after_var.node is binder and after_var.star == star
+                label, after_bt2, _ = siam.step(dindex,
+                                                siam.SiamState(binder, star, siam.TO_LEAVES))
+                assert label == "bt2"
+                assert after_bt2.node is node and after_bt2.star == k
 
 
 def test_no_state_repeats(corpus):
@@ -159,3 +160,21 @@ def test_star_numbering_matches_a_recursive_enumeration(corpus):
         for step, entry in entries:
             for k in range(mt.star_norm(entry)):
                 assert siam.pop(ty, siam.push(ty, step, k)) == (step, k)
+
+
+def test_only_a_run_walks_the_subject_for_its_size(monkeypatch, running_example):
+    # a DerivationIndex walks its subject for ``size`` only when a run's report
+    # reads it, once: the checkers that build one never do
+    walked = []
+    term_size = mt.term_size
+    monkeypatch.setattr(mt, "term_size", lambda term: walked.append(term) or term_size(term))
+    assert eq.check_iam_siam(running_example, 1000).passed
+    assert eq.check_invariants_suite(running_example, 1000).passed
+    assert walked == []
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(running_example, 1000),
+                                  running_example)
+    report, _ = siam.run_index(dindex, 1000)
+    assert walked == [running_example]
+    vars_ = report.per_label["var"]
+    assert report.ram_cost_bound == (report.length - vars_) + vars_ * 11
+    assert dindex.size == 11 and walked == [running_example]

@@ -16,7 +16,6 @@ import pytest
 
 import lamrun
 from lamrun import harness, ham, liam, ljam, multitypes as mt, reporting, siam, tokens as tk
-from lamrun.reporting import Next
 from lamrun.syntax import TermIndex, parse, path_str, pretty
 
 from conftest import ROOTS, church_ii, resolve, traced, unfolded
@@ -108,9 +107,9 @@ def oracle_lines(name, term):
                                        machine.footprint(s, tk.Reach())))}
         lines.append(json.dumps(event, ensure_ascii=False))
         result = step(index, s)
-        if not isinstance(result, Next):
+        if type(result) is not tuple:
             return lines
-        label, cost, s = result.label, result.cost, result.state
+        label, s, cost = result
 
 
 def traced_lines(name, term):

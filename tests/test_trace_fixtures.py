@@ -65,6 +65,15 @@ def test_table_trace_matches_fixture(term, machine):
     assert trace_text(TERMS[term], machine, "table") == expected
 
 
+def test_no_table_line_ends_in_a_blank():
+    # the last column, the token, is not padded to the run's widest token
+    texts = [trace_text(TWO_TWO, "jam", "table")]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(TABLES.glob("*.txt"))]
+    assert len(texts) == len(CASES) + 1
+    for text in texts:
+        assert not [line for line in text.splitlines() if line.endswith(" ")]
+
+
 @pytest.mark.parametrize("machine", MACHINES)
 def test_shared_token_trace_matches_digest(machine):
     data = trace_text(TWO_TWO, machine).encode("utf-8")
