@@ -5,7 +5,7 @@ import random
 import time
 from typing import Optional
 
-from . import ham, kam, liam, ljam, lpam, multitypes as mt, siam
+from . import ham, kam, liam, ljam, lpam, multitypes as mt, reporting, siam
 from .syntax import (
     DEFAULT_FUEL,
     App,
@@ -153,7 +153,8 @@ def compare(
         if name != "siam":
             report = run_machine(name, term, fuel, allow_fuel=True)
         elif deriv is not None:
-            report, _ = siam.run(deriv, term, fuel, allow_fuel=True)
+            report = reporting.run(siam.MACHINE, siam.DerivationIndex(deriv, term), fuel,
+                                   allow_fuel=True)  # no coverage: the row does not show it
         else:
             row["machines"][name] = {"outcome": "fuel"}
             continue

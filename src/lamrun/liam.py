@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import FINAL, LOGGED_POSITION, Machine, NodeState, Stuck
+from .reporting import FINAL, FLIP, LOGGED_POSITION, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 DOWN = "down"
@@ -48,6 +48,9 @@ class IamState(NodeState):
     log: Optional[tk.Cell]
     dir: str
     cells: int  # the token's cells, all distinct
+
+    # the state with its direction flipped, for ``reporting.step_back``
+    flip = lambda s: IamState(s.node, s.tape, s.log, FLIP[s.dir], s.cells)  # noqa: E731
 
 
 def initial(index: TermIndex) -> IamState:

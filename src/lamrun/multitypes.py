@@ -63,6 +63,8 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 @dataclass(frozen=True)
 class Star:
+    stars = 1  # ★ occurrences, read as an arrow's are; a class attribute, not a field
+
     def __repr__(self):
         return "★"
 
@@ -80,9 +82,12 @@ class Arrow:
     def __post_init__(self):
         object.__setattr__(self, "stars", star_norm(self.domain) + star_norm(self.target))
 
+    # the first ★'s number of each domain entry, then of the target (the domain's
+    # ★ total): entry ``i`` starts at ``starts[i - 1]``, the target at ``starts[-1]``;
+    # only the SIAM reads it
     @functools.cached_property
-    def starts(self) -> tuple:  # each domain entry's first ★'s number; only the SIAM reads it
-        return tuple(itertools.accumulate(map(star_norm, self.domain[:-1]), initial=0))
+    def starts(self) -> tuple:
+        return tuple(itertools.accumulate((e.stars for e in self.domain), initial=0))
 
 
 LinearType = Union[Star, Arrow]
@@ -92,7 +97,7 @@ def star_norm(ty) -> int:
     """Number of ★ occurrences in a linear type or sequence (tuple) of them."""
     if isinstance(ty, tuple):
         return sum(map(star_norm, ty))
-    return 1 if isinstance(ty, Star) else ty.stars
+    return ty.stars
 
 
 def type_str(ty) -> str:

@@ -8,6 +8,9 @@ from lamrun.kam import Closure
 from lamrun.syntax import ARG, BODY, FUN, App, Lam, Var, parse, path_str, pretty
 
 DEFS = {"I": "\\z.z"}
+# the paper's families, small: t_1 … t_8 and r(k,h) for k, h ∈ {1, 3}
+FAMILIES = ([harness.family_tn(n) for n in range(1, 9)]
+            + [harness.family_rkh(k, h) for k in (1, 3) for h in (1, 3)])
 
 
 def at(index, path):

@@ -1,10 +1,10 @@
 import pytest
 
-from lamrun import equivalence as eq, harness, liam, multitypes as mt, siam
-from lamrun.reporting import step_back, trajectory
+from lamrun import equivalence as eq, liam, multitypes as mt, siam
+from lamrun.reporting import FuelExhausted, step_back, trajectory
 from lamrun.syntax import TermIndex, parse, whnf_trace
 
-from conftest import church_ii
+from conftest import FAMILIES, church_ii
 
 
 def test_identity_initial_is_final():
@@ -125,13 +125,68 @@ def test_var_bt2_roundtrip(running_example, duplication_example):
                 assert after_bt2.node is node and after_bt2.star == k
 
 
+def reference_coverage(dindex, fuel):
+    """``(stars, visited, length, hamiltonian)`` from a set of ``(judgement, ★
+    number)`` pairs over the run's trajectory, and the ★s counted by a walk."""
+    seen, length = set(), -1
+    try:
+        for _, s, _ in trajectory(siam.MACHINE, dindex, fuel):
+            seen.add((s.node, s.star))
+            length += 1
+    except FuelExhausted:
+        pass
+    stars = mt.star_count(dindex.deriv)
+    return stars, len(seen), length, length + 1 == len(seen) == stars
+
+
+def coverage_row(coverage):
+    return coverage.stars, coverage.visited, coverage.length, coverage.hamiltonian
+
+
 def test_no_state_repeats(corpus):
-    for term in corpus[:30]:
-        deriv = mt.infer_star_derivation(term, 10**6)
-        _, coverage = siam.run(deriv, term, 10**6)
+    for term in FAMILIES + corpus:
+        dindex = siam.DerivationIndex(mt.infer_star_derivation(term, 10**6), term)
+        report, coverage = siam.run_index(dindex, 10**6)
+        assert coverage_row(coverage) == reference_coverage(dindex, 10**6)
         assert coverage.repeated == 0
         assert coverage.visited == coverage.stars
-        assert coverage.length == coverage.stars - 1
+        assert coverage.length == report.length == coverage.stars - 1
+
+
+def stuttering(monkeypatch, stutters):
+    """Make the SIAM's step give back the state it was given at the calls
+    whose 1-based numbers ``stutters`` holds; returns the list of calls."""
+    original = siam.step
+    calls = []
+
+    def step(index, s):
+        calls.append(s)
+        if stutters(len(calls)):
+            return ("p1", s, 1)
+        return original(index, s)
+
+    monkeypatch.setattr(siam, "step", step)
+    return calls
+
+
+def test_a_repeated_state_is_not_hamiltonian(monkeypatch, running_example):
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(running_example, 10), running_example)
+    # the fifth step stutters: the run still ends and reaches every ★, one of them twice
+    calls = stuttering(monkeypatch, lambda call: call == 5)
+    report, coverage = siam.run_index(dindex, 100)
+    assert report.outcome == "final" and report.length == 19
+    assert (coverage.visited, coverage.stars, coverage.repeated) == (19, 19, 1)
+    assert not coverage.hamiltonian
+    calls.clear()
+    assert coverage_row(coverage) == reference_coverage(dindex, 100) == (19, 19, 19, False)
+    # every step from the fifth on stutters: the run repeats one state until its fuel runs out
+    calls = stuttering(monkeypatch, lambda call: call >= 5)
+    report, coverage = siam.run_index(dindex, 8, allow_fuel=True)
+    assert report.outcome == "fuel"
+    assert (coverage.visited, coverage.length, coverage.repeated) == (5, 8, 4)
+    assert not coverage.hamiltonian
+    calls.clear()
+    assert coverage_row(coverage) == reference_coverage(dindex, 8) == (19, 5, 8, False)
 
 
 def star_paths(ty, prefix=()):
@@ -144,22 +199,55 @@ def star_paths(ty, prefix=()):
     return paths + star_paths(ty.target, prefix + ("T",))
 
 
+def types_in(derivs) -> list:
+    """Every type object in the judgements' types, nested ones too, each once."""
+    found: dict = {}
+    todo = [n.rh_type for d in derivs for n in mt.iter_nodes(d)]
+    while todo:
+        ty = todo.pop()
+        if id(ty) not in found:
+            found[id(ty)] = ty
+            if isinstance(ty, mt.Arrow):
+                todo.extend(ty.domain)
+                todo.append(ty.target)
+    return list(found.values())
+
+
+def counted_push(ty, step, k):
+    """``push`` from the ★ counts of the entries before the one entered."""
+    if step == siam.TARGET:
+        return ty.stars - mt.star_norm(ty.target) + k
+    return mt.star_norm(ty.domain[:step - 1]) + k
+
+
 def test_star_numbering_matches_a_recursive_enumeration(corpus):
-    terms = corpus + [harness.family_rkh(3, 3), church_ii(5),
-                      parse("two two I I", {"I": "\\z.z", "two": "\\f.\\x.f (f x)"})]
-    types = {n.rh_type for t in terms for n in mt.iter_nodes(mt.infer_star_derivation(t, 10**6))}
+    terms = FAMILIES + corpus + [church_ii(5),
+                                 parse("two two I I", {"I": "\\z.z", "two": "\\f.\\x.f (f x)"})]
+    types = types_in(mt.infer_star_derivation(t, 10**6) for t in terms)
     arrows = [ty for ty in types if isinstance(ty, mt.Arrow)]
-    assert len(arrows) >= 90 and max(len(ty.domain) for ty in arrows) >= 3
+    assert len(arrows) >= 600 and max(len(ty.domain) for ty in arrows) >= 3
     for ty in types:
         paths = star_paths(ty)
         assert len(paths) == mt.star_norm(ty)
         assert [siam.tpath_str(ty, k) for k in range(len(paths))] == paths
-        if isinstance(ty, mt.Star):
-            continue
-        entries = [(siam.TARGET, ty.target)] + list(enumerate(ty.domain, 1))
-        for step, entry in entries:
+    for ty in arrows:
+        # one offset per domain entry, then the target's: the domain's ★ total
+        assert len(ty.starts) == len(ty.domain) + 1
+        assert ty.starts[-1] == ty.stars - mt.star_norm(ty.target)
+        for step, entry in [(siam.TARGET, ty.target)] + list(enumerate(ty.domain, 1)):
             for k in range(mt.star_norm(entry)):
-                assert siam.pop(ty, siam.push(ty, step, k)) == (step, k)
+                star = siam.push(ty, step, k)
+                assert star == counted_push(ty, step, k)
+                assert siam.pop(ty, star) == (step, k)
+
+
+def test_a_transition_counts_no_stars(monkeypatch, corpus):
+    derivs = [(mt.infer_star_derivation(t, 10**6), t) for t in FAMILIES + corpus[:40]]
+    monkeypatch.setattr(mt, "star_norm", lambda ty: pytest.fail("a ★ count in a SIAM run"))
+    for deriv, term in derivs:
+        dindex = siam.DerivationIndex(deriv, term)
+        eq.walk_invariants(siam.MACHINE, dindex, 10**6)  # every step, inverse step and invariant
+        siam.run_index(dindex, 10**6)
 
 
 def test_only_a_run_walks_the_subject_for_its_size(monkeypatch, running_example):

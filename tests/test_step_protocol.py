@@ -10,9 +10,9 @@ from lamrun import harness, multitypes as mt, siam
 from lamrun.reporting import trajectory
 from lamrun.syntax import TermIndex, whnf_trace
 
+from conftest import FAMILIES
+
 FUEL = 10**6
-FAMILIES = ([harness.family_tn(n) for n in range(1, 9)]
-            + [harness.family_rkh(k, h) for k in (1, 3) for h in (1, 3)])
 
 
 def inner(s):
