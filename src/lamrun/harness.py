@@ -5,7 +5,7 @@ import random
 import time
 from typing import Optional
 
-from . import ham, kam, liam, ljam, lpam, multitypes as mt, reporting, siam
+from . import ham, kam, liam, ljam, lpam, multitypes as mt, siam
 from .syntax import (
     DEFAULT_FUEL,
     App,
@@ -153,8 +153,7 @@ def compare(
         if name != "siam":
             report = run_machine(name, term, fuel, allow_fuel=True)
         elif deriv is not None:
-            report = reporting.run(siam.MACHINE, siam.DerivationIndex(deriv, term), fuel,
-                                   allow_fuel=True)  # no coverage: the row does not show it
+            report, _ = siam.run(deriv, term, fuel, allow_fuel=True)
         else:
             row["machines"][name] = {"outcome": "fuel"}
             continue

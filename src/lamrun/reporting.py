@@ -40,10 +40,8 @@ class Machine:
     """One machine as the run loop (``trajectory``), ``drive`` and the registries see it.
 
     ``step`` returns the step function as its module binds it when a run
-    starts, and ``launch`` calls the module's ``run``, so a profiler that
-    rebinds those module attributes sees every call.  The SIAM's ``launch``
-    calls ``reporting.run`` instead: ``siam.run`` also counts the coverage
-    that a launched run would discard.
+    starts, and ``launch`` calls the module's ``run``: a profiler that
+    rebinds those module attributes sees every call.
     """
 
     name: str

@@ -76,13 +76,12 @@ class NotStarDerivationError(Exception):
 
 
 def step(index: DerivationIndex, s: SiamState):
-    # ``push`` written out, and the rule told by ``type(n) is`` (no judgement
-    # class is subclassed): each saves about 4 % of a step
+    # ``type(n) is`` in place of ``isinstance`` (no judgement class is
+    # subclassed) saves about 2 % of a step on t_14
     n = s.node
     if s.dir == TO_LEAVES:
         if type(n) is DApp:
-            left = n.left
-            return ("p1", SiamState(left, left.rh_type.starts[-1] + s.star, TO_LEAVES), 1)
+            return ("p1", SiamState(n.left, push(n.left.rh_type, TARGET, s.star), TO_LEAVES), 1)
         if type(n) is DLam:
             i, k = pop(n.rh_type, s.star)
             if i == TARGET:
@@ -90,7 +89,7 @@ def step(index: DerivationIndex, s: SiamState):
             return ("bt2", SiamState(index.axioms[n][i - 1], k, TO_ROOT), 1)
         if type(n) is DVar:
             binder, i = index.binder[n]
-            return ("var", SiamState(binder, binder.rh_type.starts[i - 1] + s.star, TO_ROOT), 1)
+            return ("var", SiamState(binder, push(binder.rh_type, i, s.star), TO_ROOT), 1)
         if s.star:
             return Stuck("star abstraction with a ★ number other than 0")
         return FINAL
@@ -99,14 +98,13 @@ def step(index: DerivationIndex, s: SiamState):
         return Stuck("rootward state at the final judgement")
     parent, (slot, i) = info
     if slot == "body":
-        return ("p4", SiamState(parent, parent.rh_type.starts[-1] + s.star, TO_ROOT), 1)
+        return ("p4", SiamState(parent, push(parent.rh_type, TARGET, s.star), TO_ROOT), 1)
     if slot == "left":
         j, k = pop(n.rh_type, s.star)
         if j == TARGET:
             return ("p3", SiamState(parent, k, TO_ROOT), 1)
         return ("arg", SiamState(parent.rights[j - 1], k, TO_LEAVES), 1)
-    left = parent.left
-    return ("bt1", SiamState(left, left.rh_type.starts[i - 1] + s.star, TO_LEAVES), 1)
+    return ("bt1", SiamState(parent.left, push(parent.left.rh_type, i, s.star), TO_LEAVES), 1)
 
 
 def observable(s: SiamState):
@@ -179,8 +177,7 @@ def state_footprint(s: SiamState, reach) -> tuple:
 MACHINE = Machine(
     "siam", initial, lambda: step, snapshot, state_footprint,
     # on the term's ★ derivation; Diverged when it has none within fuel
-    launch=lambda term, fuel, **kw: reporting.run(
-        MACHINE, DerivationIndex(mt.infer_star_derivation(term, fuel), term), fuel, **kw),
+    launch=lambda term, fuel, **kw: run(mt.infer_star_derivation(term, fuel), term, fuel, **kw)[0],
     dir=lambda s: observable(s)[1],
     invariants=check_invariants,
 )
