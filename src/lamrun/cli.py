@@ -8,7 +8,7 @@ import re
 import sys
 
 from . import equivalence as eq, harness, multitypes as mt
-from .reporting import FuelExhausted, StuckError
+from .reporting import StuckError
 from .syntax import (
     DEFAULT_FUEL,
     Diverged,
@@ -109,7 +109,9 @@ def cmd_run(args) -> int:
         sinks = {"jsonl": lambda ev: print(ev.to_line(), file=out), "table": rows.append}
         try:
             report = harness.run_machine(args.machine, term, fuel, sink=sinks.get(args.trace))
-        except (FuelExhausted, Diverged):
+        except Diverged:  # the SIAM's term has no ★ derivation within fuel
+            report = None
+        if report is None or report.outcome == "fuel":
             print(f"fuel exhausted after {fuel} steps", file=sys.stderr)
             return EXIT_FUEL
         if args.trace == "table":
@@ -287,7 +289,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.fn(args)
-    except (FuelExhausted, Diverged) as exc:
+    except Diverged as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FUEL
     except (LamError, OSError, ValueError, argparse.ArgumentTypeError) as exc:

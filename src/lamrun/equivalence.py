@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from . import harness, ham, kam, liam, ljam, lpam, multitypes as mt, reporting, siam, tokens as tk
+from . import harness, ham, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
 from .reporting import FuelExhausted, Machine, StuckError, trajectory
 from .syntax import DEFAULT_FUEL, Diverged, Term, TermIndex, pretty, whnf_trace
 
@@ -301,21 +301,23 @@ def check_weights(index: TermIndex, fuel: int) -> dict:
     problems = mt.validate(dindex)
     if problems:
         raise CheckFailed(invalid=problems[:5])
-    kam_report = reporting.run(kam.MACHINE, index, fuel)
-    iam_report = reporting.run(liam.MACHINE, index, fuel)
-    _, coverage = siam.run_index(dindex, fuel)
+    kam_length, iam_length = (sum(1 for _ in trajectory(m, index, fuel)) - 1
+                              for m in (kam.MACHINE, liam.MACHINE))
+    siam_report, coverage = siam.run_index(dindex, fuel)
+    if siam_report.outcome == "fuel":
+        raise FuelExhausted(fuel)
     w_kam = mt.weight_kam(deriv)
     w_iam = mt.weight_iam(deriv)
     stars = coverage.stars
     details = {
-        "w_kam": w_kam, "kam_length": kam_report.length,
-        "w_iam": w_iam, "iam_length": iam_report.length,
+        "w_kam": w_kam, "kam_length": kam_length,
+        "w_iam": w_iam, "iam_length": iam_length,
         "stars": stars, "siam_length": coverage.length,
         "coverage": f"{coverage.visited}/{coverage.stars}",
     }
     if not (
-        w_kam == kam_report.length
-        and w_iam == iam_report.length
+        w_kam == kam_length
+        and w_iam == iam_length
         and coverage.hamiltonian
         and coverage.length == stars - 1
         and w_iam == stars - 1
@@ -327,10 +329,12 @@ def check_weights(index: TermIndex, fuel: int) -> dict:
 @checker("quadratic")
 def check_quadratic(index: TermIndex, fuel: int) -> dict:
     """Pointwise |K| <= |J| <= |K| + vars(J)^2 * |t| on one term."""
-    j, k = reporting.run(ljam.MACHINE, index, fuel), reporting.run(kam.MACHINE, index, fuel)
-    size, vars_j = index.size, j.per_label.get("var", 0)
-    if not (k.length <= j.length <= k.length + vars_j * vars_j * size):
-        raise CheckFailed(kam=k.length, jam=j.length, vars=vars_j, size=size)
+    j = Counter(label for label, _, _ in trajectory(ljam.MACHINE, index, fuel))
+    j_length = j.total() - 1  # the initial state's label is None
+    k_length = sum(1 for _ in trajectory(kam.MACHINE, index, fuel)) - 1
+    size, vars_j = index.size, j["var"]
+    if not (k_length <= j_length <= k_length + vars_j * vars_j * size):
+        raise CheckFailed(kam=k_length, jam=j_length, vars=vars_j, size=size)
     return {}
 
 

@@ -156,11 +156,10 @@ def _shape_key(node, log, env):
     return (node, tk.length(log), tk.length(env))
 
 
-def run(term: Term, mode: str, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
-        allow_fuel: bool = False):
+def run(term: Term, mode: str, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None):
     if mode not in MODES:
         raise ValueError(f"mode must be {J_MODE!r} or {K_MODE!r}")
-    return reporting.run(MODES[mode], TermIndex(term), fuel, sink, allow_fuel)
+    return reporting.run(MODES[mode], TermIndex(term), fuel, sink)
 
 
 def _machine(mode: str, up_labels: tuple) -> Machine:

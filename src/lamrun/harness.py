@@ -114,8 +114,7 @@ def probe_normalizes(term: Term) -> bool:
         size += (k - 1) * term_size(step.arg) - k - 2
         if count == PROBE_WHNF_FUEL or size > PROBE_SIZE_CAP:
             return False
-    report = liam.run(term, PROBE_IAM_FUEL, allow_fuel=True)
-    return report.outcome == "final"
+    return liam.run(term, PROBE_IAM_FUEL).outcome == "final"
 
 
 def gen_corpus(seed: int, count: int, max_size: int) -> list:
@@ -151,9 +150,9 @@ def compare(
     for name in names:
         started = time.perf_counter()
         if name != "siam":
-            report = run_machine(name, term, fuel, allow_fuel=True)
+            report = run_machine(name, term, fuel)
         elif deriv is not None:
-            report, _ = siam.run(deriv, term, fuel, allow_fuel=True)
+            report, _ = siam.run(deriv, term, fuel)
         else:
             row["machines"][name] = {"outcome": "fuel"}
             continue

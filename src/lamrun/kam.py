@@ -80,9 +80,8 @@ def check_invariants(index: TermIndex, label, s: KamState, per_label: dict, ctx:
         assert tk.length(c.env) > max_free[c.node], "closure environment does not close its subterm"
 
 
-def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
-        allow_fuel: bool = False):
-    report = reporting.run(MACHINE, TermIndex(term), fuel, sink, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None):
+    report = reporting.run(MACHINE, TermIndex(term), fuel, sink)
     report.beta_count = report.per_label.get("abs", 0)
     return report
 

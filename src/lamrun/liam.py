@@ -154,9 +154,8 @@ def check_invariants(index: TermIndex, label, s: IamState, per_label: dict, ctx:
             "logged position log length differs from its inner level")
 
 
-def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
-        allow_fuel: bool = False):
-    return reporting.run(MACHINE, TermIndex(term), fuel, sink, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None):
+    return reporting.run(MACHINE, TermIndex(term), fuel, sink)
 
 
 MACHINE = Machine(

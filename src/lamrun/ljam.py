@@ -132,9 +132,8 @@ def check_invariants(index: TermIndex, label, s: JamState, per_label: dict, ctx:
     ctx["phase"] = (phase or [0, d * index.size]) if s.dir == UP else None
 
 
-def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
-        allow_fuel: bool = False):
-    return reporting.run(MACHINE, TermIndex(term), fuel, sink, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None):
+    return reporting.run(MACHINE, TermIndex(term), fuel, sink)
 
 
 MACHINE = Machine(

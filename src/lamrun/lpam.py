@@ -150,9 +150,8 @@ def check_invariants(index: TermIndex, label, s: PamState, per_label: dict, ctx:
         assert positions == 1, "up state without exactly one position on the tape"
 
 
-def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
-        allow_fuel: bool = False):
-    return reporting.run(MACHINE, TermIndex(term), fuel, sink, allow_fuel)
+def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None):
+    return reporting.run(MACHINE, TermIndex(term), fuel, sink)
 
 
 MACHINE = Machine(

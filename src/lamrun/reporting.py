@@ -174,26 +174,26 @@ def drive(
     snapshot_fn: Callable,
     footprint_fn: Callable,
     sink: Optional[Callable] = None,
-    check_fn: Optional[Callable] = None,
 ):
     """Fold ``walk``, a ``trajectory`` of ``machine``, into a run report.
 
     ``machine`` gives the direction accessor and the variable labels; its
     name and the snapshot and footprint functions come apart from it so
-    that a profiler can wrap them.  ``sink``, when given, is called with each
-    state's ``TraceEvent`` as soon as the state is reached, so a traced run
-    holds no trace of its own; None means an untraced run.  Every state has a
-    ``focus``, the term node it is at; an event keeps that node and prints its
-    path and subterm, and its token comes through one ``tokens.Encoder`` per
-    run, so each item is written once.  Returns the report in all cases; ``outcome`` is "fuel"
-    when the walk ran out of fuel and "final" when it reached a final state.
-    ``check_fn(state, per_label)`` is called on every reached state and may
-    raise.  The footprint is sampled at every state, including the initial
-    one, since peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
-    ``tokens.Reach`` per run, which it moves from state to state, and returns
-    the counts ``(lp, markers, cells)``.  A machine whose token never shares
-    a cell, such as the IAM, may ignore the ``Reach``: its states count their
-    token's cells as it steps.
+    that a profiler can wrap them.  ``walk`` may wrap the trajectory to count
+    more as it passes the states on, as ``siam.run_index`` counts coverage.
+    Returns the report in all cases, a walk that runs out of fuel included:
+    ``outcome`` is "fuel" then, and "final" when the walk reached a final
+    state.  ``sink``, when given, is called with each state's ``TraceEvent``
+    as soon as the state is reached, so a traced run holds no trace of its
+    own; None means an untraced run.  Every state has a ``focus``, the term
+    node it is at; an event keeps that node and prints its path and subterm,
+    and its token comes through one ``tokens.Encoder`` per run, so each item
+    is written once.  The footprint is sampled at every state, including the
+    initial one, since peaks occur mid-run: ``footprint_fn(state, reach)``
+    gets one ``tokens.Reach`` per run, which it moves from state to state,
+    and returns the counts ``(lp, markers, cells)``.  A machine whose token
+    never shares a cell, such as the IAM, may ignore the ``Reach``: its
+    states count their token's cells as it steps.
     """
     state_dir_fn, var_labels = machine.dir, machine.var_labels
     per_label: dict = {}
@@ -210,8 +210,6 @@ def drive(
                 per_label[label] = per_label.get(label, 0) + 1
                 if label in var_labels:
                     var_cost += cost
-            if check_fn is not None:
-                check_fn(state, per_label)
             lp, markers, cells = fp = footprint_fn(state, reach)
             if lp > peak_lp:
                 peak_lp = lp
@@ -244,19 +242,14 @@ def drive(
     )
 
 
-def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
-        allow_fuel: bool = False, check: Optional[Callable] = None):
-    """Run ``machine`` on ``index`` to a final state or until ``fuel`` steps.
+def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None):
+    """Run ``machine`` on ``index`` to a final state or until ``fuel`` steps;
+    returns the report, whose ``outcome`` says which ("final" or "fuel").
 
-    ``sink``, when given, takes each ``TraceEvent`` as ``drive`` makes it;
-    ``check(state, per_label)``, when given, is called on every reached
-    state; fuel exhaustion raises unless ``allow_fuel``, after the sink has
-    taken the event of every state reached.
+    ``sink``, when given, takes each ``TraceEvent`` as ``drive`` makes it.
     """
     report = drive(machine.name, index, trajectory(machine, index, fuel), machine,
-                   machine.snapshot, machine.footprint, sink, check)
-    if report.outcome == "fuel" and not allow_fuel:
-        raise FuelExhausted(fuel)
+                   machine.snapshot, machine.footprint, sink)
     if machine.up_labels:
         report.up_length = sum(report.per_label.get(lbl, 0) for lbl in machine.up_labels)
     return report

@@ -146,18 +146,19 @@ class CoverageReport:
         return self.repeated == 0 and self.visited == self.stars
 
 
-def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None,
-        allow_fuel: bool = False):
-    """Run to the final judgement; returns ``(RunReport, CoverageReport)``."""
-    return run_index(DerivationIndex(deriv, subject), fuel, sink, allow_fuel)
+def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL,
+        sink: Optional[Callable] = None):
+    """Run to the final judgement or out of fuel; returns ``(RunReport, CoverageReport)``."""
+    return run_index(DerivationIndex(deriv, subject), fuel, sink)
 
 
-def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None, allow_fuel=False):
+def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None):
     """``run`` on a derivation that the caller has indexed.
 
-    The coverage keys are ints: one preorder pass numbers the ★s of all the
-    judgements from the left, so a reached state is the ★ ``first[node] + star``
-    and the pass's total is the derivation's ★ count."""
+    The walk counts the coverage as it passes each state on to ``drive``.
+    Its keys are ints: one preorder pass numbers the ★s of all the judgements
+    from the left, so a reached state is the ★ ``first[node] + star`` and the
+    pass's total is the derivation's ★ count."""
     first: dict = {}  # judgement -> global number of its first ★ (judgements hash by identity)
     stars = 0
     for node in index.ordinal:  # preorder
@@ -165,8 +166,14 @@ def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None, allow
         stars += node.rh_type.stars
     seen: set = set()
     add = seen.add
-    report = reporting.run(MACHINE, index, fuel, sink, allow_fuel,
-                           check=lambda s, per_label: add(first[s.node] + s.star))
+
+    def covered(walk):
+        for record in walk:
+            add(first[record[1].node] + record[1].star)
+            yield record
+
+    walk = covered(reporting.trajectory(MACHINE, index, fuel))
+    report = reporting.drive(MACHINE.name, index, walk, MACHINE, snapshot, state_footprint, sink)
     return report, CoverageReport(stars, len(seen), report.length)
 
 

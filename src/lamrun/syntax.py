@@ -374,8 +374,8 @@ def _contract(body: Term, arg: Term, bounds: dict):
 
     One iterative walk does both.  Its path is one list, copied into a tuple
     only at an occurrence; a subterm the substitution leaves unchanged is kept.
-    ``bounds`` maps the ``id`` of a subterm to its free-index bound: one more
-    than the largest de Bruijn index free in it, 0 if it is closed.  A subterm
+    ``bounds`` maps a subterm to its free-index bound: one more than the
+    largest de Bruijn index free in it, 0 if it is closed.  A subterm
     whose bound is at most the depth of the variable cannot hold it, and is
     kept without a walk; the walk records the bound of each subterm it keeps
     or builds, so that later steps skip them too.
@@ -385,7 +385,7 @@ def _contract(body: Term, arg: Term, bounds: dict):
     done: list = []  # rebuilt subterms and their bounds, function before argument
     # subterm or a mark, binder depth, length of its parent's path, step into it
     todo: list = [(body, 0, 0, None)]
-    bounds[id(arg)] = 0
+    bounds[arg] = 0
     while todo:
         t, depth, at, step = todo.pop()
         if step is _REBUILD:
@@ -402,7 +402,7 @@ def _contract(body: Term, arg: Term, bounds: dict):
                     t = App(f, a)
                 if fb > bound:
                     bound = fb
-            bounds[id(t)] = bound
+            bounds[t] = bound
             done.append((t, bound))
             continue
         if isinstance(t, Var):
@@ -418,7 +418,7 @@ def _contract(body: Term, arg: Term, bounds: dict):
             else:
                 done.append((t, i + 1))
             continue
-        bound = bounds.get(id(t))
+        bound = bounds.get(t)
         if bound is not None and bound <= depth:
             done.append((t, bound))
             continue
@@ -440,10 +440,9 @@ def whnf_steps(t: Term):
     that reduces.  The arguments of the head spine wait on a stack, the
     innermost on top; a step pops one and contracts the redex alone, so it
     costs nothing per argument left on the spine.  The steps share one table
-    of free-index bounds, keyed by the ``id`` of subterms the steps hold; the
-    loop holds every step it made, so no key outlives its subterm."""
+    of free-index bounds, keyed by subterm: terms hash by identity, and the
+    table keeps each key alive."""
     bounds: dict = {}
-    held: list = []
     args: list = []
     while True:
         while isinstance(t, App):
@@ -455,8 +454,7 @@ def whnf_steps(t: Term):
             raise NotClosed("head variable reached the top level; term is open")
         arg = args.pop()
         t, occ = _contract(t.body, arg, bounds)
-        held.append(ReductionStep(len(args), t, arg, occ))
-        yield held[-1]
+        yield ReductionStep(len(args), t, arg, occ)
 
 
 def whnf_trace(t: Term, fuel: int = DEFAULT_FUEL):

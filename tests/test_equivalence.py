@@ -5,11 +5,11 @@ from dataclasses import replace
 import pytest
 
 from lamrun import equivalence as eq, ham, harness, kam, liam, ljam, lpam, multitypes as mt, siam
-from lamrun import tokens as tk
+from lamrun import reporting, tokens as tk
 from lamrun.reporting import Stuck, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
-from conftest import at
+from conftest import FAMILIES, at
 
 
 def test_project_initial_states(running_example):
@@ -157,6 +157,27 @@ def test_inconclusive_on_divergence(omega):
     assert r.inconclusive and r.passed
     r = eq.check_weights(omega, 200)
     assert r.inconclusive
+
+
+def test_length_only_relations_sample_no_footprint(monkeypatch, corpus):
+    """``weights`` and ``quadratic`` read lengths and label counts: they fold
+    the token machines' walks and build no report, so no footprint is sampled;
+    only the SIAM's coverage goes through ``reporting.drive``."""
+    def no_sample(*roots):
+        raise AssertionError("footprint sampled")
+
+    driven, drive = [], reporting.drive
+
+    def counted(name, *args):
+        driven.append(name)
+        return drive(name, *args)
+
+    monkeypatch.setattr(tk.Reach, "update", no_sample)
+    monkeypatch.setattr(reporting, "drive", counted)
+    for term in FAMILIES + corpus:
+        assert eq.check_weights(term).passed
+        assert eq.check_quadratic(term).passed
+    assert driven == ["siam"] * len(FAMILIES + corpus)
 
 
 def test_invariants_suite(running_example, duplication_example):

@@ -109,7 +109,7 @@ def test_run_and_trajectory_agree_at_the_fuel_boundary(name, text):
 
     length = sum(1 for _ in reporting.trajectory(machine, index)) - 1
     for k in range(length + 2):
-        report = reporting.run(machine, index, k, allow_fuel=True)
+        report = reporting.run(machine, index, k)
         assert report.length == min(k, length)
         assert (report.outcome == "fuel") == (k < length)
         walk = []

@@ -2,7 +2,7 @@ import pytest
 
 from lamrun import kam, tokens as tk
 from lamrun.equivalence import walk_invariants
-from lamrun.reporting import FuelExhausted, trajectory
+from lamrun.reporting import trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse, whnf_trace
 
 from conftest import at, token, traced
@@ -72,8 +72,3 @@ def test_debug_mode_flags_an_environment_that_does_not_close(running_example):
     with pytest.raises(AssertionError, match="closure environment"):
         kam.check_invariants(index, None,
                              kam.KamState(index.top.arg, None, tk.cons(short, None)), {}, {})
-
-
-def test_fuel(omega):
-    with pytest.raises(FuelExhausted):
-        kam.run(omega, 30)

@@ -2,7 +2,7 @@ import pytest
 
 from lamrun import harness, liam, tokens as tk
 from lamrun.equivalence import walk_invariants
-from lamrun.reporting import FINAL, FuelExhausted, Stuck, step_back, trajectory
+from lamrun.reporting import FINAL, Stuck, step_back, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 from conftest import at, church_ii, reference_cells, same_item, token, traced
@@ -67,11 +67,6 @@ def test_final_state_shape(running_example):
     final = report.final_state
     assert final.dir == liam.DOWN and final.tape is None
     assert final.pos == (FUN, ARG)
-
-
-def test_fuel_exhaustion(omega):
-    with pytest.raises(FuelExhausted):
-        liam.run(omega, 50)
 
 
 def test_debug_invariants_hold(running_example, duplication_example):

@@ -181,7 +181,7 @@ def test_a_repeated_state_is_not_hamiltonian(monkeypatch, running_example):
     assert coverage_row(coverage) == reference_coverage(dindex, 100) == (19, 19, 19, False)
     # every step from the fifth on stutters: the run repeats one state until its fuel runs out
     calls = stuttering(monkeypatch, lambda call: call >= 5)
-    report, coverage = siam.run_index(dindex, 8, allow_fuel=True)
+    report, coverage = siam.run_index(dindex, 8)
     assert report.outcome == "fuel"
     assert (coverage.visited, coverage.length, coverage.repeated) == (5, 8, 4)
     assert not coverage.hamiltonian
