@@ -26,7 +26,7 @@ def test_a_run_out_of_fuel_returns_its_report(name):
 
 
 @pytest.mark.parametrize("name", harness.MACHINES)
-def test_a_traced_command_out_of_fuel_exits_2_without_a_report(capsys, name):
+def test_a_traced_command_writes_a_report_only_when_its_run_ends(capsys, name):
     code = main(["run", T10_TEXT, "--machine", name, "--fuel", "100", "--trace", "jsonl"])
     out, err = capsys.readouterr()
     lines = [json.loads(line) for line in out.splitlines()]
