@@ -28,7 +28,8 @@ One charges 1 per variable, abstraction, and application rule and predicts
 Krivine machine run lengths; the other charges the number of ★ occurrences in
 the node's right-hand type and predicts interaction machine run lengths.  An
 arrow type counts its ★ occurrences once, when it is built, so both weights
-are linear in the number of judgements.
+are linear in the number of judgements.  The one pass of ``DerivationIndex``
+gives each judgement its links, which the SIAM and ``validate`` read.
 """
 from __future__ import annotations
 
@@ -115,32 +116,40 @@ class ExpansionMismatch(Exception):
 
 
 class Judgement:
-    """One rule instance about its ``subject`` node; None only while being built."""
+    """One rule instance about its ``subject`` node; None only while being built.
+    Its links are those that the most recent ``DerivationIndex`` over it set: its
+    ``parent`` (None at the root), its ``slot`` there ("body", "left" or the 1-based
+    right premise), its preorder ``ordinal`` and the global number of its first ★."""
+    __slots__ = ("parent", "slot", "ordinal", "first")
     term_pos = property(lambda j: j.subject.path)  # the path of the ``subject`` node
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DVar(Judgement):
     subject: Node
     db_index: int
     rh_type: LinearType
+    # links: the binding abstraction (None when free), the 1-based place among its axioms
+    binder: "DLam" = field(init=False, repr=False)
+    place: int = field(init=False, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DLamStar(Judgement):
     subject: Node
     rh_type: LinearType = STAR
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DLam(Judgement):
     subject: Node
     domain: tuple
     body: "Derivation"
     rh_type: LinearType
+    axioms: list = field(init=False, repr=False)  # link: the bound axioms, leaf order
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DApp(Judgement):
     subject: Node
     left: "Derivation"
@@ -198,43 +207,42 @@ def weight_iam(root) -> int:
 
 
 class DerivationIndex:
-    """Parent links, binder-axiom numbering (leaf order), preorder ordinals and the
-    subject term of one derivation; axioms that no abstraction binds go to ``free``."""
+    """The one pass that links a derivation's judgements, each binder's axioms in leaf
+    order; keeps the preorder, the ★ total, the subject, and the unbound axioms in
+    ``free``.  Indexing a subderivation re-roots it until the whole is indexed again."""
 
     def __init__(self, deriv: Derivation, subject: Term):
-        self.deriv = deriv
-        self.root = subject
-        self.parent: dict = {}
-        self.axioms: dict = {}  # DLam -> list of DVar, leaf order (judgements hash by identity)
-        self.binder: dict = {}  # DVar -> (DLam, 1-based ordinal)
-        self.ordinal: dict = {}
+        self.deriv, self.root = deriv, subject
+        self.preorder: list = []
         self.free: list = []  # DVar judgements that no abstraction above them binds
+        preorder, stars = self.preorder, 0  # ``stars``: the ★s of the judgements before
         lams: list = []  # the abstraction judgements above the one visited, outermost first
-        stack = [(deriv, 0)]  # judgement, how many abstraction judgements are above it
+        stack = [(deriv, None, None, 0)]  # judgement, parent, slot, abstractions above it
         while stack:
-            node, depth = stack.pop()
-            if node in self.ordinal:  # a shared judgement, which ``validate`` reports
-                continue
-            self.ordinal[node] = len(self.ordinal)
+            node, parent, slot, depth = stack.pop()
+            k = getattr(node, "ordinal", -1)  # it may be an earlier index's
+            if 0 <= k < len(preorder) and preorder[k] is node:
+                continue  # a shared judgement, which ``validate`` reports
+            node.parent, node.slot, node.ordinal, node.first = parent, slot, len(preorder), stars
+            preorder.append(node)
+            stars += node.rh_type.stars
             del lams[depth:]  # preorder: the first ``depth`` entries are above ``node``
             if isinstance(node, DVar) and not 0 <= node.db_index < depth:
+                node.binder, node.place = None, 0
                 self.free.append(node)
             elif isinstance(node, DVar):
                 binder = lams[depth - 1 - node.db_index]
-                entries = self.axioms.setdefault(binder, [])
-                entries.append(node)
-                self.binder[node] = (binder, len(entries))
+                binder.axioms.append(node)
+                node.binder, node.place = binder, len(binder.axioms)
             elif isinstance(node, DLam):
+                node.axioms = []
                 lams.append(node)
-                self.parent[node.body] = (node, ("body", 0))
-                stack.append((node.body, depth + 1))
+                stack.append((node.body, node, "body", depth + 1))
             elif isinstance(node, DApp):
-                self.parent[node.left] = (node, ("left", 0))
-                for i, r in enumerate(node.rights):
-                    self.parent[r] = (node, ("right", i + 1))
-                for child in reversed(node.rights):
-                    stack.append((child, depth))
-                stack.append((node.left, depth))
+                for i in range(len(node.rights), 0, -1):
+                    stack.append((node.rights[i - 1], node, i, depth))
+                stack.append((node.left, node, "left", depth))
+        self.stars = stars
 
     @functools.cached_property
     def size(self) -> int:
@@ -297,9 +305,8 @@ def validate(index: DerivationIndex) -> list:
                             note(node, f"right premise {i + 1} type differs from domain entry")
                 if node.rh_type != lt.target:
                     note(node, "conclusion type is not the arrow target")
-    for lam in reversed(index.ordinal):  # the binding rule; an abstraction before those around it
-        if isinstance(lam, DLam) and tuple(
-                a.rh_type for a in index.axioms.get(lam, ())) != tuple(lam.domain):
+    for lam in reversed(index.preorder):  # the binding rule; an abstraction before those around it
+        if isinstance(lam, DLam) and tuple(a.rh_type for a in lam.axioms) != tuple(lam.domain):
             note(lam, "domain differs from the bound variable's axiom sequence")
     if index.free:
         problems.append("closed subject with a non-empty type environment")

@@ -8,8 +8,9 @@ respect to terms, so ``up`` here corresponds to the interaction machine's
 down phase.  The run is a Hamiltonian path over ★ occurrences: single
 initial state, bi-determinism, and acyclicity leave no other option.
 
-A transition moves a ★ number into or out of an entry of an arrow type by an
-offset read from the arrow's cached ``starts`` (``push``, ``pop``): it never counts ★s.
+A transition follows the links that ``DerivationIndex`` sets on each judgement,
+and moves a ★ number into or out of an arrow's entry by an offset read from its
+cached ``starts`` (``push``, ``pop``): it reads no dict and never counts ★s.
 """
 from __future__ import annotations
 
@@ -86,17 +87,15 @@ def step(index: DerivationIndex, s: SiamState):
             i, k = pop(n.rh_type, s.star)
             if i == TARGET:
                 return ("p2", SiamState(n.body, k, TO_LEAVES), 1)
-            return ("bt2", SiamState(index.axioms[n][i - 1], k, TO_ROOT), 1)
+            return ("bt2", SiamState(n.axioms[i - 1], k, TO_ROOT), 1)
         if type(n) is DVar:
-            binder, i = index.binder[n]
-            return ("var", SiamState(binder, push(binder.rh_type, i, s.star), TO_ROOT), 1)
+            return ("var", SiamState(n.binder, push(n.binder.rh_type, n.place, s.star), TO_ROOT), 1)
         if s.star:
             return Stuck("star abstraction with a ★ number other than 0")
         return FINAL
-    info = index.parent.get(n)
-    if info is None:
+    parent, slot = n.parent, n.slot
+    if parent is None:
         return Stuck("rootward state at the final judgement")
-    parent, (slot, i) = info
     if slot == "body":
         return ("p4", SiamState(parent, push(parent.rh_type, TARGET, s.star), TO_ROOT), 1)
     if slot == "left":
@@ -104,7 +103,7 @@ def step(index: DerivationIndex, s: SiamState):
         if j == TARGET:
             return ("p3", SiamState(parent, k, TO_ROOT), 1)
         return ("arg", SiamState(parent.rights[j - 1], k, TO_LEAVES), 1)
-    return ("bt1", SiamState(parent.left, push(parent.left.rh_type, i, s.star), TO_LEAVES), 1)
+    return ("bt1", SiamState(parent.left, push(parent.left.rh_type, slot, s.star), TO_LEAVES), 1)
 
 
 def observable(s: SiamState):
@@ -115,7 +114,7 @@ def observable(s: SiamState):
 def snapshot(index: DerivationIndex, s: SiamState, enc) -> str:
     """The state is a place in the derivation: no items for ``enc`` to write."""
     tpath = json_text(tpath_str(s.node.rh_type, s.star))
-    return f'{{"node": {index.ordinal[s.node]}, "tpath": {tpath}}}'
+    return f'{{"node": {s.node.ordinal}, "tpath": {tpath}}}'
 
 
 def check_invariants(index: DerivationIndex, label, s: SiamState, per_label: dict, ctx: dict):
@@ -156,25 +155,19 @@ def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None):
     """``run`` on a derivation that the caller has indexed.
 
     The walk counts the coverage as it passes each state on to ``drive``.
-    Its keys are ints: one preorder pass numbers the ★s of all the judgements
-    from the left, so a reached state is the ★ ``first[node] + star`` and the
-    pass's total is the derivation's ★ count."""
-    first: dict = {}  # judgement -> global number of its first ★ (judgements hash by identity)
-    stars = 0
-    for node in index.ordinal:  # preorder
-        first[node] = stars
-        stars += node.rh_type.stars
+    Its keys are ints: the index numbers the ★s of all the judgements from
+    the left, in preorder, so a reached state is the ★ ``node.first + star``."""
     seen: set = set()
     add = seen.add
 
     def covered(walk):
         for record in walk:
-            add(first[record[1].node] + record[1].star)
+            add(record[1].node.first + record[1].star)
             yield record
 
     walk = covered(reporting.trajectory(MACHINE, index, fuel))
     report = reporting.drive(MACHINE.name, index, walk, MACHINE, snapshot, state_footprint, sink)
-    return report, CoverageReport(stars, len(seen), report.length)
+    return report, CoverageReport(index.stars, len(seen), report.length)
 
 
 def state_footprint(s: SiamState, reach) -> tuple:

@@ -206,6 +206,16 @@ def test_validate_reports_a_broken_derivation(duplication_example, running_examp
     assert validate(DerivationIndex(broken, subject)) == problems
 
 
+@pytest.mark.parametrize("fault", ["db_index", "shared", "outer_binder"])
+def test_a_second_index_validates_alike(duplication_example, running_example, fault):
+    """Links left by an earlier index do not count as met: a shared judgement
+    is still skipped once, and reported, when the derivation is indexed again."""
+    subject = running_example if fault == "outer_binder" else duplication_example
+    broken = _broken_derivations(duplication_example, running_example)[fault]
+    first = validate(DerivationIndex(broken, subject))
+    assert first and validate(DerivationIndex(broken, subject)) == first
+
+
 def test_validate_reports_an_open_subject():
     x = Var(0, "x")
     axiom = DVar(Node(x, None, None, 0), 0, STAR)

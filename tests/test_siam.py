@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from lamrun import equivalence as eq, liam, multitypes as mt, siam
+from lamrun.cli import _table
 from lamrun.reporting import FuelExhausted, step_back, trajectory
 from lamrun.syntax import TermIndex, parse, whnf_trace
 
@@ -113,7 +117,7 @@ def test_var_bt2_roundtrip(running_example, duplication_example):
         for node in mt.iter_nodes(deriv):
             if not isinstance(node, mt.DVar):
                 continue
-            binder, i = dindex.binder[node]
+            binder, i = node.binder, node.place
             for k in range(mt.star_norm(node.rh_type)):
                 label, after_var, _ = siam.step(dindex, siam.SiamState(node, k, siam.TO_LEAVES))
                 assert label == "var"
@@ -123,6 +127,35 @@ def test_var_bt2_roundtrip(running_example, duplication_example):
                                                 siam.SiamState(binder, star, siam.TO_LEAVES))
                 assert label == "bt2"
                 assert after_bt2.node is node and after_bt2.star == k
+
+
+def table_trace(dindex):
+    """What ``lamrun run --machine siam --trace table`` prints, from ``dindex``."""
+    rows: list = []
+    report, _ = siam.run_index(dindex, 100, sink=rows.append)
+    return f"{_table(rows, dindex.root)}\n{json.dumps(report.to_json(), ensure_ascii=False)}\n"
+
+
+def test_the_links_are_those_of_the_last_index(running_example):
+    """Indexing a subderivation re-roots it and frees its axioms; indexing the
+    whole derivation again gives the whole its links, and so its trace, back."""
+    expected = (Path(__file__).parent / "fixtures" / "tables" / "running-siam.txt").read_text(
+        encoding="utf-8")
+    deriv = mt.infer_star_derivation(running_example, 10)
+    assert table_trace(siam.DerivationIndex(deriv, running_example)) == expected
+    inner = deriv.left.left.body  # λx.x y, under the λy that binds its axiom y
+    sub = siam.DerivationIndex(inner, inner.subject.term)
+    assert inner.parent is None and inner.ordinal == 0 and inner.first == 0
+    assert len(sub.free) == 1 and sub.free[0].binder is None
+    whole = siam.DerivationIndex(deriv, running_example)
+    assert inner.parent is deriv.left.left and inner.slot == "body"
+    assert sub.free[0].binder is deriv.left.left and sub.free[0].place == 1
+    assert table_trace(whole) == expected
+    # a second index over the same judgements validates and runs alike
+    again = siam.DerivationIndex(deriv, running_example)
+    assert mt.validate(again) == mt.validate(whole) == []
+    assert again.preorder == whole.preorder and again.stars == whole.stars == 19
+    assert table_trace(again) == expected
 
 
 def reference_coverage(dindex, fuel):

@@ -80,7 +80,7 @@ TOKEN = {
                              "stack": [closure_json(c) for c in tk.iterate(s.stack)]},
     "ham-j": ham_token("j"),
     "ham-k": ham_token("k"),
-    "siam": lambda index, s: {"node": index.ordinal[s.node],
+    "siam": lambda index, s: {"node": s.node.ordinal,
                               "tpath": siam.tpath_str(s.node.rh_type, s.star)},
 }
 
