@@ -8,7 +8,7 @@ import re
 import sys
 
 from . import equivalence as eq, harness, multitypes as mt
-from .reporting import StuckError
+from .reporting import StuckError, unfold
 from .syntax import (
     DEFAULT_FUEL,
     Diverged,
@@ -105,21 +105,33 @@ def cmd_run(args) -> int:
     fuel = _default_fuel(args)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        rows: list = []  # the table's events: its column widths need every row
-        sinks = {"jsonl": lambda ev: print(ev.to_line(), file=out), "table": rows.append}
-        try:
-            report = harness.run_machine(args.machine, term, fuel, sink=sinks.get(args.trace))
-        except Diverged:  # the SIAM's term has no ★ derivation within fuel
-            report = None
-        if report is None or report.outcome == "fuel":
-            print(f"fuel exhausted after {fuel} steps", file=sys.stderr)
-            return EXIT_FUEL
-        if args.trace == "table":
-            print(_table(rows, term), file=out)
-        print(json.dumps(report.to_json(), ensure_ascii=False), file=out)
+        return _run(args, term, fuel, out)
+    except StuckError:
+        raise  # the trace keeps the states the run reached
+    except Exception:
+        if args.out and os.path.isfile(args.out):  # no partial file: the run failed
+            out.close()
+            os.remove(args.out)
+        raise
     finally:
         if args.out:
             out.close()
+
+
+def _run(args, term, fuel: int, out) -> int:
+    rows: list = []  # the table's events: its column widths need every row
+    write = lambda ev: print(ev.to_line(), file=out)  # noqa: E731
+    sinks = {"jsonl": write, "jsonl-unfolded": unfold(write), "table": unfold(rows.append)}
+    try:
+        report = harness.run_machine(args.machine, term, fuel, sink=sinks.get(args.trace))
+    except Diverged:  # the SIAM's term has no ★ derivation within fuel
+        report = None
+    if report is None or report.outcome == "fuel":
+        print(f"fuel exhausted after {fuel} steps", file=sys.stderr)
+        return EXIT_FUEL
+    if args.trace == "table":
+        print(_table(rows, term), file=out)
+    print(json.dumps(report.to_json(), ensure_ascii=False), file=out)
     return EXIT_OK
 
 
@@ -241,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("term")
     sp.add_argument("--machine", required=True, choices=list(harness.MACHINES))
     sp.add_argument("--fuel", type=_fuel)
-    sp.add_argument("--trace", choices=["table", "jsonl", "none"], default="none")
+    sp.add_argument("--trace", choices=["table", "jsonl", "jsonl-unfolded", "none"],
+                    default="none")
     sp.add_argument("--out")
     sp.add_argument("--defs")
     sp.set_defaults(fn=cmd_run)

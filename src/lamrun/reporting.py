@@ -4,12 +4,13 @@ such a walk into a ``RunReport``, and the lockstep and invariant checkers consum
 walks directly."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Optional
 
 from .syntax import DEFAULT_FUEL, path_str, pretty
-from .tokens import Encoder, Reach, json_text
+from .tokens import Encoder, Reach, Unfolder, json_text
 
 
 @dataclass(frozen=True)
@@ -101,19 +102,38 @@ class TraceEvent:
     node: object  # the focused term node
     subterm_path: str
     subterm_pretty: str
-    token_json: str
+    token_json: str  # in the shared form of ``tokens.Encoder``, or unfolded
     cost: int
     footprint: tuple  # (lp, markers, cells)
+    defs: tuple = ()  # the JSON texts of the items this event defines, children first
 
     def to_line(self) -> str:
-        """The event as one line of a JSONL trace."""
+        """The event as one line of a JSONL trace; its definitions, if any,
+        come just before the token that refers to them."""
         lp, markers, cells = self.footprint
+        defs = f'"defs": [{", ".join(self.defs)}], ' if self.defs else ""
         return (f'{{"step": {self.step}, "machine": {json_text(self.machine)}, '
                 f'"label": {json_text(self.label)}, "dir": {json_text(self.dir)}, '
                 f'"path": {json_text(self.subterm_path)}, '
-                f'"subterm": {json_text(self.subterm_pretty)}, "token": {self.token_json}, '
+                f'"subterm": {json_text(self.subterm_pretty)}, {defs}"token": {self.token_json}, '
                 f'"cost": {self.cost}, "footprint": {{"lp": {lp}, '
                 f'"markers": {markers}, "deepCells": {cells}}}}}')
+
+
+def unfold(sink: Callable) -> Callable:
+    """A sink that passes each event of one shared trace on to ``sink`` with
+    its token unfolded: each id replaced by the full text of the item it names,
+    wherever it occurs, and no ``defs``.  This is the form of ``--trace
+    jsonl-unfolded`` and of the table's token column.  One ``tokens.Unfolder``
+    serves the whole trace, so each item is unfolded once."""
+    unfolder = Unfolder()
+    define, text, loads = unfolder.define, unfolder.text, json.loads
+
+    def unfolded(ev: TraceEvent):
+        define(map(loads, ev.defs))
+        sink(replace(ev, token_json=text(loads(ev.token_json)), defs=()))
+
+    return unfolded
 
 
 # the text form (see ``tokens.item``) of the IAM's and the JAM's logged positions
@@ -186,9 +206,11 @@ def drive(
     state.  ``sink``, when given, is called with each state's ``TraceEvent``
     as soon as the state is reached, so a traced run holds no trace of its
     own; None means an untraced run.  Every state has a ``focus``, the term
-    node it is at; an event keeps that node and prints its path and subterm,
-    and its token comes through one ``tokens.Encoder`` per run, so each item
-    is written once.  The footprint is sampled at every state, including the
+    node it is at; an event keeps that node and prints its path and subterm.
+    Its token comes through one ``tokens.Encoder`` per run, in the shared
+    form: the event carries the definitions of the items it is the first to
+    refer to, and later events refer to them by id (``unfold`` writes them
+    out in full).  The footprint is sampled at every state, including the
     initial one, since peaks occur mid-run: ``footprint_fn(state, reach)``
     gets one ``tokens.Reach`` per run, which it moves from state to state,
     and returns the counts ``(lp, markers, cells)``.  A machine whose token
@@ -222,8 +244,9 @@ def drive(
                 place = places.get(node)
                 if place is None:
                     place = places[node] = (path_str(node.path), pretty(node.term))
+                token = snapshot_fn(index, state, enc)
                 sink(TraceEvent(steps, name, label or "init", state_dir_fn(state), node,
-                                *place, snapshot_fn(index, state, enc), cost, fp))
+                                *place, token, cost, fp, enc.take_defs()))
     except FuelExhausted:
         outcome = "fuel"
 

@@ -154,20 +154,20 @@ def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL,
 def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None):
     """``run`` on a derivation that the caller has indexed.
 
-    The walk counts the coverage as it passes each state on to ``drive``.
-    Its keys are ints: the index numbers the ★s of all the judgements from
-    the left, in preorder, so a reached state is the ★ ``node.first + star``."""
-    seen: set = set()
-    add = seen.add
+    The walk marks the coverage as it passes each state on to ``drive``, one
+    byte per ★: the index numbers the ★s of all the judgements from the left,
+    in preorder, so a reached state is the ★ ``node.first + star``."""
+    stars = index.stars
+    seen = bytearray(stars)
 
     def covered(walk):
         for record in walk:
-            add(record[1].node.first + record[1].star)
+            seen[record[1].node.first + record[1].star] = 1
             yield record
 
     walk = covered(reporting.trajectory(MACHINE, index, fuel))
     report = reporting.drive(MACHINE.name, index, walk, MACHINE, snapshot, state_footprint, sink)
-    return report, CoverageReport(index.stars, len(seen), report.length)
+    return report, CoverageReport(stars, stars - seen.count(0), report.length)
 
 
 def state_footprint(s: SiamState, reach) -> tuple:

@@ -5,6 +5,7 @@ import pytest
 from lamrun import harness, liam, ljam, tokens as tk
 from lamrun.ham import ClosedPosition, LoggedClosure
 from lamrun.kam import Closure
+from lamrun.reporting import unfold
 from lamrun.syntax import ARG, BODY, FUN, App, Lam, Var, parse, path_str, pretty
 
 DEFS = {"I": "\\z.z"}
@@ -198,11 +199,23 @@ def reference_refs(*roots) -> dict:
     return refs
 
 
-def traced(run, *args, **kwargs):
+def traced(run, *args, shared=False, **kwargs):
     """``run(*args, **kwargs)`` with a sink that collects its trace events;
-    returns what ``run`` returns and the events, in order."""
+    returns what ``run`` returns and the events, in order, with their tokens
+    unfolded (``reporting.unfold``) unless ``shared``."""
     events: list = []
-    return run(*args, sink=events.append, **kwargs), events
+    sink = events.append if shared else unfold(events.append)
+    return run(*args, sink=sink, **kwargs), events
+
+
+def plain_text(write):
+    """The unfolded text that ``write(enc)`` writes with a fresh
+    ``tokens.Encoder``: its shared text with its definitions expanded."""
+    enc = tk.Encoder()
+    text = write(enc)
+    unfolder = tk.Unfolder()
+    unfolder.define(map(json.loads, enc.take_defs()))
+    return unfolder.text(json.loads(text))
 
 
 def token(ev):

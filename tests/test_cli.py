@@ -224,6 +224,31 @@ def test_run_writes_out_file(tmp_path, capsys, defs_file):
     assert len(lines) == 6  # init + 4 transitions + report
 
 
+def test_a_run_that_fails_leaves_no_partial_out_file(monkeypatch, tmp_path, capsys):
+    """A trace too large for memory fails with exit 3, and its file goes: a
+    sink that raises ``MemoryError`` at the fourth event stands in for it."""
+    run_machine = harness.run_machine
+    written = []
+
+    def run_out_of_memory(name, term, fuel, sink=None):
+        def failing(ev):
+            if len(written) == 3:
+                raise MemoryError()
+            written.append(ev.step)
+            sink(ev)
+
+        return run_machine(name, term, fuel, sink=failing)
+
+    monkeypatch.setattr(harness, "run_machine", run_out_of_memory)
+    out = tmp_path / "trace.jsonl"
+    for trace in ("jsonl", "jsonl-unfolded", "table"):
+        written.clear()
+        assert main(["run", "(\\y.\\x.x y) (\\z.z) (\\z.z)", "--machine", "jam",
+                     "--trace", trace, "--out", str(out)]) == 3
+        assert written == [0, 1, 2] and not out.exists()
+        assert capsys.readouterr().err == "input too large for this command: MemoryError()\n"
+
+
 def test_parse_deep_identity_chain(capsys):
     depth = 10_000
     text = identity_chain(depth)

@@ -8,7 +8,7 @@ from lamrun import tokens as tk
 from lamrun.reporting import FuelExhausted
 from lamrun.syntax import App, Lam, Node, TermIndex, Var, is_closed, parse, term_size, whnf_steps
 
-from conftest import skeleton, traced, written
+from conftest import plain_text, skeleton, traced, written
 
 
 def test_family_tn_base():
@@ -105,7 +105,8 @@ def test_run_and_trajectory_agree_at_the_fuel_boundary(name, text):
              else TermIndex(term))
 
     def seen(state):
-        return state.focus, machine.dir(state), machine.snapshot(index, state, tk.Encoder())
+        return (state.focus, machine.dir(state),
+                plain_text(lambda enc: machine.snapshot(index, state, enc)))
 
     length = sum(1 for _ in reporting.trajectory(machine, index)) - 1
     for k in range(length + 2):

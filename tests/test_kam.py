@@ -5,7 +5,7 @@ from lamrun.equivalence import walk_invariants
 from lamrun.reporting import trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse, whnf_trace
 
-from conftest import at, token, traced
+from conftest import at, plain_text, token, traced
 
 
 def test_identity_final():
@@ -53,9 +53,9 @@ def test_env_persistence(running_example):
     index = TermIndex(running_example)
     captured = []
     for label, state, _ in trajectory(kam.MACHINE, index, 100):
-        captured.append((state, kam.snapshot(index, state, tk.Encoder())))
+        captured.append((state, plain_text(lambda enc: kam.snapshot(index, state, enc))))
     for state, snap in captured:
-        assert kam.snapshot(index, state, tk.Encoder()) == snap
+        assert plain_text(lambda enc: kam.snapshot(index, state, enc)) == snap
 
 
 def test_debug_mode(running_example, duplication_example):

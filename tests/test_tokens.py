@@ -6,7 +6,7 @@ from lamrun import liam, ljam, tokens as tk
 from lamrun.ham import LoggedClosure
 from lamrun.syntax import ARG, BODY, FUN, Node, TermIndex, parse
 
-from conftest import reference_cells, reference_refs, same_item
+from conftest import plain_text, reference_cells, reference_refs, same_item
 
 _NODES: dict = {(): Node(None, None, None, 0)}
 
@@ -105,10 +105,10 @@ def test_concat_lengths(a, b):
 
 def test_persistence_under_extension():
     captured = tk.from_list([lp((FUN,)), tk.MARKER])
-    before = tk.Encoder().list(captured)
+    before = plain_text(lambda enc: enc.list(captured))
     _ = tk.cons(lp((ARG,)), captured)
     _ = tk.cons(tk.MARKER, captured)
-    assert tk.Encoder().list(captured) == before
+    assert plain_text(lambda enc: enc.list(captured)) == before
 
 
 def test_lp_equal_on_shared_structures():
@@ -144,12 +144,12 @@ def test_serialization_shape():
     top = TermIndex(parse("(\\x.x) (\\y.y)")).top
     y = liam.LoggedPosition(top.arg.body, None)
     a = liam.LoggedPosition(top.fun.body, tk.cons(y, tk.nil))
-    doc = json.loads(tk.Encoder().text(a))
+    doc = json.loads(plain_text(lambda enc: enc.text(a)))
     assert doc["var"] == "Fun/Body"
     assert doc["scope"] == "Fun"
     assert doc["flavor"] == "local"
     assert doc["log"][0]["var"] == "Arg/Body" and doc["log"][0]["scope"] == "Arg"
-    assert json.loads(tk.Encoder().list(tk.from_list([tk.MARKER, a])))[0] == "p"
+    assert json.loads(plain_text(lambda enc: enc.list(tk.from_list([tk.MARKER, a]))))[0] == "p"
 
 
 def test_concat_long_list():

@@ -1,10 +1,11 @@
 """The trace encoder against an independent oracle.
 
-``tokens.Encoder`` writes each token item once per run and joins the texts of
-shared items.  The oracle below is the plain recursive serialisation that
+``tokens.Encoder`` defines each token item that holds lists once per run and
+refers to it by id after that; ``reporting.unfold`` writes every item out in
+full again.  The oracle below is the plain recursive serialisation that
 unfolds every item again at every state, one dict per item, dumped with
-``json.dumps``.  Every JSONL line of a traced run must equal the dump of the
-oracle's event, byte for byte.
+``json.dumps``.  Every unfolded JSONL line of a traced run must equal the dump
+of the oracle's event, byte for byte.
 """
 import json
 import os
@@ -16,9 +17,10 @@ import pytest
 
 import lamrun
 from lamrun import harness, ham, liam, ljam, multitypes as mt, reporting, siam, tokens as tk
+from lamrun.cli import main
 from lamrun.syntax import TermIndex, parse, path_str, pretty
 
-from conftest import ROOTS, church_ii, resolve, traced, unfolded
+from conftest import ROOTS, church_ii, plain_text, resolve, traced, unfolded
 
 DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
 FUEL = 10**6
@@ -176,11 +178,17 @@ def test_each_item_is_written_once_per_run():
     shared = tk.from_list([ljam.LoggedPosition(top.fun, None)])
     a = ljam.LoggedPosition(top.fun.fun, shared)
     b = ljam.LoggedPosition(top.fun.fun.fun, shared)
+    tape = tk.from_list([a, tk.MARKER, b])
+    assert json.loads(plain_text(lambda enc: enc.list(tape))) == tape_json(tape)
     enc = tk.Encoder()
-    text = enc.list(tk.from_list([a, tk.MARKER, b]))
-    assert json.loads(text) == tape_json(tk.from_list([a, tk.MARKER, b]))
+    assert enc.list(tape) == '[1, "p", 2]'
     assert len(enc.memo) == 4  # the marker, a, b and the item they share
-    assert enc.list(tk.from_list([b])) == "[" + enc.memo[b] + "]"
+    # the item they share first, then each of them, which refers to it by id
+    assert [json.loads(d) for d in enc.take_defs()] == [
+        {"def": 0, "var": "Fun", "scope": "", "flavor": "global", "log": []},
+        {"def": 1, "var": "Fun/Fun", "scope": "", "flavor": "global", "log": [0]},
+        {"def": 2, "var": "Fun/Fun/Fun", "scope": "", "flavor": "global", "log": [0]}]
+    assert enc.list(tk.from_list([b])) == "[2]" and enc.take_defs() == ()
 
 
 def test_logged_positions_write_their_machines_texts():
@@ -192,19 +200,18 @@ def test_logged_positions_write_their_machines_texts():
     assert x.inner == x.level == 1
     log = tk.cons(ljam.LoggedPosition(index.top.arg.body, None), None)
     entry = '{"var": "Arg/Body", "scope": "", "flavor": "global", "log": []}'
-    enc = tk.Encoder()
-    assert enc.text(liam.LoggedPosition(x, log)) == (
+    assert plain_text(lambda enc: enc.text(liam.LoggedPosition(x, log))) == (
         '{"var": "Fun/Body/Arg", "scope": "Fun", "flavor": "local", "log": [%s]}' % entry)
-    assert enc.text(ljam.LoggedPosition(x, log)) == (
+    assert plain_text(lambda enc: enc.text(ljam.LoggedPosition(x, log))) == (
         '{"var": "Fun/Body/Arg", "scope": "", "flavor": "global", "log": [%s]}' % entry)
 
 
 def test_encoding_needs_no_recursion_headroom():
     # each log holds one position whose log nests one level deeper, and each
-    # logged closure's environment holds one closure one level deeper; a
-    # chain built outside a run shares nothing, so its text is quadratic in
-    # depth: keep it small
+    # logged closure's environment holds one closure one level deeper; the
+    # unfolded texts of all the levels are quadratic in depth: keep it small
     script = """
+import json
 import sys
 from lamrun import ham, ljam, tokens as tk
 from lamrun.syntax import TermIndex, parse
@@ -214,12 +221,100 @@ log = env = None
 for _ in range(1200):
     log = tk.cons(ljam.LoggedPosition(top.fun, log), None)
     env = tk.cons(ham.LoggedClosure(top.arg, env, None), None)
-enc = tk.Encoder()
-print(enc.list(log).count('"log": ['), enc.list(env).count('"env": ['))
+enc, unfolder = tk.Encoder(), tk.Unfolder()
+texts = enc.list(log), enc.list(env)
+defs = enc.take_defs()
+unfolder.define(map(json.loads, defs))
+log, env = (unfolder.text(json.loads(text)) for text in texts)
+print(len(defs), log.count('"log": ['), env.count('"env": ['))
 """
     src = str(Path(lamrun.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1200", "1200"]
+    assert done.stdout.split() == ["2400", "1200", "1200"]
+
+
+# ---------------------------------------------------------------------------
+# The shared form: each item that holds lists is defined once, then named by id
+
+
+def shared_events(name, term):
+    _, events = traced(harness.run_machine, name, term, FUEL, shared=True)
+    return events
+
+
+def list_entries(token: dict) -> int:
+    """The entries of a token's top-level lists."""
+    return sum(len(v) for v in token.values() if type(v) is list)
+
+
+# bytes of an event's token and definitions per top-level list entry and per
+# item defined (at most 58 on the families and the corpus)
+BYTES_PER_ENTRY = 64
+
+
+def assert_linear(name, term, label):
+    for ev in shared_events(name, term):
+        size = len(ev.token_json.encode()) + sum(len(d.encode()) for d in ev.defs)
+        bound = BYTES_PER_ENTRY * (1 + list_entries(json.loads(ev.token_json)) + len(ev.defs))
+        assert size <= bound, (label, ev.step, size, bound)
+
+
+@pytest.mark.parametrize("name", list(harness.MACHINES))
+def test_shared_events_are_linear_in_their_entries(name, corpus):
+    """A shared event writes each top-level list entry as an id, a marker or a
+    flat item, and each item it defines once, so its size does not grow with
+    how deeply the items it names nest; the unfolded form of some corpus terms
+    would hold 10¹¹ items."""
+    for label, term in FAMILIES:
+        assert_linear(name, term, label)
+    for term in corpus:
+        assert_linear(name, term, pretty(term))
+
+
+@pytest.mark.parametrize("name", list(harness.MACHINES))
+def test_a_shared_trace_unfolds_to_the_unfolded_one(name):
+    """The shared JSONL lines alone, read back with ``tokens.Unfolder``, give
+    the unfolded lines byte for byte: a definition always comes before its id."""
+    for label, term in FAMILIES:
+        unfolder = tk.Unfolder()
+        lines = []
+        for ev in shared_events(name, term):
+            record = json.loads(ev.to_line())
+            unfolder.define(record.pop("defs", ()))
+            record["token"] = json.loads(unfolder.text(record["token"]))
+            lines.append(json.dumps(record, ensure_ascii=False))
+        assert lines == traced_lines(name, term), label
+
+
+def test_every_item_is_defined_once_and_before_use():
+    for name in harness.MACHINES:
+        for label, term in FAMILIES:
+            defined: set = set()
+            for ev in shared_events(name, term):
+                for d in map(json.loads, ev.defs):
+                    refs = [x for v in d.values() if type(v) is list for x in v if type(x) is int]
+                    assert set(refs) <= defined and d["def"] == len(defined), (name, label)
+                    defined.add(d["def"])
+                token = json.loads(ev.token_json)
+                refs = [x for v in token.values() if type(v) is list for x in v if type(x) is int]
+                assert set(refs) <= defined, (name, label, ev.step)
+
+
+def cli_trace(tmp_path, text, machine):
+    out = tmp_path / f"{machine}.jsonl"
+    assert main(["run", text, "--machine", machine, "--trace", "jsonl", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_traces_whose_unfolded_form_cannot_be_written(tmp_path, corpus):
+    """Unfolded, JAM's trace of two two two I I is gigabytes, HAM-J's on
+    corpus term 52 exhausts memory, and JAM's on c_40 I I never finishes."""
+    trace = cli_trace(tmp_path, pretty(parse("two two two I I", DEFS)), "jam")
+    assert len(trace) < 10**6 and trace.count(b"\n") == 864 + 1
+    trace = cli_trace(tmp_path, pretty(corpus[52]), "ham-j")
+    assert len(trace) < 10**6 and trace.count(b"\n") == 313 + 1
+    trace = cli_trace(tmp_path, pretty(church_ii(40)), "jam")
+    assert len(trace) < 10**6 and trace.count(b"\n") == 289 + 1
