@@ -247,7 +247,8 @@ class DerivationIndex:
     @functools.cached_property
     def size(self) -> int:
         """The subject's size, walked only when read: ``reporting.drive`` reads it
-        for a run's ``ram_cost_bound``, and the checkers never do."""
+        for a run's ``ram_cost_bound``, so every SIAM run does, ``check weights``
+        included; the ``iam-siam`` and ``invariants`` checkers never do."""
         return term_size(self.root)
 
 

@@ -154,11 +154,14 @@ def run(deriv: Derivation, subject: Term, fuel: int = DEFAULT_FUEL,
 def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None):
     """``run`` on a derivation that the caller has indexed.
 
-    The walk marks the coverage as it passes each state on to ``drive``, one
-    byte per ★: the index numbers the ★s of all the judgements from the left,
-    in preorder, so a reached state is the ★ ``node.first + star``."""
+    The walk marks the coverage as it passes each state on to ``drive``: the
+    index numbers the ★s of all the judgements from the left, in preorder, so a
+    reached state is the ★ ``node.first + star``.  The marks are one byte per ★
+    while the ★s number at most 64 times the fuel + 1 states a walk can reach;
+    past that (``t_n`` has 2^(n+1) − 3 ★s) they are a dict of the ★s reached,
+    about 70 B each.  Either way the coverage is O(fuel) bytes."""
     stars = index.stars
-    seen = bytearray(stars)
+    seen = bytearray(stars) if stars <= 64 * (fuel + 1) else {}
 
     def covered(walk):
         for record in walk:
@@ -167,7 +170,8 @@ def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None):
 
     walk = covered(reporting.trajectory(MACHINE, index, fuel))
     report = reporting.drive(MACHINE.name, index, walk, MACHINE, snapshot, state_footprint, sink)
-    return report, CoverageReport(stars, stars - seen.count(0), report.length)
+    visited = len(seen) if type(seen) is dict else stars - seen.count(0)
+    return report, CoverageReport(stars, visited, report.length)
 
 
 def state_footprint(s: SiamState, reach) -> tuple:

@@ -1,7 +1,11 @@
 import json
+import os
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import lamrun
 from lamrun import harness, liam, ljam, tokens as tk
 from lamrun.ham import ClosedPosition, LoggedClosure
 from lamrun.kam import Closure
@@ -9,6 +13,9 @@ from lamrun.reporting import unfold
 from lamrun.syntax import ARG, BODY, FUN, App, Lam, Var, parse, path_str, pretty
 
 DEFS = {"I": "\\z.z"}
+# the environment of a child ``python`` that imports this checkout's lamrun
+SRC = Path(lamrun.__file__).resolve().parents[1]
+CHILD_ENV = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
 # the paper's families, small: t_1 … t_8 and r(k,h) for k, h ∈ {1, 3}
 FAMILIES = ([harness.family_tn(n) for n in range(1, 9)]
             + [harness.family_rkh(k, h) for k in (1, 3) for h in (1, 3)])
@@ -61,10 +68,22 @@ def replay(term, steps):
 
 def identity_chain(depth: int) -> str:
     """``(λx.x) ((λx.x) (… (λz.z)))`` with ``depth`` applied identities."""
-    text = "\\z.z"
-    for _ in range(depth):
-        text = f"(\\x.x) ({text})"
-    return text
+    return "(\\x.x) (" * depth + "\\z.z" + ")" * depth
+
+
+def head_spine(n: int) -> str:
+    """``(λx1.λx2.λy0…λy(n−1).x1) I … I``: a head spine of n + 2 identities."""
+    return ("(\\x1.\\x2." + "".join(f"\\y{i}." for i in range(n)) + "x1)"
+            + " (\\z.z)" * (n + 2))
+
+
+def traced_peak(work, *args):
+    """``work(*args)`` and the ``tracemalloc`` peak of what it allocates."""
+    tracemalloc.start()
+    try:
+        return work(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def church_ii(n):

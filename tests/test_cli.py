@@ -1,20 +1,17 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import lamrun
 from lamrun import harness, liam, reporting
 from lamrun.cli import main
 from lamrun.reporting import FuelExhausted, Stuck
-from lamrun.syntax import TermIndex, parse
+from lamrun.syntax import TermIndex, parse, pretty
 
-from conftest import identity_chain
+from conftest import CHILD_ENV, identity_chain
 
 DEFS = "I = \\z.z;\n"
 
@@ -56,6 +53,23 @@ def test_run_table_trace(capsys, defs_file):
 
 def test_run_fuel_exit_code(capsys):
     assert main(["run", "(\\x.x x) (\\x.x x)", "--machine", "kam", "--fuel", "20"]) == 2
+
+
+# t_1200's ★ derivation has 2^1201 − 3 ★s, more than any array can index;
+# reducing t_1200 takes 1 199 steps, so the SIAM's walk starts at fuel 2 000
+T1200 = pretty(harness.family_tn(1200))
+
+
+def test_a_siam_run_out_of_fuel_on_a_huge_derivation(capsys):
+    assert main(["run", T1200, "--machine", "siam", "--fuel", "2000"]) == 2
+    assert capsys.readouterr().err == "fuel exhausted after 2000 steps\n"
+
+
+def test_compare_records_the_siam_out_of_fuel_on_a_huge_derivation(capsys):
+    assert main(["compare", T1200, "--machines", "kam,siam", "--fuel", "2000",
+                 "--format", "json"]) == 0
+    siam = json.loads(capsys.readouterr().out)["machines"]["siam"]
+    assert (siam["outcome"], siam["length"]) == ("fuel", 2000)
 
 
 def test_a_traced_run_out_of_fuel_keeps_the_states_it_reached(capsys):
@@ -331,9 +345,7 @@ from lamrun.cli import main
 sys.setrecursionlimit(1000)
 sys.exit(main(["types", "--json", {identity_chain(1200)!r}]))
 """
-    src = str(Path(lamrun.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 3
     assert done.stderr.count("\n") == 1

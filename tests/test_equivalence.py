@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -9,7 +8,7 @@ from lamrun import reporting, tokens as tk
 from lamrun.reporting import Stuck, trajectory
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
-from conftest import FAMILIES, at
+from conftest import FAMILIES, at, identity_chain, traced_peak
 
 
 def test_project_initial_states(running_example):
@@ -79,14 +78,7 @@ def test_check_ham_jk(running_example, corpus):
 @pytest.mark.parametrize("check", [eq.check_iam_jam, eq.check_ham_jk])
 def test_checkers_relate_deep_chains_in_little_memory(check):
     # I (I (... (λz.z))) 400 deep: no per-step copy of the other machine's token
-    depth = 400
-    term = parse("(\\x.x) (" * depth + "\\z.z" + ")" * depth)
-    tracemalloc.start()
-    try:
-        report = check(term, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(check, parse(identity_chain(400)), 10**6)
     assert report.passed and not report.inconclusive
     assert peak < 16 * 2**20
 

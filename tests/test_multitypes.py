@@ -1,13 +1,10 @@
-import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-import lamrun
 from lamrun import kam, liam, multitypes as mt
 from lamrun.syntax import Diverged, Node, TermIndex, Var, parse, whnf_trace
 from lamrun.multitypes import (
@@ -26,6 +23,8 @@ from lamrun.multitypes import (
     weight_iam,
     weight_kam,
 )
+
+from conftest import CHILD_ENV
 
 
 def test_star_norm_examples():
@@ -290,9 +289,7 @@ assert mt.validate(index) == [] and index.free == []
 assert mt.derivation_to_json(d)["rule"] == "app"
 print(mt.weight_kam(d), mt.weight_iam(d))
 """
-    src = str(Path(lamrun.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["3600", "4800"]

@@ -3,12 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from lamrun import equivalence as eq, liam, multitypes as mt, siam
+from lamrun import equivalence as eq, harness, liam, multitypes as mt, siam
 from lamrun.cli import _table
 from lamrun.reporting import FuelExhausted, step_back, trajectory
 from lamrun.syntax import TermIndex, parse, whnf_trace
 
-from conftest import FAMILIES, church_ii
+from conftest import FAMILIES, church_ii, traced_peak
 
 
 def test_identity_initial_is_final():
@@ -285,13 +285,17 @@ def test_a_transition_counts_no_stars(monkeypatch, corpus):
 
 def test_only_a_run_walks_the_subject_for_its_size(monkeypatch, running_example):
     # a DerivationIndex walks its subject for ``size`` only when a run's report
-    # reads it, once: the checkers that build one never do
+    # reads it, once: the iam-siam and invariants checkers never do, and
+    # ``check weights``, which runs the SIAM, does once
     walked = []
     term_size = mt.term_size
     monkeypatch.setattr(mt, "term_size", lambda term: walked.append(term) or term_size(term))
     assert eq.check_iam_siam(running_example, 1000).passed
     assert eq.check_invariants_suite(running_example, 1000).passed
     assert walked == []
+    assert eq.check_weights(running_example, 1000).passed
+    assert walked == [running_example]
+    walked.clear()
     dindex = siam.DerivationIndex(mt.infer_star_derivation(running_example, 1000),
                                   running_example)
     report, _ = siam.run_index(dindex, 1000)
@@ -299,3 +303,14 @@ def test_only_a_run_walks_the_subject_for_its_size(monkeypatch, running_example)
     vars_ = report.per_label["var"]
     assert report.ram_cost_bound == (report.length - vars_) + vars_ * 11
     assert dindex.size == 11 and walked == [running_example]
+
+
+def test_coverage_takes_what_the_fuel_reaches():
+    # t_24's derivation has 2^25 − 3 ★s; a walk of 1 000 transitions reaches
+    # 1 001 of them, and its coverage keeps those, not a byte for every ★
+    term = harness.family_tn(24)
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(term), term)
+    (report, coverage), peak = traced_peak(siam.run_index, dindex, 1000)
+    assert report.outcome == "fuel"
+    assert coverage == siam.CoverageReport(2**25 - 3, 1001, 1000)
+    assert peak < 2**20, f"{peak} B"

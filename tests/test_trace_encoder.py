@@ -8,19 +8,16 @@ unfolds every item again at every state, one dict per item, dumped with
 of the oracle's event, byte for byte.
 """
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import lamrun
 from lamrun import harness, ham, liam, ljam, multitypes as mt, reporting, siam, tokens as tk
 from lamrun.cli import main
 from lamrun.syntax import TermIndex, parse, path_str, pretty
 
-from conftest import ROOTS, church_ii, plain_text, resolve, traced, unfolded
+from conftest import CHILD_ENV, ROOTS, church_ii, plain_text, resolve, traced, unfolded
 
 DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
 FUEL = 10**6
@@ -228,9 +225,7 @@ unfolder.define(map(json.loads, defs))
 log, env = (unfolder.text(json.loads(text)) for text in texts)
 print(len(defs), log.count('"log": ['), env.count('"env": ['))
 """
-    src = str(Path(lamrun.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["2400", "1200", "1200"]

@@ -17,12 +17,13 @@ To regenerate them after a deliberate format change, run
 import contextlib
 import hashlib
 import io
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from lamrun.cli import main
+
+from conftest import traced_peak
 
 FIXTURES = Path(__file__).parent / "fixtures" / "traces"
 TABLES = Path(__file__).parent / "fixtures" / "tables"
@@ -104,14 +105,8 @@ def test_a_traced_run_does_not_hold_its_trace(tmp_path):
     """HAM-J's unfolded trace of two two I I is 20 MB.  Each event is written
     as the run makes it, so what the run allocates peaks below half of that."""
     out = tmp_path / "ham-j.jsonl"
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        code = main(["run", TWO_TWO, "--machine", "ham-j", "--trace", "jsonl-unfolded",
-                     "--out", str(out)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["run", TWO_TWO, "--machine", "ham-j",
+                                    "--trace", "jsonl-unfolded", "--out", str(out)])
     assert code == 0
     size = out.stat().st_size
     assert size == DIGESTS["ham-j"][0]
