@@ -4,13 +4,12 @@ such a walk into a ``RunReport``, and the lockstep and invariant checkers consum
 walks directly."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
 from .syntax import DEFAULT_FUEL, path_str, pretty
-from .tokens import Encoder, Reach, Unfolder, json_text
+from .tokens import Encoder, Reach, json_text
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,9 @@ class Machine:
     step: Callable  # () -> ((index, state) -> (label, state, cost) | Final | Stuck)
     snapshot: Callable  # (index, state, Encoder) -> the token's JSON text
     # (state, Reach) -> (lp, markers, cells); a machine whose token never
-    # shares a cell counts its cells in its states and may ignore the Reach
-    footprint: Callable
+    # shares a cell counts its cells in its states and may ignore the Reach.
+    # None for a machine with no token (the SIAM): its runs are never sampled
+    footprint: Optional[Callable]
     launch: Callable  # (term, fuel, **run options) -> RunReport
     # (index, label, state, labels, ctx); asserts.  ``label`` is the transition
     # that reached ``state``, None at the initial state
@@ -121,19 +121,13 @@ class TraceEvent:
 
 
 def unfold(sink: Callable) -> Callable:
-    """A sink that passes each event of one shared trace on to ``sink`` with
-    its token unfolded: each id replaced by the full text of the item it names,
-    wherever it occurs, and no ``defs``.  This is the form of ``--trace
-    jsonl-unfolded`` and of the table's token column.  One ``tokens.Unfolder``
-    serves the whole trace, so each item is unfolded once."""
-    unfolder = Unfolder()
-    define, text, loads = unfolder.define, unfolder.text, json.loads
-
-    def unfolded(ev: TraceEvent):
-        define(map(loads, ev.defs))
-        sink(replace(ev, token_json=text(loads(ev.token_json)), defs=()))
-
-    return unfolded
+    """``sink``, marked as wanting each event's token unfolded: each item
+    written in full wherever it occurs, and no ``defs``.  This is the form of
+    ``--trace jsonl-unfolded`` and of the table's token column.  ``drive``
+    reads the mark when it makes the run's encoder (see ``tokens.Encoder``)."""
+    marked = lambda ev: sink(ev)  # noqa: E731
+    marked.unfolded = True
+    return marked
 
 
 # the text form (see ``tokens.item``) of the IAM's and the JAM's logged positions
@@ -192,15 +186,16 @@ def drive(
     walk,
     machine: Machine,
     snapshot_fn: Callable,
-    footprint_fn: Callable,
+    footprint_fn: Optional[Callable],
     sink: Optional[Callable] = None,
 ):
     """Fold ``walk``, a ``trajectory`` of ``machine``, into a run report.
 
-    ``machine`` gives the direction accessor and the variable labels; its
-    name and the snapshot and footprint functions come apart from it so
-    that a profiler can wrap them.  ``walk`` may wrap the trajectory to count
-    more as it passes the states on, as ``siam.run_index`` counts coverage.
+    ``machine`` gives the direction accessor, the variable labels and
+    whether a footprint is sampled; its name and the snapshot and footprint
+    functions come apart from it so that a profiler can wrap them.  ``walk``
+    may wrap the trajectory to count more as it passes the states on, as
+    ``siam.run_index`` counts coverage.
     Returns the report in all cases, a walk that runs out of fuel included:
     ``outcome`` is "fuel" then, and "final" when the walk reached a final
     state.  ``sink``, when given, is called with each state's ``TraceEvent``
@@ -208,20 +203,25 @@ def drive(
     own; None means an untraced run.  Every state has a ``focus``, the term
     node it is at; an event keeps that node and prints its path and subterm.
     Its token comes through one ``tokens.Encoder`` per run, in the shared
-    form: the event carries the definitions of the items it is the first to
-    refer to, and later events refer to them by id (``unfold`` writes them
-    out in full).  The footprint is sampled at every state, including the
-    initial one, since peaks occur mid-run: ``footprint_fn(state, reach)``
-    gets one ``tokens.Reach`` per run, which it moves from state to state,
-    and returns the counts ``(lp, markers, cells)``.  A machine whose token
-    never shares a cell, such as the IAM, may ignore the ``Reach``: its
-    states count their token's cells as it steps.
+    form unless the sink is marked by ``unfold``: a shared event carries the
+    definitions of the items it is the first to refer to, and later events
+    refer to them by id.  Whether the footprint is sampled is decided once
+    per run, from ``machine.footprint``: a machine that declares none (the
+    SIAM) has no token, and its events and peaks read zero.  Otherwise the
+    footprint is sampled at every state, including the initial one, since
+    peaks occur mid-run: ``footprint_fn(state, reach)`` gets one
+    ``tokens.Reach`` per run, which it moves from state to state, and returns
+    the counts ``(lp, markers, cells)``.  A machine whose token never shares
+    a cell, such as the IAM, may ignore the ``Reach``: its states count their
+    token's cells as it steps.
     """
     state_dir_fn, var_labels = machine.dir, machine.var_labels
+    sample = machine.footprint is not None
     per_label: dict = {}
-    enc = None if sink is None else Encoder()
+    enc = None if sink is None else Encoder(getattr(sink, "unfolded", False))
     places: dict = {}  # focused node -> (path text, subterm text)
     reach = Reach()
+    fp = (0, 0, 0)  # an unsampled state's
     var_cost = steps = peak_lp = peak_cells = 0
     peak_markers = peak_marker_lp = 0  # the most markers, then the most lp among them
     outcome = "final"
@@ -232,13 +232,14 @@ def drive(
                 per_label[label] = per_label.get(label, 0) + 1
                 if label in var_labels:
                     var_cost += cost
-            lp, markers, cells = fp = footprint_fn(state, reach)
-            if lp > peak_lp:
-                peak_lp = lp
-            if cells > peak_cells:
-                peak_cells = cells
-            if markers > peak_markers or markers == peak_markers and lp > peak_marker_lp:
-                peak_markers, peak_marker_lp = markers, lp
+            if sample:
+                lp, markers, cells = fp = footprint_fn(state, reach)
+                if lp > peak_lp:
+                    peak_lp = lp
+                if cells > peak_cells:
+                    peak_cells = cells
+                if markers > peak_markers or markers == peak_markers and lp > peak_marker_lp:
+                    peak_markers, peak_marker_lp = markers, lp
             if sink is not None:
                 node = state.focus
                 place = places.get(node)

@@ -169,17 +169,13 @@ def run_index(index: DerivationIndex, fuel: int = DEFAULT_FUEL, sink=None):
             yield record
 
     walk = covered(reporting.trajectory(MACHINE, index, fuel))
-    report = reporting.drive(MACHINE.name, index, walk, MACHINE, snapshot, state_footprint, sink)
+    report = reporting.drive(MACHINE.name, index, walk, MACHINE, snapshot, None, sink)
     visited = len(seen) if type(seen) is dict else stars - seen.count(0)
     return report, CoverageReport(stars, visited, report.length)
 
 
-def state_footprint(s: SiamState, reach) -> tuple:
-    return (0, 0, 0)  # the state is a position in the derivation: no token
-
-
 MACHINE = Machine(
-    "siam", initial, lambda: step, snapshot, state_footprint,
+    "siam", initial, lambda: step, snapshot, None,  # a place in the derivation: no token
     # on the term's ★ derivation; Diverged when it has none within fuel
     launch=lambda term, fuel, **kw: run(mt.infer_star_derivation(term, fuel), term, fuel, **kw)[0],
     dir=lambda s: observable(s)[1],

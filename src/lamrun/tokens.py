@@ -101,8 +101,9 @@ def nth(xs: Optional[Cell], n: int):
     return cell.head
 
 
-# item type -> (template, fields, list attributes), for ``Encoder``: every item
-# type; the template of a type that holds lists is its definition's, with the id first
+# item type -> (shared template, unfolded template, fields, list attributes), for
+# ``Encoder``: every item type; the shared template of a type that holds lists is
+# its definition's, with the id first
 TEXT_FORMS: dict = {}
 # item type -> its attributes that hold lists, for ``Reach``, ``new_items`` and
 # ``Encoder``: only the types that hold lists, so the hot paths skip the others
@@ -114,17 +115,17 @@ def item(template: str, fields: Callable, *lists: str):
     """Class decorator registering a token item type: its instances hold token
     lists in the attributes ``lists`` and are written as ``template`` filled
     with the JSON texts of ``fields(item)``, then with those of ``lists``, in
-    order.  An item that holds lists is written once per run, as a definition
-    (see ``Encoder``), so its template must be a JSON object.  A type defined
-    elsewhere registers as ``item(...)(cls)``."""
+    order.  In the shared form, an item that holds lists is written once per
+    run, as a definition (see ``Encoder``), so its template must be a JSON
+    object.  A type defined elsewhere registers as ``item(...)(cls)``."""
 
     def register(cls):
-        form = template
+        shared = template
         if lists:
             assert template.startswith("{"), "an item that holds lists is a JSON object"
-            form = '{"def": %s, ' + template[1:]
+            shared = '{"def": %s, ' + template[1:]
             NESTED_LISTS[cls] = lists
-        TEXT_FORMS[cls] = (form, fields, lists)
+        TEXT_FORMS[cls] = (shared, template, fields, lists)
         return cls
 
     return register
@@ -269,28 +270,31 @@ json_text = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(x, ensure_
 
 
 class Encoder:
-    """The JSON text of token items in the shared form, each item written once.
+    """The JSON text of token items, in the shared form or the unfolded one.
 
-    An item whose type holds lists (``NESTED_LISTS``) is defined the first
-    time a list refers to it: its definition is the form ``item`` registered
-    for its type, with ``"def": id`` first, and its lists refer to the items
-    they hold in the same way.  Later, a list writes only the id, a JSON int.
-    Definitions queue in ``defs``, each item's children before itself, until
+    In the shared form, each item written once: an item whose type holds
+    lists (``NESTED_LISTS``) is defined the first time a list refers to it.
+    Its definition is the form ``item`` registered for its type, with
+    ``"def": id`` first, and its lists refer to the items they hold in the
+    same way.  Later, a list writes only the id, a JSON int.  Definitions
+    queue in ``defs``, each item's children before itself, until
     ``take_defs`` hands them to the trace event that first refers to them.
     Markers and the other items that hold no list (PAM history entries, tape
     positions) are written inline, in full, wherever they occur.  So a trace
     grows with the items a run makes and the entries of the lists it writes,
-    however the items share.  ``memo`` keeps each item's text, its id or its
-    inline form, by item: eq=False classes and nodes by identity, markers and
-    PAM history tuples by value.  A traced run makes one encoder, the run's
-    id table; ``Unfolder`` turns its output back into unfolded trees.
+    however the items share.  In the unfolded form (``unfolded=True``) every
+    item is written in full wherever it occurs, as a tree, and ``defs`` is
+    None: its text can be exponentially longer.  Either way ``memo`` keeps
+    each item's text (its id, inline form or full text) by item, so each item
+    is written once: eq=False classes and nodes by identity, markers and PAM
+    history tuples by value.  A traced run makes one encoder, the run's id table.
     """
 
     __slots__ = ("memo", "defs", "ids")
 
-    def __init__(self):
+    def __init__(self, unfolded: bool = False):
         self.memo: dict = {}
-        self.defs: list = []  # definitions not yet taken, children first
+        self.defs: Optional[list] = None if unfolded else []  # not yet taken, children first
         self.ids = 0  # items defined so far; the next id
 
     def take_defs(self) -> tuple:
@@ -310,7 +314,7 @@ class Encoder:
         return "[" + ", ".join([get(x) or text(x) for x in items]) + "]"
 
     def text(self, item) -> str:
-        """The JSON text of one item: its id if it holds lists."""
+        """The JSON text of one item: in the shared form, its id if it holds lists."""
         memo = self.memo
         if item not in memo:
             self._fill(item)
@@ -320,66 +324,24 @@ class Encoder:
         """Write ``item`` and each item its lists hold that has no text yet,
         children first: an explicit stack, since tokens nest as deep as the
         run is long."""
-        memo, forms = self.memo, TEXT_FORMS
+        memo, forms, defs = self.memo, TEXT_FORMS, self.defs
         stack = [(item, False)]
         while stack:
             x, ready = stack.pop()
             if x in memo:
                 continue
-            template, fields, attrs = forms[type(x)]
+            shared, template, fields, attrs = forms[type(x)]
             if not attrs:
                 memo[x] = template % tuple(map(json_text, fields(x)))
             elif not ready:  # its lists' items first, then itself
                 stack.append((x, True))
                 for attr in attrs:
                     stack.extend((y, False) for y in iterate(getattr(x, attr)) if y not in memo)
+            elif defs is None:
+                memo[x] = template % (*map(json_text, fields(x)),
+                                      *[self.list(getattr(x, attr)) for attr in attrs])
             else:
                 ident = memo[x] = str(self.ids)
                 self.ids += 1
-                self.defs.append(template % (ident, *map(json_text, fields(x)),
-                                             *[self.list(getattr(x, attr)) for attr in attrs]))
-
-
-class Unfolder:
-    """Unfolded JSON texts from the shared form that ``Encoder`` writes.
-
-    Each id stands for the full text of the item it names, with the items its
-    lists hold unfolded in turn, as a tree.  ``memo`` keeps that text by id,
-    so each item is unfolded once: a definition's lists name only items
-    defined before it, so one pass over the definitions in order unfolds
-    them with no recursion.  Values come parsed from JSON, as ``json.loads``
-    reads them: in a token's lists, and only there, an int is an id.  The
-    unfolded text of a shared item is written again wherever it occurs, so it
-    can be exponentially longer than the shared one.
-    """
-
-    __slots__ = ("memo",)
-
-    def __init__(self):
-        self.memo: dict = {}
-
-    def define(self, defs):
-        """Take in the definitions ``defs`` (parsed JSON objects), in order."""
-        memo, obj = self.memo, self._object
-        for d in defs:
-            fields = iter(d.items())
-            _, ident = next(fields)  # "def" comes first
-            memo[ident] = obj(fields)
-
-    def text(self, value) -> str:
-        """The unfolded JSON text of ``value``, parsed from the shared form: a
-        token (a JSON object whose lists are token lists), a list or an id."""
-        if type(value) is int:
-            return self.memo[value]
-        if type(value) is list:
-            return self._list(value)
-        return self._object(value.items())
-
-    def _object(self, fields) -> str:
-        lst = self._list
-        return "{" + ", ".join([json_text(k) + ": " + (lst(v) if type(v) is list else json_text(v))
-                                for k, v in fields]) + "}"
-
-    def _list(self, entries: list) -> str:
-        memo = self.memo
-        return "[" + ", ".join([memo[x] if type(x) is int else json_text(x) for x in entries]) + "]"
+                defs.append(shared % (ident, *map(json_text, fields(x)),
+                                      *[self.list(getattr(x, attr)) for attr in attrs]))

@@ -227,14 +227,54 @@ def traced(run, *args, shared=False, **kwargs):
     return run(*args, sink=sink, **kwargs), events
 
 
+class SharedReader:
+    """Unfolded JSON texts from the shared form that ``tokens.Encoder`` writes,
+    read back from parsed JSON: the tests' round-trip reference for that form.
+
+    Each id stands for the full text of the item it names, with the items its
+    lists hold unfolded in turn, as a tree.  ``memo`` keeps that text by id,
+    so each item is unfolded once: a definition's lists name only items
+    defined before it, so one pass over the definitions in order unfolds
+    them with no recursion.  In a token's lists, and only there, an int is an id.
+    """
+
+    def __init__(self):
+        self.memo: dict = {}
+
+    def define(self, defs):
+        """Take in the definitions ``defs`` (parsed JSON objects), in order."""
+        for d in defs:
+            fields = iter(d.items())
+            _, ident = next(fields)  # "def" comes first
+            self.memo[ident] = self._object(fields)
+
+    def text(self, value) -> str:
+        """The unfolded JSON text of ``value``, parsed from the shared form: a
+        token (a JSON object whose lists are token lists), a list or an id."""
+        if type(value) is int:
+            return self.memo[value]
+        if type(value) is list:
+            return self._list(value)
+        return self._object(value.items())
+
+    def _object(self, fields) -> str:
+        return "{" + ", ".join([tk.json_text(k) + ": " + (self._list(v) if type(v) is list
+                                                          else tk.json_text(v))
+                                for k, v in fields]) + "}"
+
+    def _list(self, entries: list) -> str:
+        return "[" + ", ".join([self.memo[x] if type(x) is int else tk.json_text(x)
+                                for x in entries]) + "]"
+
+
 def plain_text(write):
     """The unfolded text that ``write(enc)`` writes with a fresh
-    ``tokens.Encoder``: its shared text with its definitions expanded."""
+    ``tokens.Encoder``: its shared text read back through ``SharedReader``."""
     enc = tk.Encoder()
     text = write(enc)
-    unfolder = tk.Unfolder()
-    unfolder.define(map(json.loads, enc.take_defs()))
-    return unfolder.text(json.loads(text))
+    reader = SharedReader()
+    reader.define(map(json.loads, enc.take_defs()))
+    return reader.text(json.loads(text))
 
 
 def token(ev):

@@ -19,7 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("liam", "ljam", "lpam", "kam", "ham.j", "ham.k", "siam")
-TOKEN_LAYERS = LAYERS[:-1]  # the machines whose states have a footprint
+TOKEN_LAYERS = LAYERS[:-1]  # the machines whose states have a footprint; not the SIAM
 
 
 def _nonzero(metrics, names):
@@ -34,6 +34,8 @@ def _tn(metrics):
     # each of the 13 t_n inputs on each of the 6 token machines
     steps = sum(metrics[f"{m}.steps"] for m in TOKEN_LAYERS)
     assert metrics["tokens.footprint_calls"] == steps + 78
+    # the SIAM declares no footprint: its runs are never sampled
+    assert metrics["siam.footprint_s"] == 0
 
 
 def _deep(metrics):

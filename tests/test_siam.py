@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lamrun import equivalence as eq, harness, liam, multitypes as mt, siam
+from lamrun import equivalence as eq, harness, liam, multitypes as mt, reporting, siam
 from lamrun.cli import _table
 from lamrun.reporting import FuelExhausted, step_back, trajectory
 from lamrun.syntax import TermIndex, parse, whnf_trace
@@ -314,3 +314,23 @@ def test_coverage_takes_what_the_fuel_reaches():
     assert report.outcome == "fuel"
     assert coverage == siam.CoverageReport(2**25 - 3, 1001, 1000)
     assert peak < 2**20, f"{peak} B"
+
+
+def test_a_siam_run_samples_no_footprint(monkeypatch, running_example):
+    # a profiler wraps drive's footprint function, as the benchmark's spans do:
+    # the SIAM declares no footprint, so a run never calls it, and its event
+    # footprints and report peak read zero
+    drive = reporting.drive
+
+    def never(state, reach):
+        raise AssertionError("a SIAM state's footprint was sampled")
+
+    monkeypatch.setattr(reporting, "drive", lambda *args: drive(*args[:5], never, *args[6:]))
+    assert siam.MACHINE.footprint is None
+    dindex = siam.DerivationIndex(mt.infer_star_derivation(running_example, 1000),
+                                  running_example)
+    events: list = []
+    report, coverage = siam.run_index(dindex, 1000, events.append)
+    assert coverage.hamiltonian and len(events) == report.length + 1
+    assert {ev.footprint for ev in events} == {(0, 0, 0)}
+    assert (report.peak, report.peak_marker_lp) == (reporting.SpaceFootprint(0, 0, 0), 0)

@@ -1,10 +1,10 @@
 """The trace encoder against an independent oracle.
 
 ``tokens.Encoder`` defines each token item that holds lists once per run and
-refers to it by id after that; ``reporting.unfold`` writes every item out in
-full again.  The oracle below is the plain recursive serialisation that
-unfolds every item again at every state, one dict per item, dumped with
-``json.dumps``.  Every unfolded JSONL line of a traced run must equal the dump
+refers to it by id after that; for a sink marked by ``reporting.unfold`` it
+writes every item out in full instead.  The oracle below is the plain
+recursive serialisation that unfolds every item again at every state, one
+dict per item, dumped with ``json.dumps``.  Every unfolded JSONL line of a traced run must equal the dump
 of the oracle's event, byte for byte.
 """
 import json
@@ -17,7 +17,8 @@ from lamrun import harness, ham, liam, ljam, multitypes as mt, reporting, siam, 
 from lamrun.cli import main
 from lamrun.syntax import TermIndex, parse, path_str, pretty
 
-from conftest import CHILD_ENV, ROOTS, church_ii, plain_text, resolve, traced, unfolded
+from conftest import (CHILD_ENV, ROOTS, SharedReader, church_ii, plain_text, resolve, traced,
+                      unfolded)
 
 DEFS = {"I": "\\z.z", "two": "\\f.\\x.f (f x)"}
 FUEL = 10**6
@@ -91,7 +92,8 @@ def machine_index(name, term):
 
 
 def oracle_lines(name, term):
-    """The trace of ``name`` on ``term``, from its own step loop and the oracle."""
+    """The trace of ``name`` on ``term``, from its own step loop and the oracle;
+    a machine that declares no footprint writes zeros."""
     machine = harness.MACHINES[name]
     index = machine_index(name, term)
     step = machine.step()
@@ -103,7 +105,8 @@ def oracle_lines(name, term):
                  "path": path_str(pos), "subterm": pretty(resolve(index.root, pos)[0]),
                  "token": TOKEN[name](index, s), "cost": cost,
                  "footprint": dict(zip(("lp", "markers", "deepCells"),
-                                       machine.footprint(s, tk.Reach())))}
+                                       (0, 0, 0) if machine.footprint is None
+                                       else machine.footprint(s, tk.Reach())))}
         lines.append(json.dumps(event, ensure_ascii=False))
         result = step(index, s)
         if type(result) is not tuple:
@@ -205,10 +208,10 @@ def test_logged_positions_write_their_machines_texts():
 
 def test_encoding_needs_no_recursion_headroom():
     # each log holds one position whose log nests one level deeper, and each
-    # logged closure's environment holds one closure one level deeper; the
-    # unfolded texts of all the levels are quadratic in depth: keep it small
+    # logged closure's environment holds one closure one level deeper; both
+    # forms are written, and the unfolded texts of all the levels are
+    # quadratic in depth: keep it small
     script = """
-import json
 import sys
 from lamrun import ham, ljam, tokens as tk
 from lamrun.syntax import TermIndex, parse
@@ -218,12 +221,10 @@ log = env = None
 for _ in range(1200):
     log = tk.cons(ljam.LoggedPosition(top.fun, log), None)
     env = tk.cons(ham.LoggedClosure(top.arg, env, None), None)
-enc, unfolder = tk.Encoder(), tk.Unfolder()
-texts = enc.list(log), enc.list(env)
-defs = enc.take_defs()
-unfolder.define(map(json.loads, defs))
-log, env = (unfolder.text(json.loads(text)) for text in texts)
-print(len(defs), log.count('"log": ['), env.count('"env": ['))
+shared, enc = tk.Encoder(), tk.Encoder(unfolded=True)
+shared.list(log), shared.list(env)
+log, env = enc.list(log), enc.list(env)
+print(len(shared.take_defs()), log.count('"log": ['), env.count('"env": ['))
 """
     done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120)
@@ -270,18 +271,19 @@ def test_shared_events_are_linear_in_their_entries(name, corpus):
 
 
 @pytest.mark.parametrize("name", list(harness.MACHINES))
-def test_a_shared_trace_unfolds_to_the_unfolded_one(name):
-    """The shared JSONL lines alone, read back with ``tokens.Unfolder``, give
-    the unfolded lines byte for byte: a definition always comes before its id."""
-    for label, term in FAMILIES:
-        unfolder = tk.Unfolder()
+def test_a_shared_trace_unfolds_to_the_unfolded_one(name, small_corpus):
+    """The shared JSONL lines alone, read back with ``conftest.SharedReader``,
+    give the unfolded lines byte for byte: a definition always comes before
+    its id.  The unfolded lines are the encoder's own unfolded form."""
+    for term in [term for _, term in FAMILIES] + small_corpus:
+        reader = SharedReader()
         lines = []
         for ev in shared_events(name, term):
             record = json.loads(ev.to_line())
-            unfolder.define(record.pop("defs", ()))
-            record["token"] = json.loads(unfolder.text(record["token"]))
+            reader.define(record.pop("defs", ()))
+            record["token"] = json.loads(reader.text(record["token"]))
             lines.append(json.dumps(record, ensure_ascii=False))
-        assert lines == traced_lines(name, term), label
+        assert lines == traced_lines(name, term), pretty(term)
 
 
 def test_every_item_is_defined_once_and_before_use():

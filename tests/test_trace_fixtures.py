@@ -9,7 +9,9 @@ machine and the footprint figures (``deepCells``, ``peakFootprint``,
 fixture is the full output of ``lamrun run --trace table``, which pins the
 subterm and context columns.  ``--trace jsonl`` writes the shared form, in
 which each item that holds lists is defined once: its ``two two I I`` traces
-are pinned by their own digests.
+are pinned by their own digests.  The run's encoder writes the unfolded form
+itself, from the items, so every trace here is written with ``json.loads``
+patched to raise: no trace is read back from the shared form.
 
 To regenerate them after a deliberate format change, run
 ``PYTHONPATH=src python tests/test_trace_fixtures.py``.
@@ -17,6 +19,7 @@ To regenerate them after a deliberate format change, run
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,30 @@ SHARED_DIGESTS = {
     "siam": (31434, "7ff54cddb04ac6aa53409ab91aa1babeb3cb894ea3d95d2019451cbaf355b1f1"),
 }
 
+# the tables of the same runs
+TABLE_DIGESTS = {
+    "iam": (81733, "ebbb22d1ee63248ace007d71365dfe0c390a0967c2ea63789b3a03fe2c4f232b"),
+    "jam": (634880, "aa277bf6b7cc8150517b2ccf6c0277092f8dd912bb77fce18e32d7e11e574f10"),
+    "pam": (67225, "c83c59ff3e9ee83492c6e89f5fcd2a5449abf6bc721adb123c73ef4f5186f443"),
+    "kam": (20496, "555a5b5cefc035227cabbe72e45ae3f4ab3fb46be5f84a03e1b62328f3c1080a"),
+    "ham-j": (19979369, "76b2a1dfb170757eadacdef59f91a8ca146e139a09ff33ace91370ecb9073df3"),
+    "ham-k": (5023685, "d272584f6434de1c457f27a150e62ce47bf324b7d77d58aaaaafc9866590f0e2"),
+    "siam": (22335, "4a7cdab00b79e87d09c0f36091c1a864a511676671cee45fa5599a6ac3425d6f"),
+}
+
+
+@pytest.fixture(autouse=True)
+def no_json_parsing(monkeypatch):
+    def loads(*args, **kwargs):
+        raise AssertionError("a trace was parsed while it was written")
+
+    monkeypatch.setattr(json, "loads", loads)
+
+
+def digest(text: str) -> tuple:
+    data = text.encode("utf-8")
+    return len(data), hashlib.sha256(data).hexdigest()
+
 
 def trace_text(term: str, machine: str, trace: str = "jsonl-unfolded") -> str:
     buf = io.StringIO()
@@ -91,14 +118,17 @@ def test_no_table_line_ends_in_a_blank():
 
 @pytest.mark.parametrize("machine", MACHINES)
 def test_shared_token_trace_matches_digest(machine):
-    data = trace_text(TWO_TWO, machine).encode("utf-8")
-    assert (len(data), hashlib.sha256(data).hexdigest()) == DIGESTS[machine]
+    assert digest(trace_text(TWO_TWO, machine)) == DIGESTS[machine]
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_table_trace_matches_digest(machine):
+    assert digest(trace_text(TWO_TWO, machine, "table")) == TABLE_DIGESTS[machine]
 
 
 @pytest.mark.parametrize("machine", MACHINES)
 def test_shared_form_trace_matches_digest(machine):
-    data = trace_text(TWO_TWO, machine, "jsonl").encode("utf-8")
-    assert (len(data), hashlib.sha256(data).hexdigest()) == SHARED_DIGESTS[machine]
+    assert digest(trace_text(TWO_TWO, machine, "jsonl")) == SHARED_DIGESTS[machine]
 
 
 def test_a_traced_run_does_not_hold_its_trace(tmp_path):
