@@ -74,13 +74,6 @@ def _machines(text: str) -> list:
     return names
 
 
-def _default_fuel(args) -> int:
-    if args.fuel is not None:
-        return args.fuel
-    env = os.environ.get("LAMRUN_FUEL")
-    return _fuel(env) if env else DEFAULT_FUEL
-
-
 def _table(events, root) -> str:
     rows = [["step", "label", "dir", "subterm", "context", "token"]]
     rows += ([str(ev.step), ev.label, ev.dir, ev.subterm_pretty,
@@ -93,19 +86,16 @@ def _table(events, root) -> str:
 
 
 def cmd_parse(args) -> int:
-    term = _read_term_arg(args.term, args.defs)
-    print(pretty(term))
-    print(f"size: {term_size(term)}")
-    print(f"closed: {is_closed(term)}")
+    print(pretty(args.term))
+    print(f"size: {term_size(args.term)}")
+    print(f"closed: {is_closed(args.term)}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    term = _read_term_arg(args.term, args.defs)
-    fuel = _default_fuel(args)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        return _run(args, term, fuel, out)
+        return _run(args, out)
     except StuckError:
         raise  # the trace keeps the states the run reached
     except Exception:
@@ -118,19 +108,20 @@ def cmd_run(args) -> int:
             out.close()
 
 
-def _run(args, term, fuel: int, out) -> int:
+def _run(args, out) -> int:
     rows: list = []  # the table's events: its column widths need every row
     write = lambda ev: print(ev.to_line(), file=out)  # noqa: E731
     sinks = {"jsonl": write, "jsonl-unfolded": unfold(write), "table": unfold(rows.append)}
     try:
-        report = harness.run_machine(args.machine, term, fuel, sink=sinks.get(args.trace))
+        report = harness.run_machine(args.machine, args.term, args.fuel,
+                                     sink=sinks.get(args.trace))
     except Diverged:  # the SIAM's term has no ★ derivation within fuel
         report = None
     if report is None or report.outcome == "fuel":
-        print(f"fuel exhausted after {fuel} steps", file=sys.stderr)
+        print(f"fuel exhausted after {args.fuel} steps", file=sys.stderr)
         return EXIT_FUEL
     if args.trace == "table":
-        print(_table(rows, term), file=out)
+        print(_table(rows, args.term), file=out)
     print(json.dumps(report.to_json(), ensure_ascii=False), file=out)
     return EXIT_OK
 
@@ -144,9 +135,7 @@ def _var_count(name: str, entry: dict) -> int | None:
 
 
 def cmd_compare(args) -> int:
-    term = _read_term_arg(args.term, args.defs)
-    fuel = _default_fuel(args)
-    row = harness.compare(term, fuel, args.machines, with_types=args.types)
+    row = harness.compare(args.term, args.fuel, args.machines, with_types=args.types)
     if args.format == "json":
         print(json.dumps(row, ensure_ascii=False, indent=2))
         return EXIT_OK
@@ -167,10 +156,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_types(args) -> int:
-    term = _read_term_arg(args.term, args.defs)
-    fuel = _default_fuel(args)
     try:
-        deriv = mt.infer_star_derivation(term, fuel)
+        deriv = mt.infer_star_derivation(args.term, args.fuel)
     except Diverged:
         print("no weak head normal form within fuel; term is untypable", file=sys.stderr)
         return EXIT_FUEL
@@ -187,17 +174,16 @@ def cmd_types(args) -> int:
 
 
 def cmd_check(args) -> int:
-    fuel = _default_fuel(args)
     if args.corpus:  # argparse requires either a term or a corpus
         terms = harness.gen_corpus(*args.corpus)
         if not terms:
             print("the corpus generator kept no term: raise count or maxSize", file=sys.stderr)
             return EXIT_INPUT
     else:
-        terms = [_read_term_arg(args.term, args.defs)]
+        terms = [args.term]
     checker = eq.CHECKERS[args.what]
-    reports = ([checker(terms, fuel)] if args.what == "quadratic"  # one verdict on the corpus
-               else (checker(term, fuel) for term in terms))
+    reports = ([checker(terms, args.fuel)] if args.what == "quadratic"  # one verdict on the corpus
+               else (checker(term, args.fuel) for term in terms))
     failures = inconclusive = 0
     for report in reports:
         print(json.dumps(report.to_json(), ensure_ascii=False))
@@ -209,7 +195,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    fuel = _default_fuel(args)
     rows = []
     for n in args.range:
         if args.family == "tn":
@@ -218,7 +203,7 @@ def cmd_bench(args) -> int:
         else:
             term = harness.family_rkh(n, n)
             label = f"r_{n}^{n}"
-        row = harness.compare(term, fuel)
+        row = harness.compare(term, args.fuel)
         rows.append((label, row))
     if args.format == "csv":
         print("family,machine,length,vars,peakLp,peakMarkers")
@@ -301,6 +286,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help, or a usage error already reported
         return exc.code
     try:
+        if getattr(args, "term", None) is not None:  # bench and check --corpus have none
+            args.term = _read_term_arg(args.term, args.defs)
+        if "fuel" in args and args.fuel is None:  # parse takes none
+            env = os.environ.get("LAMRUN_FUEL")
+            args.fuel = _fuel(env) if env else DEFAULT_FUEL
         return args.fn(args)
     except Diverged as exc:
         print(str(exc), file=sys.stderr)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .liam import DOWN, UP
 from .ljam import UP_LABELS
-from .reporting import FINAL, Machine, NodeState, Stuck
+from .reporting import DOWN, FINAL, UP, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 J_MODE = "j"
@@ -102,7 +101,7 @@ def step_mode(index: TermIndex, s: HamState, mode: str):
 
 
 def make_snapshot(mode: str):
-    def snapshot(index: TermIndex, s: HamState, enc: tk.Encoder) -> str:
+    def snapshot(s: HamState, enc: tk.Encoder) -> str:
         return (f'{{"mode": {tk.json_text(mode)}, "log": {enc.list(s.log)}, '
                 f'"env": {enc.list(s.env)}, "tape": {enc.list(s.tape)}}}')
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import FINAL, Machine, NodeState, Stuck
+from .reporting import DOWN, FINAL, Machine, NodeState, Stuck
 from .syntax import DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, Var, path_str
 
 
@@ -47,7 +47,7 @@ def step(index: TermIndex, s: KamState):
     return ("var", KamState(clo.node, clo.env, s.stack), t.index + 1)
 
 
-def snapshot(index: TermIndex, s: KamState, enc: tk.Encoder) -> str:
+def snapshot(s: KamState, enc: tk.Encoder) -> str:
     return f'{{"env": {enc.list(s.env)}, "stack": {enc.list(s.stack)}}}'
 
 
@@ -89,6 +89,6 @@ def run(term: Term, fuel: int = DEFAULT_FUEL, sink: Optional[Callable] = None):
 MACHINE = Machine(
     "kam", initial, lambda: step, snapshot, state_footprint,
     launch=lambda term, fuel, **kw: run(term, fuel, **kw),
-    dir=lambda s: "down",
+    dir=lambda s: DOWN,
     invariants=check_invariants,
 )

@@ -26,11 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import FINAL, FLIP, LOGGED_POSITION, Machine, NodeState, Stuck
+from .reporting import DOWN, FINAL, FLIP, LOGGED_POSITION, UP, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
-
-DOWN = "down"
-UP = "up"
 
 
 @tk.item(LOGGED_POSITION,
@@ -100,12 +97,12 @@ def is_backtracking(s: IamState) -> bool:
     return s.dir == DOWN and s.tape is not None and not isinstance(s.tape.head, tk.Marker)
 
 
-def snapshot(index: TermIndex, s: IamState, enc: tk.Encoder) -> str:
+def snapshot(s: IamState, enc: tk.Encoder) -> str:
     bt = "true" if is_backtracking(s) else "false"
     return f'{{"tape": {enc.list(s.tape)}, "log": {enc.list(s.log)}, "bt": {bt}}}'
 
 
-def state_footprint(s: IamState, reach=None) -> tuple:
+def state_footprint(s: IamState, reach: tk.Reach) -> tuple:
     """``(lp, markers, cells)`` of the token in O(1): the entries are read off
     its lists' first cells and the cells off the state, since the token is a
     tree; ``reach`` goes unused."""

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .liam import DOWN, UP
-from .reporting import FINAL, LOGGED_POSITION, Machine, NodeState, Stuck
+from .reporting import DOWN, FINAL, LOGGED_POSITION, UP, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 UP_LABELS = ("p3", "p4", "arg", "jmp")
@@ -95,7 +94,7 @@ def depth(s: JamState, memo: Optional[dict] = None) -> int:
     return depth_of(s.tape if s.dir == UP else s.log, memo)
 
 
-def snapshot(index: TermIndex, s: JamState, enc: tk.Encoder) -> str:
+def snapshot(s: JamState, enc: tk.Encoder) -> str:
     return f'{{"tape": {enc.list(s.tape)}, "log": {enc.list(s.log)}}}'
 
 

@@ -11,14 +11,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .liam import DOWN, UP
 from .ljam import UP_LABELS
-from .reporting import FINAL, Machine, NodeState, Stuck
+from .reporting import DOWN, FINAL, UP, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
-
-
-class UndefinedLookup(Exception):
-    pass
 
 
 class History:
@@ -49,7 +44,7 @@ class History:
         """1-based; entry 1 is the oldest."""
         if 0 < k <= self.length:
             return self.array[k - 1]
-        raise UndefinedLookup(f"history entry {k} of {self.length}")
+        raise IndexError(f"history entry {k} of {self.length}")
 
     def entries(self) -> list:
         """Oldest first."""
@@ -58,11 +53,11 @@ class History:
 
 def phi_pow(h: History, i: int, n: int) -> int:
     """n-fold lookup chain from index ``i``, within the ``length`` entries ``h``
-    sees; cost n.  Raises UndefinedLookup on a broken chain."""
+    sees; cost n.  Raises IndexError on a broken chain."""
     array, length, k = h.array, h.length, i
     for _ in range(n):
         if not 0 < k <= length:
-            raise UndefinedLookup(f"history entry {k} of {length}")
+            raise IndexError(f"history entry {k} of {length}")
         k = array[k - 1][1]
     return k
 
@@ -118,7 +113,7 @@ tk.item('{"pos": %s}', lambda n: (path_str(n.path),))(Node)
 tk.item('{"pos": %s, "idx": %s}', lambda e: (path_str(e[0].path), e[1]))(tuple)
 
 
-def snapshot(index: TermIndex, s: PamState, enc: tk.Encoder) -> str:
+def snapshot(s: PamState, enc: tk.Encoder) -> str:
     return (f'{{"history": {enc.list(s.history.entries())}, "index": {s.index}, '
             f'"tape": {enc.list(s.tape)}}}')
 

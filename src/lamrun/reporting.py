@@ -47,7 +47,7 @@ class Machine:
     name: str
     initial: Callable  # index -> state
     step: Callable  # () -> ((index, state) -> (label, state, cost) | Final | Stuck)
-    snapshot: Callable  # (index, state, Encoder) -> the token's JSON text
+    snapshot: Callable  # (state, Encoder) -> the token's JSON text
     # (state, Reach) -> (lp, markers, cells); a machine whose token never
     # shares a cell counts its cells in its states and may ignore the Reach.
     # None for a machine with no token (the SIAM): its runs are never sampled
@@ -69,7 +69,8 @@ class Machine:
 # ``dataclasses.replace`` costs).
 DUAL = {"p1": "p3", "p3": "p1", "p2": "p4", "p4": "p2",
         "var": "bt2", "bt2": "var", "arg": "bt1", "bt1": "arg"}
-FLIP = {"down": "up", "up": "down"}
+DOWN, UP = "down", "up"  # a state's ``dir``, on every machine
+FLIP = {DOWN: UP, UP: DOWN}
 
 
 def step_back(step: Callable, index, s):
@@ -245,7 +246,7 @@ def drive(
                 place = places.get(node)
                 if place is None:
                     place = places[node] = (path_str(node.path), pretty(node.term))
-                token = snapshot_fn(index, state, enc)
+                token = snapshot_fn(state, enc)
                 sink(TraceEvent(steps, name, label or "init", state_dir_fn(state), node,
                                 *place, token, cost, fp, enc.take_defs()))
     except FuelExhausted:
@@ -285,14 +286,19 @@ def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
     Yields each transition as a ``(label, state, cost)`` tuple, starting with
     ``(None, initial, 0)``, and ends at a final state.  Raises StuckError
     on a stuck state, FuelExhausted when ``fuel`` steps do not reach a final
-    state; in both cases after yielding the last state reached.
+    state; in both cases after yielding the last state reached.  A step is
+    stuck when it returns a ``Stuck`` or raises IndexError: a lookup past the
+    end of a token list or of the PAM's history.
     """
     step = machine.step()
     result = (None, machine.initial(index), 0)
     steps = 0
     while True:
         yield result
-        result = step(index, result[1])
+        try:
+            result = step(index, result[1])
+        except IndexError as exc:
+            raise StuckError(f"{machine.name} stuck: {exc}") from exc
         if type(result) is not tuple:  # FINAL or Stuck
             if isinstance(result, Stuck):
                 raise StuckError(f"{machine.name} stuck: {result.reason}")

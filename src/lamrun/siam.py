@@ -20,12 +20,11 @@ from typing import Callable, Optional
 
 from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, DerivationIndex, Star
-from .reporting import FINAL, FLIP, Machine, NodeState, Stuck, step_back
+from .reporting import DOWN, FINAL, FLIP, UP, Machine, NodeState, Stuck, step_back
 from .syntax import DEFAULT_FUEL, Term
 from .tokens import json_text
 
-TO_LEAVES = "up"
-TO_ROOT = "down"
+TO_LEAVES, TO_ROOT = UP, DOWN
 
 TARGET = 0  # type-path step into an arrow target; positive i enters domain entry i
 
@@ -108,10 +107,10 @@ def step(index: DerivationIndex, s: SiamState):
 
 def observable(s: SiamState):
     """Project to the focused term node and the term-side direction."""
-    return s.focus, ("down" if s.dir == TO_LEAVES else "up")
+    return s.focus, (DOWN if s.dir == TO_LEAVES else UP)
 
 
-def snapshot(index: DerivationIndex, s: SiamState, enc) -> str:
+def snapshot(s: SiamState, enc) -> str:
     """The state is a place in the derivation: no items for ``enc`` to write."""
     tpath = json_text(tpath_str(s.node.rh_type, s.star))
     return f'{{"node": {s.node.ordinal}, "tpath": {tpath}}}'

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lamrun import harness, liam, reporting
+from lamrun import harness, liam, lpam, reporting, tokens
 from lamrun.cli import main
 from lamrun.reporting import FuelExhausted, Stuck
 from lamrun.syntax import TermIndex, parse, pretty
@@ -175,6 +175,26 @@ def test_check_corpus_goes_on_past_a_stuck_machine(monkeypatch, capsys, corpus):
                for d in docs)
 
 
+def test_a_broken_history_lookup_fails_each_term_it_reaches(monkeypatch, capsys):
+    # a lookup chain one hop too long reads past the PAM's history: its
+    # IndexError ends the walk as stuck, and the corpus goes on
+    phi_pow = lpam.phi_pow
+    monkeypatch.setattr(lpam, "phi_pow", lambda h, i, n: phi_pow(h, i, n + 1))
+    assert main(["check", "jam-pam", "--corpus", "42,40,40"]) == 1
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(docs) == len(harness.gen_corpus(42, 40, 40)) == 25
+    stuck = [d for d in docs if "stuck" in d["details"]]
+    assert len(stuck) == 13 and all(not d["passed"] for d in stuck)
+    assert {d["details"]["stuck"] for d in stuck} == {"pam stuck: history entry 0 of 0"}
+
+
+def test_a_token_list_read_past_its_end_is_stuck(monkeypatch, capsys):
+    take = tokens.take
+    monkeypatch.setattr(tokens, "take", lambda xs, n: take(xs, n + 1))
+    assert main(["run", "(\\x.x) (\\y.y)", "--machine", "iam"]) == 1
+    assert capsys.readouterr().err == "iam stuck: take past end of list\n"
+
+
 def test_check_requires_input(capsys):
     assert main(["check", "weights"]) == 3
 
@@ -327,6 +347,15 @@ def test_help_exits_zero(capsys):
 def test_negative_env_fuel_is_input_error(monkeypatch, capsys):
     monkeypatch.setenv("LAMRUN_FUEL", "-1")
     assert main(["check", "iam-jam", "(\\x.x x) (\\x.x x)"]) == 3
+
+
+@pytest.mark.parametrize("cmd", ["run", "compare", "types", "check"])
+def test_a_bad_term_is_reported_before_a_bad_env_fuel(monkeypatch, capsys, cmd):
+    monkeypatch.setenv("LAMRUN_FUEL", "-1")
+    argv = {"run": ["run", "(\\x.x", "--machine", "iam"],
+            "check": ["check", "iam-jam", "(\\x.x"]}.get(cmd, [cmd, "(\\x.x"])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "expected rparen, found '' (at offset 5)\n"
 
 
 def test_negative_fuel_ends_a_trajectory():

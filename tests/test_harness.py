@@ -106,7 +106,7 @@ def test_run_and_trajectory_agree_at_the_fuel_boundary(name, text):
 
     def seen(state):
         return (state.focus, machine.dir(state),
-                plain_text(lambda enc: machine.snapshot(index, state, enc)))
+                plain_text(lambda enc: machine.snapshot(state, enc)))
 
     length = sum(1 for _ in reporting.trajectory(machine, index)) - 1
     for k in range(length + 2):

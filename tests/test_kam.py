@@ -53,9 +53,9 @@ def test_env_persistence(running_example):
     index = TermIndex(running_example)
     captured = []
     for label, state, _ in trajectory(kam.MACHINE, index, 100):
-        captured.append((state, plain_text(lambda enc: kam.snapshot(index, state, enc))))
+        captured.append((state, plain_text(lambda enc: kam.snapshot(state, enc))))
     for state, snap in captured:
-        assert plain_text(lambda enc: kam.snapshot(index, state, enc)) == snap
+        assert plain_text(lambda enc: kam.snapshot(state, enc)) == snap
 
 
 def test_debug_mode(running_example, duplication_example):

@@ -4,7 +4,7 @@ import pytest
 
 from lamrun import lpam, tokens as tk
 from lamrun.equivalence import walk_invariants
-from lamrun.lpam import History, UndefinedLookup, phi_pow
+from lamrun.lpam import History, phi_pow
 from lamrun.syntax import ARG, BODY, FUN, TermIndex, parse
 
 from conftest import at
@@ -39,7 +39,7 @@ def test_phi_chain():
 
 def test_phi_undefined_on_zero():
     h = History().append(F, 0)
-    with pytest.raises(UndefinedLookup):
+    with pytest.raises(IndexError):
         phi_pow(h, 1, 2)  # second hop reads entry 0
 
 
@@ -47,7 +47,7 @@ def test_phi_stops_at_its_own_version():
     h1 = History().append(F, 0)
     h2 = h1.append(A, 1)  # appends in place: h1 and h2 share one array
     assert h1.array is h2.array and phi_pow(h2, 2, 1) == 1
-    with pytest.raises(UndefinedLookup):
+    with pytest.raises(IndexError):
         phi_pow(h1, 2, 1)  # entry 2 is in the array, but past h1's length
 
 
@@ -68,7 +68,7 @@ def test_history_extends_an_older_version():
     assert h3.entries() == [(F, 0), (B, 1)]
     assert h4.entries() == [(F, 0), (A, 1), (F, 2)]
     assert (h2.entry(2), h3.entry(2), h4.entry(3)) == ((A, 1), (B, 1), (F, 2))
-    with pytest.raises(UndefinedLookup):
+    with pytest.raises(IndexError):
         h3.entry(3)
 
 

@@ -3,12 +3,15 @@ transition as a plain ``(label, state, cost)`` tuple, and every transition
 declares its cost.  A variable transition costs its lookup, read off the state
 it leaves: the focused occurrence's inner level where the machine pops a log,
 its de Bruijn index + 1 where it walks an environment.  Every other transition
-costs 1, and so does each of the SIAM's."""
+costs 1, and so does each of the SIAM's.  A stuck step, returned as a ``Stuck``
+or raised as an IndexError by a lookup, ends its walk with a StuckError."""
+from dataclasses import replace
+
 import pytest
 
-from lamrun import harness, multitypes as mt, siam
-from lamrun.reporting import trajectory
-from lamrun.syntax import TermIndex, whnf_trace
+from lamrun import ham, harness, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
+from lamrun.reporting import DOWN, UP, StuckError, trajectory
+from lamrun.syntax import TermIndex, parse, whnf_trace
 
 from conftest import FAMILIES
 
@@ -57,3 +60,82 @@ def test_every_transition_declares_its_cost(name, corpus):
             before = state
     # the variable transitions met lookups of more than one length
     assert not var_cost or len(var_costs) > 1
+
+
+# Each stuck branch of each machine, reached from a hand-built state of
+# ``(\x.x) (\y.y)``: ``top.fun`` is λx, ``top.fun.body`` x, ``top.arg`` λy.
+# A builder takes the term's index and returns the state; the SIAM's takes
+# the derivation's index.  Each case ends its walk at its first step.
+def _lp(n):
+    return tk.cons(liam.LoggedPosition(n, None), tk.nil)
+
+
+def _cp(n):
+    return tk.cons(ham.ClosedPosition(n, tk.nil, tk.nil), tk.nil)
+
+
+def _star_abstraction(index):
+    return next(n for n in mt.iter_nodes(index.deriv) if type(n) is mt.DLamStar)
+
+
+STUCK = [
+    ("iam", lambda i: liam.IamState(i.top.arg, _lp(i.top.fun.body), tk.nil, DOWN, 1),
+     "logged position on tape does not match the focused abstraction"),
+    ("iam", lambda i: liam.IamState(i.top, tk.nil, tk.nil, UP, 0),
+     "up state at the root of a closed term"),
+    ("iam", lambda i: liam.IamState(i.top.fun, tk.nil, tk.nil, UP, 0),
+     "up state in function position with empty tape"),
+    ("iam", lambda i: liam.IamState(i.top.arg, tk.nil, tk.nil, UP, 0),
+     "up state in argument position with empty log"),
+    ("jam", lambda i: ljam.JamState(i.top.arg, _lp(i.top.arg.body), tk.nil, DOWN),
+     "down state with a logged position on the tape"),
+    ("jam", lambda i: ljam.JamState(i.top, tk.nil, tk.nil, UP),
+     "up state at the root of a closed term"),
+    ("jam", lambda i: ljam.JamState(i.top.fun, tk.nil, tk.nil, UP),
+     "up state in function position with empty tape"),
+    ("jam", lambda i: ljam.JamState(i.top.arg, tk.nil, tk.nil, UP),
+     "up state in argument position with empty log"),
+    ("pam", lambda i: lpam.PamState(i.top.arg, lpam.History(), 0,
+                                    tk.cons(i.top.arg.body, tk.nil), DOWN),
+     "down state with a position on the tape"),
+    ("pam", lambda i: lpam.PamState(i.top, lpam.History(), 0, tk.nil, UP),
+     "up state at the root of a closed term"),
+    ("pam", lambda i: lpam.PamState(i.top.fun, lpam.History(), 0, tk.nil, UP),
+     "up state in function position with empty tape"),
+    # a jmp at index 0 looks up an entry no history has: the lookup's IndexError
+    ("pam", lambda i: lpam.PamState(i.top.arg, lpam.History(), 0, tk.nil, UP),
+     "history entry 0 of 0"),
+    ("kam", lambda i: kam.KamState(i.top.fun.body, tk.nil, tk.nil),
+     "environment does not close the focused variable"),
+    ("ham-j", lambda i: ham.HamState(i.top.arg, tk.nil, tk.nil, _cp(i.top.arg.body), DOWN),
+     "down state with a closed position on the tape"),
+    ("ham-j", lambda i: ham.HamState(i.top.fun.body, tk.nil, tk.nil, tk.nil, DOWN),
+     "environment does not close the focused variable"),
+    ("ham-j", lambda i: ham.HamState(i.top, tk.nil, tk.nil, tk.nil, UP),
+     "up state at the root of a closed term"),
+    ("ham-j", lambda i: ham.HamState(i.top.fun, tk.nil, tk.nil, tk.nil, UP),
+     "up state in function position with empty tape"),
+    ("ham-j", lambda i: ham.HamState(i.top.fun.body, tk.nil, tk.nil, tk.nil, UP),
+     "up state leaving a body with an empty environment"),
+    ("ham-j", lambda i: ham.HamState(i.top.arg, tk.nil, tk.nil, tk.nil, UP),
+     "up state in argument position with empty log"),
+    ("siam", lambda d: siam.SiamState(_star_abstraction(d), 1, siam.TO_LEAVES),
+     "star abstraction with a ★ number other than 0"),
+    ("siam", lambda d: siam.SiamState(d.deriv, 0, siam.TO_ROOT),
+     "rootward state at the final judgement"),
+]
+
+
+@pytest.mark.parametrize("name,build,reason", STUCK,
+                         ids=[f"{name}-{reason}" for name, _, reason in STUCK])
+def test_every_stuck_branch_ends_the_walk(name, build, reason):
+    term = parse("(\\x.x) (\\y.y)")
+    index = TermIndex(term)
+    if name == "siam":
+        index = siam.DerivationIndex(mt.infer_star_derivation(term), term)
+    state = build(index)
+    walk = trajectory(replace(harness.MACHINES[name], initial=lambda _: state), index)
+    assert next(walk)[1] is state
+    with pytest.raises(StuckError) as stuck:
+        next(walk)
+    assert str(stuck.value) == f"{name} stuck: {reason}"
