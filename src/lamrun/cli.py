@@ -216,6 +216,12 @@ def cmd_bench(args) -> int:
         for label, row in rows:
             lengths = {name: entry.get("length") for name, entry in row["machines"].items()}
             print(label, json.dumps(lengths))
+    out_of_fuel = [f"{label} {name}" for label, row in rows
+                   for name, entry in row["machines"].items() if entry["outcome"] == "fuel"]
+    if out_of_fuel:
+        print(f"fuel exhausted after {args.fuel} steps: {', '.join(out_of_fuel)}",
+              file=sys.stderr)
+        return EXIT_FUEL
     return EXIT_OK
 
 

@@ -379,7 +379,9 @@ def check_invariants_suite(index: TermIndex, fuel: int) -> dict:
     derivation over that index, and all end on one node: the token machines
     at it, the derivation machine on a judgement about it.  Each hopping mode makes
     the transitions of the machine it entangles, renamed: HAM-J those of the
-    JAM, HAM-K those of the KAM."""
+    JAM, HAM-K those of the KAM.  Under ``python -O``, which strips asserts, it fails."""
+    if not __debug__:
+        raise CheckFailed(reason="assertions are disabled (python -O): no invariant was checked")
     steps = whnf_trace(index.root, fuel)  # reduced once: the β count, then the derivation
     beta = len(steps)
     dindex = siam.DerivationIndex(mt.star_derivation(index, steps), index.root)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .ljam import UP_LABELS
-from .reporting import DOWN, FINAL, UP, Machine, NodeState, Stuck
+from .reporting import DOWN, UP, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 J_MODE = "j"
@@ -61,15 +61,13 @@ def step_mode(index: TermIndex, s: HamState, mode: str):
             return ("p1_app", HamState(n.fun, s.log, s.env, tk.cons(lc, s.tape), DOWN), 1)
         if isinstance(t, Lam):
             if s.tape is None:
-                return FINAL
+                return None
             item = s.tape.head
             if isinstance(item, LoggedClosure):
                 return ("p2_abs", HamState(n.body, s.log, tk.cons(item, s.env),
                                            s.tape.tail, DOWN), 1)
-            return Stuck("down state with a closed position on the tape")
+            raise Stuck("down state with a closed position on the tape")
         i = t.index
-        if tk.length(s.env) <= i:
-            return Stuck("environment does not close the focused variable")
         cp = ClosedPosition(n, s.log, s.env)
         if mode == J_MODE:
             return (
@@ -82,20 +80,20 @@ def step_mode(index: TermIndex, s: HamState, mode: str):
         return ("var_k", HamState(lc.node, tk.cons(cp, lc.log), lc.env, s.tape, DOWN), i + 1)
     side, parent = n.side, n.parent
     if side is None:
-        return Stuck("up state at the root of a closed term")
+        raise Stuck("up state at the root of a closed term")
     if side == FUN:
         if s.tape is None:
-            return Stuck("up state in function position with empty tape")
+            raise Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, LoggedClosure):
             return ("p3", HamState(parent, s.log, s.env, s.tape.tail, UP), 1)
         return ("arg", HamState(parent.arg, tk.cons(item, s.log), s.env, s.tape.tail, DOWN), 1)
     if side == BODY:
         if s.env is None:
-            return Stuck("up state leaving a body with an empty environment")
+            raise Stuck("up state leaving a body with an empty environment")
         return ("p4", HamState(parent, s.log, s.env.tail, tk.cons(s.env.head, s.tape), UP), 1)
     if s.log is None:
-        return Stuck("up state in argument position with empty log")
+        raise Stuck("up state in argument position with empty log")
     cp = s.log.head
     return ("jmp", HamState(cp.node, cp.log, cp.env, s.tape, UP), 1)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import DOWN, FINAL, Machine, NodeState, Stuck
+from .reporting import DOWN, Machine, NodeState
 from .syntax import DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, Var, path_str
 
 
@@ -39,10 +39,8 @@ def step(index: TermIndex, s: KamState):
         return ("app", KamState(n.fun, s.env, tk.cons(Closure(n.arg, s.env), s.stack)), 1)
     if isinstance(t, Lam):
         if s.stack is None:
-            return FINAL
+            return None
         return ("abs", KamState(n.body, tk.cons(s.stack.head, s.env), s.stack.tail), 1)
-    if tk.length(s.env) <= t.index:
-        return Stuck("environment does not close the focused variable")
     clo = tk.nth(s.env, t.index)
     return ("var", KamState(clo.node, clo.env, s.stack), t.index + 1)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import DOWN, FINAL, FLIP, LOGGED_POSITION, UP, Machine, NodeState, Stuck
+from .reporting import DOWN, FLIP, LOGGED_POSITION, UP, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 
@@ -62,24 +62,24 @@ def step(index: TermIndex, s: IamState):
             return ("p1", IamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN, s.cells + 1), 1)
         if isinstance(t, Lam):
             if s.tape is None:
-                return FINAL
+                return None
             item = s.tape.head
             if isinstance(item, tk.Marker):
                 return ("p2", IamState(n.body, s.tape.tail, s.log, DOWN, s.cells - 1), 1)
             if item.var.binder is n:
                 log = tk.concat(item.log, s.log)
                 return ("bt2", IamState(item.var, s.tape.tail, log, UP, s.cells - 1), 1)
-            return Stuck("logged position on tape does not match the focused abstraction")
+            raise Stuck("logged position on tape does not match the focused abstraction")
         lp = LoggedPosition(n, tk.take(s.log, n.inner))
         state = IamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP, s.cells + 1)
         return ("var", state, n.inner)
     # up phase
     side, parent = n.side, n.parent
     if side is None:
-        return Stuck("up state at the root of a closed term")
+        raise Stuck("up state at the root of a closed term")
     if side == FUN:
         if s.tape is None:
-            return Stuck("up state in function position with empty tape")
+            raise Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
             return ("p3", IamState(parent, s.tape.tail, s.log, UP, s.cells - 1), 1)
@@ -88,7 +88,7 @@ def step(index: TermIndex, s: IamState):
         return ("p4", IamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP, s.cells + 1), 1)
     # argument position: backtrack to the logged position on top of the log
     if s.log is None:
-        return Stuck("up state in argument position with empty log")
+        raise Stuck("up state in argument position with empty log")
     p = s.log.head
     return ("bt1", IamState(parent.fun, tk.cons(p, s.tape), s.log.tail, DOWN, s.cells), 1)
 

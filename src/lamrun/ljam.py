@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import reporting, tokens as tk
-from .reporting import DOWN, FINAL, LOGGED_POSITION, UP, Machine, NodeState, Stuck
+from .reporting import DOWN, LOGGED_POSITION, UP, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 UP_LABELS = ("p3", "p4", "arg", "jmp")
@@ -44,19 +44,19 @@ def step(index: TermIndex, s: JamState):
             return ("p1", JamState(n.fun, tk.cons(tk.MARKER, s.tape), s.log, DOWN), 1)
         if isinstance(t, Lam):
             if s.tape is None:
-                return FINAL
+                return None
             if isinstance(s.tape.head, tk.Marker):
                 return ("p2", JamState(n.body, s.tape.tail, s.log, DOWN), 1)
-            return Stuck("down state with a logged position on the tape")
+            raise Stuck("down state with a logged position on the tape")
         lp = LoggedPosition(n, s.log)  # shares the whole log
         state = JamState(n.binder, tk.cons(lp, s.tape), tk.drop(s.log, n.inner), UP)
         return ("var", state, n.inner)
     side, parent = n.side, n.parent
     if side is None:
-        return Stuck("up state at the root of a closed term")
+        raise Stuck("up state at the root of a closed term")
     if side == FUN:
         if s.tape is None:
-            return Stuck("up state in function position with empty tape")
+            raise Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
             return ("p3", JamState(parent, s.tape.tail, s.log, UP), 1)
@@ -64,7 +64,7 @@ def step(index: TermIndex, s: JamState):
     if side == BODY:
         return ("p4", JamState(parent, tk.cons(tk.MARKER, s.tape), s.log, UP), 1)
     if s.log is None:
-        return Stuck("up state in argument position with empty log")
+        raise Stuck("up state in argument position with empty log")
     p = s.log.head
     return ("jmp", JamState(p.var, s.tape, p.log, UP), 1)
 

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from . import reporting, tokens as tk
 from .ljam import UP_LABELS
-from .reporting import DOWN, FINAL, UP, Machine, NodeState, Stuck
+from .reporting import DOWN, UP, Machine, NodeState, Stuck
 from .syntax import BODY, FUN, DEFAULT_FUEL, App, Lam, Node, Term, TermIndex, path_str
 
 
@@ -84,18 +84,18 @@ def step(index: TermIndex, s: PamState):
                                    tk.cons(tk.MARKER, s.tape), DOWN), 1)
         if isinstance(t, Lam):
             if s.tape is None:
-                return FINAL
+                return None
             if isinstance(s.tape.head, tk.Marker):
                 return ("p2", PamState(n.body, s.history, s.index, s.tape.tail, DOWN), 1)
-            return Stuck("down state with a position on the tape")
+            raise Stuck("down state with a position on the tape")
         new_index = phi_pow(s.history, s.index, n.inner)
         return ("var", PamState(n.binder, s.history, new_index, tk.cons(n, s.tape), UP), n.inner)
     side, parent = n.side, n.parent
     if side is None:
-        return Stuck("up state at the root of a closed term")
+        raise Stuck("up state at the root of a closed term")
     if side == FUN:
         if s.tape is None:
-            return Stuck("up state in function position with empty tape")
+            raise Stuck("up state in function position with empty tape")
         item = s.tape.head
         if isinstance(item, tk.Marker):
             return ("p3", PamState(parent, s.history, s.index, s.tape.tail, UP), 1)

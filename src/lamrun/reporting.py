@@ -12,17 +12,8 @@ from .syntax import DEFAULT_FUEL, path_str, pretty
 from .tokens import Encoder, Reach, json_text
 
 
-@dataclass(frozen=True)
-class Final:
-    pass
-
-
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-
-
-FINAL = Final()
+class Stuck(Exception):
+    """Raised by a step that cannot move; its text says why."""
 
 
 class StuckError(Exception):
@@ -46,7 +37,8 @@ class Machine:
 
     name: str
     initial: Callable  # index -> state
-    step: Callable  # () -> ((index, state) -> (label, state, cost) | Final | Stuck)
+    step: Callable  # () -> ((index, state) -> (label, state, cost), or None when final)
+    # and the step raises Stuck, or a lookup's IndexError, when it cannot move
     snapshot: Callable  # (state, Encoder) -> the token's JSON text
     # (state, Reach) -> (lp, markers, cells); a machine whose token never
     # shares a cell counts its cells in its states and may ignore the Reach.
@@ -58,7 +50,7 @@ class Machine:
     invariants: Callable
     dir: Callable = attrgetter("dir")
     var_labels: tuple = ("var",)
-    up_labels: tuple = ()  # when given, reports carry their count as upLength
+    up_labels: tuple = ()  # when given, ``drive`` counts them as the report's upLength
 
 
 # A reversible machine (IAM, SIAM) steps back by duality (Danos & Regnier,
@@ -76,11 +68,11 @@ FLIP = {DOWN: UP, UP: DOWN}
 def step_back(step: Callable, index, s):
     """The inverse transition of a reversible machine's ``step``: the dual
     label and the state before ``s``; None exactly on the initial state."""
-    r = step(index, s.flip())
-    if type(r) is not tuple:
-        return None
-    label, state, _ = r
-    return DUAL[label], state.flip()
+    try:
+        r = step(index, s.flip())
+    except Stuck:
+        r = None
+    return None if r is None else (DUAL[r[0]], r[1].flip())
 
 
 class NodeState:
@@ -192,7 +184,7 @@ def drive(
 ):
     """Fold ``walk``, a ``trajectory`` of ``machine``, into a run report.
 
-    ``machine`` gives the direction accessor, the variable labels and
+    ``machine`` gives the direction accessor, the variable and up labels and
     whether a footprint is sampled; its name and the snapshot and footprint
     functions come apart from it so that a profiler can wrap them.  ``walk``
     may wrap the trajectory to count more as it passes the states on, as
@@ -216,7 +208,7 @@ def drive(
     a cell, such as the IAM, may ignore the ``Reach``: its states count their
     token's cells as it steps.
     """
-    state_dir_fn, var_labels = machine.dir, machine.var_labels
+    state_dir_fn, var_labels, up_labels = machine.dir, machine.var_labels, machine.up_labels
     sample = machine.footprint is not None
     per_label: dict = {}
     enc = None if sink is None else Encoder(getattr(sink, "unfolded", False))
@@ -263,6 +255,7 @@ def drive(
         ram_cost_bound=(steps - var_count) + var_count * index.size,
         peak=SpaceFootprint(peak_lp, peak_markers, peak_cells),
         peak_marker_lp=peak_marker_lp,
+        up_length=sum(per_label.get(lbl, 0) for lbl in up_labels) if up_labels else None,
         final_state=state,
     )
 
@@ -273,22 +266,19 @@ def run(machine: Machine, index, fuel: int = DEFAULT_FUEL, sink: Optional[Callab
 
     ``sink``, when given, takes each ``TraceEvent`` as ``drive`` makes it.
     """
-    report = drive(machine.name, index, trajectory(machine, index, fuel), machine,
-                   machine.snapshot, machine.footprint, sink)
-    if machine.up_labels:
-        report.up_length = sum(report.per_label.get(lbl, 0) for lbl in machine.up_labels)
-    return report
+    return drive(machine.name, index, trajectory(machine, index, fuel), machine,
+                 machine.snapshot, machine.footprint, sink)
 
 
 def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
     """Step ``machine`` on ``index``: the one run loop.
 
     Yields each transition as a ``(label, state, cost)`` tuple, starting with
-    ``(None, initial, 0)``, and ends at a final state.  Raises StuckError
-    on a stuck state, FuelExhausted when ``fuel`` steps do not reach a final
-    state; in both cases after yielding the last state reached.  A step is
-    stuck when it returns a ``Stuck`` or raises IndexError: a lookup past the
-    end of a token list or of the PAM's history.
+    ``(None, initial, 0)``, and ends where the step returns None, at a final
+    state.  Raises StuckError on a stuck state, FuelExhausted when ``fuel``
+    steps do not reach a final state; in both cases after yielding the last
+    state reached.  A step is stuck when it raises a ``Stuck`` or an
+    IndexError: a lookup past the end of a token list or of the PAM's history.
     """
     step = machine.step()
     result = (None, machine.initial(index), 0)
@@ -297,11 +287,9 @@ def trajectory(machine: Machine, index, fuel: int = DEFAULT_FUEL):
         yield result
         try:
             result = step(index, result[1])
-        except IndexError as exc:
+        except (Stuck, IndexError) as exc:
             raise StuckError(f"{machine.name} stuck: {exc}") from exc
-        if type(result) is not tuple:  # FINAL or Stuck
-            if isinstance(result, Stuck):
-                raise StuckError(f"{machine.name} stuck: {result.reason}")
+        if result is None:
             return
         if steps >= fuel:
             raise FuelExhausted(fuel)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from . import multitypes as mt, reporting
 from .multitypes import DApp, DLam, DVar, Derivation, DerivationIndex, Star
-from .reporting import DOWN, FINAL, FLIP, UP, Machine, NodeState, Stuck, step_back
+from .reporting import DOWN, FLIP, UP, Machine, NodeState, Stuck, step_back
 from .syntax import DEFAULT_FUEL, Term
 from .tokens import json_text
 
@@ -90,11 +90,11 @@ def step(index: DerivationIndex, s: SiamState):
         if type(n) is DVar:
             return ("var", SiamState(n.binder, push(n.binder.rh_type, n.place, s.star), TO_ROOT), 1)
         if s.star:
-            return Stuck("star abstraction with a ★ number other than 0")
-        return FINAL
+            raise Stuck("star abstraction with a ★ number other than 0")
+        return None
     parent, slot = n.parent, n.slot
     if parent is None:
-        return Stuck("rootward state at the final judgement")
+        raise Stuck("rootward state at the final judgement")
     if slot == "body":
         return ("p4", SiamState(parent, push(parent.rh_type, TARGET, s.star), TO_ROOT), 1)
     if slot == "left":

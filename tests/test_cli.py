@@ -83,9 +83,14 @@ def test_a_traced_run_out_of_fuel_keeps_the_states_it_reached(capsys):
 
 
 def test_a_stuck_traced_run_keeps_the_states_it_reached(monkeypatch, capsys, defs_file):
-    step, calls = liam.step, iter(range(10))
-    monkeypatch.setattr(liam, "step", lambda index, s: (
-        step(index, s) if next(calls) < 3 else Stuck("corrupted")))
+    original, calls = liam.step, iter(range(10))
+
+    def step(index, s):
+        if next(calls) < 3:
+            return original(index, s)
+        raise Stuck("corrupted")
+
+    monkeypatch.setattr(liam, "step", step)
     assert main(["run", "(\\y.\\x.x y) I I", "--machine", "iam", "--trace", "jsonl",
                  "--defs", defs_file]) == 1
     captured = capsys.readouterr()
@@ -167,7 +172,10 @@ def test_check_quadratic_out_of_fuel_is_inconclusive(capsys):
 def test_check_corpus_goes_on_past_a_stuck_machine(monkeypatch, capsys, corpus):
     # the corpus generator runs the interaction machine too: keep it out of the patch
     monkeypatch.setattr(harness, "gen_corpus", lambda seed, count, max_size: corpus)
-    monkeypatch.setattr(liam, "step", lambda index, s: Stuck("corrupted"))
+    def step(index, s):
+        raise Stuck("corrupted")
+
+    monkeypatch.setattr(liam, "step", step)
     assert main(["check", "iam-jam", "--corpus", "42,200,40"]) == 1
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(docs) == 132
@@ -205,6 +213,18 @@ def test_bench_family(capsys):
     out = capsys.readouterr().out
     assert out.startswith("family,machine,length")
     assert "t_4,iam,28" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_bench_names_the_runs_that_ran_out_of_fuel(capsys, fmt):
+    # the IAM needs 32 764 steps on t_14, the other machines fewer than 300:
+    # the rows print as before, and the exit code says fuel ran out
+    assert main(["bench", "--family", "tn", "--range", "13..14", "--fuel", "10000",
+                 "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    row = "t_13,iam,10000," if fmt == "csv" else 't_13 {"iam": 10000, "jam": 246'
+    assert row in captured.out
+    assert captured.err == "fuel exhausted after 10000 steps: t_13 iam, t_14 iam\n"
 
 
 def test_bench_csv_counts_every_variable_label(monkeypatch, capsys):
@@ -363,6 +383,16 @@ def test_negative_fuel_ends_a_trajectory():
     assert next(walk)[0] is None
     with pytest.raises(FuelExhausted):
         next(walk)
+
+
+def test_invariants_fail_when_assertions_are_disabled():
+    # under -O the invariants' assertions are stripped: the check cannot pass
+    done = subprocess.run([sys.executable, "-O", "-m", "lamrun.cli", "check", "invariants",
+                           "(\\x.x) (\\y.y)"], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    doc = json.loads(done.stdout)
+    assert not doc["passed"] and "assertions are disabled" in doc["details"]["reason"]
 
 
 def test_too_deep_for_the_stack_is_input_error():

@@ -138,7 +138,10 @@ def test_quadratic_bound(corpus):
 
 
 def test_quadratic_bound_fails_on_a_stuck_machine(monkeypatch, running_example):
-    monkeypatch.setattr(ljam, "step", lambda index, s: Stuck("patched"))
+    def step(index, s):
+        raise Stuck("patched")
+
+    monkeypatch.setattr(ljam, "step", step)
     report = eq.check_quadratic_bound([running_example], 1000)
     assert not report.passed and not report.inconclusive
     assert report.details == {"term": "(λy.λx.x y) (λz.z) (λz.z)", "stuck": "jam stuck: patched"}
@@ -230,7 +233,9 @@ def test_invariants_suite_names_a_stuck_machine(monkeypatch, running_example):
     def step(index, s):
         nonlocal seen
         seen += 1
-        return Stuck("corrupted") if seen == 3 else original(index, s)
+        if seen == 3:
+            raise Stuck("corrupted")
+        return original(index, s)
 
     monkeypatch.setattr(liam, "step", step)
     report = eq.check_invariants_suite(running_example, 1000)

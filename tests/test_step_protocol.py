@@ -1,19 +1,22 @@
-"""The step protocol: a machine's ``step`` returns FINAL, a ``Stuck``, or a
-transition as a plain ``(label, state, cost)`` tuple, and every transition
-declares its cost.  A variable transition costs its lookup, read off the state
-it leaves: the focused occurrence's inner level where the machine pops a log,
-its de Bruijn index + 1 where it walks an environment.  Every other transition
-costs 1, and so does each of the SIAM's.  A stuck step, returned as a ``Stuck``
-or raised as an IndexError by a lookup, ends its walk with a StuckError."""
+"""The step protocol: a machine's ``step`` returns its transition as a plain
+``(label, state, cost)`` tuple, or None at a final state, and raises when it
+cannot move; every transition declares its cost.  A variable transition costs
+its lookup, read off the state it leaves: the focused occurrence's inner level
+where the machine pops a log, its de Bruijn index + 1 where it walks an
+environment.  Every other transition costs 1, and so does each of the SIAM's.
+A stuck step, a raised ``Stuck`` or a lookup's IndexError, ends its walk with
+a StuckError."""
+import ast
 from dataclasses import replace
 
 import pytest
 
-from lamrun import ham, harness, kam, liam, ljam, lpam, multitypes as mt, siam, tokens as tk
-from lamrun.reporting import DOWN, UP, StuckError, trajectory
+from lamrun import ham, harness, kam, liam, ljam, lpam, multitypes as mt, reporting, siam
+from lamrun import tokens as tk
+from lamrun.reporting import DOWN, UP, StuckError, step_back, trajectory
 from lamrun.syntax import TermIndex, parse, whnf_trace
 
-from conftest import FAMILIES
+from conftest import FAMILIES, SRC
 
 FUEL = 10**6
 
@@ -105,12 +108,14 @@ STUCK = [
     # a jmp at index 0 looks up an entry no history has: the lookup's IndexError
     ("pam", lambda i: lpam.PamState(i.top.arg, lpam.History(), 0, tk.nil, UP),
      "history entry 0 of 0"),
+    # an environment that does not close the focused variable: the lookup's IndexError
     ("kam", lambda i: kam.KamState(i.top.fun.body, tk.nil, tk.nil),
-     "environment does not close the focused variable"),
+     "nth past end of list"),
     ("ham-j", lambda i: ham.HamState(i.top.arg, tk.nil, tk.nil, _cp(i.top.arg.body), DOWN),
      "down state with a closed position on the tape"),
+    # the same in the HAM, whose J mode drops the environment past the binder
     ("ham-j", lambda i: ham.HamState(i.top.fun.body, tk.nil, tk.nil, tk.nil, DOWN),
-     "environment does not close the focused variable"),
+     "drop past end of list"),
     ("ham-j", lambda i: ham.HamState(i.top, tk.nil, tk.nil, tk.nil, UP),
      "up state at the root of a closed term"),
     ("ham-j", lambda i: ham.HamState(i.top.fun, tk.nil, tk.nil, tk.nil, UP),
@@ -139,3 +144,37 @@ def test_every_stuck_branch_ends_the_walk(name, build, reason):
     with pytest.raises(StuckError) as stuck:
         next(walk)
     assert str(stuck.value) == f"{name} stuck: {reason}"
+
+
+@pytest.mark.parametrize("name", list(harness.MACHINES))
+def test_a_final_state_steps_to_none(name, running_example):
+    # and a reversible machine's initial state steps back to None
+    machine, index = harness.MACHINES[name], TermIndex(running_example)
+    if name == "siam":
+        index = siam.DerivationIndex(mt.infer_star_derivation(running_example), running_example)
+        report, _ = siam.run_index(index, FUEL)
+    else:
+        report = reporting.run(machine, index, FUEL)
+    assert report.outcome == "final" and report.length > 0
+    step = machine.step()
+    assert step(index, report.final_state) is None
+    if name in ("iam", "siam"):
+        assert step_back(step, index, machine.initial(index)) is None
+
+
+def _names(node) -> set:
+    """The names ``node`` binds or reads: a variable, an attribute, an import."""
+    return {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+
+
+def test_no_step_returns_a_stuck_or_a_final_sentinel():
+    # a step ends its walk one way: it returns None at a final state and
+    # raises a Stuck when it cannot move
+    found = []
+    for path in sorted((SRC / "lamrun").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            returns_stuck = (isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+                             and "Stuck" in _names(node.value.func))
+            if returns_stuck or "FINAL" in _names(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
