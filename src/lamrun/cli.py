@@ -75,10 +75,16 @@ def _machines(text: str) -> list:
 
 
 def _table(events, root) -> str:
+    places: dict = {}  # focused node -> its subterm and context, printed once per node
+
+    def place(ev) -> tuple:
+        texts = places.get(ev.node)
+        if texts is None:
+            texts = places[ev.node] = (ev.subterm_pretty, pretty(root, ev.node.path))
+        return texts
+
     rows = [["step", "label", "dir", "subterm", "context", "token"]]
-    rows += ([str(ev.step), ev.label, ev.dir, ev.subterm_pretty,
-              pretty(root, ev.node.path), ev.token_json]
-             for ev in events)
+    rows += ([str(ev.step), ev.label, ev.dir, *place(ev), ev.token_json] for ev in events)
     # every column but the last is padded: the token column would pad each row
     # to the run's widest token
     widths = [max(map(len, column)) for column in list(zip(*rows))[:-1]]
@@ -134,11 +140,23 @@ def _var_count(name: str, entry: dict) -> int | None:
     return None if per is None else sum(per.get(lbl, 0) for lbl in labels)
 
 
+def _fuel_verdict(fuel: int, rows) -> int:
+    """The exit code of comparison rows, given as ``(prefix, row)`` pairs:
+    EXIT_FUEL when some run ran out of fuel, after naming each such run on one
+    stderr line as its prefix and machine; EXIT_OK otherwise."""
+    out_of_fuel = [prefix + name for prefix, row in rows
+                   for name, entry in row["machines"].items() if entry["outcome"] == "fuel"]
+    if out_of_fuel:
+        print(f"fuel exhausted after {fuel} steps: {', '.join(out_of_fuel)}", file=sys.stderr)
+        return EXIT_FUEL
+    return EXIT_OK
+
+
 def cmd_compare(args) -> int:
     row = harness.compare(args.term, args.fuel, args.machines, with_types=args.types)
     if args.format == "json":
         print(json.dumps(row, ensure_ascii=False, indent=2))
-        return EXIT_OK
+        return _fuel_verdict(args.fuel, [("", row)])
     entries = row["machines"]
     headers = ["machine", "outcome", "length", "vars", "ramBound", "peakLp", "peakMarkers"]
     sep = "," if args.format == "csv" else "  "
@@ -152,7 +170,7 @@ def cmd_compare(args) -> int:
         lines.append(f"weights{sep}w_kam={row['weights']['w_kam']}"
                      f"{sep}w_iam={row['weights']['w_iam']}")
     print("\n".join(lines))
-    return EXIT_OK
+    return _fuel_verdict(args.fuel, [("", row)])
 
 
 def cmd_types(args) -> int:
@@ -216,13 +234,7 @@ def cmd_bench(args) -> int:
         for label, row in rows:
             lengths = {name: entry.get("length") for name, entry in row["machines"].items()}
             print(label, json.dumps(lengths))
-    out_of_fuel = [f"{label} {name}" for label, row in rows
-                   for name, entry in row["machines"].items() if entry["outcome"] == "fuel"]
-    if out_of_fuel:
-        print(f"fuel exhausted after {args.fuel} steps: {', '.join(out_of_fuel)}",
-              file=sys.stderr)
-        return EXIT_FUEL
-    return EXIT_OK
+    return _fuel_verdict(args.fuel, [(f"{label} ", row) for label, row in rows])
 
 
 class _Parser(argparse.ArgumentParser):

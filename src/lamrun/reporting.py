@@ -86,31 +86,48 @@ class NodeState:
     pos = property(lambda s: s.focus.path)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
+    """One state of a traced run, as ``drive`` hands it to the sink.  Not
+    frozen, since a frozen dataclass takes several times as long to build, but
+    no code assigns a field of an event once it is made."""
+
     step: int
     machine: str
     label: str
     dir: str
     node: object  # the focused term node
-    subterm_path: str
-    subterm_pretty: str
     token_json: str  # in the shared form of ``tokens.Encoder``, or unfolded
     cost: int
     footprint: tuple  # (lp, markers, cells)
-    defs: tuple = ()  # the JSON texts of the items this event defines, children first
+    defs: tuple  # the JSON texts of the items this event defines, children first
+    # The JSON texts of what is constant per run or per node, which ``drive``
+    # writes once each: ``"machine": …, "label": …, "dir": …`` per run, and the
+    # path and the subterm per node.  A run keeps only these texts per node, and
+    # apart, so that an ASCII path is not stored as wide as a subterm with a λ:
+    # on a deep term they take memory quadratic in its depth.
+    names_json: str
+    path_json: str
+    subterm_json: str
+
+    @property
+    def subterm_path(self) -> str:
+        """The focused node's path, printed on demand, as ``subterm_pretty`` is."""
+        return path_str(self.node.path)
+
+    @property
+    def subterm_pretty(self) -> str:
+        return pretty(self.node.term)
 
     def to_line(self) -> str:
         """The event as one line of a JSONL trace; its definitions, if any,
         come just before the token that refers to them."""
         lp, markers, cells = self.footprint
         defs = f'"defs": [{", ".join(self.defs)}], ' if self.defs else ""
-        return (f'{{"step": {self.step}, "machine": {json_text(self.machine)}, '
-                f'"label": {json_text(self.label)}, "dir": {json_text(self.dir)}, '
-                f'"path": {json_text(self.subterm_path)}, '
-                f'"subterm": {json_text(self.subterm_pretty)}, {defs}"token": {self.token_json}, '
-                f'"cost": {self.cost}, "footprint": {{"lp": {lp}, '
-                f'"markers": {markers}, "deepCells": {cells}}}}}')
+        return (f'{{"step": {self.step}, {self.names_json}, "path": {self.path_json}, '
+                f'"subterm": {self.subterm_json}, '
+                f'{defs}"token": {self.token_json}, "cost": {self.cost}, '
+                f'"footprint": {{"lp": {lp}, "markers": {markers}, "deepCells": {cells}}}}}')
 
 
 def unfold(sink: Callable) -> Callable:
@@ -212,7 +229,8 @@ def drive(
     sample = machine.footprint is not None
     per_label: dict = {}
     enc = None if sink is None else Encoder(getattr(sink, "unfolded", False))
-    places: dict = {}  # focused node -> (path text, subterm text)
+    names: dict = {}  # (label, dir) -> the event's ``names_json``
+    places: dict = {}  # focused node -> the event's ``path_json`` and ``subterm_json``
     reach = Reach()
     fp = (0, 0, 0)  # an unsampled state's
     var_cost = steps = peak_lp = peak_cells = 0
@@ -237,10 +255,17 @@ def drive(
                 node = state.focus
                 place = places.get(node)
                 if place is None:
-                    place = places[node] = (path_str(node.path), pretty(node.term))
+                    place = places[node] = (json_text(path_str(node.path)),
+                                            json_text(pretty(node.term)))
+                label, direction = label or "init", state_dir_fn(state)
+                names_json = names.get((label, direction))
+                if names_json is None:
+                    names_json = names[label, direction] = (
+                        f'"machine": {json_text(name)}, "label": {json_text(label)}, '
+                        f'"dir": {json_text(direction)}')
                 token = snapshot_fn(state, enc)
-                sink(TraceEvent(steps, name, label or "init", state_dir_fn(state), node,
-                                *place, token, cost, fp, enc.take_defs()))
+                sink(TraceEvent(steps, name, label, direction, node, token, cost, fp,
+                                enc.take_defs(), names_json, *place))
     except FuelExhausted:
         outcome = "fuel"
 

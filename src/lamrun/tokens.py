@@ -14,7 +14,6 @@ its closures and the HAM its logged closures and closed positions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Iterator, Optional
 
@@ -132,13 +131,21 @@ def item(template: str, fields: Callable, *lists: str):
 
 
 @item('"p"', lambda m: ())
-@dataclass(frozen=True, slots=True)
 class Marker:
+    """The tape's marker.  There is one, ``MARKER``: ``Marker()`` returns it,
+    and it compares and hashes by identity, so a dict lookup of a marker, as
+    ``Encoder`` makes at every entry it writes, calls no Python code."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return MARKER
+
     def __repr__(self):
         return "p"
 
 
-MARKER = Marker()
+MARKER = object.__new__(Marker)
 
 
 class Reach:
@@ -286,8 +293,8 @@ class Encoder:
     item is written in full wherever it occurs, as a tree, and ``defs`` is
     None: its text can be exponentially longer.  Either way ``memo`` keeps
     each item's text (its id, inline form or full text) by item, so each item
-    is written once: eq=False classes and nodes by identity, markers and PAM
-    history tuples by value.  A traced run makes one encoder, the run's id table.
+    is written once: eq=False classes, nodes and the one marker by identity,
+    PAM history tuples by value.  A traced run makes one encoder, the run's id table.
     """
 
     __slots__ = ("memo", "defs", "ids")
@@ -308,10 +315,16 @@ class Encoder:
     def list(self, items) -> str:
         """The JSON text of a token list (a ``Cell`` or None) or of any
         iterable of items."""
-        if items is None or type(items) is Cell:
-            items = iterate(items)
-        get, text = self.memo.get, self.text
-        return "[" + ", ".join([get(x) or text(x) for x in items]) + "]"
+        get = self.memo.get
+        if items is not None and type(items) is not Cell:
+            return "[" + ", ".join([get(x) or self.text(x) for x in items]) + "]"
+        out = []
+        cell = items
+        while cell is not None:  # a list is walked at every event: no generator
+            x = cell.head
+            out.append(get(x) or self.text(x))
+            cell = cell.tail
+        return "[" + ", ".join(out) + "]"
 
     def text(self, item) -> str:
         """The JSON text of one item: in the shared form, its id if it holds lists."""

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lamrun import harness, liam, lpam, reporting, tokens
+from lamrun import cli, harness, liam, lpam, reporting, tokens
 from lamrun.cli import main
 from lamrun.reporting import FuelExhausted, Stuck
 from lamrun.syntax import TermIndex, parse, pretty
@@ -51,6 +51,26 @@ def test_run_table_trace(capsys, defs_file):
     assert "label" in out and "abs" in out
 
 
+def test_a_table_prints_each_place_once(monkeypatch, capsys):
+    # every row at one node has the same subterm and context columns: each is
+    # printed once per node, and the trace's own text of the subterm once more
+    holes = []
+
+    def counted(term, hole=None):
+        holes.append(hole)
+        return pretty(term, hole)
+
+    monkeypatch.setattr(cli, "pretty", counted)
+    monkeypatch.setattr(reporting, "pretty", counted)
+    two_two = "(\\f.\\x.f (f x)) (\\f.\\x.f (f x)) (\\z.z) (\\z.z)"
+    assert main(["run", two_two, "--machine", "iam", "--trace", "table"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    contexts = [hole for hole in holes if hole is not None]
+    assert len(rows) > 5 * len(contexts) > 0
+    assert len(contexts) == len(set(contexts))
+    assert len(holes) == 3 * len(contexts) + 1  # and the report's term
+
+
 def test_run_fuel_exit_code(capsys):
     assert main(["run", "(\\x.x x) (\\x.x x)", "--machine", "kam", "--fuel", "20"]) == 2
 
@@ -67,9 +87,29 @@ def test_a_siam_run_out_of_fuel_on_a_huge_derivation(capsys):
 
 def test_compare_records_the_siam_out_of_fuel_on_a_huge_derivation(capsys):
     assert main(["compare", T1200, "--machines", "kam,siam", "--fuel", "2000",
-                 "--format", "json"]) == 0
-    siam = json.loads(capsys.readouterr().out)["machines"]["siam"]
+                 "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    siam = json.loads(captured.out)["machines"]["siam"]
     assert (siam["outcome"], siam["length"]) == ("fuel", 2000)
+    assert captured.err == "fuel exhausted after 2000 steps: kam, siam\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_compare_names_the_runs_that_ran_out_of_fuel(capsys, fmt):
+    # omega reaches no final state: every row prints as before, says fuel, and
+    # the exit code says so too
+    assert main(["compare", "(\\x.x x) (\\x.x x)", "--fuel", "100", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "fuel exhausted after 100 steps: iam, jam, pam, kam\n"
+    if fmt == "json":
+        entries = json.loads(captured.out)["machines"]
+        assert [(e["outcome"], e["length"]) for e in entries.values()] == [("fuel", 100)] * 4
+    else:
+        sep = "," if fmt == "csv" else "  "
+        rows = [line.split(sep)[:3] for line in captured.out.splitlines()[1:]]
+        assert rows == [[m, "fuel", "100"] for m in ("iam", "jam", "pam", "kam")]
+    assert main(["compare", "(\\x.x) (\\y.y)", "--fuel", "100", "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_traced_run_out_of_fuel_keeps_the_states_it_reached(capsys):
@@ -126,11 +166,11 @@ def test_compare_csv_is_comma_separated(capsys, defs_file):
 def test_compare_prints_missing_fields_as_empty_cells(capsys):
     # omega has no ★ derivation, so SIAM's entry holds its outcome only
     argv = ["compare", "(\\x.x x)(\\x.x x)", "--machines", "kam,siam", "--fuel", "50"]
-    assert main(argv + ["--format", "csv"]) == 0
+    assert main(argv + ["--format", "csv"]) == 2
     header, kam, siam = csv.reader(io.StringIO(capsys.readouterr().out))
     assert kam[:2] == ["kam", "fuel"] and all(kam)
     assert siam == ["siam", "fuel", "", "", "", "", ""]
-    assert main(argv + ["--format", "table"]) == 0
+    assert main(argv + ["--format", "table"]) == 2
     assert "None" not in capsys.readouterr().out
 
 

@@ -6,6 +6,7 @@ spell of the host hits both), and prints them.  For 4x the input, linear work
 reads about 4 and quadratic work 16: the bound of 8 sits between them.
 """
 import gc
+import io
 import time
 
 import pytest
@@ -38,9 +39,9 @@ def seconds(work, *args):
     return min(times)
 
 
-def best_of_9(first, second):
-    """``seconds`` of two thunks, in three turns, each the best of 9."""
-    return map(min, zip(*[(seconds(first), seconds(second)) for _ in range(3)]))
+def best_of_9(*thunks):
+    """``seconds`` of each thunk, in three turns, each the best of 9."""
+    return map(min, zip(*[[seconds(thunk) for thunk in thunks] for _ in range(3)]))
 
 
 def slope(what, work, small, large):
@@ -140,3 +141,29 @@ def test_a_siam_transition_costs_what_an_iam_one_does():
     print(f"t_14, ns per transition: IAM {iam_ns:.0f}; SIAM with coverage {siam_ns:.0f}; "
           f"ratio {siam_ns / iam_ns:.2f}")
     assert siam_ns / iam_ns < 1.25, "a SIAM transition costs 1.25x an IAM one or more"
+
+
+# on a 2-core host, 6 runs each: events 7.1-7.8x and lines 9.0-9.9x the untraced
+# run with a frozen event, value-hashed markers and texts encoded at every event;
+# 4.3-4.9x and 5.4-5.9x with the constant texts encoded once and identity-hashed markers
+EVENTS_BOUND, LINES_BOUND = 6, 7.5
+
+
+def test_a_traced_event_costs_little_more_than_its_step():
+    # an IAM event on t_14, built and dropped, then built and written as a
+    # JSONL line: its constant texts are encoded once per run or per node, and
+    # its token's entries are looked up by identity
+    index = INDEXES["iam"]()
+    run = lambda sink=None: reporting.run(liam.MACHINE, index, sink=sink)  # noqa: E731
+
+    def lines():
+        write = io.StringIO().write
+        run(lambda ev: write(ev.to_line()))
+
+    run_s, events_s, lines_s = best_of_9(run, lambda: run(lambda ev: None), lines)
+    events = run().length + 1
+    print(f"IAM on t_14, us per event: untraced {run_s / events * 1e6:.2f}; "
+          f"events {events_s / events * 1e6:.2f}, ratio {events_s / run_s:.2f}; "
+          f"lines {lines_s / events * 1e6:.2f}, ratio {lines_s / run_s:.2f}")
+    assert events_s / run_s < EVENTS_BOUND, f"an event costs {EVENTS_BOUND}x a step or more"
+    assert lines_s / run_s < LINES_BOUND, f"an event's line costs {LINES_BOUND}x a step or more"

@@ -128,7 +128,7 @@ def test_run_and_trajectory_agree_at_the_fuel_boundary(name, text):
 def test_states_and_items_are_slotted_and_unchanged():
     # slots, not frozen dataclasses: no state or item has a ``__dict__``, and a
     # run assigns no field of a state it has yielded, nor of an item its token reaches
-    for cls in tk.TEXT_FORMS:
+    for cls in [*tk.TEXT_FORMS, reporting.TraceEvent]:
         assert cls.__dictoffset__ == 0, cls  # its instances have no __dict__
     term = parse("two two I I", {"two": "\\f.\\x.f (f x)", "I": "\\z.z"})
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 from hypothesis import given, strategies as st
@@ -158,7 +159,15 @@ def test_concat_long_list():
     assert tk.length(xs) == 50_000 and tk.nth(xs, 49_999) == 49_999
 
 
-ITEMS = st.sampled_from([tk.MARKER, tk.Marker(), lp((FUN,)), "p", 0])
+def test_the_marker_is_one_object_hashed_by_identity():
+    # a marker is looked up in the encoder's memo at every tape entry written
+    assert tk.Marker() is tk.MARKER
+    assert type(tk.MARKER).__hash__ is object.__hash__ and type(tk.MARKER).__eq__ is object.__eq__
+    assert copy.deepcopy(tk.from_list([tk.MARKER])).head is tk.MARKER
+
+
+# ``tk.Marker()`` is ``tk.MARKER``: a second marker would be the same entry
+ITEMS = st.sampled_from([tk.MARKER, lp((FUN,)), "p", 0])
 OPS = st.tuples(st.sampled_from(["cons", "from_list", "concat", "take", "drop"]),
                 st.integers(0, 20), st.integers(0, 20), st.lists(ITEMS, max_size=4))
 
